@@ -32,6 +32,7 @@ from .homotopy import (
     CollapseSequence,
     ProductComplex,
     build_product_complex,
+    checked_breakpoints,
     extrusion,
     validate_collapse_sequence,
 )
@@ -208,12 +209,7 @@ class SlabAffineContraction:
 
     def __init__(self, breakpoints: Sequence[float], evaluate: Callable,
                  point, matrices=None):
-        times = tuple(float(t) for t in breakpoints)
-        if len(times) < 2 or times[0] != 0.0 or times[-1] != 1.0:
-            raise ValueError("breakpoints must run from 0.0 to 1.0")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        self.breakpoints = times
+        self.breakpoints = checked_breakpoints(breakpoints)
         self._evaluate = evaluate
         self.point = np.asarray(point, dtype=float)
         self.matrices = matrices
@@ -221,10 +217,6 @@ class SlabAffineContraction:
     def __call__(self, xy, t: float) -> np.ndarray:
         return np.asarray(self._evaluate(np.asarray(xy, dtype=float), float(t)),
                           dtype=float)
-
-    def slab_index(self, t: float) -> int:
-        i = bisect_right(self.breakpoints, t) - 1
-        return min(max(i, 0), len(self.breakpoints) - 2)
 
     @classmethod
     def straight_line(cls, point) -> "SlabAffineContraction":

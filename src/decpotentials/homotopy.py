@@ -36,17 +36,23 @@ from .simplicial import (
 )
 
 
+def checked_breakpoints(breakpoints: Sequence[float]) -> tuple[float, ...]:
+    """Breakpoints as floats, strictly increasing from 0.0 to 1.0."""
+    times = tuple(float(t) for t in breakpoints)
+    if len(times) < 2:
+        raise ValueError("need at least two breakpoints")
+    if times[0] != 0.0 or times[-1] != 1.0:
+        raise ValueError("breakpoints must run from 0.0 to 1.0")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    return times
+
+
 class ProductComplex:
     """Staircase product of a base complex with a subdivided interval."""
 
     def __init__(self, base: SimplicialComplex, breakpoints: Sequence[float]):
-        times = tuple(float(t) for t in breakpoints)
-        if len(times) < 2:
-            raise ValueError("need at least two breakpoints")
-        if times[0] != 0.0 or times[-1] != 1.0:
-            raise ValueError("breakpoints must run from 0.0 to 1.0")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        times = checked_breakpoints(breakpoints)
         self.base = base
         self.times = times
         self.stride = base.vertex_count
@@ -264,6 +270,12 @@ def validate_collapse_sequence(seq: CollapseSequence) -> bool:
 # -- strong collapse -----------------------------------------------------
 
 
+def _maximal_simplices(current: set[Simplex]) -> list[Simplex]:
+    """Simplices of the set that are a facet of none of its members."""
+    facets = {f for s in current if len(s) >= 2 for f in facets_of(s)}
+    return [s for s in current if s not in facets]
+
+
 def find_strong_collapse_sequence(complex: SimplicialComplex,
                                   terminal: int | None = None
                                   ) -> StrongCollapseSequence | None:
@@ -284,15 +296,8 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
             if terminal is not None and last != terminal:
                 return None
             return StrongCollapseSequence(complex, steps, last)
-        face_counts: dict[Simplex, int] = {}
-        for s in current:
-            if len(s) < 2:
-                continue
-            for f in facets_of(s):
-                face_counts[f] = face_counts.get(f, 0) + 1
-        maximal = [s for s in current if face_counts.get(s, 0) == 0]
         by_vertex: dict[int, list[Simplex]] = {}
-        for s in maximal:
+        for s in _maximal_simplices(current):
             for v in s:
                 by_vertex.setdefault(v, []).append(s)
         found = None
@@ -322,13 +327,7 @@ def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
     for v, w in seq.steps:
         if (v,) not in current or (w,) not in current or v == w:
             return False
-        face_counts: dict[Simplex, int] = {}
-        for s in current:
-            if len(s) < 2:
-                continue
-            for f in facets_of(s):
-                face_counts[f] = face_counts.get(f, 0) + 1
-        stars = [s for s in current if face_counts.get(s, 0) == 0 and v in s]
+        stars = [s for s in _maximal_simplices(current) if v in s]
         if not stars or any(w not in s for s in stars):
             return False
         current = {s for s in current if v not in s}

@@ -1,23 +1,29 @@
 """Discrete potential operators and their verification.
 
-A cone operator determines a potential operator P mapping k-cochains to
-(k-1)-cochains: pair the input against the cone of each (k-1)-simplex
-(combinatorial kind), or integrate the Whitney interpolant over the singular
-cone (Whitney kind).  Both kinds satisfy the discrete homotopy identity
+Every potential operator has one representation: for each degree k a sparse
+matrix ``P_k`` (a ``scipy.sparse.csr_matrix`` of shape (num (k-1)-simplices,
+num k-simplices)) plus a constant functional ``pi`` on 0-cochains.  Row s of
+``P_k`` is the functional of the (k-1)-simplex s: pair the input with the
+cone of s (combinatorial kind), or integrate its Whitney interpolant over the
+singular cone of s (Whitney kind).  Matrices are assembled from these rows
+per degree on first use and cached.  Every operator satisfies
 
     d P alpha + P d alpha = alpha            (0 < k < n)
     P d alpha = alpha - (pi alpha)           (k = 0)
     d P alpha = alpha                        (k = n)
 
-where pi is the operator's own constant component: the value at the
-contraction vertex for combinatorial operators, the interpolated value at
-the base point for Whitney ones.
+on its admissible inputs, where pi is the value at the contraction vertex
+for combinatorial operators and the interpolated value at the base point for
+Whitney ones.
 
-The trace-preserving variant (``BogovskiiOperator``) subtracts the integral
-over the infinite cone from the star cone integral; on inputs with vanishing
-boundary trace (vanishing mean for top degree) it satisfies the same
-identity with no constant component, and its outputs again have vanishing
-trace.  Its base point must not meet any codimension-1 simplex.
+Two operators are built from the same representation.  The trace-preserving
+``BogovskiiOperator`` takes as row the star-cone row minus the infinite-cone
+row.  Its admissible inputs have vanishing boundary trace (vanishing mean in
+top degree); on them the identity holds with pi = 0, and the outputs again
+have vanishing trace.  Its base point must not meet any codimension-1
+simplex.  ``ComplexPropertyOperator`` holds the matrices of ``P - d P P``,
+formed once from its base operator's; they satisfy the same identity and
+square to zero.
 
 ``verify_homotopy`` estimates the identity's residual on seeded random
 cochains and reports per-degree maxima; everything is deterministic given
@@ -27,6 +33,7 @@ the seed.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cones import (
     InfiniteConeOperator,
@@ -68,36 +75,41 @@ class DiscretePoincareOperator:
     def __init__(self, cone, geometry: MeshGeometry | None = None, label: str | None = None):
         if isinstance(cone, SimplicialConeOperator):
             self.kind = "combinatorial"
-            self.geometry = geometry
         elif isinstance(cone, SingularConeOperator):
             self.kind = "whitney"
-            self.geometry = geometry or MeshGeometry(cone.complex)
+            geometry = geometry or MeshGeometry(cone.complex)
         else:
             raise TypeError(f"unsupported cone operator {type(cone).__name__}")
         self.cone = cone
+        self.geometry = geometry
         self.complex: SimplicialComplex = cone.complex
         self.label = label or self.kind
-        self._matrices: dict[int, np.ndarray] = {}
+        self._matrices: dict[int, sp.csr_matrix] = {}
 
-    def matrix(self, k: int) -> np.ndarray:
-        """Dense matrix of P on k-cochains, shape (num (k-1)-simplices, num k)."""
+    def _row(self, s) -> dict[int, float]:
+        """Weights of the functional of the (k-1)-simplex s on k-cochains."""
+        chain = self.cone.table[s]
+        if self.kind == "whitney":
+            return chain_functional(self.geometry, chain)
+        index = self.complex._index[chain.dim]
+        return {index[t]: c for t, c in chain.terms.items()}
+
+    def matrix(self, k: int) -> sp.csr_matrix:
+        """Sparse matrix of P on k-cochains, shape (num (k-1)-simplices, num k)."""
         if not 1 <= k <= self.complex.dim:
             raise ValueError(f"P acts on degrees 1..{self.complex.dim}, got {k}")
         if k not in self._matrices:
             cx = self.complex
-            rows = cx.simplices(k - 1)
-            mat = np.zeros((len(rows), cx.num_simplices(k)))
-            if self.kind == "combinatorial":
-                idx = cx._index[k]
-                for i, s in enumerate(rows):
-                    for t, c in self.cone.table[s].terms.items():
-                        mat[i, idx[t]] = c
-            else:
-                for i, s in enumerate(rows):
-                    row = chain_functional(self.geometry, self.cone.table[s])
-                    for j, w in row.items():
-                        mat[i, j] = w
-            self._matrices[k] = mat
+            rows, cols, vals = [], [], []
+            for i, s in enumerate(cx.simplices(k - 1)):
+                row = self._row(s)
+                rows.extend([i] * len(row))
+                cols.extend(row)
+                vals.extend(row.values())
+            self._matrices[k] = sp.csr_matrix(
+                (np.array(vals, dtype=float), (rows, cols)),
+                shape=(cx.num_simplices(k - 1), cx.num_simplices(k)),
+            )
         return self._matrices[k]
 
     def apply(self, alpha: Cochain) -> Cochain:
@@ -106,34 +118,44 @@ class DiscretePoincareOperator:
         return Cochain(self.complex, alpha.dim - 1, self.matrix(alpha.dim) @ alpha.values)
 
     def constant_component(self, alpha: Cochain) -> float:
-        """The degree-0 identity's constant term evaluated on a 0-cochain."""
+        """The degree-0 identity's constant term pi evaluated on a 0-cochain."""
         if alpha.dim != 0:
             raise ValueError("constant component is defined for 0-cochains")
         if self.kind == "combinatorial":
             return float(alpha.values[self.complex.index((self.cone.vertex,))])
         return float(whitney_value(self.geometry, alpha, self.cone.point))
 
+    def project_admissible(self, alpha: Cochain) -> Cochain:
+        """Nearest input on which the identity holds: every cochain is admissible."""
+        return alpha
 
-class ComplexPropertyOperator:
-    """P - d P P: same homotopy identity, and the composition squares to zero."""
+
+class ComplexPropertyOperator(DiscretePoincareOperator):
+    """P - d P P: same homotopy identity, and the composition squares to zero.
+
+    The matrices ``P_k - D_{k-2} (P_{k-1} P_k)`` are formed here from the base
+    operator's, so ``apply`` is one sparse mat-vec.
+    """
 
     def __init__(self, base: DiscretePoincareOperator):
-        self.base = base
-        self.complex = base.complex
+        super().__init__(base.cone, base.geometry, base.label + "+complex-property")
         self.kind = base.kind
-        self.label = base.label + "+complex-property"
-
-    def apply(self, alpha: Cochain) -> Cochain:
-        p = self.base.apply(alpha)
-        if alpha.dim >= 2:
-            p = p - coboundary(self.base.apply(p))
-        return p
+        self.base = base
+        cx = self.complex
+        for k in range(1, cx.dim + 1):
+            p = base.matrix(k)
+            if k >= 2:
+                p = (p - cx.coboundary_matrix(k - 2) @ (base.matrix(k - 1) @ p)).tocsr()
+            self._matrices[k] = p
 
     def constant_component(self, alpha: Cochain) -> float:
         return self.base.constant_component(alpha)
 
+    def project_admissible(self, alpha: Cochain) -> Cochain:
+        return self.base.project_admissible(alpha)
 
-class BogovskiiOperator:
+
+class BogovskiiOperator(DiscretePoincareOperator):
     """Trace-preserving potential operator from a base point.
 
     The value on a (k-1)-simplex is the integral of the Whitney interpolant
@@ -144,35 +166,26 @@ class BogovskiiOperator:
     def __init__(self, point, complex: SimplicialComplex,
                  geometry: MeshGeometry | None = None,
                  truncation_factor: float = 10.0, label: str = "bogovskii"):
-        self.geometry = geometry or MeshGeometry(complex)
-        check_base_point(self.geometry, point)
-        self.complex = complex
+        geometry = geometry or MeshGeometry(complex)
+        check_base_point(geometry, point)
         self.point = np.asarray(point, dtype=float)
-        self.kind = "bogovskii"
-        self.label = label
         self.truncation_factor = truncation_factor
         self.star: SingularConeOperator = star_cone(self.point, complex)
         self.infinite: InfiniteConeOperator = infinite_cone(self.point, complex)
-        self._matrices: dict[int, np.ndarray] = {}
+        super().__init__(self.star, geometry, label)
+        self.kind = "bogovskii"
 
-    def matrix(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.complex.dim:
-            raise ValueError(f"operator acts on degrees 1..{self.complex.dim}, got {k}")
-        if k not in self._matrices:
-            cx = self.complex
-            rows = cx.simplices(k - 1)
-            mat = np.zeros((len(rows), cx.num_simplices(k)))
-            for i, s in enumerate(rows):
-                fin = chain_functional(self.geometry, self.star.table[s],
-                                      allow_exterior=True)
-                inf = cone_chain_functional(self.geometry, self.infinite.table[s],
-                                            self.truncation_factor)
-                for j, w in fin.items():
-                    mat[i, j] += w
-                for j, w in inf.items():
-                    mat[i, j] -= w
-            self._matrices[k] = mat
-        return self._matrices[k]
+    def _row(self, s) -> dict[int, float]:
+        row = chain_functional(self.geometry, self.star.table[s], allow_exterior=True)
+        inf = cone_chain_functional(self.geometry, self.infinite.table[s],
+                                    self.truncation_factor)
+        for j, w in inf.items():
+            row[j] = row.get(j, 0.0) - w
+        return row
+
+    def constant_component(self, alpha: Cochain) -> float:
+        """Zero: on admissible inputs the identity has no constant term."""
+        return 0.0
 
     def signed_mass(self, alpha: Cochain) -> float:
         """Total integral of the Whitney interpolant of a top cochain."""
@@ -181,17 +194,14 @@ class BogovskiiOperator:
         return float(alpha.values @ self.geometry.orientation)
 
     def apply(self, alpha: Cochain, *, check_mean: bool = True) -> Cochain:
-        if alpha.complex is not self.complex:
-            raise ValueError("cochain lives on a different complex")
-        k = alpha.dim
-        if k == self.complex.dim and check_mean:
+        if check_mean and alpha.complex is self.complex and alpha.dim == self.complex.dim:
             mass = self.signed_mass(alpha)
             scale = float(np.max(np.abs(alpha.values))) if alpha.values.size else 0.0
             if abs(mass) > 1e-9 * max(scale, 1.0):
                 raise PreconditionError(
                     f"top-degree input must have zero mean, got total integral {mass:.3e}"
                 )
-        return Cochain(self.complex, k - 1, self.matrix(k) @ alpha.values)
+        return super().apply(alpha)
 
     def project_admissible(self, alpha: Cochain) -> Cochain:
         """Nearest admissible input: zero boundary trace, or zero mean on top."""
@@ -208,24 +218,13 @@ class BogovskiiOperator:
         return Cochain(cx, k, values)
 
 
-def _coboundary_or_zero(alpha: Cochain):
-    if alpha.dim >= alpha.complex.dim:
-        return None
-    return coboundary(alpha)
-
-
 def homotopy_residual(op, alpha: Cochain) -> np.ndarray:
     """Componentwise residual of the homotopy identity on one cochain."""
-    cx = op.complex
-    n = cx.dim
+    n = op.complex.dim
     k = alpha.dim
-    trace_free = isinstance(op, BogovskiiOperator)
     if k == 0:
-        d_alpha = coboundary(alpha)
-        r = op.apply(d_alpha).values - alpha.values
-        if not trace_free:
-            r = r + op.constant_component(alpha)
-        return r
+        r = op.apply(coboundary(alpha)).values - alpha.values
+        return r + op.constant_component(alpha)
     if k == n:
         return coboundary(op.apply(alpha)).values - alpha.values
     r = coboundary(op.apply(alpha)).values + op.apply(coboundary(alpha)).values
@@ -237,8 +236,8 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
 
     Random inputs are uniform on (-1, 1) per simplex, with one generator per
     (seed, degree, trial) triple so the report is reproducible and trials
-    could be evaluated in any order.  Inputs to trace-preserving operators
-    are first projected to the admissible subspace.
+    could be evaluated in any order.  Inputs are first projected to the
+    operator's admissible subspace.
     """
     cx = op.complex
     n = cx.dim
@@ -251,9 +250,7 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
         for trial in range(trials):
             rng = np.random.default_rng((seed, k, trial))
             alpha = Cochain(cx, k, rng.uniform(-1.0, 1.0, cx.num_simplices(k)))
-            if isinstance(op, BogovskiiOperator):
-                alpha = op.project_admissible(alpha)
-            r = homotopy_residual(op, alpha)
+            r = homotopy_residual(op, op.project_admissible(alpha))
             m = float(np.max(np.abs(r))) if r.size else 0.0
             worst = max(worst, m)
             total += m

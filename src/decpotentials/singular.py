@@ -209,37 +209,28 @@ def clip_polygon(subject, clipper):
     """Sutherland-Hodgman clip of a polygon against a convex CCW clipper.
 
     Points on a clip edge count as inside; the output may contain repeated
-    points, which downstream area formulas tolerate.
+    points, which downstream area formulas tolerate.  Each vertex's signed
+    distance to a clip edge is computed once and used both for the inside
+    test and for the crossing, so an edge whose ends test differently always
+    has a crossing parameter in [0, 1].
     """
-    output = [(_point_tuple(p)) for p in subject]
+    output = [_point_tuple(p) for p in subject]
     cp1 = _point_tuple(clipper[-1])
     for cp2 in clipper:
         cp2 = _point_tuple(cp2)
         if not output:
             return []
         ex, ey = cp2[0] - cp1[0], cp2[1] - cp1[1]
-
-        def inside(p):
-            return ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) >= 0.0
-
-        def intersect(a, b):
-            dx, dy = b[0] - a[0], b[1] - a[1]
-            denom = ex * dy - ey * dx
-            t = (ex * (cp1[1] - a[1]) - ey * (cp1[0] - a[0])) / denom
-            return (a[0] + t * dx, a[1] + t * dy)
-
+        dist = [ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) for p in output]
         inputs, output = output, []
-        s = inputs[-1]
-        s_in = inside(s)
-        for e in inputs:
-            e_in = inside(e)
-            if e_in:
-                if not s_in:
-                    output.append(intersect(s, e))
+        s, d_s = inputs[-1], dist[-1]
+        for e, d_e in zip(inputs, dist):
+            if (d_e >= 0.0) != (d_s >= 0.0):
+                t = d_s / (d_s - d_e)
+                output.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+            if d_e >= 0.0:
                 output.append(e)
-            elif s_in:
-                output.append(intersect(s, e))
-            s, s_in = e, e_in
+            s, d_s = e, d_e
         cp1 = cp2
     return output
 
@@ -463,13 +454,3 @@ def cone_chain_functional(geom: MeshGeometry, chain: ConeChain,
         for i, w in cone_functional(geom, cone, factor).items():
             out[i] = out.get(i, 0.0) + c * w
     return {i: w for i, w in out.items() if w != 0.0}
-
-
-def integrate_whitney_over_cone(geom: MeshGeometry, alpha: Cochain, cone, *,
-                                factor: float = 10.0) -> float:
-    """Integral of W(alpha) over an infinite cone or a chain of them."""
-    chain = cone if isinstance(cone, ConeChain) else ConeChain(cone.dim, [(1, cone)])
-    if alpha.dim != chain.dim:
-        raise ValueError("cochain degree must match cone dimension")
-    row = cone_chain_functional(geom, chain, factor)
-    return float(sum(alpha.values[i] * w for i, w in row.items()))

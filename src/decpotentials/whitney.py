@@ -13,9 +13,9 @@ Conventions on a planar triangle mesh:
   canonically oriented triangle returns exactly the stored value.
 
 The de Rham map integrates fields over canonical simplices by quadrature
-(vertex sampling for k=0, Gauss-Legendre on edges for k=1, a symmetric
-triangle rule for k=2).  Defaults are exact for polynomial integrands up to
-degree 4, which covers every built-in field.
+(vertex sampling for k=0, 3-point Gauss-Legendre on edges for k=1, a
+6-point symmetric triangle rule for k=2).  Both rules are exact for
+polynomial integrands up to degree 4, which covers every built-in field.
 """
 
 from __future__ import annotations
@@ -47,19 +47,6 @@ TRI6_BARY = np.array(
     ]
 )
 TRI6_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
-
-TRI_RULES = {
-    "centroid": (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    "6point": (TRI6_BARY, TRI6_WEIGHTS),
-}
-
-
-def gauss_rule(points: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    if points == 3:
-        return GAUSS3_NODES, GAUSS3_WEIGHTS
-    x, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 class MeshGeometry:
@@ -188,16 +175,13 @@ def whitney_field(geom: MeshGeometry, alpha: Cochain) -> Callable:
     return field
 
 
-def de_rham(complex: SimplicialComplex, field: Callable, k: int, *,
-            edge_points: int = 3, triangle_rule: str = "6point") -> Cochain:
+def de_rham(complex: SimplicialComplex, field: Callable, k: int) -> Cochain:
     """Integrate a smooth field over every canonical k-simplex.
 
     Args:
         field: callable of a length-2 point; must return a scalar for k=0 and
             k=2 (a density against dx^dy), and a length-2 covector for k=1.
         k: cochain degree, 0..2.
-        edge_points: Gauss-Legendre point count for edge integrals.
-        triangle_rule: "centroid" or "6point".
     """
     coords = complex.coordinates
     if coords is None:
@@ -206,27 +190,25 @@ def de_rham(complex: SimplicialComplex, field: Callable, k: int, *,
         vals = np.array([float(field(coords[v])) for (v,) in complex.simplices(0)])
         return Cochain(complex, 0, vals)
     if k == 1:
-        nodes, weights = gauss_rule(edge_points)
         vals = np.empty(complex.num_simplices(1))
         for i, (u, v) in enumerate(complex.simplices(1)):
             p, q = coords[u], coords[v]
             d = q - p
             acc = 0.0
-            for t, w in zip(nodes, weights):
+            for t, w in zip(GAUSS3_NODES, GAUSS3_WEIGHTS):
                 acc += w * float(np.asarray(field(p + t * d)) @ d)
             vals[i] = acc
         return Cochain(complex, 1, vals)
     if k == 2:
-        bary, weights = TRI_RULES[triangle_rule]
         vals = np.empty(complex.num_simplices(2))
         for i, tri in enumerate(complex.simplices(2)):
             P = coords[np.array(tri)]
             e1 = P[1] - P[0]
             e2 = P[2] - P[0]
             area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-            pts = bary @ P
+            pts = TRI6_BARY @ P
             acc = 0.0
-            for p, w in zip(pts, weights):
+            for p, w in zip(pts, TRI6_WEIGHTS):
                 acc += w * float(field(p))
             vals[i] = area * acc
         return Cochain(complex, 2, vals)

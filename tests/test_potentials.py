@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from decpotentials import (
     BasePointOnFacetError,
@@ -10,13 +11,19 @@ from decpotentials import (
     ComplexPropertyOperator,
     DiscretePoincareOperator,
     PreconditionError,
+    build_product_complex,
     check_base_point,
     coboundary,
     collapse_cone,
+    contraction_cone,
+    contraction_from_strong_collapse,
     find_collapse_sequence,
+    find_strong_collapse_sequence,
+    generate_square_mesh,
     homotopy_residual,
     max_residual,
     star_cone,
+    uniform_breakpoints,
     verify_homotopy,
 )
 
@@ -265,3 +272,63 @@ def test_verify_selected_degrees(star_op2):
     report = verify_homotopy(star_op2, ks=[1], trials=3, seed=2)
     assert list(report["per_k"]) == ["1"]
     assert max_residual(report) < 1e-12
+
+
+def residual_operator(op, k):
+    """R_k = D_{k-1} P_k + P_{k+1} D_k - I, plus 1 pi^T at k = 0, as an array.
+
+    Its largest absolute row sum is the worst residual over all inputs in
+    the [-1, 1] box, which seeded trials only sample.
+    """
+    cx = op.complex
+    size = cx.num_simplices(k)
+    r = -np.eye(size)
+    if k >= 1:
+        r += (cx.coboundary_matrix(k - 1) @ op.matrix(k)).toarray()
+    if k < cx.dim:
+        r += (op.matrix(k + 1) @ cx.coboundary_matrix(k)).toarray()
+    if k == 0:
+        pi = [op.constant_component(Cochain(cx, 0, e)) for e in np.eye(size)]
+        r += np.asarray(pi)[None, :]
+    return r
+
+
+@pytest.fixture(scope="module")
+def collapse_op8(square8):
+    return DiscretePoincareOperator(collapse_cone(find_collapse_sequence(square8)))
+
+
+@pytest.fixture(scope="module")
+def star_op8(square8, geom8):
+    return DiscretePoincareOperator(star_cone((0.52, 0.51), square8), geometry=geom8)
+
+
+def test_matrices_are_csr(collapse_op2, star_op2, bogovskii2):
+    for op in (collapse_op2, star_op2, bogovskii2, ComplexPropertyOperator(star_op2)):
+        for k in (1, 2):
+            assert isinstance(op.matrix(k), sp.csr_matrix)
+
+
+def test_combinatorial_residual_operator_is_exactly_zero(collapse_op8):
+    cx = generate_square_mesh(3)
+    seq = find_strong_collapse_sequence(cx)
+    product = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
+    strong = DiscretePoincareOperator(
+        contraction_cone(contraction_from_strong_collapse(seq, product), product))
+    for op in (collapse_op8, ComplexPropertyOperator(collapse_op8), strong):
+        for k in range(op.complex.dim + 1):
+            assert not np.any(residual_operator(op, k)), (op.label, k)
+
+
+def test_star_residual_operator_row_sums(star_op8):
+    for op in (star_op8, ComplexPropertyOperator(star_op8)):
+        for k in range(op.complex.dim + 1):
+            worst = np.abs(residual_operator(op, k)).sum(axis=1).max()
+            assert worst <= 1e-10, (op.label, k, worst)
+
+
+def test_complex_property_matrices_square_to_zero(collapse_op8, star_op8):
+    for base in (collapse_op8, star_op8):
+        tilde = ComplexPropertyOperator(base)
+        product = abs(tilde.matrix(1) @ tilde.matrix(2))
+        assert product.sum(axis=1).max() <= 1e-12, base.label

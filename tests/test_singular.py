@@ -93,6 +93,24 @@ def test_clip_polygon_areas():
     assert clip_polygon(square, [(5.0, 5.0), (6.0, 5.0), (5.0, 6.0)]) == []
 
 
+def test_clip_polygon_edge_crossing_is_consistent():
+    # A thin star-cone triangle of the ushape:20 Bogovskii operator with base
+    # point (0.152, 0.151) against one mesh triangle.  Testing "inside" and
+    # computing the crossing in two different ways once made a crossing edge
+    # look parallel to the clip edge, and the clip divided by zero.
+    subject = [(0.152, 0.151), (0.75, 0.7), (0.8, 0.75)]
+    clipper = [(0.3, 0.25), (0.25, 0.25), (0.25, 0.2)]
+    poly = clip_polygon(subject, clipper)
+    assert len(poly) == 4
+    for x, y in poly:
+        assert 0.25 <= x <= 0.3 and 0.2 <= y <= 0.25
+    # both triangles are convex and CCW, so the overlap does not depend on
+    # which one clips the other
+    swapped = polygon_area(clip_polygon(clipper, subject))
+    assert 0.0 < polygon_area(poly) < polygon_area(clipper)
+    assert abs(polygon_area(poly) - swapped) < 1e-15
+
+
 def test_polygon_area_sign():
     ccw = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     assert abs(polygon_area(ccw) - 0.5) < 1e-15
