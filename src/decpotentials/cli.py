@@ -55,7 +55,7 @@ from .potentials import (
     max_residual,
     verify_homotopy,
 )
-from .simplicial import SimplicialComplex, SimplicialMap
+from .simplicial import SimplicialComplex
 from .whitney import MeshGeometry, de_rham, whitney_value
 
 EXIT_OK = 0
@@ -153,11 +153,11 @@ def _vertex_contraction_operator(cx: SimplicialComplex, terminal: int):
     if (terminal,) not in cx:
         raise PreconditionError(f"terminal vertex {terminal} not in mesh")
     product = build_product_complex(cx, (0.0, 1.0))
-    vertex_map = {}
-    for (pv,) in product.complex.simplices(0):
+
+    def psi(pv: int) -> int:
         v, level = product.vertex_level(pv)
-        vertex_map[pv] = v if level == 1 else terminal
-    psi = SimplicialMap(product.complex, cx, vertex_map, check=True)
+        return v if level == 1 else terminal
+
     return contraction_cone(psi, product)
 
 

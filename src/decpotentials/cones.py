@@ -5,7 +5,8 @@ object "filling" it toward a distinguished point or vertex:
 
 * ``collapse_cone``   -- simplicial chains, from a collapse sequence;
 * ``contraction_cone``-- simplicial chains, pushing extruded prisms through a
-                         discrete contraction of the product complex;
+                         discrete contraction, given as a vertex function on
+                         the product vertices;
 * ``star_cone``       -- linear singular simplices joining a star point;
 * ``lipschitz_cone``  -- linear singular chains, pushing extruded prisms
                          through a piecewise (per-slab) contraction map;
@@ -17,7 +18,9 @@ Every simplicial cone operator Co satisfies the chain homotopy identity
 ``boundary(Co(v)) = v - a`` for vertices, exactly.  The singular analogues
 satisfy the same identities up to degenerate simplices (which integrate to
 zero and are deliberately kept in the stored chains so that formal boundary
-cancellation still works).
+cancellation still works).  The prism-based cones stream
+``ProductComplex.prisms`` one base simplex at a time and never build the
+product complex.
 """
 
 from __future__ import annotations
@@ -31,18 +34,15 @@ import numpy as np
 from .homotopy import (
     CollapseSequence,
     ProductComplex,
-    build_product_complex,
     checked_breakpoints,
-    extrusion,
     validate_collapse_sequence,
 )
 from .simplicial import (
     Chain,
     Simplex,
     SimplicialComplex,
-    SimplicialMap,
     canonical_simplex,
-    induced_chain_map,
+    facets_of,
 )
 from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain
 
@@ -117,48 +117,57 @@ def collapse_cone(seq: CollapseSequence) -> SimplicialConeOperator:
         raise ValueError("invalid collapse sequence")
     cx = seq.complex
     table: dict[Simplex, Chain] = {(seq.terminal,): Chain(cx, 1, {})}
-
-    def apply_partial(chain: Chain) -> Chain:
-        out = Chain(cx, chain.dim + 1, {})
-        for s, c in chain.terms.items():
-            out = out + c * table[s]
-        return out
-
-    from .simplicial import boundary as _boundary
-
     for sigma, tau in reversed(seq.steps):
         table[sigma] = Chain(cx, len(sigma), {})
-        sigma_chain = Chain(cx, len(sigma) - 1, {sigma: 1})
-        bnd = _boundary(sigma_chain)
-        eps = bnd.terms[tau]  # canonical sign of the freed face inside the coface
-        rest = bnd - Chain(cx, len(tau) - 1, {tau: eps})
-        table[tau] = eps * (sigma_chain - apply_partial(rest))
+        # Co(tau) = eps * (sigma - Co(rest)), where boundary(sigma) = eps*tau + rest
+        facets = facets_of(sigma)
+        eps = (-1) ** facets.index(tau)
+        out: dict[Simplex, int] = {sigma: eps}
+        for i, f in enumerate(facets):
+            if f != tau:
+                c = eps * (-1) ** i
+                for t, x in table[f].terms.items():
+                    out[t] = out.get(t, 0) - c * x
+        table[tau] = Chain(cx, len(tau), out, check=False)
     return SimplicialConeOperator(cx, seq.terminal, table)
 
 
-def contraction_cone(psi: SimplicialMap, product: ProductComplex) -> SimplicialConeOperator:
+def contraction_cone(psi: Callable[[int], int],
+                     product: ProductComplex) -> SimplicialConeOperator:
     """Cone operator from a discrete contraction of the product complex.
 
-    ``psi`` must map the top level by the identity and the bottom level to a
-    single vertex; each base simplex is extruded to its prism chain and
-    pushed forward through ``psi``.
+    ``psi`` is any function from product vertex ids to base vertices that
+    is the identity at the top level and constant at level 0.  The prisms of
+    each base simplex are streamed through it: every prism's image must be
+    a simplex of the base (every product simplex is a face of a prism, so
+    ``psi`` is simplicial), and the non-degenerate images form the cone.
     """
     base = product.base
-    if psi.source is not product.complex or psi.target is not base:
-        raise ValueError("contraction must map the product complex onto its base")
     top = product.n_slabs
-    bottom_images = {psi(product.vertex_id(v, 0)) for (v,) in base.simplices(0)}
+    vertices = [v for (v,) in base.simplices(0)]
+    ids = [product.vertex_id(v, level) for level in range(top + 1) for v in vertices]
+    images = {pv: psi(pv) for pv in ids}
+    bottom_images = {images[product.vertex_id(v, 0)] for v in vertices}
     if len(bottom_images) != 1:
         raise ValueError("contraction is not constant at level 0")
-    for (v,) in base.simplices(0):
-        if psi(product.vertex_id(v, top)) != v:
-            raise ValueError("contraction is not the identity at the top level")
+    if any(images[product.vertex_id(v, top)] != v for v in vertices):
+        raise ValueError("contraction is not the identity at the top level")
     (vertex,) = bottom_images
 
     table: dict[Simplex, Chain] = {}
     for k, simplices in base.simplices_by_dim.items():
         for s in simplices:
-            table[s] = induced_chain_map(psi, extrusion(s, product))
+            out: dict[Simplex, int] = {}
+            for sign, prism in product.prisms(s):
+                image = [images[pv] for pv in prism]
+                support = tuple(sorted(set(image)))
+                if support not in base:
+                    raise ValueError(f"not a simplicial map: prism {prism} over {s} "
+                                     f"maps to {support}, which is not a base simplex")
+                if len(support) == len(image):
+                    t, perm = canonical_simplex(image)
+                    out[t] = out.get(t, 0) + perm * sign
+            table[s] = Chain(base, k + 1, out, check=False)
     return SimplicialConeOperator(base, vertex, table)
 
 
@@ -332,44 +341,31 @@ def validate_contraction(phi: SlabAffineContraction, complex: SimplicialComplex,
 
 
 def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
-                   product: ProductComplex | None = None,
                    geometry=None) -> SingularConeOperator:
     """Singular cone operator from a per-slab contraction map.
 
-    The product complex is subdivided exactly at the contraction's
-    breakpoints; each extruded prism becomes the linear singular simplex on
-    its vertex images, i.e. the affine interpolation of the contraction per
-    prism.  Degenerate image simplices are kept (they matter for formal
-    boundary cancellation, and integrate to zero).
+    The interval is subdivided exactly at the contraction's breakpoints;
+    each extruded prism becomes the linear singular simplex on its vertex
+    images, i.e. the affine interpolation of the contraction per prism.
+    Degenerate image simplices are kept (they matter for formal boundary
+    cancellation, and integrate to zero).
     """
     coords = complex.coordinates
     if coords is None:
         raise ValueError("complex has no vertex coordinates")
-    if product is None:
-        product = build_product_complex(complex, phi.breakpoints)
-    else:
-        if product.base is not complex:
-            raise ValueError("product complex built over a different base")
-        if product.times != phi.breakpoints:
-            raise ValueError(
-                f"product breakpoints {product.times} do not match "
-                f"contraction breakpoints {phi.breakpoints}"
-            )
     issues = validate_contraction(phi, complex, geometry)
     if issues:
         raise ValueError("invalid contraction: " + "; ".join(issues[:5]))
 
-    # vertex images, evaluated once per (vertex, level)
-    images = {}
-    for (pv,) in product.complex.simplices(0):
-        v, level = product.vertex_level(pv)
-        images[pv] = tuple(phi(coords[v], product.times[level]))
+    product = ProductComplex(complex, phi.breakpoints)
+    # vertex images, evaluated once per (vertex, breakpoint)
+    images = {product.vertex_id(v, level): tuple(phi(coords[v], t))
+              for level, t in enumerate(product.times) for (v,) in complex.simplices(0)}
 
     table: dict[Simplex, SingularChain] = {}
     for k, simplices in complex.simplices_by_dim.items():
         for s in simplices:
-            terms = []
-            for tau, c in extrusion(s, product).terms.items():
-                terms.append((c, LinearSimplex(tuple(images[pv] for pv in tau))))
-            table[s] = SingularChain(k + 1, terms)
+            table[s] = SingularChain(k + 1, [
+                (sign, LinearSimplex(tuple(images[pv] for pv in prism)))
+                for sign, prism in product.prisms(s)])
     return SingularConeOperator(complex, phi.point, table)

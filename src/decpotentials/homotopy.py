@@ -10,21 +10,23 @@ end inclusions it satisfies the prism identity
 
     boundary(E(c)) + E(boundary(c)) = j1(c) - j0(c)
 
-exactly, in integer arithmetic.
+exactly, in integer arithmetic.  ``ProductComplex.prisms`` yields the prisms
+of one base simplex; the product complex itself is built only on request.
 
 Collapse sequences (free-face removals) and strong collapse sequences
 (dominated-vertex removals) are searched greedily, with optional
 backtracking for the former; failures are returned as ``None``.  A strong
-collapse sequence induces a discrete contraction: a simplicial map from the
-product complex that restricts to the identity at the top level and to the
-constant map at the bottom.
+collapse sequence induces a discrete contraction: a vertex function on the
+product vertices that is the identity at the top level and constant at the
+bottom, and that is simplicial when the sequence is valid.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .simplicial import (
     Chain,
@@ -49,31 +51,16 @@ def checked_breakpoints(breakpoints: Sequence[float]) -> tuple[float, ...]:
 
 
 class ProductComplex:
-    """Staircase product of a base complex with a subdivided interval."""
+    """Staircase product of a base complex with a subdivided interval.
+
+    Stores only the base, breakpoints and vertex stride; ``complex``, ``j0``
+    and ``j1`` are built from ``prisms`` on first access and cached.
+    """
 
     def __init__(self, base: SimplicialComplex, breakpoints: Sequence[float]):
-        times = checked_breakpoints(breakpoints)
         self.base = base
-        self.times = times
+        self.times = checked_breakpoints(breakpoints)
         self.stride = base.vertex_count
-
-        prisms = []
-        n_slabs = len(times) - 1
-        for k, simplices in base.simplices_by_dim.items():
-            for s in simplices:
-                for r in range(n_slabs):
-                    lo = [r * self.stride + v for v in s]
-                    hi = [(r + 1) * self.stride + v for v in s]
-                    for i in range(k + 1):
-                        prisms.append(tuple(lo[: i + 1] + hi[i:]))
-        self.complex = SimplicialComplex(prisms)
-        self.j0 = SimplicialMap(
-            base, self.complex, {v: v for (v,) in base.simplices(0)}, check=False
-        )
-        top = n_slabs * self.stride
-        self.j1 = SimplicialMap(
-            base, self.complex, {v: top + v for (v,) in base.simplices(0)}, check=False
-        )
 
     @property
     def n_slabs(self) -> int:
@@ -87,13 +74,36 @@ class ProductComplex:
         level, v = divmod(product_vertex, self.stride)
         return v, level
 
-    def slab_of(self, simplex: Simplex) -> int:
-        """The slab a simplex lies in (constant-level simplices take the lower)."""
-        levels = [p // self.stride for p in simplex]
-        lo, hi = min(levels), max(levels)
-        if hi - lo > 1:
-            raise ValueError(f"{simplex} spans more than one slab")
-        return lo if hi > lo else min(lo, self.n_slabs - 1)
+    def prisms(self, simplex: Simplex):
+        """Yield ``(sign, prism)`` for the staircase prisms over every slab.
+
+        In slab ``r`` the i-th prism of ``(v_0, ..., v_k)`` is
+        ``(v_0@r, ..., v_i@r, v_i@r+1, ..., v_k@r+1)`` with sign ``(-1)^i``.
+        """
+        stride = self.stride
+        for r in range(self.n_slabs):
+            lo = [r * stride + v for v in simplex]
+            hi = [(r + 1) * stride + v for v in simplex]
+            for i in range(len(simplex)):
+                yield (-1) ** i, tuple(lo[: i + 1] + hi[i:])
+
+    @cached_property
+    def complex(self) -> SimplicialComplex:
+        return SimplicialComplex(
+            prism
+            for simplices in self.base.simplices_by_dim.values()
+            for s in simplices
+            for _, prism in self.prisms(s)
+        )
+
+    @cached_property
+    def j0(self) -> SimplicialMap:
+        return SimplicialMap(self.base, self.complex, lambda v: v, check=False)
+
+    @cached_property
+    def j1(self) -> SimplicialMap:
+        top = self.vertex_id(0, self.n_slabs)
+        return SimplicialMap(self.base, self.complex, lambda v: top + v, check=False)
 
 
 def build_product_complex(base: SimplicialComplex,
@@ -117,15 +127,9 @@ def extrusion(arg, product: ProductComplex) -> Chain:
     else:
         chain = Chain.single(base, arg)
     out: dict[Simplex, float] = {}
-    stride = product.stride
     for s, c in chain.terms.items():
-        for r in range(product.n_slabs):
-            lo = [r * stride + v for v in s]
-            hi = [(r + 1) * stride + v for v in s]
-            for i in range(len(s)):
-                tau = tuple(lo[: i + 1] + hi[i:])
-                coeff = c if i % 2 == 0 else -c
-                out[tau] = out.get(tau, 0) + coeff
+        for sign, prism in product.prisms(s):
+            out[prism] = out.get(prism, 0) + sign * c
     return Chain(product.complex, chain.dim + 1, out, check=False)
 
 
@@ -335,22 +339,22 @@ def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
 
 
 def contraction_from_strong_collapse(seq: StrongCollapseSequence,
-                                     product: ProductComplex) -> SimplicialMap:
-    """Simplicial contraction of the product complex induced by the sequence.
+                                     product: ProductComplex) -> Callable[[int], int]:
+    """Contraction induced by the sequence, as a function on product vertex ids.
 
     Level ``m`` (time 1) maps by the identity, level ``m - j`` composes the
     first ``j`` vertex retractions, and level 0 is constant at the terminal
     vertex.  The product complex must have exactly one slab per removal step
-    (one slab total when the sequence is empty).
+    (one slab total when the sequence is empty).  ``contraction_cone``
+    checks that the function is simplicial.
     """
     base = seq.complex
     if product.base is not base:
         raise ValueError("product complex must be built over the sequence's complex")
     m = len(seq.steps)
-    if product.n_slabs != max(m, 1):
-        raise ValueError(
-            f"sequence has {m} steps but product complex has {product.n_slabs} slabs"
-        )
+    top = product.n_slabs
+    if top != max(m, 1):
+        raise ValueError(f"sequence has {m} steps but product complex has {top} slabs")
 
     retractions = [{v: v for (v,) in base.simplices(0)}]
     for v, w in seq.steps:
@@ -359,13 +363,11 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
         # composes correctly at the vertex level
         retractions.append({u: (w if img == v else img) for u, img in prev.items()})
     # retractions[j] maps through the first j removals
-    vertex_map = {}
-    top = product.n_slabs
-    for (pv,) in product.complex.simplices(0):
-        v, level = product.vertex_level(pv)
-        j = min(top - level, m)
-        vertex_map[pv] = retractions[j][v]
-    psi = SimplicialMap(product.complex, base, vertex_map, check=True)
+
+    def psi(product_vertex: int) -> int:
+        v, level = product.vertex_level(product_vertex)
+        return retractions[min(top - level, m)][v]
+
     return psi
 
 

@@ -15,13 +15,22 @@ from decpotentials.cones import (
     validate_contraction,
 )
 from decpotentials.homotopy import (
+    ProductComplex,
+    StrongCollapseSequence,
     build_product_complex,
     contraction_from_strong_collapse,
+    extrusion,
     find_collapse_sequence,
     find_strong_collapse_sequence,
     uniform_breakpoints,
 )
-from decpotentials.simplicial import Chain, SimplicialComplex, boundary
+from decpotentials.simplicial import (
+    Chain,
+    SimplicialComplex,
+    SimplicialMap,
+    boundary,
+    induced_chain_map,
+)
 from decpotentials.singular import (
     LinearSimplex,
     SingularChain,
@@ -118,6 +127,32 @@ def test_contraction_cone_identity_square2(square2):
     psi = contraction_from_strong_collapse(seq, prod)
     op = contraction_cone(psi, prod)
     _check_cone_identity(op, square2)
+
+
+@pytest.mark.parametrize("mesh", ["square8", "ushape10"])
+def test_contraction_cone_matches_product_complex_push_forward(mesh, request):
+    # oracle: push each extruded prism chain through psi as a simplicial map
+    # checked over the whole product complex
+    cx = request.getfixturevalue(mesh)
+    seq = find_strong_collapse_sequence(cx)
+    prod = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
+    psi = contraction_from_strong_collapse(seq, prod)
+    op = contraction_cone(psi, prod)
+    assert "complex" not in vars(prod)
+    ref = SimplicialMap(prod.complex, cx, psi, check=True)
+    for k in sorted(cx.simplices_by_dim):
+        for s in cx.simplices(k):
+            assert op.table[s] == induced_chain_map(ref, extrusion(s, prod)), s
+
+
+def test_contraction_cone_rejects_invalid_strong_collapse():
+    cx = SimplicialComplex([(0, 1, 2), (2, 3)])
+    # vertex 0 is not dominated by 3: level 2 sends the triangle's prism to
+    # {0, 1, 2, 3}, which is no simplex
+    seq = StrongCollapseSequence(cx, [(0, 3), (1, 2), (2, 3)], 3)
+    prod = build_product_complex(cx, uniform_breakpoints(3))
+    with pytest.raises(ValueError, match="simplicial"):
+        contraction_cone(contraction_from_strong_collapse(seq, prod), prod)
 
 
 def test_star_cone_formal_homotopy_identity(square2):
@@ -247,6 +282,20 @@ def test_lipschitz_cone_residual_is_degenerate_only(ushape10, ugeom):
                 assert all(is_degenerate(np.array(t.points)) for _, t in residual.terms)
 
 
+def test_lipschitz_cone_builds_no_product_complex(ushape10, ugeom, monkeypatch):
+    built = []
+    init = ProductComplex.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ProductComplex, "__init__", recording_init)
+    lipschitz_cone(SlabAffineContraction.ushape(np.array([0.2, 0.2])), ushape10,
+                   geometry=ugeom)
+    assert built and all("complex" not in vars(p) for p in built)
+
+
 def test_lipschitz_cone_on_closed_star_yields_mesh_chains(square2, geom2):
     star_tris = [t for t in square2.simplices(2) if 4 in t]
     cx = SimplicialComplex(star_tris, square2.coordinates)
@@ -261,10 +310,3 @@ def test_lipschitz_cone_on_closed_star_yields_mesh_chains(square2, geom2):
                     int(np.argmin(np.linalg.norm(cx.coordinates[:9] - p, axis=1)))
                     for p in pts))
                 assert verts in cx
-
-
-def test_lipschitz_cone_breakpoint_mismatch(square2, geom2):
-    phi = SlabAffineContraction.straight_line(np.array([0.5, 0.5]))
-    prod = build_product_complex(square2, (0.0, 0.5, 1.0))
-    with pytest.raises(ValueError):
-        lipschitz_cone(phi, square2, product=prod, geometry=geom2)

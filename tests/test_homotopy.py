@@ -46,7 +46,6 @@ def test_product_of_triangle():
     assert prod.complex.num_simplices(3) == 3  # staircase prisms of the triangle
     assert prod.vertex_id(2, 1) == 5
     assert prod.vertex_level(5) == (2, 1)
-    assert prod.slab_of((0, 4)) == 0
 
 
 def test_extrusion_of_an_edge():
