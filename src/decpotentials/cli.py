@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -161,9 +162,26 @@ def _vertex_contraction_operator(cx: SimplicialComplex, terminal: int):
     return contraction_cone(psi, product)
 
 
-def _load_typed_sequence(args, cx, want):
+# --op name -> (sequence class, search) of the combinatorial operators
+SEQUENCE_KINDS = {
+    "collapse": (CollapseSequence, find_collapse_sequence),
+    "strong-collapse": (StrongCollapseSequence, find_strong_collapse_sequence),
+}
+
+
+def _find_sequence(kind: str, cx: SimplicialComplex, terminal, **options):
+    seq = SEQUENCE_KINDS[kind][1](cx, terminal=terminal, **options)
+    if seq is None:
+        raise PreconditionError(f"no {kind.replace('-', ' ')} sequence found for this mesh")
+    return seq
+
+
+def _sequence(args, cx: SimplicialComplex):
+    """The sequence --op needs: read from --sequence, else searched for."""
+    if not getattr(args, "sequence", None):
+        return _find_sequence(args.op, cx, args.terminal_vertex)
     seq = load_sequence(cx, args.sequence)
-    if not isinstance(seq, want):
+    if not isinstance(seq, SEQUENCE_KINDS[args.op][0]):
         raise PreconditionError(
             f"sequence file {args.sequence} holds a "
             f"{'strong-collapse' if isinstance(seq, StrongCollapseSequence) else 'collapse'} "
@@ -176,20 +194,10 @@ def build_operator(args, cx: SimplicialComplex, geometry: MeshGeometry | None):
     """Construct the potential operator selected by --op."""
     op = args.op
     if op == "collapse":
-        if getattr(args, "sequence", None):
-            seq = _load_typed_sequence(args, cx, CollapseSequence)
-        else:
-            seq = find_collapse_sequence(cx, terminal=args.terminal_vertex)
-            if seq is None:
-                raise PreconditionError("no collapse sequence found for this mesh")
-        base = DiscretePoincareOperator(collapse_cone(seq), geometry, label="collapse")
+        base = DiscretePoincareOperator(collapse_cone(_sequence(args, cx)), geometry,
+                                        label="collapse")
     elif op == "strong-collapse":
-        if getattr(args, "sequence", None):
-            seq = _load_typed_sequence(args, cx, StrongCollapseSequence)
-        else:
-            seq = find_strong_collapse_sequence(cx, terminal=args.terminal_vertex)
-            if seq is None:
-                raise PreconditionError("no strong collapse sequence found for this mesh")
+        seq = _sequence(args, cx)
         product = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
         psi = contraction_from_strong_collapse(seq, product)
         base = DiscretePoincareOperator(
@@ -336,31 +344,15 @@ def cmd_potential(args) -> int:
     return EXIT_OK if worst <= tol else EXIT_THRESHOLD
 
 
-def cmd_find_collapse(args) -> int:
+def cmd_find_sequence(args, kind: str) -> int:
+    """find-collapse / find-strong-collapse: search, save, report."""
     cx = load_mesh(args.mesh)
-    seq = find_collapse_sequence(cx, terminal=args.terminal_vertex, budget=args.budget)
-    if seq is None:
-        raise PreconditionError("no collapse sequence found for this mesh")
+    options = {"budget": args.budget} if "budget" in args else {}
+    seq = _find_sequence(kind, cx, args.terminal_vertex, **options)
     if args.out:
         save_sequence(seq, args.out)
     _emit({
-        "command": "find-collapse",
-        "mesh": args.mesh,
-        "steps": len(seq.steps),
-        "terminal": seq.terminal,
-    })
-    return EXIT_OK
-
-
-def cmd_find_strong_collapse(args) -> int:
-    cx = load_mesh(args.mesh)
-    seq = find_strong_collapse_sequence(cx, terminal=args.terminal_vertex)
-    if seq is None:
-        raise PreconditionError("no strong collapse sequence found for this mesh")
-    if args.out:
-        save_sequence(seq, args.out)
-    _emit({
-        "command": "find-strong-collapse",
+        "command": f"find-{kind}",
         "mesh": args.mesh,
         "steps": len(seq.steps),
         "terminal": seq.terminal,
@@ -429,15 +421,16 @@ def _parser() -> argparse.ArgumentParser:
     _add_mesh(p)
     p.add_argument("--terminal-vertex", type=int, default=None)
     p.add_argument("--budget", type=int, default=100_000,
-                   help="node budget for the backtracking search")
+                   help="states the search may expand after its greedy first "
+                        "descent gets stuck")
     p.add_argument("--out", default=None, help="write the sequence JSON here")
-    p.set_defaults(func=cmd_find_collapse)
+    p.set_defaults(func=functools.partial(cmd_find_sequence, kind="collapse"))
 
     p = sub.add_parser("find-strong-collapse", help="search for a strong collapse sequence")
     _add_mesh(p)
     p.add_argument("--terminal-vertex", type=int, default=None)
     p.add_argument("--out", default=None, help="write the sequence JSON here")
-    p.set_defaults(func=cmd_find_strong_collapse)
+    p.set_defaults(func=functools.partial(cmd_find_sequence, kind="strong-collapse"))
 
     return parser
 

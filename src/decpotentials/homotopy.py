@@ -13,10 +13,13 @@ end inclusions it satisfies the prism identity
 exactly, in integer arithmetic.  ``ProductComplex.prisms`` yields the prisms
 of one base simplex; the product complex itself is built only on request.
 
-Collapse sequences (free-face removals) and strong collapse sequences
-(dominated-vertex removals) are searched greedily, with optional
-backtracking for the former; failures are returned as ``None``.  A strong
-collapse sequence induces a discrete contraction: a vertex function on the
+Collapse sequences (free-face removals) are found by one depth-first
+search whose first descent is the greedy collapse, over a state that keeps
+each simplex's number of current cofacets; validation replays a sequence on
+the same state.  Strong collapse sequences (dominated-vertex removals) are
+searched greedily, which suffices (Barmak-Minian, DCG 2012), and found and
+validated with one local test on the full subcomplex of the vertices still
+alive.  Failed searches return ``None``.  A strong collapse sequence induces a discrete contraction: a vertex function on the
 product vertices that is the identity at the top level and constant at the
 bottom, and that is simplicial when the sequence is valid.
 """
@@ -154,130 +157,130 @@ class StrongCollapseSequence:
     terminal: int
 
 
-def _free_faces(current: set[Simplex], pinned: int | None):
-    """Map free face -> unique coface within the current simplex set."""
-    counts: dict[Simplex, int] = {}
-    witness: dict[Simplex, Simplex] = {}
-    for s in current:
-        if len(s) < 2:
-            continue
-        for f in facets_of(s):
-            counts[f] = counts.get(f, 0) + 1
-            witness[f] = s
-    skip = (pinned,) if pinned is not None else None
-    return {
-        f: witness[f]
-        for f, n in counts.items()
-        if n == 1 and f in current and f != skip
-    }
+class _CollapseState:
+    """A closed simplex set under collapse, with each simplex's number of
+    current cofacets.
 
+    A face is free when its count is 1.  Removing a free pair, or putting it
+    back, changes only the counts of the pair's facets, and the set of free
+    faces and a bit mask of the removed simplices are kept up to date.
+    """
 
-def _candidate_order(free: dict) -> list[Simplex]:
-    return sorted(free, key=lambda f: (-len(f), f))
+    def __init__(self, complex: SimplicialComplex):
+        self.bit = {s: i for i, s in enumerate(
+            s for sims in complex.simplices_by_dim.values() for s in sims)}
+        self.current = set(self.bit)
+        self.removed = 0
+        self.count = {s: len(complex.cofacets(s)) for s in self.current}
+        self.free = {s for s, n in self.count.items() if n == 1}
+
+    def toggle(self, sigma: Simplex, tau: Simplex) -> None:
+        """Remove the free pair (sigma, tau), or put it back if removed."""
+        self.current ^= {sigma, tau}
+        self.removed ^= (1 << self.bit[sigma]) | (1 << self.bit[tau])
+        delta = 1 if sigma in self.current else -1
+        for f in facets_of(sigma) + (facets_of(tau) if len(tau) > 1 else []):
+            n = self.count[f] = self.count[f] + delta
+            if n == 1:
+                self.free.add(f)
+            else:
+                self.free.discard(f)
 
 
 def find_collapse_sequence(complex: SimplicialComplex, terminal: int | None = None,
                            budget: int = 100_000) -> CollapseSequence | None:
-    """Search for a full collapse to a vertex.
+    """Search for a full collapse to a vertex; None when none is found.
 
-    Greedy strategy: always remove the free face of largest dimension,
-    breaking ties lexicographically.  If the greedy run gets stuck, a
-    depth-first search over removal orders (same preference, memoized on the
-    surviving simplex set, at most ``budget`` states) takes over.  Returns
-    None when no sequence is found.
+    One depth-first search over removal orders.  In every state it tries the
+    free faces largest dimension first, breaking ties lexicographically, so
+    its first descent is the greedy collapse.  If that descent gets stuck,
+    the search backtracks and skips states already found to be dead ends.
+    The first descent is free; after it every state the search expands
+    counts, and it gives up once more than ``budget`` states were expanded.
     """
     if terminal is not None and (terminal,) not in complex:
         raise ValueError(f"terminal vertex {terminal} not in complex")
-    initial = {s for sims in complex.simplices_by_dim.values() for s in sims}
+    state = _CollapseState(complex)
 
-    def finished(current):
-        if len(current) != 1:
-            return None
-        (only,) = current
-        if len(only) != 1:
-            return None
-        if terminal is not None and only[0] != terminal:
-            return None
-        return only[0]
+    def candidates() -> list[Simplex]:
+        # least preferred first, so that pop() takes the preferred face
+        return sorted((f for f in state.free if f != (terminal,)),
+                      key=lambda f: (-len(f), f), reverse=True)
 
-    # greedy pass
-    current = set(initial)
     steps: list[tuple[Simplex, Simplex]] = []
-    while True:
-        v = finished(current)
-        if v is not None:
-            return CollapseSequence(complex, steps, v)
-        free = _free_faces(current, terminal)
-        if not free:
-            break
-        tau = _candidate_order(free)[0]
-        sigma = free[tau]
-        current.discard(tau)
-        current.discard(sigma)
-        steps.append((sigma, tau))
-
-    # backtracking pass
-    visited: set[frozenset] = set()
-    nodes = 0
-
-    def search(current: frozenset, steps):
-        nonlocal nodes
-        v = finished(current)
-        if v is not None:
-            return steps, v
-        if current in visited:
-            return None
-        visited.add(current)
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExhausted
-        free = _free_faces(set(current), terminal)
-        for tau in _candidate_order(free):
-            sigma = free[tau]
-            result = search(current - {tau, sigma}, steps + [(sigma, tau)])
-            if result is not None:
-                return result
-        return None
-
-    try:
-        result = search(frozenset(initial), [])
-    except _BudgetExhausted:
-        return None
-    if result is None:
-        return None
-    steps, v = result
-    return CollapseSequence(complex, steps, v)
-
-
-class _BudgetExhausted(Exception):
-    pass
+    untried = [candidates()]  # per state on the path
+    dead: set[int] = set()  # removed-simplex masks of exhausted states
+    expanded = None  # None until the first dead end
+    while len(state.current) > 1:
+        if not untried[-1]:
+            untried.pop()
+            if not steps:
+                return None
+            dead.add(state.removed)
+            state.toggle(*steps.pop())
+            expanded = expanded or 0
+            continue
+        tau = untried[-1].pop()
+        steps.append((next(s for s in complex.cofacets(tau) if s in state.current), tau))
+        state.toggle(*steps[-1])
+        if len(state.current) > 1 and expanded is not None:
+            if state.removed in dead:
+                state.toggle(*steps.pop())
+                continue
+            expanded += 1
+            if expanded > budget:
+                return None
+        untried.append(candidates())
+    ((last,),) = state.current
+    return CollapseSequence(complex, steps, last)
 
 
 def validate_collapse_sequence(seq: CollapseSequence) -> bool:
-    """Replay the sequence, re-deriving the free-face property at each step."""
-    current = {s for sims in seq.complex.simplices_by_dim.values() for s in sims}
+    """Replay the sequence, checking that sigma is tau's only cofacet left."""
+    state = _CollapseState(seq.complex)
     for sigma, tau in seq.steps:
-        if tau not in current or sigma not in current:
+        if not (tau in state.current and sigma in state.current and state.count[tau] == 1
+                and len(sigma) == len(tau) + 1 and set(tau) < set(sigma)):
             return False
-        if len(sigma) != len(tau) + 1 or not set(tau) < set(sigma):
-            return False
-        cofaces = [
-            s for s in current if len(s) > len(tau) and set(tau) < set(s)
-        ]
-        if cofaces != [sigma]:
-            return False
-        current.discard(tau)
-        current.discard(sigma)
-    return current == {(seq.terminal,)}
+        state.toggle(sigma, tau)
+    return state.current == {(seq.terminal,)}
 
 
 # -- strong collapse -----------------------------------------------------
 
 
-def _maximal_simplices(current: set[Simplex]) -> list[Simplex]:
-    """Simplices of the set that are a facet of none of its members."""
-    facets = {f for s in current if len(s) >= 2 for f in facets_of(s)}
-    return [s for s in current if s not in facets]
+class _AliveVertices:
+    """A strong-collapse state: the full subcomplex on the vertices still alive.
+
+    Removing a dominated vertex deletes its star, so every state of a strong
+    collapse is of this form, and a vertex's maximal simplices there are the
+    maximal simplices of its alive star.
+    """
+
+    def __init__(self, complex: SimplicialComplex):
+        self.complex = complex
+        self.star: dict[int, list[Simplex]] = {}
+        for sims in complex.simplices_by_dim.values():
+            for s in sims:
+                for v in s:
+                    self.star.setdefault(v, []).append(s)
+        self.alive = set(self.star)
+
+    def dominators(self, v: int) -> set[int]:
+        """Vertices other than v in every maximal simplex containing v."""
+        alive, cofacets = self.alive, self.complex.cofacets
+        common = None
+        for s in self.star[v]:
+            if alive.issuperset(s) and not any(alive.issuperset(c) for c in cofacets(s)):
+                common = set(s) if common is None else common.intersection(s)
+        common.discard(v)
+        return common
+
+    def remove(self, v: int) -> set[int]:
+        """Delete v's star; return v's alive neighbours, the only vertices
+        whose dominators change."""
+        self.alive.discard(v)
+        return {u for s in self.star[v] if len(s) == 2 for u in s if u in self.alive}
 
 
 def find_strong_collapse_sequence(complex: SimplicialComplex,
@@ -286,56 +289,43 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
     """Greedily remove dominated vertices (lowest id first) until one remains.
 
     A vertex is dominated when some other vertex belongs to every maximal
-    simplex containing it; removal deletes its entire star.  Returns None
-    when the complex gets stuck before reaching a single vertex.
+    simplex containing it; removal deletes its entire star, and it is
+    recorded with its lowest dominator.  Returns None when the complex gets
+    stuck before reaching a single vertex.
     """
     if terminal is not None and (terminal,) not in complex:
         raise ValueError(f"terminal vertex {terminal} not in complex")
-    current = {s for sims in complex.simplices_by_dim.values() for s in sims}
+    state = _AliveVertices(complex)
+    dominated: dict[int, int] = {}  # vertex -> its lowest dominator
+
+    def update(u: int) -> None:
+        found = state.dominators(u) if u != terminal else None
+        if found:
+            dominated[u] = min(found)
+        else:
+            dominated.pop(u, None)
+
+    for v in state.alive:
+        update(v)
     steps: list[tuple[int, int]] = []
-    while True:
-        vertices = sorted(s[0] for s in current if len(s) == 1)
-        if len(vertices) == 1:
-            last = vertices[0]
-            if terminal is not None and last != terminal:
-                return None
-            return StrongCollapseSequence(complex, steps, last)
-        by_vertex: dict[int, list[Simplex]] = {}
-        for s in _maximal_simplices(current):
-            for v in s:
-                by_vertex.setdefault(v, []).append(s)
-        found = None
-        for v in vertices:
-            if v == terminal:
-                continue
-            stars = by_vertex.get(v, [])
-            if not stars:
-                continue
-            dominators = set(stars[0]) - {v}
-            for s in stars[1:]:
-                dominators &= set(s)
-                if not dominators:
-                    break
-            if dominators:
-                found = (v, min(dominators))
-                break
-        if found is None:
+    while len(state.alive) > 1:
+        if not dominated:
             return None
-        v, _ = found
-        current = {s for s in current if v not in s}
-        steps.append(found)
+        v = min(dominated)
+        steps.append((v, dominated.pop(v)))
+        for u in state.remove(v):
+            update(u)
+    (last,) = state.alive
+    return StrongCollapseSequence(complex, steps, last)
 
 
 def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
-    current = {s for sims in seq.complex.simplices_by_dim.values() for s in sims}
+    state = _AliveVertices(seq.complex)
     for v, w in seq.steps:
-        if (v,) not in current or (w,) not in current or v == w:
+        if v not in state.alive or w not in state.alive or w not in state.dominators(v):
             return False
-        stars = [s for s in _maximal_simplices(current) if v in s]
-        if not stars or any(w not in s for s in stars):
-            return False
-        current = {s for s in current if v not in s}
-    return current == {(seq.terminal,)}
+        state.remove(v)
+    return state.alive == {seq.terminal}
 
 
 def contraction_from_strong_collapse(seq: StrongCollapseSequence,

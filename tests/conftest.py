@@ -62,3 +62,13 @@ def annulus_complex(with_coords=True):
                  for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)]
         coords = np.array(inner + outer)
     return SimplicialComplex(triangles, coords)
+
+
+def holed_square_complex():
+    """square:24 without the 8 triangles inside (0.45, 0.55)^2: a 2x2-cell hole."""
+    cx = generate_square_mesh(24)
+    c = cx.coordinates
+    triangles = [t for t in cx.simplices(2)
+                 if not all(0.45 < c[v][0] < 0.55 and 0.45 < c[v][1] < 0.55 for v in t)]
+    assert len(triangles) == cx.num_simplices(2) - 8
+    return SimplicialComplex(triangles, c)

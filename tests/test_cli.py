@@ -12,7 +12,7 @@ import pytest
 from decpotentials import de_rham, load_cochain_csv, save_cochain_csv, save_mesh_json
 from decpotentials.cli import main
 
-from conftest import annulus_complex
+from conftest import annulus_complex, holed_square_complex
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -328,6 +328,18 @@ def test_find_collapse_fails_on_annulus(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["find-collapse", "--mesh", str(path)])
     assert code == 2
     assert "no collapse sequence" in err_json(err)["message"]
+
+
+def test_find_collapse_on_holed_square_is_a_precondition_error(capsys, tmp_path):
+    path = tmp_path / "holed.json"
+    save_mesh_json(holed_square_complex(), path)
+    code, out, err = run_cli(
+        capsys, ["find-collapse", "--mesh", str(path), "--budget", "2000"]
+    )
+    assert code == 2 and out == ""
+    error = err_json(err)
+    assert error["type"] == "PreconditionError"
+    assert "no collapse sequence" in error["message"]
 
 
 def console_script_target(name):

@@ -1,5 +1,7 @@
 """Product complexes, the extrusion chain map, and collapse searches."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from decpotentials.homotopy import (
     validate_strong_collapse_sequence,
 )
 from decpotentials.simplicial import Chain, SimplicialComplex, boundary, induced_chain_map
-from conftest import annulus_complex
+from decpotentials.meshes import vertex_at
+from conftest import annulus_complex, holed_square_complex
 
 
 def _random_complex(rng, n_vertices=9, n_maximal=6, max_dim=3):
@@ -109,6 +112,13 @@ def test_collapse_budget_exhaustion_returns_none():
     assert find_collapse_sequence(cx, budget=10) is None
 
 
+def test_collapse_search_on_holed_square_returns_none():
+    # the greedy descent is about 1,700 steps long before it gets stuck on a
+    # cycle around the hole; backtracking from there must neither recurse
+    # that deep nor run past the budget
+    assert find_collapse_sequence(holed_square_complex(), budget=2000) is None
+
+
 def test_validate_rejects_corrupt_sequence(square1):
     seq = find_collapse_sequence(square1)
     bad = CollapseSequence(square1.__class__([(0, 1, 2)]), seq.steps, seq.terminal)
@@ -186,3 +196,31 @@ def test_ushape_strong_collapse_step_count(ushape10):
     assert seq is not None
     assert len(seq.steps) == ushape10.num_simplices(0) - 1
     assert validate_strong_collapse_sequence(seq)
+
+
+# sha256 of save_sequence output, recorded before the searches were rewritten
+# around incremental coface counts and alive-vertex stars
+SEQUENCE_FILE_DIGESTS = {
+    "collapse square:8": "ce2016abe3e14dba55e687aa2268d9f7a5b34962e3dffba9c07d53d926c3c4ef",
+    "collapse square:8 at 0": "7a0fd66a1aa2ad42839cd7378f1d3ada35d3c3286374183b85cf697d3541fee6",
+    "collapse ushape:10": "f545bf8675e277e045140863ee6a3e514015087625f136d8b29f493b4bd3172f",
+    "strong square:8": "c53fda55712e43c04b45085c97b00523c076c5a5907983ac304b59e9ee99b41b",
+    "strong ushape:10 at (0, 0)":
+        "ca8c418b07adec44a35b12339d3a7c2411ecb3143631ebec01cda844c6795fb9",
+}
+
+
+def test_sequence_files_are_pinned(tmp_path, square8, ushape10):
+    sequences = {
+        "collapse square:8": find_collapse_sequence(square8),
+        "collapse square:8 at 0": find_collapse_sequence(square8, terminal=0),
+        "collapse ushape:10": find_collapse_sequence(ushape10),
+        "strong square:8": find_strong_collapse_sequence(square8),
+        "strong ushape:10 at (0, 0)": find_strong_collapse_sequence(
+            ushape10, terminal=vertex_at(ushape10, (0.0, 0.0))),
+    }
+    digests = {}
+    for name, seq in sequences.items():
+        save_sequence(seq, tmp_path / "seq.json")
+        digests[name] = hashlib.sha256((tmp_path / "seq.json").read_bytes()).hexdigest()
+    assert digests == SEQUENCE_FILE_DIGESTS
