@@ -172,7 +172,9 @@ SEQUENCE_KINDS = {
 def _find_sequence(kind: str, cx: SimplicialComplex, terminal, **options):
     seq = SEQUENCE_KINDS[kind][1](cx, terminal=terminal, **options)
     if seq is None:
-        raise PreconditionError(f"no {kind.replace('-', ' ')} sequence found for this mesh")
+        raise PreconditionError(f"no {kind.replace('-', ' ')} sequence found for this mesh "
+                                f"(Euler characteristic {cx.euler_characteristic()}; "
+                                f"a collapsible mesh has 1)")
     return seq
 
 

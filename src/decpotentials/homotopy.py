@@ -197,9 +197,13 @@ def find_collapse_sequence(complex: SimplicialComplex, terminal: int | None = No
     the search backtracks and skips states already found to be dead ends.
     The first descent is free; after it every state the search expands
     counts, and it gives up once more than ``budget`` states were expanded.
+    A collapse keeps the homotopy type, so a complex whose Euler
+    characteristic is not 1 returns None before any search.
     """
     if terminal is not None and (terminal,) not in complex:
         raise ValueError(f"terminal vertex {terminal} not in complex")
+    if complex.euler_characteristic() != 1:
+        return None
     state = _CollapseState(complex)
 
     def candidates() -> list[Simplex]:
@@ -291,10 +295,13 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
     A vertex is dominated when some other vertex belongs to every maximal
     simplex containing it; removal deletes its entire star, and it is
     recorded with its lowest dominator.  Returns None when the complex gets
-    stuck before reaching a single vertex.
+    stuck before reaching a single vertex, and at once when its Euler
+    characteristic is not 1 (a strong collapse keeps the homotopy type).
     """
     if terminal is not None and (terminal,) not in complex:
         raise ValueError(f"terminal vertex {terminal} not in complex")
+    if complex.euler_characteristic() != 1:
+        return None
     state = _AliveVertices(complex)
     dominated: dict[int, int] = {}  # vertex -> its lowest dominator
 

@@ -5,8 +5,10 @@ matrix ``P_k`` (a ``scipy.sparse.csr_matrix`` of shape (num (k-1)-simplices,
 num k-simplices)) plus a constant functional ``pi`` on 0-cochains.  Row s of
 ``P_k`` is the functional of the (k-1)-simplex s: pair the input with the
 cone of s (combinatorial kind), or integrate its Whitney interpolant over the
-singular cone of s (Whitney kind).  Matrices are assembled from these rows
-per degree on first use and cached.  Every operator satisfies
+singular cone of s (Whitney kind).  Matrices are assembled per degree on
+first use and cached; a Whitney matrix comes from one batched pass over the
+singular cones of all its rows (``singular.functional_matrix``).  Every
+operator satisfies
 
     d P alpha + P d alpha = alpha            (0 < k < n)
     P d alpha = alpha - (pi alpha)           (k = 0)
@@ -32,6 +34,8 @@ the seed.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -43,7 +47,7 @@ from .cones import (
     star_cone,
 )
 from .simplicial import Cochain, SimplicialComplex, coboundary
-from .singular import chain_functional, cone_chain_functional, point_segment_distance
+from .singular import cone_proxies, functional_matrix, point_segment_distance
 from .whitney import MeshGeometry, whitney_value
 
 
@@ -69,6 +73,17 @@ def check_base_point(geometry: MeshGeometry, point, tol_rel: float = 1e-12) -> N
             )
 
 
+def _gather(table, simplices):
+    """(row, coefficient, points) arrays of the chain terms of each simplex."""
+    rows, coeffs, points = [], [], []
+    for i, s in enumerate(simplices):
+        for c, simplex in table[s].terms:
+            rows.append(i)
+            coeffs.append(c)
+            points.append(simplex.points)
+    return np.array(rows, dtype=np.int64), np.array(coeffs, dtype=float), np.array(points)
+
+
 class DiscretePoincareOperator:
     """Potential operator wrapping a simplicial or singular cone operator."""
 
@@ -86,13 +101,9 @@ class DiscretePoincareOperator:
         self.label = label or self.kind
         self._matrices: dict[int, sp.csr_matrix] = {}
 
-    def _row(self, s) -> dict[int, float]:
-        """Weights of the functional of the (k-1)-simplex s on k-cochains."""
-        chain = self.cone.table[s]
-        if self.kind == "whitney":
-            return chain_functional(self.geometry, chain)
-        index = self.complex._index[chain.dim]
-        return {index[t]: c for t, c in chain.terms.items()}
+    def _singular_terms(self, simplices):
+        """(row, coefficient, points) arrays of the singular cones of the rows."""
+        return _gather(self.cone.table, simplices)
 
     def matrix(self, k: int) -> sp.csr_matrix:
         """Sparse matrix of P on k-cochains, shape (num (k-1)-simplices, num k)."""
@@ -100,16 +111,23 @@ class DiscretePoincareOperator:
             raise ValueError(f"P acts on degrees 1..{self.complex.dim}, got {k}")
         if k not in self._matrices:
             cx = self.complex
-            rows, cols, vals = [], [], []
-            for i, s in enumerate(cx.simplices(k - 1)):
-                row = self._row(s)
-                rows.extend([i] * len(row))
-                cols.extend(row)
-                vals.extend(row.values())
-            self._matrices[k] = sp.csr_matrix(
-                (np.array(vals, dtype=float), (rows, cols)),
-                shape=(cx.num_simplices(k - 1), cx.num_simplices(k)),
-            )
+            simplices = cx.simplices(k - 1)
+            shape = (cx.num_simplices(k - 1), cx.num_simplices(k))
+            if self.kind == "combinatorial":
+                index = cx._index[k]
+                rows, cols, vals = [], [], []
+                for i, s in enumerate(simplices):
+                    terms = self.cone.table[s].terms
+                    rows.extend([i] * len(terms))
+                    cols.extend(index[t] for t in terms)
+                    vals.extend(terms.values())
+                m = sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=shape)
+            else:
+                # every row's singular cone, integrated in one batched pass
+                m = functional_matrix(self.geometry, k, *self._singular_terms(simplices),
+                                      shape[0], allow_exterior=self.kind == "bogovskii",
+                                      describe=lambda i: f"row of simplex {simplices[i]}")
+            self._matrices[k] = m
         return self._matrices[k]
 
     def apply(self, alpha: Cochain) -> Cochain:
@@ -123,7 +141,12 @@ class DiscretePoincareOperator:
             raise ValueError("constant component is defined for 0-cochains")
         if self.kind == "combinatorial":
             return float(alpha.values[self.complex.index((self.cone.vertex,))])
-        return float(whitney_value(self.geometry, alpha, self.cone.point))
+        return float(whitney_value(self.geometry, alpha, self.cone.point, self._base_triangle))
+
+    @cached_property
+    def _base_triangle(self) -> int | None:
+        """The mesh triangle holding the Whitney base point, located once."""
+        return self.geometry.locate(self.cone.point)
 
     def project_admissible(self, alpha: Cochain) -> Cochain:
         """Nearest input on which the identity holds: every cochain is admissible."""
@@ -175,13 +198,14 @@ class BogovskiiOperator(DiscretePoincareOperator):
         super().__init__(self.star, geometry, label)
         self.kind = "bogovskii"
 
-    def _row(self, s) -> dict[int, float]:
-        row = chain_functional(self.geometry, self.star.table[s], allow_exterior=True)
-        inf = cone_chain_functional(self.geometry, self.infinite.table[s],
-                                    self.truncation_factor)
-        for j, w in inf.items():
-            row[j] = row.get(j, 0.0) - w
-        return row
+    def _singular_terms(self, simplices):
+        """Star-cone terms, then the truncated infinite cones with the opposite sign."""
+        rows, coeffs, points = _gather(self.star.table, simplices)
+        cone_rows, cone_coeffs, cones = _gather(self.infinite.table, simplices)
+        proxies, ok = cone_proxies(self.geometry, cones, self.truncation_factor)
+        return (np.concatenate([rows, cone_rows[ok]]),
+                np.concatenate([coeffs, -cone_coeffs[ok]]),
+                np.concatenate([points, proxies[ok]]))
 
     def constant_component(self, alpha: Cochain) -> float:
         """Zero: on admissible inputs the identity has no constant term."""

@@ -8,30 +8,45 @@ first.  Chains are signed formal combinations of either kind.
 Integration of Whitney interpolants over these objects is organized around
 *functionals*: sparse rows mapping mesh simplex indices to weights, so that
 the integral of ``W(alpha)`` is the dot product of the row with the cochain
-values.  Rows are what operator assembly needs; plain integrals are the dot
-product.
+values.  ``functional_matrix`` assembles many rows at once, one matrix per
+degree; ``segment_functional``, ``triangle_functional``,
+``chain_functional``, ``cone_functional`` and ``cone_chain_functional`` are
+the same computation on a batch of one term set, returning the row as a
+dict.
 
-Piecewise structure is resolved exactly: 1-dimensional images are split at
-every crossing with a mesh edge and integrated per piece by Gauss quadrature
-(the integrand is affine per piece, so this is exact); 2-dimensional images
-are clipped against each mesh triangle by Sutherland-Hodgman and weighted by
-the signed overlap area.  Pieces outside the mesh integrate to zero for
-segments and are an error for triangles unless explicitly allowed (infinite
-cones integrate compactly supported data, so their truncated images may
-overhang the mesh).
+Piecewise structure is resolved exactly, in chunked numpy passes over the
+candidate (subject, mesh triangle) pairs that the geometry's bucket grid
+and a separating-axis test leave: 1-dimensional images are split at every
+crossing with a mesh edge and integrated per piece by Gauss quadrature (the
+integrand is affine per piece, so this is exact); 2-dimensional images are
+clipped against each mesh triangle by a batched Sutherland-Hodgman and
+weighted by the signed overlap area.  A chunk holds about CHUNK_PAIRS grid
+candidates, which bounds the memory of every pass.  Pieces outside the mesh
+integrate to zero for segments and are an error for triangles unless
+explicitly allowed (infinite cones integrate compactly supported data, so
+their truncated images may overhang the mesh).  The coverage test compares
+the uncovered area with COVERAGE_TOL times the mesh area, not with the
+image's own area, so a thin image near an edge is not rejected for the
+round-off of its clipped pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+import scipy.sparse as sp
 
 from .simplicial import Cochain
 from .whitney import GAUSS3_NODES, GAUSS3_WEIGHTS, MeshGeometry
 
 DEGENERACY_TOL = 1e-12
 PARAM_TOL = 1e-12
+# uncovered image area allowed in strict clipping, as a share of the mesh area
+COVERAGE_TOL = 1e-10
+# grid candidate pairs per numpy pass of the batched kernels
+CHUNK_PAIRS = 1 << 12
 
 
 class OutsideDomainError(ValueError):
@@ -178,6 +193,21 @@ def cone_boundary(chain: ConeChain) -> ConeChain:
     return ConeChain(chain.dim - 1, out)
 
 
+def _degenerate(pts: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """``is_degenerate`` over a batch of point sets, shape (S, k + 1, 2)."""
+    k = pts.shape[1] - 1
+    if k <= 0 or k >= 3:
+        return np.full(len(pts), k >= 3)
+    diffs = pts[:, None, :, :] - pts[:, :, None, :]
+    scale = np.sqrt((diffs ** 2).sum(axis=3).max(axis=(1, 2)))
+    if k == 1:
+        return scale == 0.0
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    return (scale == 0.0) | (np.abs(det) <= tol * scale * scale)
+
+
 def is_degenerate(points, tol: float = DEGENERACY_TOL) -> bool:
     """Rank test: do the points span an affine k-flat in the plane?
 
@@ -185,24 +215,69 @@ def is_degenerate(points, tol: float = DEGENERACY_TOL) -> bool:
     the verdict is invariant under rigid motions and uniform scaling.
     """
     pts = np.asarray(points, dtype=float)
-    k = len(pts) - 1
-    if k <= 0:
-        return False
-    diffs = pts[None, :, :] - pts[:, None, :]
-    scale = float(np.sqrt((diffs ** 2).sum(axis=2).max()))
-    if scale == 0.0:
-        return True
-    if k >= 3:
-        return True
-    if k == 1:
-        return False
-    e1 = pts[1] - pts[0]
-    e2 = pts[2] - pts[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    return abs(det) <= tol * scale * scale
+    return bool(_degenerate(pts.reshape(1, len(pts), 2), tol)[0])
 
 
 # -- polygon clipping ----------------------------------------------------
+
+
+def _clip(xy: np.ndarray, n: np.ndarray, clipper: np.ndarray):
+    """Sutherland-Hodgman over a batch of polygon pairs.
+
+    Polygon i is the first ``n[i]`` points of ``xy[i]``; it is clipped
+    against the convex CCW polygon ``clipper[i]``.  Returns the clipped
+    polygons in the same padded layout.  Every row does the arithmetic of a
+    scalar clip in the same order, so a batch of one is that clip.
+    """
+    rows = np.arange(len(xy))
+    cp1 = clipper[:, -1]
+    for j in range(clipper.shape[1]):
+        if xy.shape[1] == 0:
+            break
+        cp2 = clipper[:, j]
+        ex = (cp2[:, 0] - cp1[:, 0])[:, None]
+        ey = (cp2[:, 1] - cp1[:, 1])[:, None]
+        dist = ex * (xy[..., 1] - cp1[:, None, 1]) - ey * (xy[..., 0] - cp1[:, None, 0])
+        last = np.maximum(n - 1, 0)
+        # distance of each point's predecessor (the last point for the first)
+        d_s = np.concatenate([dist[rows, last][:, None], dist[:, :-1]], axis=1)
+        valid = np.arange(xy.shape[1]) < n[:, None]
+        inside = dist >= 0.0
+        cross = valid & (inside != (d_s >= 0.0))
+        keep = valid & inside
+        # each input point emits its crossing, then itself
+        end = np.cumsum(cross.astype(np.int64) + keep, axis=1)
+        n = end[:, -1]
+        out = np.zeros((len(xy), int(n.max(initial=0)), 2))
+        r, c = np.nonzero(keep)
+        out[r, end[r, c] - 1] = xy[r, c]
+        r, c = np.nonzero(cross)
+        prev = np.where(c == 0, last[r], c - 1)
+        s, e = xy[r, prev], xy[r, c]
+        t = (d_s[r, c] / (d_s[r, c] - dist[r, c]))[:, None]
+        out[r, end[r, c] - 1 - keep[r, c]] = s + t * (e - s)
+        xy = out
+        cp1 = cp2
+    return xy, n
+
+
+def _areas(xy: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Signed shoelace areas of padded polygons, summed point by point."""
+    acc = np.zeros(len(xy))
+    if xy.shape[1] == 0:
+        return acc
+    rows = np.arange(len(xy))
+    x0, y0 = xy[rows, n - 1, 0], xy[rows, n - 1, 1]
+    for j in range(xy.shape[1]):
+        x1, y1 = xy[:, j, 0], xy[:, j, 1]
+        acc += np.where(j < n, x0 * y1 - x1 * y0, 0.0)
+        x0, y0 = x1, y1
+    return np.where(n >= 3, 0.5 * acc, 0.0)
+
+
+def _polygon(points) -> tuple[np.ndarray, np.ndarray]:
+    xy = np.asarray(points, dtype=float).reshape(1, -1, 2)
+    return xy, np.array([xy.shape[1]])
 
 
 def clip_polygon(subject, clipper):
@@ -214,79 +289,219 @@ def clip_polygon(subject, clipper):
     test and for the crossing, so an edge whose ends test differently always
     has a crossing parameter in [0, 1].
     """
-    output = [_point_tuple(p) for p in subject]
-    cp1 = _point_tuple(clipper[-1])
-    for cp2 in clipper:
-        cp2 = _point_tuple(cp2)
-        if not output:
-            return []
-        ex, ey = cp2[0] - cp1[0], cp2[1] - cp1[1]
-        dist = [ex * (p[1] - cp1[1]) - ey * (p[0] - cp1[0]) for p in output]
-        inputs, output = output, []
-        s, d_s = inputs[-1], dist[-1]
-        for e, d_e in zip(inputs, dist):
-            if (d_e >= 0.0) != (d_s >= 0.0):
-                t = d_s / (d_s - d_e)
-                output.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
-            if d_e >= 0.0:
-                output.append(e)
-            s, d_s = e, d_e
-        cp1 = cp2
-    return output
+    xy, n = _clip(*_polygon(subject), np.asarray(clipper, dtype=float)[None])
+    return [_point_tuple(p) for p in xy[0, :n[0]]]
 
 
 def polygon_area(poly) -> float:
     """Signed shoelace area."""
-    if len(poly) < 3:
-        return 0.0
-    acc = 0.0
-    x0, y0 = poly[-1]
-    for x1, y1 in poly:
-        acc += x0 * y1 - x1 * y0
-        x0, y0 = x1, y1
-    return 0.5 * acc
+    return float(_areas(*_polygon(poly))[0])
 
 
-# -- segment splitting and Whitney functionals ---------------------------
+# -- batched Whitney functionals ------------------------------------------
 
 
-def segment_crossings(geom: MeshGeometry, a, b) -> list[float]:
-    """Parameters in (0, 1) where segment a->b crosses a mesh edge.
+def _edge_axes(poly: np.ndarray):
+    """(normal, lo, hi) per edge of convex polygons: the edge normal and each
+    polygon's extent along it.  A segment has one edge."""
+    m = poly.shape[1]
+    axes = []
+    for i in range(1 if m == 2 else m):
+        e = poly[:, (i + 1) % m] - poly[:, i]
+        proj = poly[..., 1] * e[:, None, 0] - poly[..., 0] * e[:, None, 1]
+        axes.append((e, proj.min(axis=1), proj.max(axis=1)))
+    return axes
 
-    Spurious extra parameters are harmless (splitting never changes the
-    integral); the point is not to miss genuine crossings, so the edge-range
-    test is generous.  Nearly parallel pairs are skipped: a segment riding
-    along an edge needs no split at that edge.
+
+def _apart(axes, own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Per pair: does an edge normal of polygon ``own`` separate ``other`` from it?
+
+    Separation is strict: along the normal, one projection ends before the
+    other begins.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    r = b - a
-    ec = geom.edge_coords
-    p = ec[:, 0]
-    s = ec[:, 1] - ec[:, 0]
-    denom = r[0] * s[:, 1] - r[1] * s[:, 0]
-    lengths = np.linalg.norm(s, axis=1)
-    ok = np.abs(denom) > 1e-12 * np.linalg.norm(r) * lengths
-    if not np.any(ok):
-        return []
-    qp = p - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
-        u = (qp[:, 0] * r[1] - qp[:, 1] * r[0]) / denom
-    keep = ok & (u >= -1e-9) & (u <= 1.0 + 1e-9) & (t > PARAM_TOL) & (t < 1.0 - PARAM_TOL)
-    return sorted(float(x) for x in t[keep])
-
-
-def _merged_params(ts) -> list[float]:
-    out = [0.0]
-    for t in ts:
-        if t - out[-1] > PARAM_TOL:
-            out.append(t)
-    if 1.0 - out[-1] > PARAM_TOL:
-        out.append(1.0)
-    else:
-        out[-1] = 1.0
+    out = np.zeros(len(own), dtype=bool)
+    for e, lo, hi in axes:
+        ex, ey = e[own, 0], e[own, 1]
+        proj = [p[:, 1] * ex - p[:, 0] * ey for p in other.transpose(1, 0, 2)]
+        out |= (reduce(np.maximum, proj) < lo[own]) | (reduce(np.minimum, proj) > hi[own])
     return out
+
+
+def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
+    """(first, stop, subject, triangle) per chunk of consecutive subjects.
+
+    Candidates come from the geometry's bucket grid and must pass the
+    separating-axis test (subject edges first, as they reject most pairs of
+    a thin subject, then triangle edges).  A chunk holds whole rows (``rows``
+    is sorted) and about CHUNK_PAIRS grid candidates (a row with more is a
+    chunk of its own), which bounds the memory of every later pass.
+    """
+    lo = pts.min(axis=1)
+    hi = pts.max(axis=1)
+    ends = np.cumsum(geom.candidate_counts(lo, hi))
+    row_end = np.searchsorted(rows, rows, side="right")
+    triangle_axes = _edge_axes(geom.ccw_corners)
+    first = 0
+    while first < len(pts):
+        done = ends[first - 1] if first else 0
+        stop = max(first + 1, int(np.searchsorted(ends, done + CHUNK_PAIRS, side="right")))
+        stop = int(row_end[stop - 1])
+        sub, tri = geom.candidates(lo[first:stop], hi[first:stop])
+        chunk = pts[first:stop]
+        meet = ~_apart(_edge_axes(chunk), sub, geom.ccw_corners[tri])
+        sub, tri = sub[meet], tri[meet]
+        meet = ~_apart(triangle_axes, tri, chunk[sub])
+        yield first, stop, sub[meet] + first, tri[meet]
+        first = stop
+
+
+def _accumulate(major, minor, vals, n_minor: int):
+    """Sum values per (major, minor) key, in input order; keys come sorted."""
+    keys, slot = np.unique(major.astype(np.int64) * n_minor + minor, return_inverse=True)
+    sums = np.zeros(len(keys))
+    np.add.at(sums, slot, vals)
+    return keys // n_minor, keys % n_minor, sums
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (N, 2) arrays, rounded as ``u[i] @ v[i]``."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
+    """(subject, edge, weight) per chunk, for segments pts[:, 0] -> pts[:, 1].
+
+    Each segment is split at its crossings with the edges of the triangles it
+    meets; every piece takes its triangle from the grid (pieces outside the
+    mesh contribute zero) and is integrated by the 3-point Gauss rule, which
+    is exact because the integrand is affine per piece.
+    """
+    n_edges = len(geom.edge_coords)
+    a = pts[:, 0]
+    r = pts[:, 1] - a
+    for first, stop, sub, tri in _pairs(geom, pts, rows):
+        # crossing parameters; spurious extra ones are harmless (splitting
+        # never changes the integral), nearly parallel edges need no split
+        sub = np.repeat(sub, 3)
+        ec = geom.edge_coords[geom.triangle_edges[tri].ravel()]
+        p = ec[:, 0]
+        s = ec[:, 1] - ec[:, 0]
+        rs = r[sub]
+        denom = rs[:, 0] * s[:, 1] - rs[:, 1] * s[:, 0]
+        ok = np.abs(denom) > 1e-12 * np.sqrt(_dot(rs, rs)) * np.sqrt((s * s).sum(axis=1))
+        qp = p - a[sub]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
+            u = (qp[:, 0] * rs[:, 1] - qp[:, 1] * rs[:, 0]) / denom
+        cut = ok & (u >= -1e-9) & (u <= 1.0 + 1e-9) & (t > PARAM_TOL) & (t < 1.0 - PARAM_TOL)
+        # every segment's parameters, sorted: 0, its crossings, 1; a crossing
+        # within PARAM_TOL of the previous parameter or of 1 is dropped
+        own = np.arange(first, stop)
+        seg = np.concatenate([own, sub[cut], own])
+        t = np.concatenate([np.zeros(len(own)), t[cut], np.ones(len(own))])
+        order = np.lexsort((t, seg))
+        seg, t = seg[order], t[order]
+        gap = np.diff(t, prepend=-np.inf)
+        new = np.diff(seg, prepend=-1) != 0
+        keep = new | (t == 1.0) | ((gap > PARAM_TOL) & (1.0 - t > PARAM_TOL))
+        seg, t = seg[keep], t[keep]
+        piece = seg[1:] == seg[:-1]
+        seg, t0, t1 = seg[:-1][piece], t[:-1][piece], t[1:][piece]
+        d = r[seg]
+        where = geom.locate_all(a[seg] + (0.5 * (t0 + t1))[:, None] * d)
+        inside = where >= 0
+        seg, t0, t1, d, where = seg[inside], t0[inside], t1[inside], d[inside], where[inside]
+        h = t1 - t0
+        G = geom.gradients[where]
+        vals = np.empty((len(seg), len(GAUSS3_NODES), 3))
+        for q, (node, w) in enumerate(zip(GAUSS3_NODES, GAUSS3_WEIGHTS)):
+            lam = geom.barycentric(where, a[seg] + (t0 + node * h)[:, None] * d)
+            for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+                form = lam[:, i, None] * G[:, j] - lam[:, j, None] * G[:, i]
+                vals[:, q, local] = w * h * _dot(form, d)
+        owner = np.broadcast_to(seg[:, None, None], vals.shape)
+        edges = np.broadcast_to(geom.triangle_edges[where][:, None, :], vals.shape)
+        yield _accumulate(owner.ravel(), edges.ravel(), vals.ravel(), n_edges)
+
+
+def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
+                      allow_exterior: bool, describe):
+    """(subject, triangle, weight) per chunk, for image triangles.
+
+    Each image is clipped against every mesh triangle it meets and weighted
+    by the overlap area over the triangle's signed area, with the image's
+    orientation sign.  Unless ``allow_exterior``, the image must be covered
+    by the mesh: the area it leaves uncovered may not exceed COVERAGE_TOL
+    times the mesh area.
+    """
+    e1 = pts[:, 1] - pts[:, 0]
+    e2 = pts[:, 2] - pts[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    sign = np.where(area > 0, 1.0, -1.0)
+    for first, stop, sub, tri in _pairs(geom, pts, rows):
+        xy, n = _clip(pts[sub], np.full(len(sub), 3), geom.ccw_corners[tri])
+        overlap = np.abs(_areas(xy, n))
+        hit = overlap != 0.0
+        sub, tri, overlap = sub[hit], tri[hit], overlap[hit]
+        if not allow_exterior:
+            covered = np.bincount(sub - first, overlap, minlength=stop - first)
+            uncovered = np.abs(area[first:stop]) - covered
+            tol = COVERAGE_TOL * geom.total_area
+            bad = np.nonzero(uncovered > tol)[0]
+            if bad.size:
+                j = first + int(bad[0])
+                what = "image triangle" if describe is None else \
+                    f"{describe(j)}: image triangle"
+                raise OutsideDomainError(
+                    f"{what} {tuple(map(_point_tuple, pts[j]))} leaves the mesh: "
+                    f"area {uncovered[bad[0]]:.3e} of its {abs(area[j]):.3e} is not "
+                    f"covered (tolerance {tol:.1e}, {COVERAGE_TOL:g} of the mesh area)"
+                )
+        yield sub, tri, sign[sub] * overlap / geom.signed_area[tri]
+
+
+def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows: int, *,
+                      allow_exterior: bool = False, describe=None):
+    """Sparse matrix of many functional rows, assembled in batched passes.
+
+    Term i adds ``coeffs[i]`` times the functional of the linear singular
+    simplex ``points[i]`` (dimension ``dim``, 1 or 2) to row ``rows[i]``.
+    Within a row, weights add up in term order, so a row equals the dict
+    that the per-term functionals would accumulate.  Degenerate simplices
+    integrate to zero.  ``describe(row)`` names a row in errors.  Returns a
+    CSR matrix of shape (n_rows, number of mesh ``dim``-simplices) without
+    explicit zeros.
+    """
+    if dim not in (1, 2):
+        raise ValueError(f"cannot integrate Whitney forms over dimension {dim}")
+    rows = np.asarray(rows, dtype=np.int64)
+    pts = np.asarray(points, dtype=float).reshape(len(rows), dim + 1, 2)
+    # terms grouped by row, in term order within a row
+    keep = np.argsort(rows, kind="stable")
+    keep = keep[~_degenerate(pts[keep])]
+    rows, coeffs, pts = rows[keep], np.asarray(coeffs, dtype=float)[keep], pts[keep]
+    n_cols = geom.complex.num_simplices(dim)
+    if dim == 1:
+        chunks = _segment_entries(geom, pts, rows)
+    else:
+        name = None if describe is None else (lambda j: describe(int(rows[j])))
+        chunks = _triangle_entries(geom, pts, rows, allow_exterior, name)
+    # a chunk holds whole rows, so each chunk's sums are final and the
+    # chunks come in row order
+    parts = [_accumulate(rows[sub], col, coeffs[sub] * w, n_cols) for sub, col, w in chunks]
+    row, col, val = (np.concatenate(x) for x in zip(*parts)) if parts else \
+        (np.zeros(0, dtype=np.int64),) * 3
+    nz = val != 0.0
+    row, col, val = row[nz], col[nz], val[nz]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_rows))])
+    return sp.csr_matrix((val, col, indptr), shape=(n_rows, n_cols))
+
+
+def _row(geom: MeshGeometry, dim: int, coeffs, points, allow_exterior: bool) -> dict[int, float]:
+    """One functional row as a dict: a batch of one term set."""
+    m = functional_matrix(geom, dim, np.zeros(len(coeffs)), coeffs, points, 1,
+                          allow_exterior=allow_exterior)
+    return {int(i): float(w) for i, w in zip(m.indices, m.data)}
 
 
 def segment_functional(geom: MeshGeometry, a, b) -> dict[int, float]:
@@ -295,29 +510,7 @@ def segment_functional(geom: MeshGeometry, a, b) -> dict[int, float]:
     Pieces outside the mesh contribute zero (the interpolant is extended by
     zero off the mesh).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = b - a
-    if is_degenerate([a, b]):
-        return {}
-    params = _merged_params(segment_crossings(geom, a, b))
-    out: dict[int, float] = {}
-    for t0, t1 in zip(params, params[1:]):
-        mid = a + 0.5 * (t0 + t1) * d
-        t = geom.locate(mid)
-        if t is None:
-            continue
-        G = geom.gradients[t]
-        edges = geom.triangle_edges[t]
-        h = t1 - t0
-        for node, w in zip(GAUSS3_NODES, GAUSS3_WEIGHTS):
-            lam = geom.barycentric(t, a + (t0 + node * h) * d)
-            for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-                val = w * h * float((lam[i] * G[j] - lam[j] * G[i]) @ d)
-                if val != 0.0:
-                    e = int(edges[local])
-                    out[e] = out.get(e, 0.0) + val
-    return out
+    return _row(geom, 1, [1.0], [a, b], False)
 
 
 def triangle_functional(geom: MeshGeometry, pts, *,
@@ -325,62 +518,20 @@ def triangle_functional(geom: MeshGeometry, pts, *,
     """Row of triangle-index weights for alpha -> integral of W(alpha).
 
     ``pts`` are the three (ordered) corner points of the image triangle; its
-    orientation sign multiplies every overlap.  With strict clipping, any
-    image area falling outside the mesh raises OutsideDomainError.
+    orientation sign multiplies every overlap.  With strict clipping, image
+    area falling outside the mesh (beyond COVERAGE_TOL of the mesh area)
+    raises OutsideDomainError.
     """
-    p = np.asarray(pts, dtype=float)
-    if is_degenerate(p):
-        return {}
-    e1 = p[1] - p[0]
-    e2 = p[2] - p[0]
-    area_img = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    sign_img = 1.0 if area_img > 0 else -1.0
-    subject = [tuple(q) for q in p]
-
-    lo = p.min(axis=0)
-    hi = p.max(axis=0)
-    corners = geom.corners
-    cand = np.nonzero(
-        (corners[:, :, 0].min(axis=1) <= hi[0])
-        & (corners[:, :, 0].max(axis=1) >= lo[0])
-        & (corners[:, :, 1].min(axis=1) <= hi[1])
-        & (corners[:, :, 1].max(axis=1) >= lo[1])
-    )[0]
-
-    out: dict[int, float] = {}
-    covered = 0.0
-    for t in cand:
-        poly = clip_polygon(subject, geom.ccw_corners(int(t)))
-        if len(poly) < 3:
-            continue
-        overlap = abs(polygon_area(poly))
-        if overlap == 0.0:
-            continue
-        covered += overlap
-        out[int(t)] = out.get(int(t), 0.0) + sign_img * overlap / geom.signed_area[t]
-    if not allow_exterior and covered < abs(area_img) * (1.0 - 1e-9):
-        raise OutsideDomainError(
-            f"image triangle area {abs(area_img):.3e} only overlaps the mesh "
-            f"by {covered:.3e}"
-        )
-    return out
+    return _row(geom, 2, [1.0], pts, allow_exterior)
 
 
 def chain_functional(geom: MeshGeometry, chain: SingularChain, *,
                      allow_exterior: bool = False) -> dict[int, float]:
     """Functional row for a singular chain of dimension 1 or 2."""
-    out: dict[int, float] = {}
-    for c, s in chain.terms:
-        pts = s.array()
-        if chain.dim == 1:
-            row = segment_functional(geom, pts[0], pts[1])
-        elif chain.dim == 2:
-            row = triangle_functional(geom, pts, allow_exterior=allow_exterior)
-        else:
-            raise ValueError(f"cannot integrate Whitney forms over dimension {chain.dim}")
-        for i, w in row.items():
-            out[i] = out.get(i, 0.0) + c * w
-    return {i: w for i, w in out.items() if w != 0.0}
+    if not chain.terms:
+        return {}
+    return _row(geom, chain.dim, [c for c, _ in chain.terms],
+                [s.points for _, s in chain.terms], allow_exterior)
 
 
 def integrate_whitney(geom: MeshGeometry, alpha: Cochain, chain: SingularChain, *,
@@ -407,6 +558,30 @@ def point_segment_distance(p, a, b) -> float:
     return float(np.linalg.norm(p - (a + t * d)))
 
 
+def cone_proxies(geom: MeshGeometry, points, factor: float = 10.0):
+    """Finite proxy simplices of infinite cones (see ``truncate_cone``).
+
+    ``points`` has shape (S, k + 1, 2), apex first.  Returns the proxy
+    points in the same shape and a mask of the cones that have a proxy.
+    """
+    pts = np.asarray(points, dtype=float)
+    apex = pts[:, :1]
+    w = pts[:, 1:] - apex
+    if pts.shape[1] == 2:
+        foot = w[:, 0]
+    else:  # the point of the far face nearest to the apex
+        d = w[:, 1] - w[:, 0]
+        denom = _dot(d, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(_dot(-w[:, 0], d) / denom, 0.0, 1.0)
+        foot = w[:, 0] + np.where(denom == 0.0, 0.0, t)[:, None] * d
+    reach = np.sqrt(_dot(foot, foot))
+    ok = ~_degenerate(pts) & (reach != 0.0)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(factor * geom.diagonal / reach, 1.0)
+    return np.concatenate([apex, apex + s[:, None, None] * w], axis=1), ok
+
+
 def truncate_cone(geom: MeshGeometry, cone: InfiniteCone,
                   factor: float = 10.0) -> LinearSimplex | None:
     """Finite proxy simplex whose integral equals the cone's.
@@ -417,40 +592,21 @@ def truncate_cone(geom: MeshGeometry, cone: InfiniteCone,
     that radius, the clipped integral is independent of the scale.  Returns
     None for degenerate cones, which integrate to zero.
     """
-    pts = cone.array()
-    if is_degenerate(pts):
-        return None
-    apex = pts[0]
-    w = pts[1:] - apex
-    radius = factor * geom.diagonal
-    if cone.dim == 1:
-        reach = float(np.linalg.norm(w[0]))
-    else:
-        reach = point_segment_distance((0.0, 0.0), w[0], w[1])
-    if reach == 0.0:
-        return None
-    s = max(radius / reach, 1.0)
-    return LinearSimplex.from_points([apex, *(apex + s * w)])
+    proxy, ok = cone_proxies(geom, [cone.points], factor)
+    return LinearSimplex.from_points(proxy[0]) if ok[0] else None
 
 
 def cone_functional(geom: MeshGeometry, cone: InfiniteCone,
                     factor: float = 10.0) -> dict[int, float]:
     """Functional row for a single infinite cone (via its truncated proxy)."""
-    proxy = truncate_cone(geom, cone, factor)
-    if proxy is None:
-        return {}
-    pts = proxy.array()
-    if cone.dim == 1:
-        return segment_functional(geom, pts[0], pts[1])
-    if cone.dim == 2:
-        return triangle_functional(geom, pts, allow_exterior=True)
-    raise ValueError(f"cannot integrate Whitney forms over cone dimension {cone.dim}")
+    return cone_chain_functional(geom, ConeChain(cone.dim, [(1, cone)]), factor)
 
 
 def cone_chain_functional(geom: MeshGeometry, chain: ConeChain,
                           factor: float = 10.0) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for c, cone in chain.terms:
-        for i, w in cone_functional(geom, cone, factor).items():
-            out[i] = out.get(i, 0.0) + c * w
-    return {i: w for i, w in out.items() if w != 0.0}
+    """Functional row for a chain of infinite cones, via their proxies."""
+    if not chain.terms:
+        return {}
+    proxy, ok = cone_proxies(geom, [s.points for _, s in chain.terms], factor)
+    coeffs = np.array([c for c, _ in chain.terms], dtype=float)
+    return _row(geom, chain.dim, coeffs[ok], proxy[ok], True)

@@ -16,6 +16,12 @@ The de Rham map integrates fields over canonical simplices by quadrature
 (vertex sampling for k=0, 3-point Gauss-Legendre on edges for k=1, a
 6-point symmetric triangle rule for k=2).  Both rules are exact for
 polynomial integrands up to degree 4, which covers every built-in field.
+
+``MeshGeometry`` also holds a uniform bucket grid over the mesh, built once
+in numpy.  It lists the candidate triangles of a batch of boxes in one pass
+(the integration kernels in ``singular`` take their (image, triangle) pairs
+from it), and ``locate``/``locate_all`` are one probe of it: a tiny box
+around each point, then an exact barycentric test of its candidates.
 """
 
 from __future__ import annotations
@@ -50,7 +56,16 @@ TRI6_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
 class MeshGeometry:
-    """Per-triangle barycentric frames, point location, and mesh extents."""
+    """Per-triangle barycentric frames, a bucket grid, and mesh extents.
+
+    The bucket grid is uniform over the mesh's bounding box, with cells about
+    one mean edge long.  Each triangle is filed under the one cell that holds
+    the lower-left corner of its bounding box, so a query box only has to be
+    widened down and to the left by the largest triangle extent to find every
+    triangle whose bounding box meets it: ``candidates`` lists those
+    (box, triangle) pairs for a whole batch of boxes at once, and ``locate``
+    is one such probe of a tiny box around each point.
+    """
 
     def __init__(self, complex: SimplicialComplex):
         if complex.coordinates is None:
@@ -67,6 +82,8 @@ class MeshGeometry:
         e2 = P[:, 2] - P[:, 0]
         self.signed_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         self.orientation = np.sign(self.signed_area).astype(int)
+        # corners in counterclockwise order, the clipper orientation
+        self.ccw_corners = np.where(self.orientation[:, None, None] > 0, P, P[:, ::-1])
 
         # grad(lambda_i) = perp(opposite edge) / (2 * signed area)
         def perp(v):
@@ -93,47 +110,107 @@ class MeshGeometry:
             te[t, 1] = idx1[(a, c)]
             te[t, 2] = idx1[(b, c)]
         self.triangle_edges = te
+        edges = np.array(complex.simplices(1), dtype=int)
+        self.edge_coords = coords[edges]  # (E, 2, 2) canonical edge endpoints
 
-        self._ccw_corners = [
-            [tuple(p) for p in (tri if o > 0 else tri[::-1])]
-            for tri, o in zip(P, self.orientation)
-        ]
-        self._edge_coords = None
+        # bucket grid, with at most about 4 cells per triangle
+        self._tri_min = P.min(axis=1)
+        self._tri_max = P.max(axis=1)
+        self._reach = (self._tri_max - self._tri_min).max(axis=0)
+        extent = self.bbox_max - self.bbox_min
+        mean_edge = float(np.linalg.norm(self.edge_coords[:, 1] - self.edge_coords[:, 0],
+                                         axis=1).mean())
+        cell = max(mean_edge, float(np.sqrt(extent[0] * extent[1] / (4 * len(tris)))))
+        self._shape = np.maximum(1, np.ceil(extent / cell)).astype(int)  # (nx, ny)
+        self._cell = extent / self._shape
+        nx, ny = self._shape
+        ix, iy = self._cell_of(self._tri_min)
+        filed = iy * nx + ix
+        self._cell_triangles = np.argsort(filed, kind="stable")
+        counts = np.bincount(filed, minlength=nx * ny)
+        self._cell_start = np.concatenate([[0], np.cumsum(counts)])
+        # summed-area table of the per-cell counts, for candidate counts
+        self._count_table = np.zeros((ny + 1, nx + 1), dtype=np.int64)
+        self._count_table[1:, 1:] = counts.reshape(ny, nx).cumsum(0).cumsum(1)
 
-    @property
-    def edge_coords(self):
-        """(E, 2, 2) endpoint coordinates of canonical edges."""
-        if self._edge_coords is None:
-            edges = np.array(self.complex.simplices(1), dtype=int)
-            self._edge_coords = self.complex.coordinates[edges]
-        return self._edge_coords
+    def _cell_of(self, xy):
+        """Column and row of the cells holding points (clamped to the grid)."""
+        ij = np.floor((xy - self.bbox_min) / self._cell)
+        ij = np.clip(ij, 0, self._shape - 1).astype(np.int64)
+        return ij[..., 0], ij[..., 1]
 
-    def ccw_corners(self, t: int):
-        """Triangle corner tuples in counterclockwise order (for clipping)."""
-        return self._ccw_corners[t]
+    def _cell_ranges(self, lo, hi):
+        """First and last grid column and row whose filed triangles may meet each box."""
+        x0, y0 = self._cell_of(np.asarray(lo, dtype=float) - self._reach)
+        x1, y1 = self._cell_of(np.asarray(hi, dtype=float))
+        return x0, x1, y0, y1
 
-    def barycentric(self, t: int, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float)
-        d = p - self.corners[t, 0]
-        l1 = self.gradients[t, 1] @ d
-        l2 = self.gradients[t, 2] @ d
-        return np.array([1.0 - l1 - l2, l1, l2])
+    def candidate_counts(self, lo, hi) -> np.ndarray:
+        """Per box ``[lo_i, hi_i]``: how many triangles ``candidates`` will test."""
+        x0, x1, y0, y1 = self._cell_ranges(lo, hi)
+        S = self._count_table
+        return S[y1 + 1, x1 + 1] - S[y0, x1 + 1] - S[y1 + 1, x0] + S[y0, x0]
+
+    def candidates(self, lo, hi):
+        """(box, triangle) index pairs whose bounding boxes meet, box by box.
+
+        ``lo`` and ``hi`` are (N, 2) arrays of box corners.  Pairs come
+        grouped by box in box order.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        x0, x1, y0, y1 = self._cell_ranges(lo, hi)
+        nx = self._shape[0]
+        # one run of consecutive cells per box and grid row
+        n_rows = y1 - y0 + 1
+        box = np.repeat(np.arange(len(lo)), n_rows)
+        row = y0[box] + _offsets(n_rows)
+        first = self._cell_start[row * nx + x0[box]]
+        length = self._cell_start[row * nx + x1[box] + 1] - first
+        box = np.repeat(box, length)
+        tri = self._cell_triangles[np.repeat(first, length) + _offsets(length)]
+        meet = ((self._tri_min[tri] <= hi[box]) & (self._tri_max[tri] >= lo[box])).all(axis=1)
+        return box[meet], tri[meet]
+
+    def barycentric(self, t, point) -> np.ndarray:
+        """Barycentric coordinates of points in triangles, last axis of length 3.
+
+        ``t`` and ``point`` broadcast: one triangle index and one point give
+        a length-3 array, index and point arrays give one row per pair.
+        """
+        d = np.asarray(point, dtype=float) - self.corners[t, 0]
+        lam = (self.gradients[t, 1:] @ d[..., None])[..., 0]
+        return np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
+
+    def locate_all(self, points, tol: float = 1e-12) -> np.ndarray:
+        """Triangle index containing each point, -1 where none does.
+
+        A point belongs to a triangle when each barycentric coordinate is at
+        least ``-tol``; ties on shared edges/vertices resolve to the lowest
+        triangle index, which is harmless for tangentially continuous
+        integrands.
+        """
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        # a barycentric slack of tol moves a point at most 2 tol diameters
+        pad = 4.0 * tol * float(self._reach.sum())
+        box, tri = self.candidates(pts - pad, pts + pad)
+        lam = self.barycentric(tri, pts[box])
+        inside = (lam >= -tol).all(axis=1)
+        none = len(self.corners)
+        best = np.full(len(pts), none)
+        np.minimum.at(best, box[inside], tri[inside])
+        return np.where(best == none, -1, best)
 
     def locate(self, point, tol: float = 1e-12):
-        """Index of a triangle containing the point, or None.
+        """Index of a triangle containing the point, or None (see ``locate_all``)."""
+        t = int(self.locate_all(point, tol)[0])
+        return None if t < 0 else t
 
-        Ties on shared edges/vertices resolve to the lowest triangle index,
-        which is harmless for tangentially continuous integrands.
-        """
-        p = np.asarray(point, dtype=float)
-        d = p[None, :] - self.corners[:, 0]
-        l1 = np.einsum("tj,tj->t", self.gradients[:, 1], d)
-        l2 = np.einsum("tj,tj->t", self.gradients[:, 2], d)
-        ok = (l1 >= -tol) & (l2 >= -tol) & (1.0 - l1 - l2 >= -tol)
-        hits = np.nonzero(ok)[0]
-        if hits.size == 0:
-            return None
-        return int(hits[0])
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n_i - 1 for each run length n_i, concatenated."""
+    total = int(lengths.sum())
+    return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def whitney_value(geom: MeshGeometry, alpha: Cochain, point, triangle: int | None = None):

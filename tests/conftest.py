@@ -72,3 +72,28 @@ def holed_square_complex():
                  if not all(0.45 < c[v][0] < 0.55 and 0.45 < c[v][1] < 0.55 for v in t)]
     assert len(triangles) == cx.num_simplices(2) - 8
     return SimplicialComplex(triangles, c)
+
+
+def jitter_interior(cx, seed=0, amplitude=0.15):
+    """The mesh with each interior vertex moved by a seeded uniform jitter.
+
+    Every coordinate moves by at most ``amplitude`` times the shortest edge,
+    so no triangle flips; boundary vertices stay, so the domain is the same.
+    """
+    coords = np.array(cx.coordinates)
+    ends = coords[np.array(cx.simplices(1))]
+    h = float(np.min(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)))
+    moves = np.random.default_rng(seed).uniform(-amplitude * h, amplitude * h, coords.shape)
+    boundary = set(cx.boundary_simplices(0))
+    for (v,) in cx.simplices(0):
+        if (v,) not in boundary:
+            coords[v] += moves[v]
+    return SimplicialComplex(cx.simplices(2), coords)
+
+
+@pytest.fixture(scope="session", params=["square8", "ushape10"])
+def jittered(request):
+    """(name, mesh): square:8 or ushape:10 with jittered interior vertices."""
+    base = {"square8": lambda: generate_square_mesh(8),
+            "ushape10": lambda: generate_ushape_mesh(10)}[request.param]()
+    return request.param, jitter_interior(base)

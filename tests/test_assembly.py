@@ -1,0 +1,256 @@
+"""Batched Whitney assembly against per-row loops, off the axis-aligned grids.
+
+The reference below is the row-by-row integration that the batched kernels
+replaced: a scalar Sutherland-Hodgman clip against every mesh triangle whose
+bounding box meets the image, and segments split at every mesh-edge crossing
+with a brute-force point location per piece.  It shares no code with the
+kernels.  The kernels differ from it in summation order and in which
+near-duplicate crossings split a segment, so rows agree to round-off; the
+tolerance is the 1e-12 allowed between the assembled matrices of two
+versions.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from decpotentials import (
+    BogovskiiOperator,
+    Cochain,
+    DiscretePoincareOperator,
+    MeshGeometry,
+    SlabAffineContraction,
+    lipschitz_cone,
+    star_cone,
+)
+from decpotentials.singular import chain_functional, cone_chain_functional, truncate_cone
+
+GAUSS = ((0.5 - 0.5 * np.sqrt(0.6), 5 / 18), (0.5, 8 / 18), (0.5 + 0.5 * np.sqrt(0.6), 5 / 18))
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def ref_clip(subject, clipper):
+    out = [tuple(p) for p in subject]
+    c1 = clipper[-1]
+    for c2 in clipper:
+        if not out:
+            return []
+        ex, ey = c2[0] - c1[0], c2[1] - c1[1]
+        dist = [ex * (p[1] - c1[1]) - ey * (p[0] - c1[0]) for p in out]
+        src, out = out, []
+        s, ds = src[-1], dist[-1]
+        for e, de in zip(src, dist):
+            if (de >= 0.0) != (ds >= 0.0):
+                t = ds / (ds - de)
+                out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+            if de >= 0.0:
+                out.append(e)
+            s, ds = e, de
+        c1 = c2
+    return out
+
+
+def ref_area(poly):
+    return 0.5 * sum(x0 * y1 - x1 * y0
+                     for (x0, y0), (x1, y1) in zip(poly[-1:] + poly[:-1], poly))
+
+
+def ref_bary(geom, t, p):
+    d = p - geom.corners[t, 0]
+    l1 = np.einsum("...j,...j->...", geom.gradients[t, 1], d)
+    l2 = np.einsum("...j,...j->...", geom.gradients[t, 2], d)
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
+def ref_locate(geom, p):
+    """Lowest-index triangle holding p, scanning every triangle."""
+    hits = np.nonzero((ref_bary(geom, np.arange(len(geom.corners)), p) >= -1e-12).all(axis=1))[0]
+    return int(hits[0]) if hits.size else None
+
+
+def ref_segment_row(geom, a, b, row, c):
+    d = b - a
+    p = geom.edge_coords[:, 0]
+    s = geom.edge_coords[:, 1] - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = d[0] * s[:, 1] - d[1] * s[:, 0]
+        t = ((p - a)[:, 0] * s[:, 1] - (p - a)[:, 1] * s[:, 0]) / den
+        u = ((p - a)[:, 0] * d[1] - (p - a)[:, 1] * d[0]) / den
+    cut = (np.abs(den) > 1e-12 * np.linalg.norm(d) * np.linalg.norm(s, axis=1)) & \
+        (u >= -1e-9) & (u <= 1 + 1e-9) & (t > 1e-12) & (t < 1 - 1e-12)
+    ts = [0.0, *sorted(t[cut]), 1.0]
+    for t0, t1 in zip(ts, ts[1:]):
+        tri = ref_locate(geom, a + 0.5 * (t0 + t1) * d)
+        if tri is None or t1 - t0 <= 1e-12:
+            continue
+        G = geom.gradients[tri]
+        for node, w in GAUSS:
+            lam = ref_bary(geom, tri, a + (t0 + node * (t1 - t0)) * d)
+            for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+                e = geom.triangle_edges[tri, local]
+                row[e] += c * w * (t1 - t0) * ((lam[i] * G[j] - lam[j] * G[i]) @ d)
+
+
+def ref_triangle_row(geom, pts, row, c):
+    e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
+    sign = 1.0 if e1[0] * e2[1] - e1[1] * e2[0] > 0 else -1.0
+    meets = ((geom.corners.min(axis=1) <= pts.max(axis=0))
+             & (geom.corners.max(axis=1) >= pts.min(axis=0))).all(axis=1)
+    for t in np.nonzero(meets)[0]:
+        corners = geom.corners[t]
+        ccw = corners if geom.signed_area[t] > 0 else corners[::-1]
+        overlap = abs(ref_area(ref_clip(pts, ccw)))
+        row[t] += c * sign * overlap / geom.signed_area[t]
+
+
+def ref_row(geom, terms, size):
+    """Row of a list of (coefficient, points) terms, one term at a time."""
+    row = np.zeros(size)
+    for c, pts in terms:
+        pts = np.asarray(pts, dtype=float)
+        if len(pts) == 2:
+            ref_segment_row(geom, pts[0], pts[1], row, c)
+        else:
+            e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
+            scale = max(np.sum((p - q) ** 2) for p in pts for q in pts)
+            if abs(e1[0] * e2[1] - e1[1] * e2[0]) > 1e-12 * scale:
+                ref_triangle_row(geom, pts, row, c)
+    return row
+
+
+@pytest.fixture(scope="module")
+def ops(jittered):
+    """(Poincare operator, Bogovskii operator) that the jittered domain admits."""
+    name, cx = jittered
+    return operators(name, cx)
+
+
+def operators(name, cx):
+    geom = MeshGeometry(cx)
+    if name == "square8":
+        poincare = DiscretePoincareOperator(star_cone((0.5, 0.5), cx), geom, label="star")
+    else:
+        phi = SlabAffineContraction.ushape((0.2, 0.2))
+        poincare = DiscretePoincareOperator(lipschitz_cone(phi, cx, geometry=geom), geom,
+                                            label="lipschitz")
+    point = (0.52, 0.51) if name == "square8" else (0.152, 0.151)
+    return poincare, BogovskiiOperator(point, cx, geom)
+
+
+def terms_of(op, s):
+    """(coefficient, points) of the singular terms of simplex s's row."""
+    if op.kind != "bogovskii":
+        return [(c, t.points) for c, t in op.cone.table[s].terms]
+    out = [(c, t.points) for c, t in op.star.table[s].terms]
+    for c, cone in op.infinite.table[s].terms:
+        proxy = truncate_cone(op.geometry, cone, op.truncation_factor)
+        if proxy is not None:
+            out.append((-c, proxy.points))
+    return out
+
+
+def test_rows_match_the_loop_reference(ops):
+    cx = ops[0].complex
+    for op in ops:
+        for k in (1, 2):
+            m = op.matrix(k).toarray()
+            worst = 0.0
+            for i, s in enumerate(cx.simplices(k - 1)):
+                ref = ref_row(op.geometry, terms_of(op, s), cx.num_simplices(k))
+                worst = max(worst, float(np.max(np.abs(m[i] - ref))))
+            assert worst <= 1e-12, (op.label, k, worst)
+
+
+def test_rows_match_the_batch_of_one_functionals(ops):
+    cx = ops[0].complex
+    for op in ops:
+        for k in (1, 2):
+            m = op.matrix(k).toarray()
+            for i, s in enumerate(cx.simplices(k - 1)):
+                row = np.zeros(cx.num_simplices(k))
+                if op.kind == "bogovskii":
+                    for j, w in chain_functional(op.geometry, op.star.table[s],
+                                                 allow_exterior=True).items():
+                        row[j] += w
+                    for j, w in cone_chain_functional(op.geometry, op.infinite.table[s],
+                                                      op.truncation_factor).items():
+                        row[j] -= w
+                else:
+                    for j, w in chain_functional(op.geometry, op.cone.table[s]).items():
+                        row[j] += w
+                assert np.max(np.abs(m[i] - row)) <= 1e-13, (op.label, k, s)
+
+
+def residual_matrices(op):
+    """R_k = D P + P D - I (with the constant term at k = 0) on admissible inputs."""
+    cx = op.complex
+    n = cx.dim
+    D = [cx.coboundary_matrix(k).toarray() for k in range(n)]
+    P = {k: op.matrix(k).toarray() for k in range(1, n + 1)}
+    out = []
+    for k in range(n + 1):
+        size = cx.num_simplices(k)
+        R = -np.eye(size)
+        if k >= 1:
+            R += D[k - 1] @ P[k]
+        if k < n:
+            R += P[k + 1] @ D[k]
+        if k == 0:
+            R += np.array([[op.constant_component(Cochain(cx, 0, e)) for e in np.eye(size)]])
+        if op.kind == "bogovskii":
+            R = R @ np.column_stack([op.project_admissible(Cochain(cx, k, e)).values
+                                     for e in np.eye(size)])
+        out.append(R)
+    return out
+
+
+def worst_row_sums(op):
+    return [float(np.abs(R).sum(axis=1).max()) for R in residual_matrices(op)]
+
+
+def test_residual_row_sums_stay_within_contract(ops):
+    poincare, _ = ops
+    assert max(worst_row_sums(poincare)) <= 1e-10
+
+
+def test_bogovskii_residual_row_sums_stay_within_contract(ops, jittered, request):
+    if jittered[0] == "square8":
+        # measured: ||R_1|| = 3.8e-10 and ||R_2|| = 1.6e-10, the same before
+        # and after batched assembly; the far corners of the truncated cone
+        # proxies cost digits in the clipping arithmetic
+        request.applymarker(pytest.mark.xfail(
+            strict=True, reason="truncated-cone round-off exceeds the contract"))
+    assert max(worst_row_sums(ops[1])) <= 1e-10
+
+
+HASH_SCRIPT = """
+import hashlib, sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from conftest import jitter_interior
+from decpotentials import generate_ushape_mesh, generate_square_mesh
+from test_assembly import operators
+h = hashlib.sha256()
+for name, cx in (("square8", jitter_interior(generate_square_mesh(8))),
+                 ("ushape10", jitter_interior(generate_ushape_mesh(10)))):
+    for op in operators(name, cx):
+        for k in (1, 2):
+            m = op.matrix(k)
+            for part in (m.data, m.indices, m.indptr):
+                h.update(part.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_matrix_bytes_do_not_depend_on_the_hash_seed():
+    script = HASH_SCRIPT.format(src=str(SRC), tests=str(Path(__file__).resolve().parent))
+    digests = set()
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        res = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.add(res.stdout.strip())
+    assert len(digests) == 1

@@ -342,6 +342,16 @@ def test_find_collapse_on_holed_square_is_a_precondition_error(capsys, tmp_path)
     assert "no collapse sequence" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["find-collapse", "find-strong-collapse"])
+def test_failed_search_states_the_euler_characteristic(capsys, tmp_path, command):
+    path = tmp_path / "annulus.json"
+    save_mesh_json(annulus_complex(), path)
+    code, _, err = run_cli(capsys, [command, "--mesh", str(path)])
+    assert code == 2
+    message = err_json(err)["message"]
+    assert "collapse sequence" in message and "Euler characteristic 0" in message
+
+
 def console_script_target(name):
     """The ``module:attr`` target of ``name`` in ``[project.scripts]``."""
     if sys.version_info >= (3, 11):

@@ -1,6 +1,7 @@
 """Product complexes, the extrusion chain map, and collapse searches."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -224,3 +225,25 @@ def test_sequence_files_are_pinned(tmp_path, square8, ushape10):
         save_sequence(seq, tmp_path / "seq.json")
         digests[name] = hashlib.sha256((tmp_path / "seq.json").read_bytes()).hexdigest()
     assert digests == SEQUENCE_FILE_DIGESTS
+
+
+def test_euler_characteristic_rejects_the_holed_square_at_once():
+    # a collapse keeps the homotopy type, so no search is needed to reject a
+    # complex whose Euler characteristic is not 1
+    cx = holed_square_complex()
+    assert cx.euler_characteristic() == 0
+    start = time.perf_counter()
+    assert find_collapse_sequence(cx) is None
+    assert find_strong_collapse_sequence(cx) is None
+    assert time.perf_counter() - start < 1.0
+
+
+def test_collapse_search_past_the_euler_check_stops_within_budget():
+    # a disjoint triangle lifts the holed square's Euler characteristic to 1,
+    # so the search runs: its greedy descent sticks on the cycle round the
+    # hole, and backtracking must stop at the budget without deep recursion
+    holed = holed_square_complex()
+    n = holed.vertex_count
+    cx = SimplicialComplex(holed.simplices(2) + [(n, n + 1, n + 2)])
+    assert cx.euler_characteristic() == 1
+    assert find_collapse_sequence(cx, budget=2000) is None

@@ -10,6 +10,7 @@ from decpotentials import (
     Cochain,
     ComplexPropertyOperator,
     DiscretePoincareOperator,
+    OutsideDomainError,
     PreconditionError,
     build_product_complex,
     check_base_point,
@@ -332,3 +333,22 @@ def test_complex_property_matrices_square_to_zero(collapse_op8, star_op8):
         tilde = ComplexPropertyOperator(base)
         product = abs(tilde.matrix(1) @ tilde.matrix(2))
         assert product.sum(axis=1).max() <= 1e-12, base.label
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-10])
+def test_star_operator_with_base_point_near_an_edge(square8, geom8, eps):
+    # the base point sits eps to the right of the mesh edge on x = 0.5, so the
+    # star cones over that edge are slivers of area about eps / 16; their
+    # clipped pieces carry round-off far above a sliver-relative tolerance
+    op = DiscretePoincareOperator(star_cone((0.5 + eps, 0.3), square8), geometry=geom8)
+    assert max_residual(verify_homotopy(op, trials=10)) <= 1e-10
+
+
+def test_outside_domain_error_names_the_row_and_the_missing_area(ushape10, ugeom):
+    # from the left arm of the U, star cones over edges of the right arm
+    # cross the notch
+    op = DiscretePoincareOperator(star_cone((0.15, 0.8), ushape10), geometry=ugeom)
+    with pytest.raises(OutsideDomainError,
+                       match=r"row of simplex \(\d+, \d+\): image triangle .* "
+                             r"area \d\.\d{3}e-\d+ of its"):
+        op.matrix(2)

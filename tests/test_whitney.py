@@ -98,3 +98,19 @@ def test_whitney_value_with_triangle_hint(geom2, square2):
     t = geom2.locate(p)
     assert np.allclose(whitney_value(geom2, alpha, p),
                        whitney_value(geom2, alpha, p, t))
+
+
+def test_grid_locate_matches_a_full_scan(jittered):
+    # random points in and around the domain, every vertex and every edge
+    # midpoint: on shared edges and vertices the lowest triangle index wins
+    _, cx = jittered
+    geom = MeshGeometry(cx)
+    coords = cx.coordinates
+    edges = np.array(cx.simplices(1))
+    points = np.concatenate([np.random.default_rng(11).uniform(-0.1, 1.1, (300, 2)), coords,
+                             0.5 * (coords[edges[:, 0]] + coords[edges[:, 1]])])
+    everything = np.arange(len(geom.corners))
+    for p, t in zip(points, geom.locate_all(points)):
+        hits = np.nonzero((geom.barycentric(everything, p) >= -1e-12).all(axis=1))[0]
+        assert t == (hits[0] if hits.size else -1)
+        assert geom.locate(p) == (int(hits[0]) if hits.size else None)
