@@ -62,15 +62,15 @@ class BasePointOnFacetError(PreconditionError):
 
 def check_base_point(geometry: MeshGeometry, point, tol_rel: float = 1e-12) -> None:
     """Reject base points on (or numerically on) any mesh edge."""
-    cx = geometry.complex
-    coords = cx.coordinates
     p = np.asarray(point, dtype=float)
     tol = tol_rel * geometry.diagonal
-    for u, v in cx.simplices(1):
-        if point_segment_distance(p, coords[u], coords[v]) <= tol:
-            raise BasePointOnFacetError(
-                f"base point ({p[0]:g}, {p[1]:g}) lies on edge {(u, v)} within {tol:.1e}"
-            )
+    ends = geometry.edge_coords
+    on = np.nonzero(point_segment_distance(p, ends[:, 0], ends[:, 1]) <= tol)[0]
+    if on.size:
+        raise BasePointOnFacetError(
+            f"base point ({p[0]:g}, {p[1]:g}) lies on edge "
+            f"{geometry.complex.simplices(1)[on[0]]} within {tol:.1e}"
+        )
 
 
 def _gather(table, simplices):

@@ -546,16 +546,20 @@ def integrate_whitney(geom: MeshGeometry, alpha: Cochain, chain: SingularChain, 
 # -- infinite cones ------------------------------------------------------
 
 
-def point_segment_distance(p, a, b) -> float:
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def point_segment_distance(p, a, b) -> np.ndarray:
+    """Distances from points ``p`` to segments ``a b``, row by row.
+
+    Arguments are (N, 2) arrays or single points, broadcast against each
+    other; a zero-length segment is its point.
+    """
+    p, a, b = np.broadcast_arrays(*(np.atleast_2d(np.asarray(x, dtype=float))
+                                    for x in (p, a, b)))
     d = b - a
-    denom = float(d @ d)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.clip((p - a) @ d / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * d)))
+    denom = _dot(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(_dot(p - a, d) / denom, 0.0, 1.0)
+    v = p - (a + np.where(denom == 0.0, 0.0, t)[:, None] * d)
+    return np.sqrt(_dot(v, v))
 
 
 def cone_proxies(geom: MeshGeometry, points, factor: float = 10.0):
@@ -567,15 +571,8 @@ def cone_proxies(geom: MeshGeometry, points, factor: float = 10.0):
     pts = np.asarray(points, dtype=float)
     apex = pts[:, :1]
     w = pts[:, 1:] - apex
-    if pts.shape[1] == 2:
-        foot = w[:, 0]
-    else:  # the point of the far face nearest to the apex
-        d = w[:, 1] - w[:, 0]
-        denom = _dot(d, d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.clip(_dot(-w[:, 0], d) / denom, 0.0, 1.0)
-        foot = w[:, 0] + np.where(denom == 0.0, 0.0, t)[:, None] * d
-    reach = np.sqrt(_dot(foot, foot))
+    # distance from the apex to the face opposite it
+    reach = point_segment_distance((0.0, 0.0), w[:, 0], w[:, -1])
     ok = ~_degenerate(pts) & (reach != 0.0)
     with np.errstate(divide="ignore"):
         s = np.maximum(factor * geom.diagonal / reach, 1.0)
