@@ -172,9 +172,9 @@ SEQUENCE_KINDS = {
 def _find_sequence(kind: str, cx: SimplicialComplex, terminal, **options):
     seq = SEQUENCE_KINDS[kind][1](cx, terminal=terminal, **options)
     if seq is None:
-        raise PreconditionError(f"no {kind.replace('-', ' ')} sequence found for this mesh "
-                                f"(Euler characteristic {cx.euler_characteristic()}; "
-                                f"a collapsible mesh has 1)")
+        chi = cx.euler_characteristic()
+        why = f" (Euler characteristic {chi}; a collapsible mesh has 1)" if chi != 1 else ""
+        raise PreconditionError(f"no {kind.replace('-', ' ')} sequence found for this mesh{why}")
     return seq
 
 

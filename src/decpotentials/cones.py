@@ -322,26 +322,20 @@ def validate_contraction(phi: SlabAffineContraction, complex: SimplicialComplex,
     coords = complex.coordinates
     if coords is None:
         raise ValueError("complex has no vertex coordinates")
-    vertices = [v for (v,) in complex.simplices(0)]
-    if geometry is not None:
-        # every breakpoint image and path midpoint, located in one grid probe
-        images = np.array([[phi(coords[v], t) for t in phi.breakpoints] for v in vertices])
-        mids = 0.5 * (images[:, :-1] + images[:, 1:])
-        found = geometry.locate_all(images.reshape(-1, 2), tol=1e-9).reshape(images.shape[:2])
-        mid_found = geometry.locate_all(mids.reshape(-1, 2), tol=1e-9).reshape(mids.shape[:2])
     issues = []
-    for i, v in enumerate(vertices):
+    for (v,) in complex.simplices(0):
         x = coords[v]
         if np.max(np.abs(phi(x, 1.0) - x)) > tol:
             issues.append(f"phi(vertex {v}, 1) != identity")
         if np.max(np.abs(phi(x, 0.0) - phi.point)) > tol:
             issues.append(f"phi(vertex {v}, 0) != base point")
         if geometry is not None:
-            for t, where in zip(phi.breakpoints, found[i]):
-                if where < 0:
+            images = [phi(x, t) for t in phi.breakpoints]
+            for t, p in zip(phi.breakpoints, images):
+                if geometry.locate(p, tol=1e-9) is None:
                     issues.append(f"phi(vertex {v}, {t}) leaves the mesh")
-            for where in mid_found[i]:
-                if where < 0:
+            for lo, hi in zip(images, images[1:]):
+                if geometry.locate(0.5 * (lo + hi), tol=1e-9) is None:
                     issues.append(f"interpolated path of vertex {v} leaves the mesh")
     return issues
 

@@ -9,7 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decpotentials import de_rham, load_cochain_csv, save_cochain_csv, save_mesh_json
+from decpotentials import (
+    SimplicialComplex,
+    de_rham,
+    load_cochain_csv,
+    save_cochain_csv,
+    save_mesh_json,
+)
 from decpotentials.cli import main
 
 from conftest import annulus_complex, holed_square_complex
@@ -350,6 +356,24 @@ def test_failed_search_states_the_euler_characteristic(capsys, tmp_path, command
     assert code == 2
     message = err_json(err)["message"]
     assert "collapse sequence" in message and "Euler characteristic 0" in message
+
+
+@pytest.mark.parametrize("command", ["find-collapse", "find-strong-collapse"])
+def test_failed_search_with_euler_characteristic_one_names_no_euler_cause(
+        capsys, tmp_path, command):
+    # the annulus plus a disjoint triangle has Euler characteristic 1, so the
+    # search runs and fails for another reason than the Euler characteristic
+    annulus = annulus_complex()
+    n = annulus.vertex_count
+    coords = np.vstack([annulus.coordinates[:n], [(3.0, 0.0), (4.0, 0.0), (3.0, 1.0)]])
+    cx = SimplicialComplex(annulus.simplices(2) + [(n, n + 1, n + 2)], coords)
+    assert cx.euler_characteristic() == 1
+    path = tmp_path / "two-parts.json"
+    save_mesh_json(cx, path)
+    code, _, err = run_cli(capsys, [command, "--mesh", str(path)])
+    assert code == 2
+    message = err_json(err)["message"]
+    assert "sequence found for this mesh" in message and "Euler" not in message
 
 
 def console_script_target(name):
