@@ -6,7 +6,8 @@ object "filling" it toward a distinguished point or vertex:
 * ``collapse_cone``   -- simplicial chains, from a collapse sequence;
 * ``contraction_cone``-- simplicial chains, pushing extruded prisms through a
                          discrete contraction, given as a vertex function on
-                         the product vertices;
+                         the product vertices, in the slabs where the
+                         simplex's image moves;
 * ``star_cone``       -- linear singular simplices joining a star point;
 * ``lipschitz_cone``  -- linear singular chains, pushing extruded prisms
                          through a piecewise (per-slab) contraction map;
@@ -18,15 +19,17 @@ Every simplicial cone operator Co satisfies the chain homotopy identity
 ``boundary(Co(v)) = v - a`` for vertices, exactly.  The singular analogues
 satisfy the same identities up to degenerate simplices (which integrate to
 zero and are deliberately kept in the stored chains so that formal boundary
-cancellation still works).  The prism-based cones stream
-``ProductComplex.prisms`` one base simplex at a time and never build the
-product complex.
+cancellation still works).  The prism-based cones work one base simplex at
+a time and never build the product complex: ``lipschitz_cone`` streams
+``ProductComplex.prisms``, and ``contraction_cone`` visits only the slabs in
+which a vertex of the simplex changes image, since every prism of any other
+slab is degenerate.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -138,35 +141,54 @@ def contraction_cone(psi: Callable[[int], int],
 
     ``psi`` is any function from product vertex ids to base vertices that
     is the identity at the top level and constant at level 0.  The prisms of
-    each base simplex are streamed through it: every prism's image must be
-    a simplex of the base (every product simplex is a face of a prism, so
+    each base simplex are pushed through it: every prism's image must be a
+    simplex of the base (every product simplex is a face of a prism, so
     ``psi`` is simplicial), and the non-degenerate images form the cone.
+
+    Only the slabs in which the image of one of the simplex's vertices moves
+    are visited.  In any other slab each prism repeats a vertex image, so it
+    is degenerate and its support is the simplex's image, which is constant
+    from one moving slab to the next; the first and last prisms of a moving
+    slab contain the whole image at its upper and lower level, so checking
+    the moving slabs checks every prism.
     """
     base = product.base
     top = product.n_slabs
-    vertices = [v for (v,) in base.simplices(0)]
-    ids = [product.vertex_id(v, level) for level in range(top + 1) for v in vertices]
-    images = {pv: psi(pv) for pv in ids}
-    bottom_images = {images[product.vertex_id(v, 0)] for v in vertices}
+    stride = product.stride
+    moves: dict[int, list[int]] = {}  # vertex -> slabs where its image changes
+    values: dict[int, list[int]] = {}  # vertex -> image below each move, then above the last
+    for (v,) in base.simplices(0):
+        row = [psi(product.vertex_id(v, level)) for level in range(top + 1)]
+        moves[v] = [r for r in range(top) if row[r] != row[r + 1]]
+        values[v] = [row[r] for r in moves[v]] + [row[top]]
+    bottom_images = {images[0] for images in values.values()}
     if len(bottom_images) != 1:
         raise ValueError("contraction is not constant at level 0")
-    if any(images[product.vertex_id(v, top)] != v for v in vertices):
+    if any(images[-1] != v for v, images in values.items()):
         raise ValueError("contraction is not the identity at the top level")
     (vertex,) = bottom_images
+
+    def image(v: int, level: int) -> int:
+        return values[v][bisect_left(moves[v], level)]
 
     table: dict[Simplex, Chain] = {}
     for k, simplices in base.simplices_by_dim.items():
         for s in simplices:
             out: dict[Simplex, int] = {}
-            for sign, prism in product.prisms(s):
-                image = [images[pv] for pv in prism]
-                support = tuple(sorted(set(image)))
-                if support not in base:
-                    raise ValueError(f"not a simplicial map: prism {prism} over {s} "
-                                     f"maps to {support}, which is not a base simplex")
-                if len(support) == len(image):
-                    t, perm = canonical_simplex(image)
-                    out[t] = out.get(t, 0) + perm * sign
+            for r in sorted(set().union(*(moves[v] for v in s))):
+                lo = [image(v, r) for v in s]
+                hi = [image(v, r + 1) for v in s]
+                for i in range(k + 1):
+                    prism_image = lo[: i + 1] + hi[i:]
+                    support = tuple(sorted(set(prism_image)))
+                    if support not in base:
+                        prism = tuple([r * stride + v for v in s[: i + 1]]
+                                      + [(r + 1) * stride + v for v in s[i:]])
+                        raise ValueError(f"not a simplicial map: prism {prism} over {s} "
+                                         f"maps to {support}, which is not a base simplex")
+                    if len(support) == k + 2:
+                        t, perm = canonical_simplex(prism_image)
+                        out[t] = out.get(t, 0) + perm * (-1) ** i
             table[s] = Chain(base, k + 1, out, check=False)
     return SimplicialConeOperator(base, vertex, table)
 
@@ -322,21 +344,26 @@ def validate_contraction(phi: SlabAffineContraction, complex: SimplicialComplex,
     coords = complex.coordinates
     if coords is None:
         raise ValueError("complex has no vertex coordinates")
+    vertices = [v for (v,) in complex.simplices(0)]
+    if geometry is not None:
+        # (vertex, breakpoint) images, and (vertex, slab) path midpoints,
+        # each located in one probe of the grid
+        images = np.array([[phi(coords[v], t) for t in phi.breakpoints] for v in vertices])
+        escaped = geometry.locate_all(images, tol=1e-9).reshape(images.shape[:2]) < 0
+        midpoints = 0.5 * (images[:, :-1] + images[:, 1:])
+        cut = geometry.locate_all(midpoints, tol=1e-9).reshape(midpoints.shape[:2]) < 0
     issues = []
-    for (v,) in complex.simplices(0):
+    for n, v in enumerate(vertices):
         x = coords[v]
         if np.max(np.abs(phi(x, 1.0) - x)) > tol:
             issues.append(f"phi(vertex {v}, 1) != identity")
         if np.max(np.abs(phi(x, 0.0) - phi.point)) > tol:
             issues.append(f"phi(vertex {v}, 0) != base point")
         if geometry is not None:
-            images = [phi(x, t) for t in phi.breakpoints]
-            for t, p in zip(phi.breakpoints, images):
-                if geometry.locate(p, tol=1e-9) is None:
-                    issues.append(f"phi(vertex {v}, {t}) leaves the mesh")
-            for lo, hi in zip(images, images[1:]):
-                if geometry.locate(0.5 * (lo + hi), tol=1e-9) is None:
-                    issues.append(f"interpolated path of vertex {v} leaves the mesh")
+            issues += [f"phi(vertex {v}, {t}) leaves the mesh"
+                       for t, out in zip(phi.breakpoints, escaped[n]) if out]
+            issues += [f"interpolated path of vertex {v} leaves the mesh"
+                       for out in cut[n] if out]
     return issues
 
 

@@ -19,14 +19,21 @@ each simplex's number of current cofacets; validation replays a sequence on
 the same state.  Strong collapse sequences (dominated-vertex removals) are
 searched greedily, which suffices (Barmak-Minian, DCG 2012), and found and
 validated with one local test on the full subcomplex of the vertices still
-alive.  Failed searches return ``None``.  A strong collapse sequence induces a discrete contraction: a vertex function on the
-product vertices that is the identity at the top level and constant at the
-bottom, and that is simplicial when the sequence is valid.
+alive.  Failed searches return ``None``.
+
+A strong collapse sequence induces a discrete contraction: a vertex
+function on the product vertices that is the identity at the top level and
+constant at the bottom, and that is simplicial when the sequence is valid.
+It keeps, per vertex, only the removal steps that change the vertex's image
+and the new images.  A vertex's image moves only in the slabs of those
+steps, and ``cones.contraction_cone`` visits only the slabs in which a
+vertex of the simplex at hand moves.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -353,17 +360,25 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     if top != max(m, 1):
         raise ValueError(f"sequence has {m} steps but product complex has {top} slabs")
 
-    retractions = [{v: v for (v,) in base.simplices(0)}]
-    for v, w in seq.steps:
-        prev = retractions[-1]
-        # w survives the first steps, so retracting the image through v -> w
-        # composes correctly at the vertex level
-        retractions.append({u: (w if img == v else img) for u, img in prev.items()})
-    # retractions[j] maps through the first j removals
+    # vertex u's image after the first j removals is images[u][i], where i
+    # counts the entries of steps_at[u] that are at most j
+    steps_at: dict[int, list[int]] = {}
+    images: dict[int, list[int]] = {}
+    preimages: dict[int, list[int]] = {}  # current image -> vertices mapped there
+    for (u,) in base.simplices(0):
+        steps_at[u], images[u], preimages[u] = [], [u], [u]
+    for j, (v, w) in enumerate(seq.steps, start=1):
+        # composing with the retraction v -> w moves exactly the vertices
+        # whose current image is v
+        moved = preimages.pop(v, [])
+        for u in moved:
+            steps_at[u].append(j)
+            images[u].append(w)
+        preimages.setdefault(w, []).extend(moved)
 
     def psi(product_vertex: int) -> int:
         v, level = product.vertex_level(product_vertex)
-        return retractions[min(top - level, m)][v]
+        return images[v][bisect_right(steps_at[v], min(top - level, m))]
 
     return psi
 

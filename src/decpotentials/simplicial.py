@@ -49,6 +49,41 @@ def facets_of(simplex: Simplex):
     return [simplex[:i] + simplex[i + 1:] for i in range(len(simplex))]
 
 
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _face_closure(items: list[tuple]) -> dict[int, np.ndarray]:
+    """Every face of the given simplices, as sorted distinct rows per dimension.
+
+    Each row lists a simplex's vertex ids in increasing order, and the rows
+    of one dimension are in lexicographic order.  Raises on a simplex with a
+    repeated vertex, naming the first such input.
+    """
+    lengths = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
+    if not lengths.any():
+        raise ValueError("cannot build an empty complex")
+    given: dict[int, np.ndarray] = {}
+    for n in np.unique(lengths[lengths > 0]).tolist():
+        at = np.flatnonzero(lengths == n)
+        group = np.sort(np.array([items[i] for i in at.tolist()], dtype=np.int64), axis=1)
+        if (group[:, 1:] == group[:, :-1]).any():
+            bad = next(t for t in items if len(set(t)) < len(t))
+            raise ValueError(f"repeated vertex in simplex {bad!r}")
+        given[n] = group
+    closure: dict[int, np.ndarray] = {}
+    faces = np.empty((0, max(given)), dtype=np.int64)
+    for n in range(max(given), 0, -1):
+        rows = _unique_rows(np.concatenate([faces, given[n]]) if n in given else faces)
+        closure[n - 1] = rows
+        faces = np.concatenate([np.delete(rows, i, axis=1) for i in range(n)])
+    return dict(sorted(closure.items()))
+
+
 class SimplicialComplex:
     """A finite simplicial complex, closed under taking faces.
 
@@ -61,27 +96,13 @@ class SimplicialComplex:
     """
 
     def __init__(self, simplices: Iterable[Sequence[int]], coordinates=None):
-        seen: set[Simplex] = set()
-        stack: list[Simplex] = []
-        for s in simplices:
-            t, _ = canonical_simplex(s)
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-        while stack:
-            t = stack.pop()
-            if len(t) > 1:
-                for f in facets_of(t):
-                    if f not in seen:
-                        seen.add(f)
-                        stack.append(f)
-        if not seen:
-            raise ValueError("cannot build an empty complex")
-
-        by_dim: dict[int, list[Simplex]] = {}
-        for t in seen:
-            by_dim.setdefault(len(t) - 1, []).append(t)
-        self.simplices_by_dim = {k: sorted(v) for k, v in sorted(by_dim.items())}
+        rows = _face_closure(list(map(tuple, simplices)))
+        # one int object per vertex id, shared by every tuple that names it
+        ids = rows[0][:, 0]
+        pool = np.array(ids.tolist(), dtype=object)
+        self.simplices_by_dim = {
+            k: list(zip(*pool[np.searchsorted(ids, r)].T.tolist())) for k, r in rows.items()
+        }
         self._index = {
             k: {s: i for i, s in enumerate(v)} for k, v in self.simplices_by_dim.items()
         }

@@ -1,10 +1,12 @@
 """Cone operators: collapse-based, contraction-based, star, infinite, Lipschitz."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from decpotentials import generate_square_mesh, generate_ushape_mesh
 from decpotentials.cones import (
     SlabAffineContraction,
     collapse_cone,
@@ -153,6 +155,55 @@ def test_contraction_cone_rejects_invalid_strong_collapse():
     prod = build_product_complex(cx, uniform_breakpoints(3))
     with pytest.raises(ValueError, match="simplicial"):
         contraction_cone(contraction_from_strong_collapse(seq, prod), prod)
+
+
+def test_contraction_cone_checks_the_slabs_it_skips():
+    # On the path 0-1-2-3, the image of edge (0, 1) is {0, 2}, no edge, at
+    # levels 2 to 5: slabs 2, 3 and 4, in which neither 0 nor 1 moves, so
+    # contraction_cone visits none of them.  The moving slab below them
+    # must still report the image.
+    cx = SimplicialComplex([(0, 1), (1, 2), (2, 3)])
+    levels = {0: [0, 0, 0, 0, 0, 0, 0, 0],
+              1: [0, 1, 2, 2, 2, 2, 1, 1],
+              2: [0, 1, 2, 2, 2, 2, 2, 2],
+              3: [0, 1, 2, 3, 3, 3, 3, 3]}
+    prod = build_product_complex(cx, uniform_breakpoints(7))
+
+    def psi(pv):
+        v, level = prod.vertex_level(pv)
+        return levels[v][level]
+
+    with pytest.raises(ValueError, match="not a simplicial map") as err:
+        contraction_cone(psi, prod)
+    # the same prism as when every slab was visited
+    assert str(err.value) == ("not a simplicial map: prism (4, 8, 9) over (0, 1) "
+                              "maps to (0, 2), which is not a base simplex")
+    assert tuple(sorted({psi(pv) for pv in (4, 8, 9)})) not in cx
+
+
+# sha256 of every (simplex, list(table[simplex].terms.items())) in sorted
+# simplex order, recorded before contraction_cone skipped the slabs in which
+# no vertex of a simplex moves: the same terms, in the same insertion order
+CONTRACTION_TABLE_DIGESTS = {
+    "square:8": "5c0c7ce4c24019b8e53a03a22fed9c30e206215f6427bc31c9e50e191475b553",
+    "ushape:10": "c41884881673adc86a519a286e3442dc27db1686b2eea2105c0cfbecafc77820",
+    "square:16": "2d7b931b364b8e640ef248acb2a63852d7b7df81b45a3c6fde415ccd2c4f042a",
+}
+
+
+def test_strong_collapse_cone_tables_are_pinned():
+    meshes = {"square:8": generate_square_mesh(8), "ushape:10": generate_ushape_mesh(10),
+              "square:16": generate_square_mesh(16)}
+    digests = {}
+    for name, cx in meshes.items():
+        seq = find_strong_collapse_sequence(cx)
+        prod = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
+        op = contraction_cone(contraction_from_strong_collapse(seq, prod), prod)
+        h = hashlib.sha256()
+        for s in sorted(op.table):
+            h.update(repr((s, list(op.table[s].terms.items()))).encode())
+        digests[name] = h.hexdigest()
+    assert digests == CONTRACTION_TABLE_DIGESTS
 
 
 def test_star_cone_formal_homotopy_identity(square2):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from decpotentials.homotopy import ProductComplex, uniform_breakpoints
 from decpotentials.simplicial import (
     Chain,
     Cochain,
@@ -150,3 +151,80 @@ def test_complex_requires_consistent_coordinates():
         SimplicialComplex([(0, 1, 2)], np.zeros((3, 2)))  # all vertices coincide
     with pytest.raises(ValueError):
         SimplicialComplex([(0, 1, 2)], np.array([[0.0, 0.0], [1.0, 0.0]]))  # too short
+
+
+def _closure_reference(simplices):
+    """Face closure by a pure-Python stack walk, per dimension, sorted."""
+    seen = set()
+    stack = [tuple(sorted(int(v) for v in s)) for s in simplices]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            if len(t) > 1:
+                stack.extend(facets_of(t))
+    by_dim = {}
+    for t in seen:
+        by_dim.setdefault(len(t) - 1, []).append(t)
+    return {k: sorted(v) for k, v in sorted(by_dim.items())}
+
+
+def _random_inputs(rng):
+    """Mixed dimensions, duplicates, unsorted orders, faces next to cofaces,
+    and vertex ids as Python ints, numpy ints or numpy rows."""
+    ids = rng.choice(40, size=int(rng.integers(4, 12)), replace=False)
+    out = []
+    for _ in range(int(rng.integers(1, 10))):
+        s = rng.choice(ids, size=int(rng.integers(1, min(5, len(ids)) + 1)), replace=False)
+        out.append([tuple(int(v) for v in s), list(s), s][int(rng.integers(0, 3))])
+        if rng.random() < 0.3:
+            out.append(tuple(reversed(out[-1])))  # a duplicate, reordered
+        if len(s) > 1 and rng.random() < 0.4:
+            out.append(tuple(s[1:]))  # a face given explicitly
+    rng.shuffle(out)
+    return out
+
+
+def test_closure_matches_python_reference_on_random_inputs():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        simplices = _random_inputs(rng)
+        cx = SimplicialComplex(simplices)
+        ref = _closure_reference(simplices)
+        assert cx.simplices_by_dim == ref
+        assert all(type(v) is int
+                   for sims in cx.simplices_by_dim.values() for s in sims for v in s)
+        assert cx.vertex_count == ref[0][-1][0] + 1
+
+
+def test_repeated_vertex_names_the_input_simplex():
+    with pytest.raises(ValueError, match=r"^repeated vertex in simplex \(3, 1, 3\)$"):
+        SimplicialComplex([(0, 1, 2), (2, 3), (3, 1, 3), (4, 4)])
+    with pytest.raises(ValueError, match=r"^repeated vertex in simplex \(5, 5\)$"):
+        SimplicialComplex([[0, 1, 2], [5, 5], (3, 1, 3)])
+
+
+def test_empty_input_is_rejected():
+    for empty in ([], iter(())):
+        with pytest.raises(ValueError, match="cannot build an empty complex"):
+            SimplicialComplex(empty)
+
+
+def _staircase_counts(base, m):
+    """n_k(K x I_m) = (m+1) n_k(K) + m k n_k(K) + m k n_{k-1}(K): level
+    copies, faces that split a k-face's prism, and the prisms themselves."""
+    n = [base.num_simplices(k) for k in range(base.dim + 1)] + [0]  # n[-1] == 0
+    return [(m + 1) * n[k] + m * k * n[k] + m * k * n[k - 1] for k in range(base.dim + 2)]
+
+
+def test_product_complex_counts_follow_the_staircase_formula(square8):
+    # square:8 with its strong collapse's 80 slabs is the benchmark's
+    # product complex of 141,377 simplices
+    rng = np.random.default_rng(12)
+    bases = [(square8, 80)] + [(SimplicialComplex(_random_inputs(rng)), int(rng.integers(1, 5)))
+                               for _ in range(20)]
+    for base, m in bases:
+        prod = ProductComplex(base, uniform_breakpoints(m))
+        got = [prod.complex.num_simplices(k) for k in range(base.dim + 2)]
+        assert got == _staircase_counts(base, m)
+    assert sum(_staircase_counts(square8, 80)) == 141_377
