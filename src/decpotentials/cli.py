@@ -169,12 +169,24 @@ SEQUENCE_KINDS = {
 }
 
 
-def _find_sequence(kind: str, cx: SimplicialComplex, terminal, **options):
-    seq = SEQUENCE_KINDS[kind][1](cx, terminal=terminal, **options)
+# why a search on a mesh with Euler characteristic 1 found no sequence
+SEARCH_FAILURES = {
+    "collapse": "the greedy collapse got stuck, and greedy is complete in "
+                "dimension 2, so the mesh is not collapsible",
+    "strong-collapse": "the strong-collapse core has more than one vertex, and the "
+                       "core is unique (Barmak-Minian), so the mesh is not "
+                       "strong collapsible",
+}
+
+
+def _find_sequence(kind: str, cx: SimplicialComplex, terminal):
+    seq = SEQUENCE_KINDS[kind][1](cx, terminal=terminal)
     if seq is None:
         chi = cx.euler_characteristic()
-        why = f" (Euler characteristic {chi}; a collapsible mesh has 1)" if chi != 1 else ""
-        raise PreconditionError(f"no {kind.replace('-', ' ')} sequence found for this mesh{why}")
+        why = (f"Euler characteristic {chi}; a collapsible mesh has 1" if chi != 1
+               else SEARCH_FAILURES[kind])
+        raise PreconditionError(
+            f"no {kind.replace('-', ' ')} sequence found for this mesh ({why})")
     return seq
 
 
@@ -349,8 +361,7 @@ def cmd_potential(args) -> int:
 def cmd_find_sequence(args, kind: str) -> int:
     """find-collapse / find-strong-collapse: search, save, report."""
     cx = load_mesh(args.mesh)
-    options = {"budget": args.budget} if "budget" in args else {}
-    seq = _find_sequence(kind, cx, args.terminal_vertex, **options)
+    seq = _find_sequence(kind, cx, args.terminal_vertex)
     if args.out:
         save_sequence(seq, args.out)
     _emit({
@@ -422,9 +433,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-collapse", help="search for a collapse sequence")
     _add_mesh(p)
     p.add_argument("--terminal-vertex", type=int, default=None)
-    p.add_argument("--budget", type=int, default=100_000,
-                   help="states the search may expand after its greedy first "
-                        "descent gets stuck")
     p.add_argument("--out", default=None, help="write the sequence JSON here")
     p.set_defaults(func=functools.partial(cmd_find_sequence, kind="collapse"))
 

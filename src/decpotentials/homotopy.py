@@ -13,13 +13,16 @@ end inclusions it satisfies the prism identity
 exactly, in integer arithmetic.  ``ProductComplex.prisms`` yields the prisms
 of one base simplex; the product complex itself is built only on request.
 
-Collapse sequences (free-face removals) are found by one depth-first
-search whose first descent is the greedy collapse, over a state that keeps
-each simplex's number of current cofacets; validation replays a sequence on
-the same state.  Strong collapse sequences (dominated-vertex removals) are
-searched greedily, which suffices (Barmak-Minian, DCG 2012), and found and
-validated with one local test on the full subcomplex of the vertices still
-alive.  Failed searches return ``None``.
+Collapse sequences (free-face removals) are found by one greedy pass that
+pops free faces from a heap, largest dimension first, over a state that
+keeps each simplex's number of current cofacets; validation replays a
+sequence on the same state.  Greedy is exact in dimension <= 2: it gets
+stuck only on complexes that are not collapsible; in dimension >= 3 it can
+get stuck on a collapsible one.  Strong collapse sequences
+(dominated-vertex removals) are searched greedily, which suffices
+(Barmak-Minian, DCG 2012), and found and validated with one local test on
+the full subcomplex of the vertices still alive.  Failed searches return
+``None``.
 
 A strong collapse sequence induces a discrete contraction: a vertex
 function on the product vertices that is the identity at the top level and
@@ -32,6 +35,7 @@ vertex of the simplex at hand moves.
 
 from __future__ import annotations
 
+import heapq
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -168,80 +172,58 @@ class _CollapseState:
     """A closed simplex set under collapse, with each simplex's number of
     current cofacets.
 
-    A face is free when its count is 1.  Removing a free pair, or putting it
-    back, changes only the counts of the pair's facets, and the set of free
-    faces and a bit mask of the removed simplices are kept up to date.
+    A face is free when its count is 1.  Removing a free pair changes only
+    the counts of the pair's facets.
     """
 
     def __init__(self, complex: SimplicialComplex):
-        self.bit = {s: i for i, s in enumerate(
-            s for sims in complex.simplices_by_dim.values() for s in sims)}
-        self.current = set(self.bit)
-        self.removed = 0
+        self.current = {s for sims in complex.simplices_by_dim.values() for s in sims}
         self.count = {s: len(complex.cofacets(s)) for s in self.current}
-        self.free = {s for s, n in self.count.items() if n == 1}
 
-    def toggle(self, sigma: Simplex, tau: Simplex) -> None:
-        """Remove the free pair (sigma, tau), or put it back if removed."""
-        self.current ^= {sigma, tau}
-        self.removed ^= (1 << self.bit[sigma]) | (1 << self.bit[tau])
-        delta = 1 if sigma in self.current else -1
+    def remove(self, sigma: Simplex, tau: Simplex) -> list[Simplex]:
+        """Remove the free pair (sigma, tau); return the faces it freed."""
+        self.current -= {sigma, tau}
+        freed = []
         for f in facets_of(sigma) + (facets_of(tau) if len(tau) > 1 else []):
-            n = self.count[f] = self.count[f] + delta
+            n = self.count[f] = self.count[f] - 1
             if n == 1:
-                self.free.add(f)
-            else:
-                self.free.discard(f)
+                freed.append(f)
+        return freed
 
 
-def find_collapse_sequence(complex: SimplicialComplex, terminal: int | None = None,
-                           budget: int = 100_000) -> CollapseSequence | None:
-    """Search for a full collapse to a vertex; None when none is found.
+def find_collapse_sequence(complex: SimplicialComplex,
+                           terminal: int | None = None) -> CollapseSequence | None:
+    """Greedily collapse to a vertex; None when the greedy collapse gets stuck.
 
-    One depth-first search over removal orders.  In every state it tries the
-    free faces largest dimension first, breaking ties lexicographically, so
-    its first descent is the greedy collapse.  If that descent gets stuck,
-    the search backtracks and skips states already found to be dead ends.
-    The first descent is free; after it every state the search expands
-    counts, and it gives up once more than ``budget`` states were expanded.
-    A collapse keeps the homotopy type, so a complex whose Euler
-    characteristic is not 1 returns None before any search.
+    Each step removes the free face of largest dimension, breaking ties
+    lexicographically, together with its only cofacet.  A free face stays
+    free until its cofacet is removed, so a greedy collapse that gets stuck
+    has removed every top-dimensional simplex that any collapse removes.
+    In dimension <= 2 what is left is then a graph with no free vertex but
+    the terminal, which collapses only if it is a single vertex: greedy
+    finds a collapse exactly when one exists.  In dimension >= 3 it can get
+    stuck on a collapsible complex (Benedetti-Lutz 2014).  A collapse keeps
+    the homotopy type, so a complex whose Euler characteristic is not 1
+    returns None at once.
     """
     if terminal is not None and (terminal,) not in complex:
         raise ValueError(f"terminal vertex {terminal} not in complex")
     if complex.euler_characteristic() != 1:
         return None
     state = _CollapseState(complex)
-
-    def candidates() -> list[Simplex]:
-        # least preferred first, so that pop() takes the preferred face
-        return sorted((f for f in state.free if f != (terminal,)),
-                      key=lambda f: (-len(f), f), reverse=True)
-
+    heap = [(-len(f), f) for f, n in state.count.items() if n == 1]
+    heapq.heapify(heap)
     steps: list[tuple[Simplex, Simplex]] = []
-    untried = [candidates()]  # per state on the path
-    dead: set[int] = set()  # removed-simplex masks of exhausted states
-    expanded = None  # None until the first dead end
-    while len(state.current) > 1:
-        if not untried[-1]:
-            untried.pop()
-            if not steps:
-                return None
-            dead.add(state.removed)
-            state.toggle(*steps.pop())
-            expanded = expanded or 0
+    while heap:
+        _, tau = heapq.heappop(heap)
+        if state.count[tau] != 1 or tau == (terminal,):  # removed or no longer free
             continue
-        tau = untried[-1].pop()
-        steps.append((next(s for s in complex.cofacets(tau) if s in state.current), tau))
-        state.toggle(*steps[-1])
-        if len(state.current) > 1 and expanded is not None:
-            if state.removed in dead:
-                state.toggle(*steps.pop())
-                continue
-            expanded += 1
-            if expanded > budget:
-                return None
-        untried.append(candidates())
+        sigma = next(s for s in complex.cofacets(tau) if s in state.current)
+        steps.append((sigma, tau))
+        for f in state.remove(sigma, tau):
+            heapq.heappush(heap, (-len(f), f))
+    if len(state.current) > 1:
+        return None
     ((last,),) = state.current
     return CollapseSequence(complex, steps, last)
 
@@ -253,7 +235,7 @@ def validate_collapse_sequence(seq: CollapseSequence) -> bool:
         if not (tau in state.current and sigma in state.current and state.count[tau] == 1
                 and len(sigma) == len(tau) + 1 and set(tau) < set(sigma)):
             return False
-        state.toggle(sigma, tau)
+        state.remove(sigma, tau)
     return state.current == {(seq.terminal,)}
 
 

@@ -359,16 +359,6 @@ def pairing(cochain: Cochain, chain: Chain):
     return total
 
 
-def has_zero_trace(cochain: Cochain, tol: float = 0.0) -> bool:
-    """True when the cochain vanishes (within tol) on all boundary simplices."""
-    cx = cochain.complex
-    rim = cx.boundary_simplices(cochain.dim)
-    if not rim:
-        return True
-    vals = cochain.values
-    return all(abs(vals[cx.index(s)]) <= tol for s in rim)
-
-
 # -- simplicial maps -----------------------------------------------------
 
 

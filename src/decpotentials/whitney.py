@@ -243,15 +243,6 @@ def whitney_value(geom: MeshGeometry, alpha: Cochain, point, triangle: int | Non
     raise ValueError(f"no Whitney form in dimension {k}")
 
 
-def whitney_field(geom: MeshGeometry, alpha: Cochain) -> Callable:
-    """Pointwise-evaluating closure over the Whitney interpolant."""
-
-    def field(point):
-        return whitney_value(geom, alpha, point)
-
-    return field
-
-
 def de_rham(complex: SimplicialComplex, field: Callable, k: int) -> Cochain:
     """Integrate a smooth field over every canonical k-simplex.
 

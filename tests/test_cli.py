@@ -339,13 +339,29 @@ def test_find_collapse_fails_on_annulus(capsys, tmp_path):
 def test_find_collapse_on_holed_square_is_a_precondition_error(capsys, tmp_path):
     path = tmp_path / "holed.json"
     save_mesh_json(holed_square_complex(), path)
-    code, out, err = run_cli(
-        capsys, ["find-collapse", "--mesh", str(path), "--budget", "2000"]
-    )
+    code, out, err = run_cli(capsys, ["find-collapse", "--mesh", str(path)])
     assert code == 2 and out == ""
     error = err_json(err)
     assert error["type"] == "PreconditionError"
     assert "no collapse sequence" in error["message"]
+
+
+def test_find_collapse_past_the_euler_check_says_the_mesh_is_not_collapsible(
+        capsys, tmp_path):
+    # a disjoint triangle lifts the holed square's Euler characteristic to 1;
+    # the greedy collapse gets stuck on the cycle round the hole
+    holed = holed_square_complex()
+    n = holed.vertex_count
+    coords = np.vstack([holed.coordinates[:n], [(2.0, 0.0), (3.0, 0.0), (2.0, 1.0)]])
+    cx = SimplicialComplex(holed.simplices(2) + [(n, n + 1, n + 2)], coords)
+    assert cx.euler_characteristic() == 1
+    path = tmp_path / "holed-plus-triangle.json"
+    save_mesh_json(cx, path)
+    code, out, err = run_cli(capsys, ["find-collapse", "--mesh", str(path)])
+    assert code == 2 and out == ""
+    error = err_json(err)
+    assert error["type"] == "PreconditionError"
+    assert "not collapsible" in error["message"]
 
 
 @pytest.mark.parametrize("command", ["find-collapse", "find-strong-collapse"])

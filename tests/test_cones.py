@@ -48,8 +48,8 @@ def _random_collapsible(rng, rounds=8):
     pool = {(0,)}
     for new in range(1, rounds + 1):
         s = sorted(pool)[rng.integers(0, len(pool))]
-        if len(s) >= 3:  # cap the new simplex at dimension 3
-            keep = sorted(rng.choice(len(s), size=2, replace=False))
+        if len(s) >= 4:  # cap the new simplex at dimension 3
+            keep = sorted(rng.choice(len(s), size=3, replace=False))
             s = tuple(s[int(i)] for i in keep)
         glued = tuple(sorted((*s, new)))
         for r in range(1, len(glued) + 1):

@@ -1,6 +1,7 @@
 """Product complexes, the extrusion chain map, and collapse searches."""
 
 import hashlib
+import itertools
 import time
 
 import numpy as np
@@ -21,7 +22,7 @@ from decpotentials.homotopy import (
     validate_strong_collapse_sequence,
 )
 from decpotentials.simplicial import Chain, SimplicialComplex, boundary, induced_chain_map
-from decpotentials.meshes import vertex_at
+from decpotentials.meshes import generate_square_mesh, generate_ushape_mesh, vertex_at
 from conftest import annulus_complex, holed_square_complex
 
 
@@ -108,16 +109,58 @@ def test_collapse_fails_on_annulus():
     assert find_collapse_sequence(cx) is None
 
 
-def test_collapse_budget_exhaustion_returns_none():
-    cx = annulus_complex(with_coords=False)
-    assert find_collapse_sequence(cx, budget=10) is None
-
-
 def test_collapse_search_on_holed_square_returns_none():
-    # the greedy descent is about 1,700 steps long before it gets stuck on a
-    # cycle around the hole; backtracking from there must neither recurse
-    # that deep nor run past the budget
-    assert find_collapse_sequence(holed_square_complex(), budget=2000) is None
+    assert find_collapse_sequence(holed_square_complex()) is None
+
+
+def _collapsible_by_exhaustive_search(cx):
+    """Whether some order of free-pair removals ends at one vertex: every
+    free pair is tried in every state, with a memo of the states reached."""
+    simplices = [s for sims in cx.simplices_by_dim.values() for s in sims]
+    cofacets = {s: cx.cofacets(s) for s in simplices}
+    memo = {}
+
+    def search(current):
+        if len(current) == 1:
+            return True
+        if current not in memo:
+            memo[current] = any(
+                search(current - {tau, cofaces[0]})
+                for tau in current
+                for cofaces in [[s for s in cofacets[tau] if s in current]]
+                if len(cofaces) == 1)
+        return memo[current]
+
+    return search(frozenset(simplices))
+
+
+def _random_euler_one_2_complex(rng):
+    while True:
+        n = int(rng.integers(5, 9))
+        triples = list(itertools.combinations(range(n), 3))
+        size = min(int(rng.integers(3, 15)), len(triples))
+        picks = rng.choice(len(triples), size=size, replace=False)
+        triangles = [triples[i] for i in picks]
+        relabel = {v: i for i, v in enumerate(sorted({v for t in triangles for v in t}))}
+        cx = SimplicialComplex([tuple(relabel[v] for v in t) for t in triangles])
+        if cx.euler_characteristic() == 1:
+            return cx
+
+
+def test_greedy_collapse_agrees_with_exhaustive_search_in_dimension_2():
+    # greedy collapse is complete for 2-complexes: it finds a collapse
+    # exactly when some removal order reaches a vertex
+    rng = np.random.default_rng(8)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        cx = _random_euler_one_2_complex(rng)
+        collapsible = _collapsible_by_exhaustive_search(cx)
+        seq = find_collapse_sequence(cx)
+        assert (seq is not None) == collapsible
+        if seq is not None:
+            assert validate_collapse_sequence(seq)
+        outcomes[collapsible] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
 
 
 def test_validate_rejects_corrupt_sequence(square1):
@@ -200,11 +243,17 @@ def test_ushape_strong_collapse_step_count(ushape10):
 
 
 # sha256 of save_sequence output, recorded before the searches were rewritten
-# around incremental coface counts and alive-vertex stars
+# around incremental coface counts and alive-vertex stars; the square:16,
+# square:32 and ushape:20 entries were recorded before the backtracking
+# collapse search became one greedy pass
 SEQUENCE_FILE_DIGESTS = {
     "collapse square:8": "ce2016abe3e14dba55e687aa2268d9f7a5b34962e3dffba9c07d53d926c3c4ef",
     "collapse square:8 at 0": "7a0fd66a1aa2ad42839cd7378f1d3ada35d3c3286374183b85cf697d3541fee6",
     "collapse ushape:10": "f545bf8675e277e045140863ee6a3e514015087625f136d8b29f493b4bd3172f",
+    "collapse square:16": "fc7f650da11c84f69d4f111205fba43dc920a4b118796f10282d13c9eb776b93",
+    "collapse square:16 at 0": "6940f6880871a1756c88b97afe16ffa68a0e1032026ff445c01dd9fdf415c44b",
+    "collapse square:32": "030338f0659d8d1242f3efe01c451fa68f1b9c5dce01c64b95ec9c657ebf169a",
+    "collapse ushape:20": "7e8d9c677be2dd08b58adc9e2ea24663e8c6e4b9ec7bb836f5293d563eeff5dd",
     "strong square:8": "c53fda55712e43c04b45085c97b00523c076c5a5907983ac304b59e9ee99b41b",
     "strong ushape:10 at (0, 0)":
         "ca8c418b07adec44a35b12339d3a7c2411ecb3143631ebec01cda844c6795fb9",
@@ -212,10 +261,15 @@ SEQUENCE_FILE_DIGESTS = {
 
 
 def test_sequence_files_are_pinned(tmp_path, square8, ushape10):
+    square16, square32 = generate_square_mesh(16), generate_square_mesh(32)
     sequences = {
         "collapse square:8": find_collapse_sequence(square8),
         "collapse square:8 at 0": find_collapse_sequence(square8, terminal=0),
         "collapse ushape:10": find_collapse_sequence(ushape10),
+        "collapse square:16": find_collapse_sequence(square16),
+        "collapse square:16 at 0": find_collapse_sequence(square16, terminal=0),
+        "collapse square:32": find_collapse_sequence(square32),
+        "collapse ushape:20": find_collapse_sequence(generate_ushape_mesh(20)),
         "strong square:8": find_strong_collapse_sequence(square8),
         "strong ushape:10 at (0, 0)": find_strong_collapse_sequence(
             ushape10, terminal=vertex_at(ushape10, (0.0, 0.0))),
@@ -238,12 +292,12 @@ def test_euler_characteristic_rejects_the_holed_square_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-def test_collapse_search_past_the_euler_check_stops_within_budget():
+def test_collapse_search_past_the_euler_check_gets_stuck():
     # a disjoint triangle lifts the holed square's Euler characteristic to 1,
-    # so the search runs: its greedy descent sticks on the cycle round the
-    # hole, and backtracking must stop at the budget without deep recursion
+    # so the search runs: the greedy collapse sticks on the cycle round the
+    # hole
     holed = holed_square_complex()
     n = holed.vertex_count
     cx = SimplicialComplex(holed.simplices(2) + [(n, n + 1, n + 2)])
     assert cx.euler_characteristic() == 1
-    assert find_collapse_sequence(cx, budget=2000) is None
+    assert find_collapse_sequence(cx) is None

@@ -13,7 +13,6 @@ from decpotentials.simplicial import (
     canonical_simplex,
     coboundary,
     facets_of,
-    has_zero_trace,
     induced_chain_map,
     pairing,
     validate_simplicial_map,
@@ -98,15 +97,6 @@ def test_euler_characteristic_and_boundary(square2):
 def test_cofacets(square2):
     assert square2.cofacets((0, 1)) == [(0, 1, 4)]
     assert len(square2.cofacets((0, 4))) == 2
-
-
-def test_has_zero_trace(square2):
-    values = np.ones(square2.num_simplices(1))
-    alpha = Cochain(square2, 1, values)
-    assert not has_zero_trace(alpha)
-    for s in square2.boundary_simplices(1):
-        values[square2.index(s)] = 0.0
-    assert has_zero_trace(Cochain(square2, 1, values))
 
 
 def test_chain_algebra(square2):
