@@ -230,9 +230,7 @@ def build_operator(args, cx: SimplicialComplex, geometry: MeshGeometry | None):
         base = DiscretePoincareOperator(cone, geometry, label="lipschitz")
     elif op == "bogovskii":
         point = _parse_point(_require(args.point, "point", op))
-        base = BogovskiiOperator(
-            point, cx, geometry, truncation_factor=args.truncation_factor
-        )
+        base = BogovskiiOperator(point, cx, geometry)
     else:
         raise PreconditionError(f"unknown operator {op!r}")
 
@@ -392,7 +390,7 @@ def _add_operator_args(p):
     p.add_argument("--sequence", default=None,
                    help="reuse a saved collapse / strong-collapse sequence file")
     p.add_argument("--truncation-factor", type=float, default=10.0,
-                   help="proxy-simplex reach multiplier for infinite cones")
+                   help="ignored: bogovskii integrals are exact, with no truncation")
     p.add_argument("--complex-property", action="store_true",
                    help="replace P by P - dPP (kills the double potential)")
     p.add_argument("--tolerance", type=float, default=None,

@@ -11,8 +11,8 @@ object "filling" it toward a distinguished point or vertex:
 * ``star_cone``       -- linear singular simplices joining a star point;
 * ``lipschitz_cone``  -- linear singular chains, pushing extruded prisms
                          through a piecewise (per-slab) contraction map;
-* ``infinite_cone``   -- infinite cones from a base point, used by operators
-                         that must preserve boundary traces.
+* ``infinite_cone``   -- infinite cones from a base point;
+* ``shadow_cone``     -- star cone minus infinite cone, as bounded shadows.
 
 Every simplicial cone operator Co satisfies the chain homotopy identity
 ``boundary(Co(c)) + Co(boundary(c)) = c`` in dimensions >= 1 and
@@ -47,7 +47,7 @@ from .simplicial import (
     canonical_simplex,
     facets_of,
 )
-from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain
+from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain, shadow_pieces
 
 
 class _ConeOperatorBase:
@@ -226,6 +226,21 @@ def infinite_cone(point, complex: SimplicialComplex) -> InfiniteConeOperator:
             cone = InfiniteCone.from_points([a, *(coords[v] for v in s)])
             table[s] = ConeChain(k + 1, [(1, cone)])
     return InfiniteConeOperator(complex, a, table)
+
+
+def shadow_cone(point, complex: SimplicialComplex, geometry) -> SingularConeOperator:
+    """Star cone minus infinite cone from a base point: every vertex and edge
+    maps to its negated shadow pieces (``singular.shadow_pieces``)."""
+    a = np.asarray(point, dtype=float)
+    table: dict[Simplex, SingularChain] = {}
+    for k in range(complex.dim):
+        simplices = complex.simplices(k)
+        owner, pieces = shadow_pieces(geometry, [[a, *complex.coordinates[list(s)]]
+                                                 for s in simplices])
+        table.update((s, SingularChain(k + 1, [])) for s in simplices)
+        for i, piece in zip(owner.tolist(), pieces.tolist()):
+            table[simplices[i]].terms.append((-1, LinearSimplex(tuple(map(tuple, piece)))))
+    return SingularConeOperator(complex, a, table)
 
 
 class SlabAffineContraction:

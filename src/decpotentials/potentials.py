@@ -19,13 +19,14 @@ for combinatorial operators and the interpolated value at the base point for
 Whitney ones.
 
 Two operators are built from the same representation.  The trace-preserving
-``BogovskiiOperator`` takes as row the star-cone row minus the infinite-cone
-row.  Its admissible inputs have vanishing boundary trace (vanishing mean in
-top degree); on them the identity holds with pi = 0, and the outputs again
-have vanishing trace.  Its base point must not meet any codimension-1
-simplex.  ``ComplexPropertyOperator`` holds the matrices of ``P - d P P``,
-formed once from its base operator's; they satisfy the same identity and
-square to zero.
+``BogovskiiOperator`` is the Whitney kind over ``shadow_cone``: its row, the
+star-cone row minus the infinite-cone row, is minus the integral over the
+bounded shadow beyond the simplex.  Its admissible inputs have vanishing
+boundary trace (vanishing mean in top degree); on them the identity holds
+with pi = 0, and the outputs again have vanishing trace.  Its base point
+must not meet any codimension-1 simplex.  ``ComplexPropertyOperator`` holds
+the matrices of ``P - d P P``, formed once from its base operator's; they
+satisfy the same identity and square to zero.
 
 ``verify_homotopy`` estimates the identity's residual on seeded random
 cochains and reports per-degree maxima; everything is deterministic given
@@ -39,15 +40,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .cones import (
-    InfiniteConeOperator,
-    SimplicialConeOperator,
-    SingularConeOperator,
-    infinite_cone,
-    star_cone,
-)
+from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary
-from .singular import cone_proxies, functional_matrix, point_segment_distance
+from .singular import functional_matrix, point_segment_distance
 from .whitney import MeshGeometry, whitney_value
 
 
@@ -75,12 +70,8 @@ def check_base_point(geometry: MeshGeometry, point, tol_rel: float = 1e-12) -> N
 
 def _gather(table, simplices):
     """(row, coefficient, points) arrays of the chain terms of each simplex."""
-    rows, coeffs, points = [], [], []
-    for i, s in enumerate(simplices):
-        for c, simplex in table[s].terms:
-            rows.append(i)
-            coeffs.append(c)
-            points.append(simplex.points)
+    terms = [(i, c, x.points) for i, s in enumerate(simplices) for c, x in table[s].terms]
+    rows, coeffs, points = zip(*terms) if terms else ((), (), ())
     return np.array(rows, dtype=np.int64), np.array(coeffs, dtype=float), np.array(points)
 
 
@@ -101,10 +92,6 @@ class DiscretePoincareOperator:
         self.label = label or self.kind
         self._matrices: dict[int, sp.csr_matrix] = {}
 
-    def _singular_terms(self, simplices):
-        """(row, coefficient, points) arrays of the singular cones of the rows."""
-        return _gather(self.cone.table, simplices)
-
     def matrix(self, k: int) -> sp.csr_matrix:
         """Sparse matrix of P on k-cochains, shape (num (k-1)-simplices, num k)."""
         if not 1 <= k <= self.complex.dim:
@@ -124,7 +111,7 @@ class DiscretePoincareOperator:
                 m = sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=shape)
             else:
                 # every row's singular cone, integrated in one batched pass
-                m = functional_matrix(self.geometry, k, *self._singular_terms(simplices),
+                m = functional_matrix(self.geometry, k, *_gather(self.cone.table, simplices),
                                       shape[0], allow_exterior=self.kind == "bogovskii",
                                       describe=lambda i: f"row of simplex {simplices[i]}")
             self._matrices[k] = m
@@ -182,30 +169,19 @@ class BogovskiiOperator(DiscretePoincareOperator):
     """Trace-preserving potential operator from a base point.
 
     The value on a (k-1)-simplex is the integral of the Whitney interpolant
-    over the finite join minus the integral over the infinite cone; for
-    simplices on the boundary the two coincide and the trace vanishes.
+    over the finite join minus that over the infinite cone: minus that over
+    the shadow beyond the simplex (``shadow_cone``), which for a boundary
+    simplex of a domain star-shaped about the point lies off the domain, so
+    the trace vanishes.  ``truncation_factor`` is accepted and ignored.
     """
 
     def __init__(self, point, complex: SimplicialComplex,
                  geometry: MeshGeometry | None = None,
-                 truncation_factor: float = 10.0, label: str = "bogovskii"):
+                 truncation_factor: float | None = None, label: str = "bogovskii"):
         geometry = geometry or MeshGeometry(complex)
         check_base_point(geometry, point)
-        self.point = np.asarray(point, dtype=float)
-        self.truncation_factor = truncation_factor
-        self.star: SingularConeOperator = star_cone(self.point, complex)
-        self.infinite: InfiniteConeOperator = infinite_cone(self.point, complex)
-        super().__init__(self.star, geometry, label)
+        super().__init__(shadow_cone(point, complex, geometry), geometry, label)
         self.kind = "bogovskii"
-
-    def _singular_terms(self, simplices):
-        """Star-cone terms, then the truncated infinite cones with the opposite sign."""
-        rows, coeffs, points = _gather(self.star.table, simplices)
-        cone_rows, cone_coeffs, cones = _gather(self.infinite.table, simplices)
-        proxies, ok = cone_proxies(self.geometry, cones, self.truncation_factor)
-        return (np.concatenate([rows, cone_rows[ok]]),
-                np.concatenate([coeffs, -cone_coeffs[ok]]),
-                np.concatenate([points, proxies[ok]]))
 
     def constant_component(self, alpha: Cochain) -> float:
         """Zero: on admissible inputs the identity has no constant term."""

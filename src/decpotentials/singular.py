@@ -23,11 +23,11 @@ clipped against each mesh triangle by a batched Sutherland-Hodgman and
 weighted by the signed overlap area.  A chunk holds about CHUNK_PAIRS grid
 candidates, which bounds the memory of every pass.  Pieces outside the mesh
 integrate to zero for segments and are an error for triangles unless
-explicitly allowed (infinite cones integrate compactly supported data, so
-their truncated images may overhang the mesh).  The coverage test compares
-the uncovered area with COVERAGE_TOL times the mesh area, not with the
-image's own area, so a thin image near an edge is not rejected for the
-round-off of its clipped pieces.
+explicitly allowed (an infinite cone is its star simplex, which may overhang
+the mesh, plus its shadow cut off exactly by the mesh bounding box).  The
+coverage test compares the uncovered area with COVERAGE_TOL times the mesh
+area, not with the image's own area, so a thin image near an edge is not
+rejected for the round-off of its clipped pieces.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class InfiniteCone:
     @property
     def apex(self) -> Point:
         return self.points[0]
-
-    def array(self) -> np.ndarray:
-        return np.array(self.points, dtype=float)
 
 
 class _FormalChain:
@@ -221,20 +218,20 @@ def is_degenerate(points, tol: float = DEGENERACY_TOL) -> bool:
 # -- polygon clipping ----------------------------------------------------
 
 
-def _clip(xy: np.ndarray, n: np.ndarray, clipper: np.ndarray):
-    """Sutherland-Hodgman over a batch of polygon pairs.
+def _clip(xy: np.ndarray, n: np.ndarray, sides: np.ndarray):
+    """Sutherland-Hodgman over a batch of polygons, each against half-planes.
 
-    Polygon i is the first ``n[i]`` points of ``xy[i]``; it is clipped
-    against the convex CCW polygon ``clipper[i]``.  Returns the clipped
+    Polygon i is the first ``n[i]`` points of ``xy[i]``; it is clipped in
+    turn against the half-planes ``sides[i, j] = (start, end)``, each the
+    points on or left of the line from start to end.  Returns the clipped
     polygons in the same padded layout.  Every row does the arithmetic of a
     scalar clip in the same order, so a batch of one is that clip.
     """
     rows = np.arange(len(xy))
-    cp1 = clipper[:, -1]
-    for j in range(clipper.shape[1]):
+    for j in range(sides.shape[1]):
         if xy.shape[1] == 0:
             break
-        cp2 = clipper[:, j]
+        cp1, cp2 = sides[:, j, 0], sides[:, j, 1]
         ex = (cp2[:, 0] - cp1[:, 0])[:, None]
         ey = (cp2[:, 1] - cp1[:, 1])[:, None]
         dist = ex * (xy[..., 1] - cp1[:, None, 1]) - ey * (xy[..., 0] - cp1[:, None, 0])
@@ -257,8 +254,12 @@ def _clip(xy: np.ndarray, n: np.ndarray, clipper: np.ndarray):
         t = (d_s[r, c] / (d_s[r, c] - dist[r, c]))[:, None]
         out[r, end[r, c] - 1 - keep[r, c]] = s + t * (e - s)
         xy = out
-        cp1 = cp2
     return xy, n
+
+
+def _sides(poly: np.ndarray) -> np.ndarray:
+    """Half-planes of convex CCW polygons, one per edge, the closing edge first."""
+    return np.stack([np.roll(poly, 1, axis=1), poly], axis=2)
 
 
 def _areas(xy: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -289,7 +290,7 @@ def clip_polygon(subject, clipper):
     test and for the crossing, so an edge whose ends test differently always
     has a crossing parameter in [0, 1].
     """
-    xy, n = _clip(*_polygon(subject), np.asarray(clipper, dtype=float)[None])
+    xy, n = _clip(*_polygon(subject), _sides(np.asarray(clipper, dtype=float)[None]))
     return [_point_tuple(p) for p in xy[0, :n[0]]]
 
 
@@ -438,8 +439,9 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     e2 = pts[:, 2] - pts[:, 0]
     area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     sign = np.where(area > 0, 1.0, -1.0)
+    sides = _sides(geom.ccw_corners)
     for first, stop, sub, tri in _pairs(geom, pts, rows):
-        xy, n = _clip(pts[sub], np.full(len(sub), 3), geom.ccw_corners[tri])
+        xy, n = _clip(pts[sub], np.full(len(sub), 3), sides[tri])
         overlap = np.abs(_areas(xy, n))
         hit = overlap != 0.0
         sub, tri, overlap = sub[hit], tri[hit], overlap[hit]
@@ -562,48 +564,56 @@ def point_segment_distance(p, a, b) -> np.ndarray:
     return np.sqrt(_dot(v, v))
 
 
-def cone_proxies(geom: MeshGeometry, points, factor: float = 10.0):
-    """Finite proxy simplices of infinite cones (see ``truncate_cone``).
+def shadow_pieces(geom: MeshGeometry, points):
+    """(cone index, points) of the pieces of the shadows {p + t (x - p) : t >= 1}
+    of infinite cones, apex p first in ``points``, shape (S, k + 1, 2), k = 1, 2.
 
-    ``points`` has shape (S, k + 1, 2), apex first.  Returns the proxy
-    points in the same shape and a mask of the cones that have a proxy.
-    """
+    Vertex v: the segment from v to where the ray p -> v leaves the mesh
+    bounding box (a slab clip).  Edge ab: the box clipped by the wedge sides
+    through p and line ab, fanned into triangles oriented like (p, a, b).
+    All points lie in the box.  Degenerate cones have no pieces."""
     pts = np.asarray(points, dtype=float)
-    apex = pts[:, :1]
-    w = pts[:, 1:] - apex
-    # distance from the apex to the face opposite it
-    reach = point_segment_distance((0.0, 0.0), w[:, 0], w[:, -1])
-    ok = ~_degenerate(pts) & (reach != 0.0)
-    with np.errstate(divide="ignore"):
-        s = np.maximum(factor * geom.diagonal / reach, 1.0)
-    return np.concatenate([apex, apex + s[:, None, None] * w], axis=1), ok
+    keep = np.nonzero(~_degenerate(pts))[0]
+    pts = pts[keep]
+    p, lo, hi = pts[:, 0], geom.bbox_min, geom.bbox_max
+    if pts.shape[1] == 2:
+        v, d = pts[:, 1], pts[:, 1] - p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # per axis, the ray's parameter range in the slab lo..hi
+            t0, t1 = (lo - p) / d, (hi - p) / d
+            enter = np.where(d == 0.0, np.where((lo <= p) & (p <= hi), -np.inf, np.inf),
+                             np.minimum(t0, t1)).max(axis=1)
+            leave = np.where(d == 0.0, np.inf, np.maximum(t0, t1)).min(axis=1)
+            start = np.where((enter <= 1.0)[:, None], v, p + enter[:, None] * d)
+            ends = np.stack([start, p + leave[:, None] * d], axis=1)
+        ok = leave > np.maximum(enter, 1.0)
+        return keep[ok], np.clip(ends[ok], lo, hi)
+    e = pts[:, 1:] - p[:, None]
+    ccw = (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] > 0)[:, None]
+    u, w = np.where(ccw[..., None], pts[:, 1:], pts[:, :0:-1]).transpose(1, 0, 2)
+    sides = np.stack([np.stack(pair, axis=1) for pair in ((p, u), (w, p), (w, u))], axis=1)
+    box = np.array([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
+    xy, n = _clip(np.broadcast_to(box, (len(pts), 4, 2)), np.full(len(pts), 4), sides)
+    # fan triangles (q_0, q_c+1, q_c+2) with c + 2 < n, ordered like (p, a, b)
+    owner, c = np.nonzero(np.arange(2, max(xy.shape[1], 2)) < n[:, None])
+    q, r, turn = xy[owner, c + 1], xy[owner, c + 2], ccw[owner]
+    return keep[owner], np.stack([xy[owner, 0 * c], np.where(turn, q, r),
+                                  np.where(turn, r, q)], axis=1).reshape(-1, 3, 2)
 
 
-def truncate_cone(geom: MeshGeometry, cone: InfiniteCone,
-                  factor: float = 10.0) -> LinearSimplex | None:
-    """Finite proxy simplex whose integral equals the cone's.
-
-    Non-apex points are pushed out radially by a common scale chosen so the
-    truncation face stays at least ``factor`` mesh diagonals away from the
-    apex; since the mesh (and hence the integrand's support) sits well inside
-    that radius, the clipped integral is independent of the scale.  Returns
-    None for degenerate cones, which integrate to zero.
-    """
-    proxy, ok = cone_proxies(geom, [cone.points], factor)
-    return LinearSimplex.from_points(proxy[0]) if ok[0] else None
-
-
-def cone_functional(geom: MeshGeometry, cone: InfiniteCone,
-                    factor: float = 10.0) -> dict[int, float]:
-    """Functional row for a single infinite cone (via its truncated proxy)."""
-    return cone_chain_functional(geom, ConeChain(cone.dim, [(1, cone)]), factor)
+def cone_functional(geom: MeshGeometry, cone: InfiniteCone) -> dict[int, float]:
+    """Functional row for a single infinite cone."""
+    return cone_chain_functional(geom, ConeChain(cone.dim, [(1, cone)]))
 
 
 def cone_chain_functional(geom: MeshGeometry, chain: ConeChain,
-                          factor: float = 10.0) -> dict[int, float]:
-    """Functional row for a chain of infinite cones, via their proxies."""
+                          factor: float | None = None) -> dict[int, float]:
+    """Exact functional row for a chain of infinite cones: each is its star
+    simplex plus its shadow pieces.  ``factor`` is accepted and ignored."""
     if not chain.terms:
         return {}
-    proxy, ok = cone_proxies(geom, [s.points for _, s in chain.terms], factor)
     coeffs = np.array([c for c, _ in chain.terms], dtype=float)
-    return _row(geom, chain.dim, coeffs[ok], proxy[ok], True)
+    pts = np.array([s.points for _, s in chain.terms], dtype=float)
+    owner, pieces = shadow_pieces(geom, pts)
+    return _row(geom, chain.dim, np.concatenate([coeffs, coeffs[owner]]),
+                np.concatenate([pts, pieces]), True)

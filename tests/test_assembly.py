@@ -11,6 +11,7 @@ versions.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from decpotentials import (
+    BasePointOnFacetError,
     BogovskiiOperator,
     Cochain,
     DiscretePoincareOperator,
@@ -27,7 +29,7 @@ from decpotentials import (
     lipschitz_cone,
     star_cone,
 )
-from decpotentials.singular import chain_functional, cone_chain_functional, truncate_cone
+from decpotentials.singular import chain_functional
 
 GAUSS = ((0.5 - 0.5 * np.sqrt(0.6), 5 / 18), (0.5, 8 / 18), (0.5 + 0.5 * np.sqrt(0.6), 5 / 18))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -143,14 +145,7 @@ def operators(name, cx):
 
 def terms_of(op, s):
     """(coefficient, points) of the singular terms of simplex s's row."""
-    if op.kind != "bogovskii":
-        return [(c, t.points) for c, t in op.cone.table[s].terms]
-    out = [(c, t.points) for c, t in op.star.table[s].terms]
-    for c, cone in op.infinite.table[s].terms:
-        proxy = truncate_cone(op.geometry, cone, op.truncation_factor)
-        if proxy is not None:
-            out.append((-c, proxy.points))
-    return out
+    return [(c, t.points) for c, t in op.cone.table[s].terms]
 
 
 def test_rows_match_the_loop_reference(ops):
@@ -172,16 +167,9 @@ def test_rows_match_the_batch_of_one_functionals(ops):
             m = op.matrix(k).toarray()
             for i, s in enumerate(cx.simplices(k - 1)):
                 row = np.zeros(cx.num_simplices(k))
-                if op.kind == "bogovskii":
-                    for j, w in chain_functional(op.geometry, op.star.table[s],
-                                                 allow_exterior=True).items():
-                        row[j] += w
-                    for j, w in cone_chain_functional(op.geometry, op.infinite.table[s],
-                                                      op.truncation_factor).items():
-                        row[j] -= w
-                else:
-                    for j, w in chain_functional(op.geometry, op.cone.table[s]).items():
-                        row[j] += w
+                for j, w in chain_functional(op.geometry, op.cone.table[s],
+                                             allow_exterior=op.kind == "bogovskii").items():
+                    row[j] += w
                 assert np.max(np.abs(m[i] - row)) <= 1e-13, (op.label, k, s)
 
 
@@ -217,14 +205,31 @@ def test_residual_row_sums_stay_within_contract(ops):
     assert max(worst_row_sums(poincare)) <= 1e-10
 
 
-def test_bogovskii_residual_row_sums_stay_within_contract(ops, jittered, request):
-    if jittered[0] == "square8":
-        # measured: ||R_1|| = 3.8e-10 and ||R_2|| = 1.6e-10, the same before
-        # and after batched assembly; the far corners of the truncated cone
-        # proxies cost digits in the clipping arithmetic
-        request.applymarker(pytest.mark.xfail(
-            strict=True, reason="truncated-cone round-off exceeds the contract"))
+def test_bogovskii_residual_row_sums_stay_within_contract(ops):
     assert max(worst_row_sums(ops[1])) <= 1e-10
+
+
+# base points just above a horizontal mesh edge of square:8 and ushape:10
+NEAR_EDGE = {"square8": (0.5123, 0.5), "ushape10": (0.1623, 0.2)}
+
+
+@pytest.mark.parametrize("j", range(4, 12))
+@pytest.mark.parametrize("name", sorted(NEAR_EDGE))
+def test_bogovskii_contract_holds_near_an_edge(name, j, request):
+    x, y = NEAR_EDGE[name]
+    op = BogovskiiOperator((x, y + 10.0 ** -j), request.getfixturevalue(name))
+    assert max(worst_row_sums(op)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_EDGE))
+def test_base_point_within_the_gate_names_the_edge(name, request):
+    cx = request.getfixturevalue(name)
+    x, y = NEAR_EDGE[name]
+    ends = {s: cx.coordinates[list(s)] for s in cx.simplices(1)}
+    (edge,) = [s for s, e in ends.items()
+               if e[0, 1] == e[1, 1] == y and min(e[:, 0]) < x < max(e[:, 0])]
+    with pytest.raises(BasePointOnFacetError, match=re.escape(f"lies on edge {edge}")):
+        BogovskiiOperator((x, y + 1e-12), cx)
 
 
 HASH_SCRIPT = """

@@ -113,6 +113,15 @@ def test_verify_report_is_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_truncation_factor_is_an_accepted_no_op(capsys, tmp_path):
+    argv = ["verify", "--mesh", "builtin:square:4", "--op", "bogovskii",
+            "--point", "0.52,0.51", "--trials", "4"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(capsys, argv + ["--report", str(a)])[0] == 0
+    assert run_cli(capsys, argv + ["--truncation-factor", "50", "--report", str(b)])[0] == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_verify_strong_collapse(capsys):
     code, out, _ = run_cli(
         capsys,

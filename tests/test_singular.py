@@ -22,7 +22,6 @@ from decpotentials.singular import (
     segment_functional,
     singular_boundary,
     triangle_functional,
-    truncate_cone,
 )
 from conftest import random_cochain
 
@@ -170,34 +169,60 @@ def test_exterior_segment_contributes_nothing(geom2):
     assert row == {}
 
 
-def test_truncate_cone_scale_invariance(square2, geom2):
-    rng = np.random.default_rng(9)
-    alpha = random_cochain(square2, 2, rng)
-    apex = np.array([0.52, 0.51])
+def wedge_row(geom, p, a, b):
+    """Reference row of the infinite cone (p, a, b), one mesh triangle at a time.
+
+    Each triangle is clipped by the wedge's two half-planes through p (a
+    scalar Sutherland-Hodgman) and weighted by its overlap area, with the
+    sign of the cone's orientation.
+    """
+    det = (a[0] - p[0]) * (b[1] - p[1]) - (a[1] - p[1]) * (b[0] - p[0])
+    if det == 0.0:
+        return {}
+    u, w = (a, b) if det > 0 else (b, a)
+    row = {}
+    for t, corners in enumerate(geom.corners):
+        poly = [tuple(c) for c in corners]
+        for c1, c2 in ((p, u), (w, p)):  # keep the points left of c1 -> c2
+            dist = [(c2[0] - c1[0]) * (q[1] - c1[1]) - (c2[1] - c1[1]) * (q[0] - c1[0])
+                    for q in poly]
+            out = []
+            for i, (q, d) in enumerate(zip(poly, dist)):
+                r, dr = poly[i - 1], dist[i - 1]
+                if (d >= 0.0) != (dr >= 0.0):
+                    f = dr / (dr - d)
+                    out.append((r[0] + f * (q[0] - r[0]), r[1] + f * (q[1] - r[1])))
+                if d >= 0.0:
+                    out.append(q)
+            poly = out
+        area = abs(0.5 * sum(x0 * y1 - x1 * y0
+                             for (x0, y0), (x1, y1) in zip(poly[-1:] + poly[:-1], poly)))
+        if area > 0.0:
+            row[t] = float(np.sign(det)) * area / geom.signed_area[t]
+    return row
+
+
+@pytest.mark.parametrize("apex", [(0.52, 0.51), (1.7, 1.3), (1.5, 0.5)],
+                         ids=["inside", "outside", "collinear"])
+def test_cone_functional_matches_the_clipped_wedge(square2, geom2, apex):
+    # the cone is its star triangle plus its shadow inside the bounding box;
+    # the reference clips the whole wedge instead
+    collinear = 0
     for s in square2.simplices(1):
-        cone = InfiniteCone.from_points(
-            [apex, *(square2.coordinates[v] for v in s)])
-        r10 = cone_functional(geom2, cone, 10.0)
-        r23 = cone_functional(geom2, cone, 23.0)
-        v10 = sum(alpha.values[i] * w for i, w in r10.items())
-        v23 = sum(alpha.values[i] * w for i, w in r23.items())
-        # far-proxy clipping leaves a little more roundoff than the
-        # crossing-split segments do
-        assert abs(v10 - v23) < 1e-12
-
-
-def test_truncation_reaches_past_the_support(square2, geom2):
-    # wide-angle cone: every proxy corner is far outside the mesh
-    apex = np.array([0.52, 0.51])
-    cone = InfiniteCone.from_points([apex, [0.5, 0.625], [0.625, 0.5]])
-    proxy = truncate_cone(geom2, cone)
-    for p in proxy.array()[1:]:
-        assert np.linalg.norm(p - apex) >= 10.0 * geom2.diagonal - 1e-9
+        a, b = (tuple(square2.coordinates[v]) for v in s)
+        row = cone_functional(geom2, InfiniteCone((apex, a, b)))
+        ref = wedge_row(geom2, apex, a, b)
+        if not ref:
+            collinear += 1
+            assert row == {}
+        for t in set(row) | set(ref):
+            assert abs(row.get(t, 0.0) - ref.get(t, 0.0)) < 1e-13, (apex, s, t)
+    # only the edges on the line y = 0.5 are collinear with (1.5, 0.5)
+    assert collinear == (2 if apex == (1.5, 0.5) else 0)
 
 
 def test_degenerate_cone_integrates_to_zero(geom2):
     cone = InfiniteCone(((0.25, 2.0), (0.25, 0.5), (0.25, 1.0)))  # collinear
-    assert truncate_cone(geom2, cone) is None
     assert cone_functional(geom2, cone) == {}
 
 
