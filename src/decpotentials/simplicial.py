@@ -109,6 +109,7 @@ class SimplicialComplex:
         self._cofacets: dict[Simplex, list[Simplex]] | None = None
         self._coboundary: dict[int, sp.csr_matrix] = {}
         self._boundary_simplices: dict[int, list[Simplex]] = {}
+        self._boundary_indices: dict[int, np.ndarray] = {}
 
         self.vertex_count = self.simplices_by_dim[0][-1][0] + 1
         if coordinates is not None:
@@ -193,6 +194,15 @@ class SimplicialComplex:
                 level = {f for s in level for f in facets_of(s)}
                 self._boundary_simplices[d] = sorted(level)
         return self._boundary_simplices[k]
+
+    def boundary_indices(self, k: int) -> np.ndarray:
+        """Positions of ``boundary_simplices(k)`` in the degree-k ordering."""
+        if k not in self._boundary_indices:
+            index = self._index.get(k, {})
+            rows = np.array([index[s] for s in self.boundary_simplices(k)], dtype=np.intp)
+            rows.setflags(write=False)
+            self._boundary_indices[k] = rows
+        return self._boundary_indices[k]
 
     def coboundary_matrix(self, k: int) -> sp.csr_matrix:
         """Signed incidence matrix of shape (num (k+1)-simplices, num k-simplices)."""

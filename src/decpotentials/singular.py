@@ -571,7 +571,7 @@ def shadow_pieces(geom: MeshGeometry, points):
     Vertex v: the segment from v to where the ray p -> v leaves the mesh
     bounding box (a slab clip).  Edge ab: the box clipped by the wedge sides
     through p and line ab, fanned into triangles oriented like (p, a, b).
-    All points lie in the box.  Degenerate cones have no pieces."""
+    All points lie in the box.  Degenerate cones and pieces are dropped."""
     pts = np.asarray(points, dtype=float)
     keep = np.nonzero(~_degenerate(pts))[0]
     pts = pts[keep]
@@ -587,18 +587,23 @@ def shadow_pieces(geom: MeshGeometry, points):
             start = np.where((enter <= 1.0)[:, None], v, p + enter[:, None] * d)
             ends = np.stack([start, p + leave[:, None] * d], axis=1)
         ok = leave > np.maximum(enter, 1.0)
-        return keep[ok], np.clip(ends[ok], lo, hi)
-    e = pts[:, 1:] - p[:, None]
-    ccw = (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] > 0)[:, None]
-    u, w = np.where(ccw[..., None], pts[:, 1:], pts[:, :0:-1]).transpose(1, 0, 2)
-    sides = np.stack([np.stack(pair, axis=1) for pair in ((p, u), (w, p), (w, u))], axis=1)
-    box = np.array([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
-    xy, n = _clip(np.broadcast_to(box, (len(pts), 4, 2)), np.full(len(pts), 4), sides)
-    # fan triangles (q_0, q_c+1, q_c+2) with c + 2 < n, ordered like (p, a, b)
-    owner, c = np.nonzero(np.arange(2, max(xy.shape[1], 2)) < n[:, None])
-    q, r, turn = xy[owner, c + 1], xy[owner, c + 2], ccw[owner]
-    return keep[owner], np.stack([xy[owner, 0 * c], np.where(turn, q, r),
-                                  np.where(turn, r, q)], axis=1).reshape(-1, 3, 2)
+        owner, pieces = keep[ok], np.clip(ends[ok], lo, hi)
+    else:
+        e = pts[:, 1:] - p[:, None]
+        ccw = (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] > 0)[:, None]
+        u, w = np.where(ccw[..., None], pts[:, 1:], pts[:, :0:-1]).transpose(1, 0, 2)
+        sides = np.stack([np.stack(pair, axis=1) for pair in ((p, u), (w, p), (w, u))], axis=1)
+        box = np.array([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
+        xy, n = _clip(np.broadcast_to(box, (len(pts), 4, 2)), np.full(len(pts), 4), sides)
+        # fan triangles (q_0, q_c+1, q_c+2) with c + 2 < n, ordered like (p, a, b)
+        at, c = np.nonzero(np.arange(2, max(xy.shape[1], 2)) < n[:, None])
+        q, r, turn = xy[at, c + 1], xy[at, c + 2], ccw[at]
+        owner, pieces = keep[at], np.stack([xy[at, 0 * c], np.where(turn, q, r),
+                                            np.where(turn, r, q)], axis=1).reshape(-1, 3, 2)
+    # clipping can leave repeated or collinear polygon points, whose fan
+    # triangles have no area
+    good = ~_degenerate(pieces)
+    return owner[good], pieces[good]
 
 
 def cone_functional(geom: MeshGeometry, cone: InfiniteCone) -> dict[int, float]:

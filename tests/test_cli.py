@@ -222,6 +222,65 @@ def test_complex_property_flag(capsys):
     assert "complex-property" in err_json(err)["message"]
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_needs_at_least_one_trial(capsys, tmp_path, trials):
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--mesh", "builtin:square:2", "--op", "collapse",
+         "--trials", trials, "--report", str(report)],
+    )
+    assert code == 2
+    assert out == ""
+    assert "--trials" in err_json(err)["message"]
+    assert not report.exists()
+
+
+# every operator on square:4, its report written to a directory; prints the
+# sha256 of each report
+REPORTS_SCRIPT = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from pathlib import Path
+sys.path.insert(0, {src!r})
+from decpotentials.cli import main
+out = Path(sys.argv[1])
+runs = {{
+    "collapse": ["--op", "collapse"],
+    "collapse-cp": ["--op", "collapse", "--complex-property"],
+    "strong-collapse": ["--op", "strong-collapse"],
+    "star": ["--op", "star", "--point", "0.52,0.51"],
+    "star-cp": ["--op", "star", "--point", "0.52,0.51", "--complex-property"],
+    "lipschitz": ["--op", "lipschitz", "--contraction", "straight-line",
+                  "--point", "0.52,0.51"],
+    "bogovskii": ["--op", "bogovskii", "--point", "0.52,0.51"],
+}}
+digests = {{}}
+for name, args in runs.items():
+    path = out / (name + ".json")
+    with redirect_stdout(io.StringIO()):
+        code = main(["verify", "--mesh", "builtin:square:4", *args, "--trials", "6",
+                     "--report", str(path)])
+    assert code == 0, name
+    digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps(digests, sort_keys=True))
+"""
+
+
+def test_verify_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    script = REPORTS_SCRIPT.format(src=str(REPO / "src"))
+    digests = []
+    for seed in ("0", "4242"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        res = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                             check=True, capture_output=True, text=True, timeout=300)
+        digests.append(json.loads(res.stdout))
+    assert len(digests[0]) == 7
+    assert digests[0] == digests[1]
+
+
 def test_potential_writes_all_outputs(capsys, tmp_path, square2):
     def run_into(d):
         d.mkdir(exist_ok=True)

@@ -1,5 +1,7 @@
 """Potential operators: matrices, homotopy identities, trace preservation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -19,16 +21,22 @@ from decpotentials import (
     contraction_cone,
     contraction_from_strong_collapse,
     find_collapse_sequence,
+    SlabAffineContraction,
     find_strong_collapse_sequence,
     generate_square_mesh,
+    generate_ushape_mesh,
     homotopy_residual,
+    lipschitz_cone,
     max_residual,
     star_cone,
     uniform_breakpoints,
     verify_homotopy,
+    whitney_value,
 )
+from decpotentials import potentials
+from decpotentials.cli import main
 
-from conftest import random_cochain
+from conftest import jitter_interior, random_cochain
 
 
 @pytest.fixture(scope="module")
@@ -352,3 +360,175 @@ def test_outside_domain_error_names_the_row_and_the_missing_area(ushape10, ugeom
                        match=r"row of simplex \(\d+, \d+\): image triangle .* "
                              r"area \d\.\d{3}e-\d+ of its"):
         op.matrix(2)
+
+
+# -- batched verification against the trial-by-trial loop it replaced --------
+#
+# The loop below is verify_homotopy as it was before trials were evaluated in
+# blocks: per trial one Cochain, its projection, and one mat-vec per term.  It
+# shares no code with the block kernel beyond the matrices, so equality of
+# the reports (dicts of floats) means every trial's residual kept its bits.
+
+
+def loop_project(op, alpha):
+    if not isinstance(op, BogovskiiOperator):
+        return alpha
+    cx = op.complex
+    values = np.array(alpha.values, dtype=float)
+    if alpha.dim == cx.dim:
+        c = float(alpha.values @ op.geometry.orientation) / op.geometry.total_area
+        values = values - c * op.geometry.signed_area
+    else:
+        for s in cx.boundary_simplices(alpha.dim):
+            values[cx.index(s)] = 0.0
+    return Cochain(cx, alpha.dim, values)
+
+
+def loop_pi(op, alpha):
+    if isinstance(op, BogovskiiOperator):
+        return 0.0
+    if op.kind == "combinatorial":
+        return float(alpha.values[op.complex.index((op.cone.vertex,))])
+    t = op.geometry.locate(op.cone.point)
+    return float(whitney_value(op.geometry, alpha, op.cone.point, t))
+
+
+def loop_residual(op, alpha):
+    cx = op.complex
+    k = alpha.dim
+    if k == 0:
+        r = op.matrix(1) @ coboundary(alpha).values - alpha.values
+        return r + loop_pi(op, alpha)
+    dp = coboundary(Cochain(cx, k - 1, op.matrix(k) @ alpha.values)).values
+    if k == cx.dim:
+        return dp - alpha.values
+    return dp + op.matrix(k + 1) @ coboundary(alpha).values - alpha.values
+
+
+def loop_verify(op, ks=None, trials=100, seed=0):
+    cx = op.complex
+    per_k = {}
+    for k in range(cx.dim + 1) if ks is None else ks:
+        worst = 0.0
+        total = 0.0
+        for trial in range(trials):
+            rng = np.random.default_rng((seed, k, trial))
+            alpha = Cochain(cx, k, rng.uniform(-1.0, 1.0, cx.num_simplices(k)))
+            r = loop_residual(op, loop_project(op, alpha))
+            m = float(np.max(np.abs(r))) if r.size else 0.0
+            worst = max(worst, m)
+            total += m
+        per_k[str(k)] = {"max": worst, "mean": total / trials}
+    return {"operator": op.label, "trials": trials, "seed": seed, "per_k": per_k}
+
+
+def every_operator(cx, square: bool):
+    """Collapse, strong collapse, star (square only), Lipschitz, Bogovskii,
+    and P - dPP of collapse and star, all assembled."""
+    seq = find_strong_collapse_sequence(cx)
+    product = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
+    collapse = DiscretePoincareOperator(collapse_cone(find_collapse_sequence(cx)),
+                                        label="collapse")
+    ops = [collapse, ComplexPropertyOperator(collapse), DiscretePoincareOperator(
+        contraction_cone(contraction_from_strong_collapse(seq, product), product),
+        label="strong-collapse")]
+    if square:
+        star = DiscretePoincareOperator(star_cone((0.52, 0.51), cx), label="star")
+        phi = SlabAffineContraction.straight_line((0.52, 0.51))
+        ops += [star, ComplexPropertyOperator(star)]
+    else:
+        phi = SlabAffineContraction.ushape((0.2, 0.2))
+    ops.append(DiscretePoincareOperator(lipschitz_cone(phi, cx), label="lipschitz"))
+    ops.append(BogovskiiOperator((0.52, 0.51) if square else (0.152, 0.151), cx))
+    return ops
+
+
+@pytest.fixture(scope="module", params=["square8", "ushape10", "jittered-square8",
+                                        "jittered-ushape10"])
+def every_op(request):
+    square = "square" in request.param
+    cx = generate_square_mesh(8) if square else generate_ushape_mesh(10)
+    if request.param.startswith("jittered"):
+        cx = jitter_interior(cx)
+    return every_operator(cx, square)
+
+
+def test_verify_reports_equal_the_trial_loop(every_op):
+    for op in every_op:
+        assert verify_homotopy(op, trials=7, seed=3) == loop_verify(op, trials=7, seed=3), \
+            op.label
+        for ks in ([1], [0, 2], [2, 1]):
+            assert verify_homotopy(op, ks=ks, trials=1, seed=5) == \
+                loop_verify(op, ks=ks, trials=1, seed=5), (op.label, ks)
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_verify_reports_do_not_depend_on_the_block_width(every_op, monkeypatch, columns):
+    # blocks of 1 and of 3 columns: 7 trials split into 7, and into 3 + 3 + 1
+    cx = every_op[0].complex
+    largest = max(map(len, cx.simplices_by_dim.values()))
+    monkeypatch.setattr(potentials, "BLOCK_ENTRIES", columns * largest)
+    for op in every_op:
+        assert verify_homotopy(op, trials=7, seed=1) == loop_verify(op, trials=7, seed=1), \
+            op.label
+
+
+def test_homotopy_residual_is_bitwise_the_loop_residual(every_op):
+    rng = np.random.default_rng(11)
+    for op in every_op:
+        cx = op.complex
+        for k in range(cx.dim + 1):
+            alpha = loop_project(op, random_cochain(cx, k, rng))
+            got = homotopy_residual(op, alpha)
+            assert got.tobytes() == loop_residual(op, alpha).tobytes(), (op.label, k)
+            if k == 0:
+                assert op.constant_component(alpha) == loop_pi(op, alpha), op.label
+
+
+def test_projection_of_raw_cochains_is_bitwise_the_loop_projection(every_op):
+    rng = np.random.default_rng(12)
+    bogovskii = every_op[-1]
+    cx = bogovskii.complex
+    for k in range(cx.dim + 1):
+        alpha = random_cochain(cx, k, rng)
+        got = bogovskii.project_admissible(alpha).values
+        assert got.tobytes() == loop_project(bogovskii, alpha).values.tobytes(), k
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_needs_at_least_one_trial(collapse_op2, trials):
+    with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+        verify_homotopy(collapse_op2, trials=trials)
+
+
+def test_verify_rejects_a_degree_outside_the_complex(collapse_op2):
+    with pytest.raises(ValueError, match="degrees 0..2, got 3"):
+        verify_homotopy(collapse_op2, ks=[3], trials=1)
+
+
+# sha256 of `decpot verify --mesh builtin:square:8 --trials 10 --report`,
+# recorded with the trial-by-trial loop, before trials were evaluated in blocks
+REPORT_DIGESTS = {
+    "collapse": "ceb8b92e828ef9a8e49dc39a2cb5e5dc898cca3793eb5a709e420ecdfeccddc7",
+    "strong-collapse": "f7fe5f1b4acf8e14f323046f1952f132573c18e17149ac99c278ad9a4e26ec5c",
+    "star": "1ca688f0064572ab4c3c7e360c26c57475b8f9cff7423fdf568d9fb42c9f659c",
+    "lipschitz": "0964b694bf964d958e8515d6d38c6e6fc4d30e8ce0881417402a694f6a3f4ab2",
+    "bogovskii": "428ba3577f78a74f9b6d41a64d15dc6ff387a6b085d0ddcfb63174bebdf0f2a3",
+}
+REPORT_ARGS = {
+    "collapse": [],
+    "strong-collapse": [],
+    "star": ["--point", "0.52,0.51"],
+    "lipschitz": ["--contraction", "straight-line", "--point", "0.52,0.51"],
+    "bogovskii": ["--point", "0.52,0.51"],
+}
+
+
+@pytest.mark.parametrize("op", sorted(REPORT_DIGESTS))
+def test_verify_report_bytes_are_pinned(op, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["verify", "--mesh", "builtin:square:8", "--op", op, *REPORT_ARGS[op],
+            "--trials", "10", "--report", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_DIGESTS[op]

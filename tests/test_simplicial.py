@@ -94,6 +94,15 @@ def test_euler_characteristic_and_boundary(square2):
     assert interior == [4]
 
 
+def test_boundary_indices_locate_the_boundary_simplices(square2):
+    for k in range(square2.dim + 1):
+        rows = square2.boundary_indices(k)
+        assert rows.tolist() == [square2.index(s) for s in square2.boundary_simplices(k)]
+        assert rows is square2.boundary_indices(k)
+        assert not rows.flags.writeable
+    assert square2.boundary_indices(2).size == 0
+
+
 def test_cofacets(square2):
     assert square2.cofacets((0, 1)) == [(0, 1, 4)]
     assert len(square2.cofacets((0, 4))) == 2

@@ -1,8 +1,11 @@
 """Singular chains, degeneracy, clipping, and the planar integration engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from decpotentials import BogovskiiOperator, generate_square_mesh, generate_ushape_mesh
 from decpotentials.simplicial import Chain, pairing
 from decpotentials.singular import (
     ConeChain,
@@ -235,3 +238,39 @@ def test_chain_functional_combines_terms(square2, geom2):
     row = chain_functional(geom2, chain)
     val = sum(alpha.values[i] * w for i, w in row.items())
     assert abs(val - (2 * alpha.values[0] - alpha.values[1])) < 1e-13
+
+
+SHADOW_MESHES = {"square:8": lambda: generate_square_mesh(8),
+                 "square:16": lambda: generate_square_mesh(16),
+                 "ushape:20": lambda: generate_ushape_mesh(20)}
+
+# sha256 of the data, indices and indptr of Bogovskii matrix(1) and matrix(2)
+# at (0.152, 0.151), recorded while shadow_pieces still emitted fan triangles
+# of zero area (functional_matrix dropped them)
+SHADOW_MATRIX_DIGESTS = {
+    "square:8": "a2e19804237183636f613c0a0c24fdc63a87478873637a7b5ac4de805cf3e2be",
+    "square:16": "5ffe1186a47e1da9c7f18c75ac7dcbe0abc696157642a5ccc7df37cde18f8a81",
+    "ushape:20": "94458851932de3ec367eed4a5feb25806eff1b0ca596f6a6c7b883be4ebb3d7b",
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SHADOW_MESHES))
+def shadow_op(request):
+    return request.param, BogovskiiOperator((0.152, 0.151), SHADOW_MESHES[request.param]())
+
+
+def test_shadow_cone_stores_no_degenerate_piece(shadow_op):
+    _, op = shadow_op
+    pieces = [s.points for chain in op.cone.table.values() for _, s in chain.terms]
+    assert pieces
+    assert not [p for p in pieces if is_degenerate(p)]
+
+
+def test_shadow_matrices_keep_their_bits(shadow_op):
+    name, op = shadow_op
+    h = hashlib.sha256()
+    for k in (1, 2):
+        m = op.matrix(k)
+        for part in (m.data, m.indices, m.indptr):
+            h.update(part.tobytes())
+    assert h.hexdigest() == SHADOW_MATRIX_DIGESTS[name]
