@@ -11,7 +11,8 @@ end inclusions it satisfies the prism identity
     boundary(E(c)) + E(boundary(c)) = j1(c) - j0(c)
 
 exactly, in integer arithmetic.  ``ProductComplex.prisms`` yields the prisms
-of one base simplex; the product complex itself is built only on request.
+of one base simplex.  The product complex itself is built only on request,
+from one numpy array of prisms per base dimension.
 
 Collapse sequences (free-face removals) are found by one greedy pass that
 pops free faces from a heap, largest dimension first, over a state that
@@ -42,6 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .simplicial import (
     Chain,
     Simplex,
@@ -67,8 +70,8 @@ def checked_breakpoints(breakpoints: Sequence[float]) -> tuple[float, ...]:
 class ProductComplex:
     """Staircase product of a base complex with a subdivided interval.
 
-    Stores only the base, breakpoints and vertex stride; ``complex``, ``j0``
-    and ``j1`` are built from ``prisms`` on first access and cached.
+    Stores only the base, breakpoints and vertex stride; ``complex`` (closed
+    from arrays of prisms), ``j0`` and ``j1`` are built on first use and cached.
     """
 
     def __init__(self, base: SimplicialComplex, breakpoints: Sequence[float]):
@@ -103,12 +106,15 @@ class ProductComplex:
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        return SimplicialComplex(
-            prism
-            for simplices in self.base.simplices_by_dim.values()
-            for s in simplices
-            for _, prism in self.prisms(s)
-        )
+        # prism i of a row in slab r: v_0..v_i at level r, v_i..v_{n-1} at r + 1
+        levels = np.arange(self.n_slabs, dtype=np.int64)[:, None, None, None]
+        prisms = []
+        for rows in self.base._rows.values():
+            n = rows.shape[1]
+            up = np.arange(n + 1) > np.arange(n)[:, None]
+            prisms.append(((levels + up) * self.stride + rows[:, np.arange(n + 1) - up])
+                          .reshape(-1, n + 1))
+        return SimplicialComplex.from_rows(prisms)
 
     @cached_property
     def j0(self) -> SimplicialMap:

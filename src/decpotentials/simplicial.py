@@ -1,10 +1,12 @@
 """Oriented simplicial complexes with chain and cochain algebra.
 
-Simplices are stored canonically as strictly increasing tuples of integer
-vertex ids.  Any other vertex ordering is converted on the fly and picks up
-the parity sign of the sorting permutation.  Chains are sparse signed
-combinations of canonical simplices; cochains are dense value arrays indexed
-by the complex's deterministic (lexicographic) simplex ordering.
+A complex keeps one integer array per dimension, a row of strictly increasing
+vertex ids per simplex, rows in lexicographic order; the canonical simplex
+tuples and their index are built from the rows on first use.  Any other
+vertex ordering is converted on the fly and picks up the parity sign of the
+sorting permutation.  Chains are sparse signed combinations of canonical
+simplices; cochains are dense value arrays indexed by the complex's
+deterministic (lexicographic) simplex ordering.
 
 Coefficient arithmetic is whatever the inputs carry: integer chains stay
 integer, so the structural identities (double boundary, double coboundary,
@@ -14,6 +16,7 @@ prism-style cancellations) can be checked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,28 +60,28 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-def _face_closure(items: list[tuple]) -> dict[int, np.ndarray]:
+def _face_closure(groups: Iterable[np.ndarray], items=()) -> dict[int, np.ndarray]:
     """Every face of the given simplices, as sorted distinct rows per dimension.
 
-    Each row lists a simplex's vertex ids in increasing order, and the rows
-    of one dimension are in lexicographic order.  Raises on a simplex with a
-    repeated vertex, naming the first such input.
+    Each group is an integer array with one simplex per row, in any vertex
+    order.  Raises on a row with a repeated vertex, naming the first of
+    ``items`` that has one, or else that row as given.
     """
-    lengths = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
-    if not lengths.any():
+    given: dict[int, list[np.ndarray]] = {}
+    for group in groups:
+        rows = np.sort(group, axis=1)
+        bad = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+        if bad.size:
+            name = next((t for t in items if len(set(t)) < len(t)), tuple(group[bad[0]].tolist()))
+            raise ValueError(f"repeated vertex in simplex {name!r}")
+        if rows.size:
+            given.setdefault(rows.shape[1], []).append(rows)
+    if not given:
         raise ValueError("cannot build an empty complex")
-    given: dict[int, np.ndarray] = {}
-    for n in np.unique(lengths[lengths > 0]).tolist():
-        at = np.flatnonzero(lengths == n)
-        group = np.sort(np.array([items[i] for i in at.tolist()], dtype=np.int64), axis=1)
-        if (group[:, 1:] == group[:, :-1]).any():
-            bad = next(t for t in items if len(set(t)) < len(t))
-            raise ValueError(f"repeated vertex in simplex {bad!r}")
-        given[n] = group
     closure: dict[int, np.ndarray] = {}
     faces = np.empty((0, max(given)), dtype=np.int64)
     for n in range(max(given), 0, -1):
-        rows = _unique_rows(np.concatenate([faces, given[n]]) if n in given else faces)
+        rows = _unique_rows(np.concatenate([faces, *given.get(n, [])]))
         closure[n - 1] = rows
         faces = np.concatenate([np.delete(rows, i, axis=1) for i in range(n)])
     return dict(sorted(closure.items()))
@@ -96,22 +99,26 @@ class SimplicialComplex:
     """
 
     def __init__(self, simplices: Iterable[Sequence[int]], coordinates=None):
-        rows = _face_closure(list(map(tuple, simplices)))
-        # one int object per vertex id, shared by every tuple that names it
-        ids = rows[0][:, 0]
-        pool = np.array(ids.tolist(), dtype=object)
-        self.simplices_by_dim = {
-            k: list(zip(*pool[np.searchsorted(ids, r)].T.tolist())) for k, r in rows.items()
-        }
-        self._index = {
-            k: {s: i for i, s in enumerate(v)} for k, v in self.simplices_by_dim.items()
-        }
+        items = list(map(tuple, simplices))
+        lengths = np.fromiter(map(len, items), dtype=np.intp, count=len(items))
+        groups = [np.array([items[i] for i in np.flatnonzero(lengths == n).tolist()], dtype=np.int64)
+                  for n in np.unique(lengths[lengths > 0]).tolist()]
+        self._setup(_face_closure(groups, items), coordinates)
+
+    @classmethod
+    def from_rows(cls, groups: Iterable[np.ndarray], coordinates=None) -> "SimplicialComplex":
+        """The complex closing integer arrays with one simplex per row."""
+        cx = cls.__new__(cls)
+        cx._setup(_face_closure(groups), coordinates)
+        return cx
+
+    def _setup(self, rows: dict[int, np.ndarray], coordinates) -> None:
+        self._rows = rows
+        self.vertex_count = int(rows[0][-1, 0]) + 1
         self._cofacets: dict[Simplex, list[Simplex]] | None = None
         self._coboundary: dict[int, sp.csr_matrix] = {}
         self._boundary_simplices: dict[int, list[Simplex]] = {}
         self._boundary_indices: dict[int, np.ndarray] = {}
-
-        self.vertex_count = self.simplices_by_dim[0][-1][0] + 1
         if coordinates is not None:
             coords = np.array(coordinates, dtype=float)
             if coords.ndim != 2 or coords.shape[1] != 2:
@@ -128,26 +135,41 @@ class SimplicialComplex:
             self.coordinates = None
 
     def _check_nondegenerate(self, coords):
-        for u, v in self.simplices(1):
-            if np.all(coords[u] == coords[v]):
-                raise ValueError(f"zero-length edge {(u, v)}")
-        for a, b, c in self.simplices(2):
-            e1 = coords[b] - coords[a]
-            e2 = coords[c] - coords[a]
-            if e1[0] * e2[1] - e1[1] * e2[0] == 0.0:
-                raise ValueError(f"degenerate triangle {(a, b, c)}")
+        edges = self._rows.get(1, np.empty((0, 2), dtype=np.int64))
+        same = (coords[edges[:, 0]] == coords[edges[:, 1]]).all(axis=1)
+        if same.any():
+            raise ValueError(f"zero-length edge {tuple(edges[same.argmax()].tolist())}")
+        triangles = self._rows.get(2, np.empty((0, 3), dtype=np.int64))
+        a, b, c = coords[triangles.T]
+        e1, e2 = b - a, c - a
+        flat = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] == 0.0
+        if flat.any():
+            raise ValueError(f"degenerate triangle {tuple(triangles[flat.argmax()].tolist())}")
+
+    @cached_property
+    def simplices_by_dim(self) -> dict[int, list[Simplex]]:
+        """Canonical simplex tuples per dimension, in index order."""
+        ids = self._rows[0][:, 0]
+        # one int object per vertex id, shared by every tuple that names it
+        pool = np.array(ids.tolist(), dtype=object)
+        return {k: list(zip(*pool[np.searchsorted(ids, r)].T.tolist()))
+                for k, r in self._rows.items()}
+
+    @cached_property
+    def _index(self) -> dict[int, dict[Simplex, int]]:
+        return {k: {s: i for i, s in enumerate(v)} for k, v in self.simplices_by_dim.items()}
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return max(self.simplices_by_dim)
+        return max(self._rows)
 
     def simplices(self, k: int) -> list[Simplex]:
         return self.simplices_by_dim.get(k, [])
 
     def num_simplices(self, k: int) -> int:
-        return len(self.simplices(k))
+        return len(self._rows[k]) if k in self._rows else 0
 
     def index(self, simplex: Simplex) -> int:
         """Position of a canonical simplex in the dimension's ordering."""
@@ -175,7 +197,7 @@ class SimplicialComplex:
         return self._cofacets.get(simplex, [])
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(v) for k, v in self.simplices_by_dim.items())
+        return sum((-1) ** k * len(r) for k, r in self._rows.items())
 
     def boundary_simplices(self, k: int) -> list[Simplex]:
         """Canonical k-simplices lying on the geometric boundary.
@@ -209,22 +231,24 @@ class SimplicialComplex:
         if k >= self.dim:
             raise ValueError(f"no coboundary above dimension {self.dim}")
         if k not in self._coboundary:
-            rows, cols, vals = [], [], []
-            idx_k = self._index[k]
-            for i, s in enumerate(self.simplices(k + 1)):
-                for j, f in enumerate(facets_of(s)):
-                    rows.append(i)
-                    cols.append(idx_k[f])
-                    vals.append(1 if j % 2 == 0 else -1)
-            mat = sp.csr_matrix(
-                (np.array(vals, dtype=np.int64), (rows, cols)),
-                shape=(self.num_simplices(k + 1), self.num_simplices(k)),
-            )
+            faces, cofaces = self._rows[k], self._rows[k + 1]
+            n, width = cofaces.shape
+            # a coface's facets sort in the order of their omitted vertex,
+            # last first, and facet j carries the sign (-1)^j
+            omit = np.arange(width - 1, -1, -1)
+            facets = np.stack([np.delete(cofaces, j, axis=1) for j in omit.tolist()], axis=1)
+            # merged with the faces, each face sorts just before its equal facets
+            order = np.lexsort(np.concatenate([faces, facets.reshape(-1, width - 1)]).T[::-1])
+            is_facet = order >= len(faces)
+            cols = np.empty(n * width, dtype=np.int64)
+            cols[order[is_facet] - len(faces)] = np.cumsum(~is_facet)[is_facet] - 1
+            mat = sp.csr_matrix((np.tile(1 - 2 * (omit % 2), n), cols,
+                                 np.arange(0, n * width + 1, width)), shape=(n, len(faces)))
             self._coboundary[k] = mat
         return self._coboundary[k]
 
     def __repr__(self):
-        counts = ", ".join(f"{len(v)} of dim {k}" for k, v in self.simplices_by_dim.items())
+        counts = ", ".join(f"{len(r)} of dim {k}" for k, r in self._rows.items())
         return f"SimplicialComplex({counts})"
 
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from decpotentials import generate_square_mesh
 from decpotentials.homotopy import ProductComplex, uniform_breakpoints
 from decpotentials.simplicial import (
     Chain,
@@ -152,6 +154,55 @@ def test_complex_requires_consistent_coordinates():
         SimplicialComplex([(0, 1, 2)], np.array([[0.0, 0.0], [1.0, 0.0]]))  # too short
 
 
+def test_degenerate_geometry_names_the_first_offender_in_order():
+    # zero-length edges (3, 6) and (4, 5); the edges are checked before the
+    # lexicographically earlier flat triangle (0, 1, 2)
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0],
+                       [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^zero-length edge \(3, 6\)$"):
+        SimplicialComplex([(2, 4, 5), (3, 5, 6), (0, 1, 2), (0, 1, 3)], coords)
+    # flat triangles (0, 2, 4) and (1, 2, 4), no zero-length edge
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [3.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^degenerate triangle \(0, 2, 4\)$"):
+        SimplicialComplex([(1, 2, 4), (0, 1, 3), (0, 2, 4)], coords)
+
+
+def _geometry_error_reference(cx_rows, coords):
+    """The mesh check as one scalar loop over the edges, then the triangles."""
+    for u, v in cx_rows.get(1, []):
+        if np.all(coords[u] == coords[v]):
+            return f"zero-length edge {(u, v)}"
+    for a, b, c in cx_rows.get(2, []):
+        e1 = coords[b] - coords[a]
+        e2 = coords[c] - coords[a]
+        if e1[0] * e2[1] - e1[1] * e2[0] == 0.0:
+            return f"degenerate triangle {(a, b, c)}"
+    return None
+
+
+def test_degenerate_geometry_check_matches_a_scalar_loop():
+    # vertices 0-2 on a coarse grid of tenths (coincident points, flat
+    # triangles) and 3-5 on one line through grid points, whose rounded
+    # cross product is zero for some triples and not for others
+    rng = np.random.default_rng(15)
+    outcomes = set()
+    for _ in range(300):
+        start, step = rng.integers(0, 10, 2), rng.integers(-3, 4, 2)
+        line = start + rng.choice([1, 2, 3], size=3, replace=False)[:, None] * step
+        coords = np.concatenate([rng.integers(0, 4, size=(3, 2)), line]) / 10
+        triangles = [tuple(rng.permutation(t).tolist()) for t in ((0, 1, 2), (3, 4, 5))]
+        want = _geometry_error_reference(_closure_reference(triangles), coords)
+        try:
+            SimplicialComplex(triangles, coords)
+            got = None
+        except ValueError as err:
+            got = str(err)
+        assert got == want
+        outcomes.add(want)
+    assert {None, "degenerate triangle (3, 4, 5)"} < outcomes
+    assert any(w and w.startswith("zero-length edge") for w in outcomes)
+
+
 def _closure_reference(simplices):
     """Face closure by a pure-Python stack walk, per dimension, sorted."""
     seen = set()
@@ -207,6 +258,64 @@ def test_empty_input_is_rejected():
     for empty in ([], iter(())):
         with pytest.raises(ValueError, match="cannot build an empty complex"):
             SimplicialComplex(empty)
+
+
+def test_array_input_rejects_repeats_and_empty_input():
+    with pytest.raises(ValueError, match=r"^repeated vertex in simplex \(3, 1, 3\)$"):
+        SimplicialComplex.from_rows([np.array([[0, 1], [2, 3]]), np.array([[0, 1, 2], [3, 1, 3]])])
+    for empty in ([], [np.empty((0, 3), dtype=np.int64)]):
+        with pytest.raises(ValueError, match="cannot build an empty complex"):
+            SimplicialComplex.from_rows(empty)
+
+
+def _coboundary_reference(cx, k):
+    """The signed incidence matrix from a loop over the (k+1)-simplices."""
+    index = {s: i for i, s in enumerate(cx.simplices(k))}
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(cx.simplices(k + 1)):
+        for j, f in enumerate(facets_of(s)):
+            rows.append(i)
+            cols.append(index[f])
+            vals.append(1 if j % 2 == 0 else -1)
+    return sp.csr_matrix((np.array(vals, dtype=np.int64), (rows, cols)),
+                         shape=(cx.num_simplices(k + 1), cx.num_simplices(k)))
+
+
+def test_coboundary_matrix_matches_a_loop_reference(square8, ushape10):
+    rng = np.random.default_rng(13)
+    huge = 2**62  # vertex ids whose powers overflow int64
+    complexes = [square8, ushape10,
+                 ProductComplex(generate_square_mesh(2), uniform_breakpoints(3)).complex,
+                 SimplicialComplex([(0, huge, huge + 5, 7), (huge - 1, huge, 3)])]
+    complexes += [SimplicialComplex(_random_inputs(rng)) for _ in range(50)]
+    for cx in complexes:
+        for k in range(cx.dim):
+            got, want = cx.coboundary_matrix(k), _coboundary_reference(cx, k)
+            assert got.dtype == np.int64
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (cx, k, part)
+
+
+def test_product_complex_matches_the_prism_tuples(square8):
+    rng = np.random.default_rng(14)
+    bases = [(square8, m) for m in (1, 2, 3)]
+    bases += [(SimplicialComplex(_random_inputs(rng)), int(rng.integers(1, 5))) for _ in range(20)]
+    for base, m in bases:
+        prod = ProductComplex(base, uniform_breakpoints(m))
+        ref = SimplicialComplex(prism for sims in base.simplices_by_dim.values()
+                                for s in sims for _, prism in prod.prisms(s))
+        assert prod.complex.simplices_by_dim == ref.simplices_by_dim
+        assert prod.complex.vertex_count == ref.vertex_count
+        assert prod.complex.euler_characteristic() == ref.euler_characteristic()
+
+
+def test_counting_the_product_complex_builds_no_tuple_views(square8):
+    cx = ProductComplex(square8, uniform_breakpoints(80)).complex
+    assert sum(cx.num_simplices(k) for k in range(cx.dim + 1)) == 141_377
+    assert cx.euler_characteristic() == 1
+    assert "simplices_by_dim" not in vars(cx) and "_index" not in vars(cx)
+    assert cx.simplices(0)[:2] == [(0,), (1,)]  # the views are built on first use
+    assert "simplices_by_dim" in vars(cx)
 
 
 def _staircase_counts(base, m):
