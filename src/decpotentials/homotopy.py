@@ -11,8 +11,9 @@ end inclusions it satisfies the prism identity
     boundary(E(c)) + E(boundary(c)) = j1(c) - j0(c)
 
 exactly, in integer arithmetic.  ``ProductComplex.prisms`` yields the prisms
-of one base simplex.  The product complex itself is built only on request,
-from one numpy array of prisms per base dimension.
+of one base simplex.  The product complex is built only on request, listed
+from each base row's copies at every level and its split faces and prisms
+in every slab: each product simplex once, with no face closure.
 
 Collapse sequences (free-face removals) are found by one greedy pass that
 pops free faces from a heap, largest dimension first, over a state that
@@ -70,8 +71,8 @@ def checked_breakpoints(breakpoints: Sequence[float]) -> tuple[float, ...]:
 class ProductComplex:
     """Staircase product of a base complex with a subdivided interval.
 
-    Stores only the base, breakpoints and vertex stride; ``complex`` (closed
-    from arrays of prisms), ``j0`` and ``j1`` are built on first use and cached.
+    Stores only the base, breakpoints and vertex stride; ``complex`` (listed
+    from the base's rows), ``j0`` and ``j1`` are built on first use and cached.
     """
 
     def __init__(self, base: SimplicialComplex, breakpoints: Sequence[float]):
@@ -106,15 +107,25 @@ class ProductComplex:
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        # prism i of a row in slab r: v_0..v_i at level r, v_i..v_{n-1} at r + 1
-        levels = np.arange(self.n_slabs, dtype=np.int64)[:, None, None, None]
-        prisms = []
-        for rows in self.base._rows.values():
-            n = rows.shape[1]
-            up = np.arange(n + 1) > np.arange(n)[:, None]
-            prisms.append(((levels + up) * self.stride + rows[:, np.arange(n + 1) - up])
-                          .reshape(-1, n + 1))
-        return SimplicialComplex.from_rows(prisms)
+        # A base row v_0..v_d gives the row at every level and, in slab r,
+        # the split faces v_0..v_{i-1}@r v_i..v_d@r+1 (i = 1..d) and the
+        # prisms v_0..v_i@r v_i..v_d@r+1 (i = 0..d): every product simplex,
+        # each listed once, so no closure or deduplication is needed.
+        base, stride = self.base._rows, self.stride
+        slabs = np.arange(self.n_slabs, dtype=np.int64)[:, None, None, None] * stride
+        closed = {}
+        for k in range(max(base) + 2):
+            parts = []  # (level offsets, base vertices); their broadcast sums are rows
+            if k in base:
+                up = np.arange(k + 1) >= np.arange(1, k + 1)[:, None]
+                parts += [(np.arange(self.n_slabs + 1)[:, None, None] * stride, base[k]),
+                          (slabs + up * stride, base[k][:, None])]
+            if k - 1 in base:
+                up = np.arange(k + 1) > np.arange(k)[:, None]
+                parts.append((slabs + up * stride, base[k - 1][:, np.arange(k + 1) - up]))
+            rows = np.concatenate([(a + b).reshape(-1, k + 1) for a, b in parts])
+            closed[k] = rows[np.lexsort(rows.T[::-1])]
+        return SimplicialComplex._from_closed(closed)
 
     @cached_property
     def j0(self) -> SimplicialMap:

@@ -108,8 +108,13 @@ class SimplicialComplex:
     @classmethod
     def from_rows(cls, groups: Iterable[np.ndarray], coordinates=None) -> "SimplicialComplex":
         """The complex closing integer arrays with one simplex per row."""
+        return cls._from_closed(_face_closure(groups), coordinates)
+
+    @classmethod
+    def _from_closed(cls, rows: dict[int, np.ndarray], coordinates=None) -> "SimplicialComplex":
+        """The complex of rows already closed under faces, sorted and distinct."""
         cx = cls.__new__(cls)
-        cx._setup(_face_closure(groups), coordinates)
+        cx._setup(rows, coordinates)
         return cx
 
     def _setup(self, rows: dict[int, np.ndarray], coordinates) -> None:

@@ -439,9 +439,11 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     e2 = pts[:, 2] - pts[:, 0]
     area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     sign = np.where(area > 0, 1.0, -1.0)
-    sides = _sides(geom.ccw_corners)
+    # clip in each mesh triangle's frame, so rounding scales with the triangle
+    origin = geom.ccw_corners[:, :1]
+    sides = _sides(geom.ccw_corners - origin)
     for first, stop, sub, tri in _pairs(geom, pts, rows):
-        xy, n = _clip(pts[sub], np.full(len(sub), 3), sides[tri])
+        xy, n = _clip(pts[sub] - origin[tri], np.full(len(sub), 3), sides[tri])
         overlap = np.abs(_areas(xy, n))
         hit = overlap != 0.0
         sub, tri, overlap = sub[hit], tri[hit], overlap[hit]

@@ -1,12 +1,15 @@
 """Chains, cochains, boundary/coboundary, and simplicial maps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from decpotentials import generate_square_mesh
+from decpotentials import generate_square_mesh, simplicial
 from decpotentials.homotopy import ProductComplex, uniform_breakpoints
 from decpotentials.simplicial import (
+    _face_closure,
     Chain,
     Cochain,
     SimplicialComplex,
@@ -336,3 +339,49 @@ def test_product_complex_counts_follow_the_staircase_formula(square8):
         got = [prod.complex.num_simplices(k) for k in range(base.dim + 2)]
         assert got == _staircase_counts(base, m)
     assert sum(_staircase_counts(square8, 80)) == 141_377
+
+
+def _closed_prisms(prod):
+    """The product's rows as the face closure of all its prisms."""
+    levels = np.arange(prod.n_slabs, dtype=np.int64)[:, None, None, None]
+    prisms = []
+    for rows in prod.base._rows.values():
+        n = rows.shape[1]
+        up = np.arange(n + 1) > np.arange(n)[:, None]
+        prisms.append(((levels + up) * prod.stride + rows[:, np.arange(n + 1) - up])
+                      .reshape(-1, n + 1))
+    return _face_closure(prisms)
+
+
+def test_product_complex_rows_equal_the_closure_of_its_prisms(square8, ushape10):
+    rng = np.random.default_rng(15)
+    cases = [(square8, uniform_breakpoints(m)) for m in (1, 2, 80)]
+    cases += [(ushape10, uniform_breakpoints(7)), (square8, (0.0, 0.05, 0.5, 0.51, 1.0))]
+    for i in range(20):
+        base = SimplicialComplex(_random_inputs(rng))
+        if i < 4:  # 0- and 1-dimensional bases: skeleta of random ones
+            base = SimplicialComplex.from_rows([base._rows[i % 2]])
+        times = np.sort(rng.uniform(size=int(rng.integers(0, 4))))
+        cases.append((base, (0.0, *times.tolist(), 1.0)))
+    assert {base.dim for base, _ in cases} >= {0, 1, 2, 3}
+    for base, times in cases:
+        prod = ProductComplex(base, times)
+        got, want = prod.complex._rows, _closed_prisms(prod)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k]), (base, times, k)
+
+
+def test_product_complex_is_listed_without_a_face_closure(square8, monkeypatch):
+    def closure(*args, **kwargs):
+        raise AssertionError("the product complex took a face closure")
+
+    monkeypatch.setattr(simplicial, "_face_closure", closure)
+    prod = ProductComplex(square8, uniform_breakpoints(80))
+    tracemalloc.start()
+    try:
+        rows = prod.complex._rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(r.nbytes for r in rows.values())

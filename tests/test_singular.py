@@ -245,12 +245,12 @@ SHADOW_MESHES = {"square:8": lambda: generate_square_mesh(8),
                  "ushape:20": lambda: generate_ushape_mesh(20)}
 
 # sha256 of the data, indices and indptr of Bogovskii matrix(1) and matrix(2)
-# at (0.152, 0.151), recorded while shadow_pieces still emitted fan triangles
-# of zero area (functional_matrix dropped them)
+# at (0.152, 0.151), recorded since image triangles are clipped in each mesh
+# triangle's own frame
 SHADOW_MATRIX_DIGESTS = {
-    "square:8": "a2e19804237183636f613c0a0c24fdc63a87478873637a7b5ac4de805cf3e2be",
-    "square:16": "5ffe1186a47e1da9c7f18c75ac7dcbe0abc696157642a5ccc7df37cde18f8a81",
-    "ushape:20": "94458851932de3ec367eed4a5feb25806eff1b0ca596f6a6c7b883be4ebb3d7b",
+    "square:8": "91a44782416f59cbda36d0fa2737f06183f07a645a06dcff6db6fbfbdedc4534",
+    "square:16": "e2ff8abb206ab29748f054112cedeaa90d35f0facec419ffeffb8afb50177d61",
+    "ushape:20": "19dae1f25c24487885e15afcd9d72d793308dc86cd7bf6bb6908f34d7a5052bf",
 }
 
 
