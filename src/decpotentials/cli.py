@@ -276,7 +276,7 @@ def cmd_mesh_info(args) -> int:
         "euler_characteristic": cx.euler_characteristic(),
     }
     if cx.dim >= 1:
-        info["boundary_edges"] = len(cx.boundary_simplices(min(cx.dim - 1, 1)))
+        info["boundary_edges"] = len(cx.boundary_indices(min(cx.dim - 1, 1)))
     geom = _geometry_or_none(cx)
     if geom is not None:
         info["bbox"] = [list(map(float, geom.bbox_min)), list(map(float, geom.bbox_max))]

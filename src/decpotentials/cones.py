@@ -19,17 +19,19 @@ Every simplicial cone operator Co satisfies the chain homotopy identity
 ``boundary(Co(v)) = v - a`` for vertices, exactly.  The singular analogues
 satisfy the same identities up to degenerate simplices (which integrate to
 zero and are deliberately kept in the stored chains so that formal boundary
-cancellation still works).  The prism-based cones work one base simplex at
-a time and never build the product complex: ``lipschitz_cone`` streams
-``ProductComplex.prisms``, and ``contraction_cone`` visits only the slabs in
-which a vertex of the simplex changes image, since every prism of any other
-slab is degenerate.
+cancellation still works).  Singular cones are index arrays into one point
+table, and their chain tables are built only when read.  The prism-based
+cones never build the product complex: ``lipschitz_cone`` reads
+``ProductComplex.prism_rows``, and ``contraction_cone`` visits only the
+slabs in which a vertex of the simplex changes image, since every prism of
+any other slab is degenerate.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,10 +55,6 @@ from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain, sha
 class _ConeOperatorBase:
     """Shared table plumbing: canonical lookup and linear extension."""
 
-    def __init__(self, complex: SimplicialComplex, table: dict):
-        self.complex = complex
-        self.table = table
-
     def chain(self, vertices):
         """Cone of a single (arbitrarily ordered) simplex."""
         t, sign = canonical_simplex(vertices)
@@ -77,33 +75,51 @@ class SimplicialConeOperator(_ConeOperatorBase):
     """Cone operator with simplicial chain values and a contraction vertex."""
 
     def __init__(self, complex: SimplicialComplex, vertex: int, table: dict):
-        super().__init__(complex, table)
+        self.complex = complex
         self.vertex = vertex
+        self.table = table
 
     def _zero(self, dim):
         return Chain(self.complex, dim, {})
 
 
 class SingularConeOperator(_ConeOperatorBase):
-    """Cone operator with linear singular chain values and a base point."""
+    """Cone operator with linear singular chain values and a base point.
 
-    def __init__(self, complex: SimplicialComplex, point, table: dict):
-        super().__init__(complex, table)
+    ``points`` is a (P, 2) float array.  For each simplex dimension k,
+    ``terms[k] = (rows, coeffs, corners)`` lists the cone terms: row
+    ``rows[i]`` (ascending) of the k-simplices gets ``coeffs[i]`` times the
+    singular simplex on ``points[corners[i]]``.  ``table`` holds the same
+    terms as one chain per simplex, built on first read.
+    """
+
+    _element, _chain_type = LinearSimplex, SingularChain
+
+    def __init__(self, complex: SimplicialComplex, point, points: np.ndarray, terms: dict):
+        self.complex = complex
         self.point = np.asarray(point, dtype=float)
+        self.points = points
+        self.terms = terms
+
+    @cached_property
+    def table(self) -> dict:
+        pool = list(map(tuple, self.points.tolist()))  # one tuple per point, shared
+        table = {}
+        for k, (rows, coeffs, corners) in self.terms.items():
+            chains = [self._chain_type(k + 1) for _ in range(self.complex.num_simplices(k))]
+            for r, c, ids in zip(rows.tolist(), coeffs.tolist(), corners.tolist()):
+                chains[r].terms.append((c, self._element(tuple([pool[i] for i in ids]))))
+            table.update(zip(self.complex.simplices(k), chains))
+        return table
 
     def _zero(self, dim):
-        return SingularChain(dim, [])
+        return self._chain_type(dim, [])
 
 
-class InfiniteConeOperator(_ConeOperatorBase):
+class InfiniteConeOperator(SingularConeOperator):
     """Cone operator with infinite-cone values from a base point."""
 
-    def __init__(self, complex: SimplicialComplex, point, table: dict):
-        super().__init__(complex, table)
-        self.point = np.asarray(point, dtype=float)
-
-    def _zero(self, dim):
-        return ConeChain(dim, [])
+    _element, _chain_type = InfiniteCone, ConeChain
 
 
 # -- collapse-based cones ------------------------------------------------
@@ -196,51 +212,42 @@ def contraction_cone(psi: Callable[[int], int],
 # -- geometric cones -----------------------------------------------------
 
 
+def _join(point, complex: SimplicialComplex, operator):
+    """Every simplex joined to a point, apex first, as one term per simplex."""
+    coords = complex.coordinates
+    if coords is None:
+        raise ValueError("complex has no vertex coordinates")
+    a = np.asarray(point, dtype=float)
+    terms = {k: (np.arange(len(r)), np.ones(len(r), dtype=np.int64),
+                 np.insert(r + 1, 0, 0, axis=1)) for k, r in complex._rows.items()}
+    return operator(complex, a, np.concatenate([a[None], coords]), terms)
+
+
 def star_cone(point, complex: SimplicialComplex) -> SingularConeOperator:
     """Join every simplex to a star point by a linear singular simplex.
 
     Simplices whose join with the point is degenerate keep their (degenerate)
     simplex in the table; it integrates to zero.
     """
-    coords = complex.coordinates
-    if coords is None:
-        raise ValueError("complex has no vertex coordinates")
-    a = np.asarray(point, dtype=float)
-    table: dict[Simplex, SingularChain] = {}
-    for k, simplices in complex.simplices_by_dim.items():
-        for s in simplices:
-            cone = LinearSimplex.from_points([a, *(coords[v] for v in s)])
-            table[s] = SingularChain(k + 1, [(1, cone)])
-    return SingularConeOperator(complex, a, table)
+    return _join(point, complex, SingularConeOperator)
 
 
 def infinite_cone(point, complex: SimplicialComplex) -> InfiniteConeOperator:
     """Infinite cone from a base point over every simplex."""
-    coords = complex.coordinates
-    if coords is None:
-        raise ValueError("complex has no vertex coordinates")
-    a = np.asarray(point, dtype=float)
-    table: dict[Simplex, ConeChain] = {}
-    for k, simplices in complex.simplices_by_dim.items():
-        for s in simplices:
-            cone = InfiniteCone.from_points([a, *(coords[v] for v in s)])
-            table[s] = ConeChain(k + 1, [(1, cone)])
-    return InfiniteConeOperator(complex, a, table)
+    return _join(point, complex, InfiniteConeOperator)
 
 
 def shadow_cone(point, complex: SimplicialComplex, geometry) -> SingularConeOperator:
     """Star cone minus infinite cone from a base point: every vertex and edge
     maps to its negated shadow pieces (``singular.shadow_pieces``)."""
-    a = np.asarray(point, dtype=float)
-    table: dict[Simplex, SingularChain] = {}
+    star = star_cone(point, complex)
+    pieces, terms = [], {}
     for k in range(complex.dim):
-        simplices = complex.simplices(k)
-        owner, pieces = shadow_pieces(geometry, [[a, *complex.coordinates[list(s)]]
-                                                 for s in simplices])
-        table.update((s, SingularChain(k + 1, [])) for s in simplices)
-        for i, piece in zip(owner.tolist(), pieces.tolist()):
-            table[simplices[i]].terms.append((-1, LinearSimplex(tuple(map(tuple, piece)))))
-    return SingularConeOperator(complex, a, table)
+        owner, piece = shadow_pieces(geometry, star.points[star.terms[k][2]])
+        corners = sum(map(len, pieces)) + np.arange(piece.size // 2).reshape(-1, k + 2)
+        terms[k] = (owner, np.full(len(owner), -1), corners)
+        pieces.append(piece.reshape(-1, 2))
+    return SingularConeOperator(complex, star.point, np.concatenate(pieces), terms)
 
 
 class SlabAffineContraction:
@@ -400,14 +407,14 @@ def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
         raise ValueError("invalid contraction: " + "; ".join(issues[:5]))
 
     product = ProductComplex(complex, phi.breakpoints)
-    # vertex images, evaluated once per (vertex, breakpoint)
-    images = {product.vertex_id(v, level): tuple(phi(coords[v], t))
-              for level, t in enumerate(product.times) for (v,) in complex.simplices(0)}
-
-    table: dict[Simplex, SingularChain] = {}
-    for k, simplices in complex.simplices_by_dim.items():
-        for s in simplices:
-            table[s] = SingularChain(k + 1, [
-                (sign, LinearSimplex(tuple(images[pv] for pv in prism)))
-                for sign, prism in product.prisms(s)])
-    return SingularConeOperator(complex, phi.point, table)
+    # vertex images, evaluated once per (vertex, breakpoint), by product vertex id
+    points = np.zeros((len(product.times) * product.stride, 2))
+    for level, t in enumerate(product.times):
+        for v in complex._rows[0][:, 0].tolist():
+            points[product.vertex_id(v, level)] = phi(coords[v], t)
+    # each base simplex's prisms, slab by slab, with the signs of prism_rows
+    terms = {k: (np.repeat(np.arange(len(rows)), product.n_slabs * (k + 1)),
+                 np.tile((-1) ** np.arange(k + 1), len(rows) * product.n_slabs),
+                 product.prism_rows(rows).swapaxes(0, 1).reshape(-1, k + 2))
+             for k, rows in complex._rows.items()}
+    return SingularConeOperator(complex, phi.point, points, terms)

@@ -10,10 +10,10 @@ end inclusions it satisfies the prism identity
 
     boundary(E(c)) + E(boundary(c)) = j1(c) - j0(c)
 
-exactly, in integer arithmetic.  ``ProductComplex.prisms`` yields the prisms
-of one base simplex.  The product complex is built only on request, listed
-from each base row's copies at every level and its split faces and prisms
-in every slab: each product simplex once, with no face closure.
+exactly, in integer arithmetic; ``ProductComplex.prism_rows`` lists them.
+The product complex is built only on request, listed from each base row's
+copies at every level and its split faces and prisms in every slab: each
+product simplex once, with no face closure.
 
 Collapse sequences (free-face removals) are found by one greedy pass that
 pops free faces from a heap, largest dimension first, over a state that
@@ -72,7 +72,7 @@ class ProductComplex:
     """Staircase product of a base complex with a subdivided interval.
 
     Stores only the base, breakpoints and vertex stride; ``complex`` (listed
-    from the base's rows), ``j0`` and ``j1`` are built on first use and cached.
+    from the base's rows and ``prism_rows``), ``j0`` and ``j1`` are cached.
     """
 
     def __init__(self, base: SimplicialComplex, breakpoints: Sequence[float]):
@@ -92,38 +92,44 @@ class ProductComplex:
         level, v = divmod(product_vertex, self.stride)
         return v, level
 
-    def prisms(self, simplex: Simplex):
-        """Yield ``(sign, prism)`` for the staircase prisms over every slab.
+    def prism_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Staircase prisms of base simplices given as rows ``v_0..v_k``.
 
-        In slab ``r`` the i-th prism of ``(v_0, ..., v_k)`` is
-        ``(v_0@r, ..., v_i@r, v_i@r+1, ..., v_k@r+1)`` with sign ``(-1)^i``.
+        Entry ``[r, s, i]`` of the result, of shape (slabs, rows, k + 1,
+        k + 2), is the i-th prism of row s in slab r,
+        ``v_0..v_i@r v_i..v_k@r+1``, with sign ``(-1)^i``.
         """
-        stride = self.stride
-        for r in range(self.n_slabs):
-            lo = [r * stride + v for v in simplex]
-            hi = [(r + 1) * stride + v for v in simplex]
-            for i in range(len(simplex)):
-                yield (-1) ** i, tuple(lo[: i + 1] + hi[i:])
+        rows = np.asarray(rows, dtype=np.int64)
+        k = rows.shape[1] - 1
+        up = np.arange(k + 2) > np.arange(k + 1)[:, None]  # position on the upper level
+        slabs = np.arange(self.n_slabs, dtype=np.int64)[:, None, None, None] * self.stride
+        return slabs + up * self.stride + rows[:, np.arange(k + 2) - up]
+
+    def prisms(self, simplex: Simplex):
+        """Yield ``(sign, prism)`` for the ``prism_rows`` of one simplex."""
+        for slab in self.prism_rows([simplex])[:, 0].tolist():
+            for i, prism in enumerate(slab):
+                yield (-1) ** i, tuple(prism)
+
+    def _listed(self, k: int):
+        """Arrays whose rows are the product's k-simplices, each listed once:
+        the copies of every base row v_0..v_d at each level and, in slab r,
+        its split faces v_0..v_{i-1}@r v_i..v_d@r+1 (i = 1..d) and prisms."""
+        base, stride = self.base._rows, self.stride
+        levels = np.arange(self.n_slabs + 1, dtype=np.int64)[:, None, None] * stride
+        if k in base:
+            up = np.arange(k + 1) >= np.arange(1, k + 1)[:, None]
+            yield levels + base[k]
+            yield levels[:-1, None] + up * stride + base[k][:, None]
+        if k - 1 in base:
+            yield self.prism_rows(base[k - 1])
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        # A base row v_0..v_d gives the row at every level and, in slab r,
-        # the split faces v_0..v_{i-1}@r v_i..v_d@r+1 (i = 1..d) and the
-        # prisms v_0..v_i@r v_i..v_d@r+1 (i = 0..d): every product simplex,
-        # each listed once, so no closure or deduplication is needed.
-        base, stride = self.base._rows, self.stride
-        slabs = np.arange(self.n_slabs, dtype=np.int64)[:, None, None, None] * stride
         closed = {}
-        for k in range(max(base) + 2):
-            parts = []  # (level offsets, base vertices); their broadcast sums are rows
-            if k in base:
-                up = np.arange(k + 1) >= np.arange(1, k + 1)[:, None]
-                parts += [(np.arange(self.n_slabs + 1)[:, None, None] * stride, base[k]),
-                          (slabs + up * stride, base[k][:, None])]
-            if k - 1 in base:
-                up = np.arange(k + 1) > np.arange(k)[:, None]
-                parts.append((slabs + up * stride, base[k - 1][:, np.arange(k + 1) - up]))
-            rows = np.concatenate([(a + b).reshape(-1, k + 1) for a, b in parts])
+        for k in range(self.base.dim + 2):
+            # pieces come one at a time: one that reshape has to copy is freed at once
+            rows = np.concatenate([p.reshape(-1, k + 1) for p in self._listed(k)])
             closed[k] = rows[np.lexsort(rows.T[::-1])]
         return SimplicialComplex._from_closed(closed)
 

@@ -6,9 +6,10 @@ num k-simplices)) plus a constant functional ``pi`` on 0-cochains.  Row s of
 ``P_k`` is the functional of the (k-1)-simplex s: pair the input with the
 cone of s (combinatorial kind), or integrate its Whitney interpolant over the
 singular cone of s (Whitney kind).  Matrices are assembled per degree on
-first use and cached; a Whitney matrix comes from one batched pass over the
-singular cones of all its rows (``singular.functional_matrix``).  Every
-operator satisfies
+first use and cached; a Whitney matrix comes from one batched pass
+(``singular.functional_matrix``) over the cone's stored terms, whose corner
+indices pick the points of every term from the cone's point table, so no
+chain table is built.  Every operator satisfies
 
     d P alpha + P d alpha = alpha            (0 < k < n)
     P d alpha = alpha - (pi alpha)           (k = 0)
@@ -74,13 +75,6 @@ def check_base_point(geometry: MeshGeometry, point, tol_rel: float = 1e-12) -> N
         )
 
 
-def _gather(table, simplices):
-    """(row, coefficient, points) arrays of the chain terms of each simplex."""
-    terms = [(i, c, x.points) for i, s in enumerate(simplices) for c, x in table[s].terms]
-    rows, coeffs, points = zip(*terms) if terms else ((), (), ())
-    return np.array(rows, dtype=np.int64), np.array(coeffs, dtype=float), np.array(points)
-
-
 class DiscretePoincareOperator:
     """Potential operator wrapping a simplicial or singular cone operator."""
 
@@ -104,12 +98,11 @@ class DiscretePoincareOperator:
             raise ValueError(f"P acts on degrees 1..{self.complex.dim}, got {k}")
         if k not in self._matrices:
             cx = self.complex
-            simplices = cx.simplices(k - 1)
             shape = (cx.num_simplices(k - 1), cx.num_simplices(k))
             if self.kind == "combinatorial":
                 index = cx._index[k]
                 rows, cols, vals = [], [], []
-                for i, s in enumerate(simplices):
+                for i, s in enumerate(cx.simplices(k - 1)):
                     terms = self.cone.table[s].terms
                     rows.extend([i] * len(terms))
                     cols.extend(index[t] for t in terms)
@@ -117,9 +110,10 @@ class DiscretePoincareOperator:
                 m = sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=shape)
             else:
                 # every row's singular cone, integrated in one batched pass
-                m = functional_matrix(self.geometry, k, *_gather(self.cone.table, simplices),
+                rows, coeffs, corners = self.cone.terms[k - 1]
+                m = functional_matrix(self.geometry, k, rows, coeffs, self.cone.points[corners],
                                       shape[0], allow_exterior=self.kind == "bogovskii",
-                                      describe=lambda i: f"row of simplex {simplices[i]}")
+                                      describe=lambda i: f"row of simplex {cx.simplices(k - 1)[i]}")
             self._matrices[k] = m
         return self._matrices[k]
 
@@ -130,7 +124,7 @@ class DiscretePoincareOperator:
     def apply(self, alpha: Cochain) -> Cochain:
         if alpha.complex is not self.complex:
             raise ValueError("cochain lives on a different complex")
-        return Cochain(self.complex, alpha.dim - 1, self.matrix(alpha.dim) @ alpha.values)
+        return Cochain(self.complex, alpha.dim - 1, self.apply_values(alpha.dim, alpha.values))
 
     def constant_component(self, alpha: Cochain) -> float:
         """The degree-0 identity's constant term pi evaluated on a 0-cochain."""
@@ -147,7 +141,7 @@ class DiscretePoincareOperator:
         if t is None:
             raise ValueError(f"point {tuple(self.cone.point)} lies outside the mesh")
         lam = self.geometry.barycentric(t, self.cone.point)
-        corners = [cx.index((v,)) for v in cx.simplices(2)[t]]
+        corners = np.searchsorted(cx._rows[0][:, 0], self.geometry.triangle_vertices[t])
         # one dot with a contiguous row per column, as whitney_value takes it
         rows = np.array(values[corners].T, dtype=float, order="C")
         return np.array([lam @ row for row in rows])
@@ -236,11 +230,6 @@ class BogovskiiOperator(DiscretePoincareOperator):
             self._check_zero_mean(values)
         return super().apply_values(k, values)
 
-    def apply(self, alpha: Cochain, *, check_mean: bool = True) -> Cochain:
-        if check_mean and alpha.complex is self.complex and alpha.dim == self.complex.dim:
-            self._check_zero_mean(alpha.values)
-        return super().apply(alpha)
-
     def project_admissible_block(self, k: int, values: np.ndarray) -> np.ndarray:
         """Each column's nearest admissible input: zero boundary trace, or zero
         mean on top."""
@@ -297,7 +286,7 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
     cx = op.complex
     if ks is None:
         ks = range(cx.dim + 1)
-    width = max(1, BLOCK_ENTRIES // max(map(len, cx.simplices_by_dim.values())))
+    width = max(1, BLOCK_ENTRIES // max(map(cx.num_simplices, range(cx.dim + 1))))
     per_k = {}
     for k in ks:
         # assemble the degree's matrices before its blocks take memory

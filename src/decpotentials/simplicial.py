@@ -122,7 +122,6 @@ class SimplicialComplex:
         self.vertex_count = int(rows[0][-1, 0]) + 1
         self._cofacets: dict[Simplex, list[Simplex]] | None = None
         self._coboundary: dict[int, sp.csr_matrix] = {}
-        self._boundary_simplices: dict[int, list[Simplex]] = {}
         self._boundary_indices: dict[int, np.ndarray] = {}
         if coordinates is not None:
             coords = np.array(coordinates, dtype=float)
@@ -205,28 +204,27 @@ class SimplicialComplex:
         return sum((-1) ** k * len(r) for k, r in self._rows.items())
 
     def boundary_simplices(self, k: int) -> list[Simplex]:
-        """Canonical k-simplices lying on the geometric boundary.
-
-        A top-codimension-1 simplex is on the boundary when it has exactly one
-        cofacet; lower dimensions inherit by downward closure.
-        """
-        n = self.dim
-        if k >= n:
-            return []
-        if k not in self._boundary_simplices:
-            rim = [s for s in self.simplices(n - 1) if len(self.cofacets(s)) == 1]
-            self._boundary_simplices[n - 1] = rim
-            level = set(rim)
-            for d in range(n - 2, -1, -1):
-                level = {f for s in level for f in facets_of(s)}
-                self._boundary_simplices[d] = sorted(level)
-        return self._boundary_simplices[k]
+        """Canonical k-simplices lying on the geometric boundary."""
+        simplices = self.simplices(k)
+        return [simplices[i] for i in self.boundary_indices(k).tolist()]
 
     def boundary_indices(self, k: int) -> np.ndarray:
-        """Positions of ``boundary_simplices(k)`` in the degree-k ordering."""
+        """Ascending positions of the k-simplices on the geometric boundary.
+
+        A top-codimension-1 simplex is on the boundary when it has exactly one
+        cofacet; lower dimensions take the faces of the boundary one above.
+        """
         if k not in self._boundary_indices:
-            index = self._index.get(k, {})
-            rows = np.array([index[s] for s in self.boundary_simplices(k)], dtype=np.intp)
+            n = self.dim
+            if k >= n:
+                rows = np.empty(0, dtype=np.intp)
+            elif k == n - 1:
+                cofacets = np.bincount(self.coboundary_matrix(k).indices,
+                                       minlength=self.num_simplices(k))
+                rows = np.flatnonzero(cofacets == 1)
+            else:
+                faces = self.coboundary_matrix(k)[self.boundary_indices(k + 1)].indices
+                rows = np.unique(faces).astype(np.intp)
             rows.setflags(write=False)
             self._boundary_indices[k] = rows
         return self._boundary_indices[k]

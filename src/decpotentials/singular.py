@@ -84,10 +84,6 @@ class InfiniteCone:
 
     points: tuple[Point, ...]
 
-    @classmethod
-    def from_points(cls, pts) -> "InfiniteCone":
-        return cls(tuple(_point_tuple(p) for p in pts))
-
     @property
     def dim(self) -> int:
         return len(self.points) - 1

@@ -74,7 +74,7 @@ class MeshGeometry:
             raise ValueError("geometry needs a triangle mesh")
         self.complex = complex
         coords = complex.coordinates
-        tris = np.array(complex.simplices(2), dtype=int)
+        tris = complex._rows[2]
         self.triangle_vertices = tris
         P = coords[tris]  # (T, 3, 2)
         self.corners = P
@@ -102,16 +102,10 @@ class MeshGeometry:
         self.diagonal = float(np.linalg.norm(self.bbox_max - self.bbox_min))
         self.total_area = float(np.abs(self.signed_area).sum())
 
-        # local edge -> global edge index, per triangle, order (01, 02, 12)
-        idx1 = complex._index[1]
-        te = np.empty((len(tris), 3), dtype=int)
-        for t, (a, b, c) in enumerate(complex.simplices(2)):
-            te[t, 0] = idx1[(a, b)]
-            te[t, 1] = idx1[(a, c)]
-            te[t, 2] = idx1[(b, c)]
-        self.triangle_edges = te
-        edges = np.array(complex.simplices(1), dtype=int)
-        self.edge_coords = coords[edges]  # (E, 2, 2) canonical edge endpoints
+        # local edge -> global edge index, per triangle, order (01, 02, 12):
+        # a triangle's coboundary row lists its facets in that order
+        self.triangle_edges = complex.coboundary_matrix(1).indices.reshape(-1, 3)
+        self.edge_coords = coords[complex._rows[1]]  # (E, 2, 2) canonical edge endpoints
 
         # bucket grid, with at most about 4 cells per triangle
         self._tri_min = P.min(axis=1)

@@ -13,6 +13,7 @@ from decpotentials.cones import (
     contraction_cone,
     infinite_cone,
     lipschitz_cone,
+    shadow_cone,
     star_cone,
     validate_contraction,
 )
@@ -33,14 +34,20 @@ from decpotentials.simplicial import (
     boundary,
     induced_chain_map,
 )
+from decpotentials.potentials import BogovskiiOperator, DiscretePoincareOperator, verify_homotopy
 from decpotentials.singular import (
+    ConeChain,
+    InfiniteCone,
     LinearSimplex,
     SingularChain,
     is_degenerate,
     lift_simplex,
+    shadow_pieces,
     singular_boundary,
 )
 from decpotentials.whitney import MeshGeometry
+
+from conftest import jitter_interior
 
 
 def _random_collapsible(rng, rounds=8):
@@ -361,3 +368,105 @@ def test_lipschitz_cone_on_closed_star_yields_mesh_chains(square2, geom2):
                     int(np.argmin(np.linalg.norm(cx.coordinates[:9] - p, axis=1)))
                     for p in pts))
                 assert verts in cx
+
+
+# -- per-simplex builders, kept as the oracle of the index-array cones --------
+
+
+def _joined_table(point, cx, element, chain):
+    """One joined simplex per simplex, apex first, point by point."""
+    a = np.asarray(point, dtype=float)
+    return {s: chain(k + 1, [(1, element(tuple((float(p[0]), float(p[1]))
+                                               for p in [a, *(cx.coordinates[v] for v in s)])))])
+            for k, sims in cx.simplices_by_dim.items() for s in sims}
+
+
+def _shadow_table(point, cx, geom):
+    a = np.asarray(point, dtype=float)
+    table = {}
+    for k in range(cx.dim):
+        simplices = cx.simplices(k)
+        owner, pieces = shadow_pieces(geom, [[a, *cx.coordinates[list(s)]] for s in simplices])
+        table.update((s, SingularChain(k + 1, [])) for s in simplices)
+        for i, piece in zip(owner.tolist(), pieces.tolist()):
+            table[simplices[i]].terms.append((-1, LinearSimplex(tuple(map(tuple, piece)))))
+    return table
+
+
+def _prism_tuples(simplex, n_slabs, stride):
+    """(sign, prism) per slab r and position i: v_0..v_i@r v_i..v_k@r+1."""
+    for r in range(n_slabs):
+        lo = [r * stride + v for v in simplex]
+        hi = [(r + 1) * stride + v for v in simplex]
+        for i in range(len(simplex)):
+            yield (-1) ** i, tuple(lo[: i + 1] + hi[i:])
+
+
+def _lipschitz_table(phi, cx):
+    stride, times = cx.vertex_count, phi.breakpoints
+    images = {level * stride + v: tuple(phi(cx.coordinates[v], t))
+              for level, t in enumerate(times) for (v,) in cx.simplices(0)}
+    return {s: SingularChain(k + 1, [(sign, LinearSimplex(tuple(images[pv] for pv in prism)))
+                                     for sign, prism in _prism_tuples(s, len(times) - 1, stride)])
+            for k, sims in cx.simplices_by_dim.items() for s in sims}
+
+
+def _assert_same_tables(got, want):
+    assert list(got) == list(want)
+    for s, chain in want.items():
+        view = got[s]
+        assert type(view) is type(chain) and view.dim == chain.dim, s
+        assert len(view.terms) == len(chain.terms), s
+        for (c, x), (c_ref, x_ref) in zip(view.terms, chain.terms):
+            assert type(c) is type(c_ref) and c == c_ref, s
+            assert type(x) is type(x_ref) and x.points == x_ref.points, s
+
+
+@pytest.mark.parametrize("name", ["square8", "ushape10", "jittered-square8", "jittered-ushape10"])
+def test_singular_cone_tables_equal_the_per_simplex_builders(name):
+    # an equality pin: the index-array cones read back as the chains that the
+    # per-simplex builders made, term by term
+    square = "square" in name
+    cx = generate_square_mesh(8) if square else generate_ushape_mesh(10)
+    if name.startswith("jittered"):
+        cx = jitter_interior(cx)
+    geom = MeshGeometry(cx)
+    point = (0.52, 0.51) if square else (0.152, 0.151)
+    _assert_same_tables(star_cone(point, cx).table,
+                        _joined_table(point, cx, LinearSimplex, SingularChain))
+    _assert_same_tables(infinite_cone(point, cx).table,
+                        _joined_table(point, cx, InfiniteCone, ConeChain))
+    _assert_same_tables(shadow_cone(point, cx, geom).table, _shadow_table(point, cx, geom))
+    contractions = [SlabAffineContraction.ushape(np.array([0.2, 0.2]))]
+    if square:
+        contractions.append(SlabAffineContraction.straight_line(np.array(point)))
+    for phi in contractions:
+        _assert_same_tables(lipschitz_cone(phi, cx).table, _lipschitz_table(phi, cx))
+
+
+def test_singular_cone_tables_share_one_point_tuple_per_point(square2):
+    table = star_cone((0.31, 0.47), square2).table
+    apexes = {id(chain.terms[0][1].points[0]) for chain in table.values()}
+    assert len(apexes) == 1
+    assert table[(0, 1)].terms[0][1].points[1] is table[(0,)].terms[0][1].points[1]
+
+
+def test_whitney_operators_build_no_chain_table_or_tuple_views():
+    ops = {}
+    for op in ("star", "bogovskii"):
+        cx = generate_square_mesh(6)
+        geom = MeshGeometry(cx)
+        ops[op] = (BogovskiiOperator((0.52, 0.51), cx, geometry=geom) if op == "bogovskii" else
+                   DiscretePoincareOperator(star_cone((0.52, 0.51), cx), geometry=geom))
+        verify_homotopy(ops[op], trials=2)
+        assert "simplices_by_dim" not in vars(cx) and "_index" not in vars(cx), op
+    cx = generate_ushape_mesh(10)
+    phi = SlabAffineContraction.ushape(np.array([0.2, 0.2]))
+    ops["lipschitz"] = DiscretePoincareOperator(lipschitz_cone(phi, cx, MeshGeometry(cx)))
+    for op in ops.values():
+        op.matrix(1), op.matrix(2)
+        assert "table" not in vars(op.cone), op.label
+    # the table is still there to read, built on first use
+    star = ops["star"].cone
+    (c, x), = star.chain((1, 0)).terms
+    assert c == -1 and x is star.table[(0, 1)].terms[0][1]

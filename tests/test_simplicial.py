@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import Delaunay
 
-from decpotentials import generate_square_mesh, simplicial
+from decpotentials import generate_square_mesh, generate_ushape_mesh, simplicial
 from decpotentials.homotopy import ProductComplex, uniform_breakpoints
 from decpotentials.simplicial import (
     _face_closure,
@@ -385,3 +386,58 @@ def test_product_complex_is_listed_without_a_face_closure(square8, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * sum(r.nbytes for r in rows.values())
+
+
+def _prism_tuples(simplex, n_slabs, stride):
+    """(sign, prism) per slab r and position i: v_0..v_i@r v_i..v_k@r+1."""
+    for r in range(n_slabs):
+        lo = [r * stride + v for v in simplex]
+        hi = [(r + 1) * stride + v for v in simplex]
+        for i in range(len(simplex)):
+            yield (-1) ** i, tuple(lo[: i + 1] + hi[i:])
+
+
+def test_prism_rows_equal_the_prism_tuples(square8):
+    rng = np.random.default_rng(16)
+    cases = [(square8, uniform_breakpoints(3)), (square8, (0.0, 0.05, 0.5, 0.51, 1.0))]
+    for _ in range(20):
+        times = np.sort(rng.uniform(size=int(rng.integers(0, 4))))
+        cases.append((SimplicialComplex(_random_inputs(rng)), (0.0, *times.tolist(), 1.0)))
+    for base, times in cases:
+        prod = ProductComplex(base, times)
+        for k, rows in base._rows.items():
+            want = [p for s in base.simplices(k)
+                    for p in _prism_tuples(s, prod.n_slabs, prod.stride)]
+            got = prod.prism_rows(rows)
+            assert got.dtype == np.int64 and got.shape == (prod.n_slabs, len(rows), k + 1, k + 2)
+            by_simplex = got.swapaxes(0, 1).reshape(-1, k + 2).tolist()
+            assert [tuple(p) for p in by_simplex] == [p for _, p in want], (base, times, k)
+            for s in base.simplices(k)[:3]:
+                assert list(prod.prisms(s)) == list(_prism_tuples(s, prod.n_slabs, prod.stride))
+
+
+def _boundary_closure(cx):
+    """Boundary simplices per dimension: the codimension-1 simplices with one
+    cofacet, then their faces, dimension by dimension, as sets."""
+    n = cx.dim
+    out = {k: [] for k in range(n, cx.dim + 1)}
+    if n == 0:
+        return out
+    level = {s for s in cx.simplices(n - 1) if len(cx.cofacets(s)) == 1}
+    for k in range(n - 1, -1, -1):
+        out[k] = sorted(level)
+        level = {f for s in level for f in facets_of(s)}
+    return out
+
+
+def test_boundary_indices_equal_the_set_closure(square8):
+    # an equality pin: the coboundary-matrix boundary is the set closure's
+    rng = np.random.default_rng(17)
+    points = np.vstack([[[0, 0], [1, 0], [0, 1], [1, 1]], rng.uniform(size=(200, 2))])
+    cases = [square8, generate_ushape_mesh(20),
+             SimplicialComplex(Delaunay(points).simplices, points)]
+    cases += [SimplicialComplex(_random_inputs(rng)) for _ in range(20)]
+    for cx in cases:
+        for k, want in _boundary_closure(cx).items():
+            assert cx.boundary_simplices(k) == want, (cx, k)
+            assert cx.boundary_indices(k).tolist() == [cx.index(s) for s in want], (cx, k)

@@ -1,8 +1,10 @@
 """Whitney interpolation and the de Rham (integration) map."""
 
 import numpy as np
+from scipy.spatial import Delaunay
 
-from decpotentials.simplicial import Cochain, coboundary
+from decpotentials import generate_square_mesh, generate_ushape_mesh
+from decpotentials.simplicial import Cochain, SimplicialComplex, coboundary
 from decpotentials.whitney import MeshGeometry, de_rham, whitney_value
 
 
@@ -114,3 +116,18 @@ def test_grid_locate_matches_a_full_scan(jittered):
         hits = np.nonzero((geom.barycentric(everything, p) >= -1e-12).all(axis=1))[0]
         assert t == (hits[0] if hits.size else -1)
         assert geom.locate(p) == (int(hits[0]) if hits.size else None)
+
+
+def test_triangle_edges_and_vertices_follow_the_canonical_tuples():
+    # an equality pin: the arrays read from the complex's rows and coboundary
+    # are what a loop over the canonical simplex tuples gives
+    points = np.vstack([[[0, 0], [1, 0], [0, 1], [1, 1]],
+                        np.random.default_rng(17).uniform(size=(200, 2))])
+    for cx in (generate_square_mesh(8), generate_ushape_mesh(20),
+               SimplicialComplex(Delaunay(points).simplices, points)):
+        geom = MeshGeometry(cx)
+        index = {s: i for i, s in enumerate(cx.simplices(1))}
+        want = [[index[(a, b)], index[(a, c)], index[(b, c)]] for a, b, c in cx.simplices(2)]
+        assert geom.triangle_edges.tolist() == want
+        assert geom.triangle_vertices.tolist() == [list(t) for t in cx.simplices(2)]
+        assert np.array_equal(geom.edge_coords, cx.coordinates[np.array(cx.simplices(1))])
