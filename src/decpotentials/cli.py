@@ -312,19 +312,10 @@ def _write_samples(geom: MeshGeometry, pot, path) -> None:
     barycenters = geom.corners.mean(axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if pot.dim == 0:
-            writer.writerow(["x", "y", "value"])
-            for t, p in enumerate(barycenters):
-                value = whitney_value(geom, pot, p, t)
-                writer.writerow([repr(float(p[0])), repr(float(p[1])), repr(float(value))])
-        else:
-            writer.writerow(["x", "y", "vx", "vy"])
-            for t, p in enumerate(barycenters):
-                value = whitney_value(geom, pot, p, t)
-                writer.writerow(
-                    [repr(float(p[0])), repr(float(p[1])),
-                     repr(float(value[0])), repr(float(value[1]))]
-                )
+        writer.writerow(["x", "y", "value"] if pot.dim == 0 else ["x", "y", "vx", "vy"])
+        for t, p in enumerate(barycenters):
+            value = np.atleast_1d(whitney_value(geom, pot, p, t))
+            writer.writerow([repr(float(x)) for x in (p[0], p[1], *value)])
 
 
 def cmd_potential(args) -> int:

@@ -24,7 +24,10 @@ table, and their chain tables are built only when read.  The prism-based
 cones never build the product complex: ``lipschitz_cone`` reads
 ``ProductComplex.prism_rows``, and ``contraction_cone`` visits only the
 slabs in which a vertex of the simplex changes image, since every prism of
-any other slab is degenerate.
+any other slab is degenerate.  ``lipschitz_cone`` evaluates its contraction
+once per (vertex, breakpoint), into one table that both the endpoint and
+containment checks and the cone's points are read from; containment in the
+mesh is always checked, with a geometry built when none is given.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .simplicial import (
     facets_of,
 )
 from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain, shadow_pieces
+from .whitney import MeshGeometry
 
 
 class _ConeOperatorBase:
@@ -316,14 +320,14 @@ class SlabAffineContraction:
         self._check_matrix_continuity()
         return self
 
-    def _check_matrix_continuity(self, tol: float = 1e-10):
+    def _check_matrix_continuity(self):
         for i in range(len(self.matrices) - 1):
             t = self.breakpoints[i + 1]
             a, b = self.matrices[i], self.matrices[i + 1]
             # restriction to the plane {time = t}: x/y columns plus t*tcol+const
             ra = np.column_stack([a[:, 0], a[:, 1], a[:, 2] * t + a[:, 3]])
             rb = np.column_stack([b[:, 0], b[:, 1], b[:, 2] * t + b[:, 3]])
-            if np.max(np.abs(ra - rb)) > tol:
+            if np.max(np.abs(ra - rb)) > 1e-10:
                 raise ValueError(f"slab maps disagree at breakpoint {t}")
 
     def to_json(self) -> dict:
@@ -354,39 +358,46 @@ class SlabAffineContraction:
             fh.write("\n")
 
 
+def _checked_images(phi: SlabAffineContraction, complex: SimplicialComplex, geometry):
+    """(V, B, 2) images of the vertices, in row order, at each breakpoint,
+    and the endpoint and containment issues read off them."""
+    coords = complex.coordinates
+    if coords is None:
+        raise ValueError("complex has no vertex coordinates")
+    if geometry is None:
+        geometry = MeshGeometry(complex)
+    vertices = complex._rows[0][:, 0]
+    images = np.array([[phi(x, t) for t in phi.breakpoints] for x in coords[vertices]])
+    moved = np.max(np.abs(images[:, -1] - coords[vertices]), axis=1) > 1e-10
+    unbased = np.max(np.abs(images[:, 0] - phi.point), axis=1) > 1e-10
+    # (vertex, breakpoint) images, and (vertex, slab) path midpoints, each
+    # located in one probe of the grid
+    escaped = geometry.locate_all(images, tol=1e-9).reshape(images.shape[:2]) < 0
+    midpoints = 0.5 * (images[:, :-1] + images[:, 1:])
+    cut = geometry.locate_all(midpoints, tol=1e-9).reshape(midpoints.shape[:2]) < 0
+    issues = []
+    for n, v in enumerate(vertices.tolist()):
+        if moved[n]:
+            issues.append(f"phi(vertex {v}, 1) != identity")
+        if unbased[n]:
+            issues.append(f"phi(vertex {v}, 0) != base point")
+        issues += [f"phi(vertex {v}, {t}) leaves the mesh"
+                   for t, out in zip(phi.breakpoints, escaped[n]) if out]
+        issues += [f"interpolated path of vertex {v} leaves the mesh"
+                   for out in cut[n] if out]
+    return images, issues
+
+
 def validate_contraction(phi: SlabAffineContraction, complex: SimplicialComplex,
-                         geometry=None, tol: float = 1e-10) -> list[str]:
-    """Sampled endpoint and containment checks at mesh vertices.
+                         geometry=None) -> list[str]:
+    """Endpoint and containment checks at mesh vertices.
 
     Containment is probed at the breakpoints and at the midpoint of each
     vertex path segment: the cone construction interpolates affinely between
     breakpoint images, so on a nonconvex domain a segment can leave the mesh
-    even though its endpoints stay inside.
+    even though its endpoints stay inside.  Without a geometry, one is built.
     """
-    coords = complex.coordinates
-    if coords is None:
-        raise ValueError("complex has no vertex coordinates")
-    vertices = [v for (v,) in complex.simplices(0)]
-    if geometry is not None:
-        # (vertex, breakpoint) images, and (vertex, slab) path midpoints,
-        # each located in one probe of the grid
-        images = np.array([[phi(coords[v], t) for t in phi.breakpoints] for v in vertices])
-        escaped = geometry.locate_all(images, tol=1e-9).reshape(images.shape[:2]) < 0
-        midpoints = 0.5 * (images[:, :-1] + images[:, 1:])
-        cut = geometry.locate_all(midpoints, tol=1e-9).reshape(midpoints.shape[:2]) < 0
-    issues = []
-    for n, v in enumerate(vertices):
-        x = coords[v]
-        if np.max(np.abs(phi(x, 1.0) - x)) > tol:
-            issues.append(f"phi(vertex {v}, 1) != identity")
-        if np.max(np.abs(phi(x, 0.0) - phi.point)) > tol:
-            issues.append(f"phi(vertex {v}, 0) != base point")
-        if geometry is not None:
-            issues += [f"phi(vertex {v}, {t}) leaves the mesh"
-                       for t, out in zip(phi.breakpoints, escaped[n]) if out]
-            issues += [f"interpolated path of vertex {v} leaves the mesh"
-                       for out in cut[n] if out]
-    return issues
+    return _checked_images(phi, complex, geometry)[1]
 
 
 def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
@@ -397,24 +408,20 @@ def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
     each extruded prism becomes the linear singular simplex on its vertex
     images, i.e. the affine interpolation of the contraction per prism.
     Degenerate image simplices are kept (they matter for formal boundary
-    cancellation, and integrate to zero).
+    cancellation, and integrate to zero).  The contraction is evaluated once
+    per (vertex, breakpoint) and checked by ``validate_contraction``.
     """
-    coords = complex.coordinates
-    if coords is None:
-        raise ValueError("complex has no vertex coordinates")
-    issues = validate_contraction(phi, complex, geometry)
+    images, issues = _checked_images(phi, complex, geometry)
     if issues:
         raise ValueError("invalid contraction: " + "; ".join(issues[:5]))
 
     product = ProductComplex(complex, phi.breakpoints)
-    # vertex images, evaluated once per (vertex, breakpoint), by product vertex id
-    points = np.zeros((len(product.times) * product.stride, 2))
-    for level, t in enumerate(product.times):
-        for v in complex._rows[0][:, 0].tolist():
-            points[product.vertex_id(v, level)] = phi(coords[v], t)
+    # vertex images by product vertex id
+    points = np.zeros((len(product.times), product.stride, 2))
+    points[:, complex._rows[0][:, 0]] = images.swapaxes(0, 1)
     # each base simplex's prisms, slab by slab, with the signs of prism_rows
     terms = {k: (np.repeat(np.arange(len(rows)), product.n_slabs * (k + 1)),
                  np.tile((-1) ** np.arange(k + 1), len(rows) * product.n_slabs),
                  product.prism_rows(rows).swapaxes(0, 1).reshape(-1, k + 2))
              for k, rows in complex._rows.items()}
-    return SingularConeOperator(complex, phi.point, points, terms)
+    return SingularConeOperator(complex, phi.point, points.reshape(-1, 2), terms)

@@ -1,10 +1,11 @@
 """Structured mesh generators and file round trips.
 
-Both generators split every grid cell along the same (southwest-northeast)
-diagonal.  Vertex ids run row-major from the bottom-left corner, so for the
-unit square the origin is vertex 0 and the top-right corner is the last
-vertex; the U-shaped domain keeps the same numbering restricted to its
-cells, putting the origin at id 0.
+Both generators call one grid function with a mask of the cells to keep; it
+splits every kept cell along the same (southwest-northeast) diagonal.
+Vertex ids run row-major from the bottom-left corner, so for the unit
+square the origin is vertex 0 and the top-right corner is the last vertex;
+the U-shaped domain keeps the same numbering restricted to its cells,
+putting the origin at id 0.
 
 File formats:
 
@@ -25,27 +26,30 @@ import numpy as np
 from .simplicial import Cochain, SimplicialComplex, canonical_simplex
 
 
+def _grid_mesh(n: int, cells: np.ndarray) -> SimplicialComplex:
+    """Grid of spacing 1/n on the unit square, keeping the cells where the
+    (n, n) mask ``cells[j, i]`` is set.
+
+    Each kept cell (i, j) is split along its southwest-northeast diagonal.
+    The vertices of the kept cells are numbered row-major from the bottom
+    left, and vertex (i, j) sits at ``(i / n, j / n)``.
+    """
+    j, i = np.nonzero(cells)
+    v00 = j * (n + 1) + i  # lower-left corner, numbered on the full grid
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    corners = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+    # the used vertices, renumbered in row-major order
+    used, triangles = np.unique(corners, return_inverse=True)
+    jv, iv = np.divmod(used, n + 1)
+    coords = np.column_stack([iv / n, jv / n])
+    return SimplicialComplex.from_rows([triangles.reshape(-1, 3)], coords)
+
+
 def generate_square_mesh(n: int) -> SimplicialComplex:
     """Unit square [0,1]^2 with (n+1)^2 vertices and 2 n^2 triangles."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    coords = np.array(
-        [[i / n, j / n] for j in range(n + 1) for i in range(n + 1)], dtype=float
-    )
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    return SimplicialComplex(triangles, coords)
+    return _grid_mesh(n, np.ones((n, n), dtype=bool))
 
 
 def generate_ushape_mesh(n: int) -> SimplicialComplex:
@@ -56,44 +60,16 @@ def generate_ushape_mesh(n: int) -> SimplicialComplex:
         raise ValueError("n must be a positive multiple of 10")
     wall = 3 * n // 10
     right = 7 * n // 10
-
-    def cell_included(i, j):
-        return (j + 1) <= wall or (i + 1) <= wall or i >= right
-
-    used = sorted(
-        {
-            (i + di, j + dj)
-            for j in range(n)
-            for i in range(n)
-            if cell_included(i, j)
-            for di in (0, 1)
-            for dj in (0, 1)
-        },
-        key=lambda p: (p[1], p[0]),
-    )
-    ids = {p: k for k, p in enumerate(used)}
-    coords = np.array([[i / n, j / n] for (i, j) in used], dtype=float)
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            if not cell_included(i, j):
-                continue
-            v00 = ids[(i, j)]
-            v10 = ids[(i + 1, j)]
-            v01 = ids[(i, j + 1)]
-            v11 = ids[(i + 1, j + 1)]
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    return SimplicialComplex(triangles, coords)
+    j, i = np.indices((n, n))
+    return _grid_mesh(n, (j < wall) | (i < wall) | (i >= right))
 
 
-def vertex_at(complex: SimplicialComplex, point, tol: float = 1e-9) -> int:
-    """Id of the vertex at (or within tol of) a coordinate point."""
+def vertex_at(complex: SimplicialComplex, point) -> int:
+    """Id of the vertex at (or within 1e-9 of) a coordinate point."""
     coords = complex.coordinates
     p = np.asarray(point, dtype=float)
     for (v,) in complex.simplices(0):
-        if np.max(np.abs(coords[v] - p)) <= tol:
+        if np.max(np.abs(coords[v] - p)) <= 1e-9:
             return v
     raise KeyError(f"no vertex at {tuple(p)}")
 

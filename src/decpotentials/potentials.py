@@ -62,10 +62,10 @@ class BasePointOnFacetError(PreconditionError):
     trace-preserving construction does not allow."""
 
 
-def check_base_point(geometry: MeshGeometry, point, tol_rel: float = 1e-12) -> None:
-    """Reject base points on (or numerically on) any mesh edge."""
+def check_base_point(geometry: MeshGeometry, point) -> None:
+    """Reject base points on any mesh edge, or within 1e-12 mesh diagonals of one."""
     p = np.asarray(point, dtype=float)
-    tol = tol_rel * geometry.diagonal
+    tol = 1e-12 * geometry.diagonal
     ends = geometry.edge_coords
     on = np.nonzero(point_segment_distance(p, ends[:, 0], ends[:, 1]) <= tol)[0]
     if on.size:

@@ -406,12 +406,10 @@ class MapValidation:
 
 
 def _vertex_function(vertex_map) -> Callable[[int], int]:
-    if callable(vertex_map):
-        return vertex_map
+    """A vertex map given as a mapping or as a function, as a function."""
     if isinstance(vertex_map, Mapping):
         return vertex_map.__getitem__
-    arr = vertex_map
-    return lambda v: arr[v]
+    return vertex_map
 
 
 def validate_simplicial_map(vertex_map, source: SimplicialComplex,
@@ -452,25 +450,6 @@ class SimplicialMap:
 
     def __call__(self, v: int) -> int:
         return self.vertex_map[v]
-
-    def compose(self, inner: "SimplicialMap") -> "SimplicialMap":
-        """self after inner (inner's target must be self's source)."""
-        if inner.target is not self.source:
-            raise ValueError("composition needs matching complexes")
-        vm = {v: self.vertex_map[w] for v, w in inner.vertex_map.items()}
-        return SimplicialMap(inner.source, self.target, vm, check=False)
-
-    @classmethod
-    def identity(cls, complex: SimplicialComplex) -> "SimplicialMap":
-        return cls(complex, complex, {v: v for (v,) in complex.simplices(0)}, check=False)
-
-    @classmethod
-    def constant(cls, source: SimplicialComplex, vertex: int,
-                 target: SimplicialComplex | None = None) -> "SimplicialMap":
-        tgt = source if target is None else target
-        if (vertex,) not in tgt:
-            raise ValueError(f"vertex {vertex} not in target complex")
-        return cls(source, tgt, {v: vertex for (v,) in source.simplices(0)}, check=False)
 
 
 def induced_chain_map(f: SimplicialMap, chain: Chain) -> Chain:

@@ -186,7 +186,7 @@ def cone_boundary(chain: ConeChain) -> ConeChain:
     return ConeChain(chain.dim - 1, out)
 
 
-def _degenerate(pts: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def _degenerate(pts: np.ndarray) -> np.ndarray:
     """``is_degenerate`` over a batch of point sets, shape (S, k + 1, 2)."""
     k = pts.shape[1] - 1
     if k <= 0 or k >= 3:
@@ -198,17 +198,17 @@ def _degenerate(pts: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    return (scale == 0.0) | (np.abs(det) <= tol * scale * scale)
+    return (scale == 0.0) | (np.abs(det) <= DEGENERACY_TOL * scale * scale)
 
 
-def is_degenerate(points, tol: float = DEGENERACY_TOL) -> bool:
+def is_degenerate(points) -> bool:
     """Rank test: do the points span an affine k-flat in the plane?
 
     The threshold is relative to the squared diameter of the point set, so
     the verdict is invariant under rigid motions and uniform scaling.
     """
     pts = np.asarray(points, dtype=float)
-    return bool(_degenerate(pts.reshape(1, len(pts), 2), tol)[0])
+    return bool(_degenerate(pts.reshape(1, len(pts), 2))[0])
 
 
 # -- polygon clipping ----------------------------------------------------
@@ -534,12 +534,11 @@ def chain_functional(geom: MeshGeometry, chain: SingularChain, *,
                 [s.points for _, s in chain.terms], allow_exterior)
 
 
-def integrate_whitney(geom: MeshGeometry, alpha: Cochain, chain: SingularChain, *,
-                      allow_exterior: bool = False) -> float:
+def integrate_whitney(geom: MeshGeometry, alpha: Cochain, chain: SingularChain) -> float:
     """Integral of the Whitney interpolant of alpha over a singular chain."""
     if alpha.dim != chain.dim:
         raise ValueError("cochain degree must match chain dimension")
-    row = chain_functional(geom, chain, allow_exterior=allow_exterior)
+    row = chain_functional(geom, chain)
     return float(sum(alpha.values[i] * w for i, w in row.items()))
 
 

@@ -221,12 +221,9 @@ def whitney_value(geom: MeshGeometry, alpha: Cochain, point, triangle: int | Non
     if k == 2:
         return alpha.values[t] / geom.signed_area[t]
     lam = geom.barycentric(t, point)
-    cx = geom.complex
-    tri = cx.simplices(2)[t]
     if k == 0:
-        idx0 = cx._index[0]
-        vals = [alpha.values[idx0[(v,)]] for v in tri]
-        return float(lam @ np.asarray(vals, dtype=float))
+        corners = np.searchsorted(geom.complex._rows[0][:, 0], geom.triangle_vertices[t])
+        return float(lam @ np.asarray(alpha.values[corners], dtype=float))
     if k == 1:
         G = geom.gradients[t]
         out = np.zeros(2)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, reports, file outputs."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -323,6 +324,37 @@ def test_potential_scalar_samples(capsys, tmp_path):
     assert code == 0
     assert out_json(out)["degree"] == 1
     assert samples.read_text().splitlines()[0] == "x,y,value"
+
+
+# sha256 of the --out and --samples files of `decpot potential`, recorded
+# before the sample rows were written in one loop and the grids and
+# contraction images were built in numpy
+POTENTIAL_FILE_DIGESTS = {
+    "star-g1": ("3311d121bbecd5dabe5160f084a2ffce830dafc7dcd5e2c5dde1b4b169e0e309",
+               "1da1427788c74613b647fc8141c4d43c38331c8bd8c0722add0b05997134bd83"),
+    "star-f": ("969ce880e58334443838a2ad0cc71c96bf72a50bf19ed549400bed2db8855126",
+              "6b37c20f9b9bfe4a6b60ebc6b9cf3aac16305dc2ad1a524321051fd6e4e32cde"),
+    "lipschitz-g1": ("76056a935996936085f45a3c1da5b950e47d7bd63ab1b11405d0a1d354a260df",
+                    "31b4ae400072e3dceea0a3ef3d19c9b9bb0304f9c5983c3ee3dbe3f3ecc897df"),
+    "lipschitz-f": ("66238b1989f28a5ef520241022fd21c22015a3c1049cbfbd15cdbf95abdacf83",
+                   "50cac608c21fe6f5004f38b89097fb23d39875fb75905e1002cc94d99caed1da"),
+}
+POTENTIAL_ARGS = {
+    "star": ["--mesh", "builtin:square:8", "--op", "star", "--point", "0.52,0.51"],
+    "lipschitz": ["--mesh", "builtin:ushape:10", "--op", "lipschitz",
+                  "--contraction", "ushape", "--point", "0.2,0.2"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(POTENTIAL_FILE_DIGESTS))
+def test_potential_file_bytes_are_pinned(run, capsys, tmp_path):
+    op, field = run.split("-")
+    out, samples = tmp_path / "pot.csv", tmp_path / "samples.csv"
+    code, _, _ = run_cli(capsys, ["potential", *POTENTIAL_ARGS[op], "--field", field,
+                                  "--out", str(out), "--samples", str(samples)])
+    assert code == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, samples))
+    assert digests == POTENTIAL_FILE_DIGESTS[run]
 
 
 def test_potential_from_cochain_file(capsys, tmp_path, square2):

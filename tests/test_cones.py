@@ -354,6 +354,30 @@ def test_lipschitz_cone_builds_no_product_complex(ushape10, ugeom, monkeypatch):
     assert built and all("complex" not in vars(p) for p in built)
 
 
+def test_lipschitz_cone_checks_containment_without_a_geometry(ushape10):
+    # straight lines to (0.2, 0.2) cut across the notch from the right arm
+    phi = SlabAffineContraction.straight_line((0.2, 0.2))
+    with pytest.raises(ValueError, match="leaves the mesh"):
+        lipschitz_cone(phi, ushape10)
+    assert validate_contraction(phi, ushape10) == validate_contraction(
+        phi, ushape10, MeshGeometry(ushape10))
+
+
+def test_lipschitz_cone_evaluates_phi_once_per_vertex_and_breakpoint():
+    cx = generate_ushape_mesh(20)
+    phi = SlabAffineContraction.ushape(np.array([0.2, 0.2]))
+    calls = []
+    evaluate = phi._evaluate
+
+    def counting(xy, t):
+        calls.append(t)
+        return evaluate(xy, t)
+
+    phi._evaluate = counting
+    lipschitz_cone(phi, cx)
+    assert len(calls) == cx.num_simplices(0) * len(phi.breakpoints)
+
+
 def test_lipschitz_cone_on_closed_star_yields_mesh_chains(square2, geom2):
     star_tris = [t for t in square2.simplices(2) if 4 in t]
     cx = SimplicialComplex(star_tris, square2.coordinates)

@@ -1,5 +1,7 @@
 """Mesh generators, vertex lookup, and file round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,31 @@ def test_cochain_csv_degree_zero_and_two(tmp_path, square2):
         save_cochain_csv(alpha, path)
         loaded = load_cochain_csv(square2, path)
         assert np.array_equal(loaded.values, alpha.values)
+
+
+# sha256 of the coordinates and the vertex, edge and triangle rows, recorded
+# with the per-cell Python loops, before both grids came from one mask
+MESH_DIGESTS = {
+    "square:1": "1620b6c87a8285a0cf487eacc94a1467cfd18269e3d606d55a935188b2a8f9c8",
+    "square:2": "743a46d05faad56d8de7b1d945a407fd396cf29f01282c216e587b0e40984799",
+    "square:8": "734b41a29e688af9dfa5cccb79261592acf8c4ed81348d3f17b9fe9c069d6275",
+    "square:16": "7b5b8287df1f77a18d854a8c95ae67d68c1560e284f4e963e6627037ff2fb2f6",
+    "square:64": "3df5fc102b41d3c5d555380ad8dc65908c00e6ac98540220b4f1e0793bc5e12b",
+    "ushape:10": "d3123afdabc587e63009bce0f247f1492f700c35e50a22d817689c2101f3761b",
+    "ushape:20": "984c819bd9d7eb64bc67522f0df57aefd2b81fce3203deb57128d4e2bdb351e3",
+    "ushape:40": "f96ecedc59a265da9a2207e749952dd70016e84f6396d5cf84c899939370e545",
+}
+
+
+def test_grid_mesh_arrays_are_pinned():
+    generators = {"square": generate_square_mesh, "ushape": generate_ushape_mesh}
+    digests = {}
+    for name in MESH_DIGESTS:
+        family, n = name.split(":")
+        cx = generators[family](int(n))
+        h = hashlib.sha256()
+        for a in (cx.coordinates, cx._rows[0], cx._rows[1], cx._rows[2]):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        digests[name] = h.hexdigest()
+    assert digests == MESH_DIGESTS

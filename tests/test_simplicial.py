@@ -133,20 +133,11 @@ def test_validate_simplicial_map(square2, square1):
     assert (4, 7, 8) in bad.violations
 
 
-def test_simplicial_map_compose_and_constant(square2):
-    ident = SimplicialMap.identity(square2)
-    const = SimplicialMap.constant(square2, 4)
-    comp = const.compose(ident)
-    assert all(comp(v) == 4 for (v,) in square2.simplices(0))
-    with pytest.raises(ValueError):
-        SimplicialMap.constant(square2, 99)
-
-
 def test_induced_chain_map_drops_degenerate(square2):
-    const = SimplicialMap.constant(square2, 4)
+    const = SimplicialMap(square2, square2, {v: 4 for (v,) in square2.simplices(0)})
     image = induced_chain_map(const, Chain.single(square2, (0, 1)))
     assert image.is_zero()
-    ident = SimplicialMap.identity(square2)
+    ident = SimplicialMap(square2, square2, lambda v: v)
     c = Chain.single(square2, (0, 1, 4), 3)
     assert induced_chain_map(ident, c) == c
 

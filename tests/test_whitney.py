@@ -102,6 +102,23 @@ def test_whitney_value_with_triangle_hint(geom2, square2):
                        whitney_value(geom2, alpha, p, t))
 
 
+def test_whitney_value_builds_no_simplex_tuples():
+    cx = generate_square_mesh(8)
+    geom = MeshGeometry(cx)
+    rng = np.random.default_rng(8)
+    p = np.array([0.37, 0.61])
+    t = geom.locate(p)
+    for k in range(3):
+        alpha = Cochain(cx, k, rng.uniform(-1, 1, cx.num_simplices(k)))
+        value = whitney_value(geom, alpha, p)
+        if k == 0:
+            # vertex ids of a full grid are their row indices
+            corners = geom.triangle_vertices[t]
+            assert value == float(geom.barycentric(t, p) @ alpha.values[corners])
+    assert "simplices_by_dim" not in vars(cx)
+    assert "_index" not in vars(cx)
+
+
 def test_grid_locate_matches_a_full_scan(jittered):
     # random points in and around the domain, every vertex and every edge
     # midpoint: on shared edges and vertices the lowest triangle index wins
