@@ -288,6 +288,8 @@ def cmd_mesh_info(args) -> int:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise PreconditionError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise PreconditionError(f"--seed must be a non-negative integer, got {args.seed}")
     cx = load_mesh(args.mesh)
     geom = _geometry_or_none(cx)
     op = build_operator(args, cx, geom)

@@ -66,12 +66,11 @@ def generate_ushape_mesh(n: int) -> SimplicialComplex:
 
 def vertex_at(complex: SimplicialComplex, point) -> int:
     """Id of the vertex at (or within 1e-9 of) a coordinate point."""
-    coords = complex.coordinates
-    p = np.asarray(point, dtype=float)
-    for (v,) in complex.simplices(0):
-        if np.max(np.abs(coords[v] - p)) <= 1e-9:
-            return v
-    raise KeyError(f"no vertex at {tuple(p)}")
+    ids = complex._rows[0][:, 0]
+    hits = ids[np.abs(complex.coordinates[ids] - point).max(axis=1) <= 1e-9]
+    if hits.size:
+        return int(hits[0])
+    raise KeyError(f"no vertex at {tuple(np.asarray(point, dtype=float))}")
 
 
 # -- files ---------------------------------------------------------------

@@ -30,22 +30,24 @@ the matrices of ``P - d P P``, formed once from its base operator's; they
 satisfy the same identity and square to zero.
 
 ``verify_homotopy`` estimates the identity's residual on seeded random
-cochains and reports per-degree maxima; everything is deterministic given
-the seed.  Each trial draws its cochain from its own (seed, degree, trial)
-generator, and a degree's trials are evaluated together: they are stacked as
-the columns of one block, projected to admissible inputs at once, and the
-residual ``D P X + P D X - X`` (plus pi at degree 0) is one sparse mat-mat
-per term.  Column sums run in the order of a single mat-vec, so each trial's
-residual, and the report, is bitwise what a trial-by-trial loop gives.
+cochains and reports per-degree maxima.  Trial t of degree k draws bitwise
+``default_rng((seed, k, t)).uniform(-1, 1, n)``, seeded from states that
+``_seed_states`` hashes at once, and a degree's trials are evaluated together:
+stacked as the columns of one block, projected to admissible inputs at once,
+and the residual ``D P X + P D X - X`` (plus pi at degree 0) is one sparse
+mat-mat per term.  Column sums run in the order of a single mat-vec, so each
+trial's residual, and the report, is bitwise what a trial-by-trial loop gives.
 ``homotopy_residual`` is the one-column case of the same kernel.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.random.bit_generator import ISeedSequence
 
 from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary  # noqa: F401 (perfbench reads it)
@@ -271,24 +273,63 @@ def homotopy_residual(op, alpha: Cochain) -> np.ndarray:
     return _residuals(op, alpha.dim, alpha.values[:, None])[:, 0]
 
 
+class _Seeded(ISeedSequence):
+    """A seed sequence that hands its bit generator one precomputed state."""
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _seed_states(seed: int, ks, trials: int) -> np.ndarray:
+    """``SeedSequence((seed, k, t)).generate_state(4, np.uint64)`` for k in ks, t < trials."""
+    words = np.frombuffer(seed.to_bytes((seed.bit_length() + 31) // 32 * 4 or 4, "little"), "<u4")
+    entropy = np.broadcast_arrays(*words, np.asarray(ks).astype(np.uint32)[:, None],
+                                  np.arange(trials, dtype=np.uint32))
+    const = [0x43B0D7E5]
+
+    def hashmix(value, mult=0x931E8875):
+        value = value ^ const[0]
+        const[0] = const[0] * mult & 0xFFFFFFFF
+        value = value * const[0]
+        return value ^ value >> 16
+
+    # NumPy's mixing into a pool of 4 words, vectorised over every (k, t)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(e) for e in (*entropy, np.zeros_like(entropy[-1]))[:4]]
+        for src, dst in [(s, d) for s in range(max(4, len(entropy))) for d in range(4) if s != d]:
+            y = hashmix(pool[src] if src < 4 else entropy[src])
+            r = pool[dst] * 0xCA01F9DD - y * 0x4973F715
+            pool[dst] = r ^ r >> 16
+        const[0] = 0x8B51F9DD
+        state = np.stack([hashmix(pool[i % 4], 0x58F38DED) for i in range(8)], axis=-1)
+    return state.view(np.uint64)
+
+
 def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
     """Max/mean homotopy residuals over seeded random cochains.
 
-    Random inputs are uniform on (-1, 1) per simplex, with one generator per
-    (seed, degree, trial) triple so the report is reproducible and trials
-    could be evaluated in any order.  Inputs are first projected to the
-    operator's admissible subspace.  Each degree's trials go through
-    ``_residuals`` in column blocks; a trial's residual is bitwise the one
-    ``homotopy_residual`` gives on its cochain.
+    Trial t of degree k draws ``default_rng((seed, k, t)).uniform(-1, 1, n)``,
+    so the report is reproducible for a non-negative integer ``seed``.
+    Inputs are first projected to the operator's admissible subspace.  Each
+    degree's trials go through ``_residuals`` in column blocks; a trial's
+    residual is bitwise the one ``homotopy_residual`` gives on its cochain.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials >= 2**32:
+        raise ValueError(f"trials must be below 2**32, got {trials}")
+    index = operator.index(seed) if hasattr(seed, "__index__") else -1
+    if index < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     cx = op.complex
-    if ks is None:
-        ks = range(cx.dim + 1)
+    ks = [operator.index(k) for k in (range(cx.dim + 1) if ks is None else ks)]
     width = max(1, BLOCK_ENTRIES // max(map(cx.num_simplices, range(cx.dim + 1))))
     per_k = {}
-    for k in ks:
+    for k, k_states in zip(ks, _seed_states(index, ks, trials)):
         # assemble the degree's matrices before its blocks take memory
         for j in (k, k + 1):
             if 1 <= j <= cx.dim:
@@ -297,8 +338,11 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
         worst = 0.0
         total = 0.0
         for start in range(0, trials, width):
-            draws = np.array([np.random.default_rng((seed, k, trial)).uniform(-1.0, 1.0, size)
-                              for trial in range(start, min(start + width, trials))])
+            draws = np.empty((min(width, trials - start), size))
+            for row, state in zip(draws, k_states[start:start + width]):
+                np.random.Generator(np.random.PCG64(_Seeded(state))).random(out=row)
+            draws *= 2.0  # bitwise uniform(-1, 1), which forms -1 + 2 * u exactly
+            draws -= 1.0
             admissible = op.project_admissible_block(k, draws.T)
             r = _residuals(op, k, np.ascontiguousarray(admissible))
             for m in np.abs(r).max(axis=0, initial=0.0).tolist():
@@ -308,7 +352,7 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
     return {
         "operator": getattr(op, "label", type(op).__name__),
         "trials": trials,
-        "seed": seed,
+        "seed": index,
         "per_k": per_k,
     }
 

@@ -17,6 +17,7 @@ from decpotentials import (
     save_cochain_csv,
     save_mesh_json,
 )
+from decpotentials import cli
 from decpotentials.cli import main
 
 from conftest import annulus_complex, holed_square_complex
@@ -234,6 +235,23 @@ def test_verify_needs_at_least_one_trial(capsys, tmp_path, trials):
     assert code == 2
     assert out == ""
     assert "--trials" in err_json(err)["message"]
+    assert not report.exists()
+
+
+def test_verify_rejects_a_negative_seed_before_building(capsys, tmp_path, monkeypatch):
+    def build_operator(*args):
+        raise AssertionError("the operator was built")
+
+    monkeypatch.setattr(cli, "build_operator", build_operator)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--mesh", "builtin:square:2", "--op", "collapse",
+         "--seed", "-1", "--report", str(report)],
+    )
+    assert code == 2
+    assert out == ""
+    assert "seed must be a non-negative integer, got -1" in err_json(err)["message"]
     assert not report.exists()
 
 

@@ -59,6 +59,10 @@ def test_vertex_lookup_square(square8):
     assert vertex_at(square8, (1e-10, 0.0)) == 0
     with pytest.raises(KeyError):
         vertex_at(square8, (0.51, 0.5))
+    # a lookup reads the vertex rows, not the canonical simplex tuples
+    cx = generate_square_mesh(8)
+    assert vertex_at(cx, (0.5, 0.5)) == 40
+    assert "simplices_by_dim" not in vars(cx)
 
 
 def test_vertex_lookup_ushape(ushape10):

@@ -1,6 +1,7 @@
 """Potential operators: matrices, homotopy identities, trace preservation."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -454,8 +455,9 @@ def every_op(request):
 
 def test_verify_reports_equal_the_trial_loop(every_op):
     for op in every_op:
-        assert verify_homotopy(op, trials=7, seed=3) == loop_verify(op, trials=7, seed=3), \
-            op.label
+        for seed in (3, 2**70):
+            assert verify_homotopy(op, trials=7, seed=seed) == \
+                loop_verify(op, trials=7, seed=seed), (op.label, seed)
         for ks in ([1], [0, 2], [2, 1]):
             assert verify_homotopy(op, ks=ks, trials=1, seed=5) == \
                 loop_verify(op, ks=ks, trials=1, seed=5), (op.label, ks)
@@ -500,9 +502,58 @@ def test_verify_needs_at_least_one_trial(collapse_op2, trials):
         verify_homotopy(collapse_op2, trials=trials)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, "3"])
+def test_verify_rejects_a_seed_that_is_not_a_non_negative_integer(collapse_op2, seed):
+    message = f"seed must be a non-negative integer, got {seed}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_homotopy(collapse_op2, trials=1, seed=seed)
+
+
+def test_verify_rejects_trial_indices_beyond_32_bits(collapse_op2):
+    with pytest.raises(ValueError, match=re.escape("trials must be below 2**32")):
+        verify_homotopy(collapse_op2, trials=2**32)
+
+
+class RecordingOperator:
+    """Forwards to an operator and keeps every block verify_homotopy draws."""
+
+    def __init__(self, op):
+        self.op = op
+        self.draws = []
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+    def project_admissible_block(self, k, values):
+        self.draws.extend((k, column.copy()) for column in values.T)
+        return self.op.project_admissible_block(k, values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3, np.int64(5), True])
+@pytest.mark.parametrize("ks", [[0, 1, 2], [2, 0], [1, 1]])
+def test_verify_draws_are_the_numpy_streams(collapse_op2, seed, ks):
+    # pinned against the library call, so a change of NumPy's SeedSequence or
+    # PCG64 streams shows here rather than as a silent change of reports
+    trials = 3
+    recorder = RecordingOperator(collapse_op2)
+    report = verify_homotopy(recorder, ks=ks, trials=trials, seed=seed)
+    assert report["seed"] == seed and type(report["seed"]) is int
+    size = collapse_op2.complex.num_simplices
+    want = [(k, np.random.default_rng((seed, k, trial)).uniform(-1.0, 1.0, size(k)))
+            for k in ks for trial in range(trials)]
+    assert len(recorder.draws) == len(want)
+    for (k, got), (want_k, draw) in zip(recorder.draws, want):
+        assert k == want_k
+        assert got.tobytes() == draw.tobytes(), (k, seed)
+
+
 def test_verify_rejects_a_degree_outside_the_complex(collapse_op2):
     with pytest.raises(ValueError, match="degrees 0..2, got 3"):
         verify_homotopy(collapse_op2, ks=[3], trials=1)
+    with pytest.raises(ValueError, match="degrees 0..2, got -1"):
+        verify_homotopy(collapse_op2, ks=[-1], trials=1)
+    with pytest.raises(TypeError):
+        verify_homotopy(collapse_op2, ks=[1.0], trials=1)
 
 
 # sha256 of `decpot verify --mesh builtin:square:8 --trials 10 --report`,
