@@ -36,6 +36,7 @@ from .homotopy import (
     contraction_from_strong_collapse,
     find_collapse_sequence,
     find_strong_collapse_sequence,
+    greedy_strong_collapse,
     load_sequence,
     save_sequence,
     uniform_breakpoints,
@@ -169,22 +170,19 @@ SEQUENCE_KINDS = {
 }
 
 
-# why a search on a mesh with Euler characteristic 1 found no sequence
-SEARCH_FAILURES = {
-    "collapse": "the greedy collapse got stuck, and greedy is complete in "
-                "dimension 2, so the mesh is not collapsible",
-    "strong-collapse": "the strong-collapse core has more than one vertex, and the "
-                       "core is unique (Barmak-Minian), so the mesh is not "
-                       "strong collapsible",
-}
-
-
 def _find_sequence(kind: str, cx: SimplicialComplex, terminal):
     seq = SEQUENCE_KINDS[kind][1](cx, terminal=terminal)
     if seq is None:
         chi = cx.euler_characteristic()
-        why = (f"Euler characteristic {chi}; a collapsible mesh has 1" if chi != 1
-               else SEARCH_FAILURES[kind])
+        if chi != 1:
+            why = f"Euler characteristic {chi}; a collapsible mesh has 1"
+        elif kind == "collapse":
+            why = ("the greedy collapse got stuck, and greedy is complete in "
+                   "dimension 2, so the mesh is not collapsible")
+        else:
+            why = (f"the strong-collapse core has {len(greedy_strong_collapse(cx, terminal)[1])} "
+                   f"of {cx.num_simplices(0)} vertices, and the core is unique (Barmak-Minian), "
+                   "so the mesh is not strong collapsible")
         raise PreconditionError(
             f"no {kind.replace('-', ' ')} sequence found for this mesh ({why})")
     return seq

@@ -299,21 +299,13 @@ class _AliveVertices:
         return {u for s in self.star[v] if len(s) == 2 for u in s if u in self.alive}
 
 
-def find_strong_collapse_sequence(complex: SimplicialComplex,
-                                  terminal: int | None = None
-                                  ) -> StrongCollapseSequence | None:
-    """Greedily remove dominated vertices (lowest id first) until one remains.
+def greedy_strong_collapse(complex: SimplicialComplex, terminal: int | None = None):
+    """Greedily remove dominated vertices (lowest id first, never ``terminal``)
+    until one remains or none is dominated; return the steps and the core left.
 
     A vertex is dominated when some other vertex belongs to every maximal
     simplex containing it; removal deletes its entire star, and it is
-    recorded with its lowest dominator.  Returns None when the complex gets
-    stuck before reaching a single vertex, and at once when its Euler
-    characteristic is not 1 (a strong collapse keeps the homotopy type).
-    """
-    if terminal is not None and (terminal,) not in complex:
-        raise ValueError(f"terminal vertex {terminal} not in complex")
-    if complex.euler_characteristic() != 1:
-        return None
+    recorded with its lowest dominator."""
     state = _AliveVertices(complex)
     dominated: dict[int, int] = {}  # vertex -> its lowest dominator
 
@@ -327,15 +319,26 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
     for v in state.alive:
         update(v)
     steps: list[tuple[int, int]] = []
-    while len(state.alive) > 1:
-        if not dominated:
-            return None
+    while len(state.alive) > 1 and dominated:
         v = min(dominated)
         steps.append((v, dominated.pop(v)))
         for u in state.remove(v):
             update(u)
-    (last,) = state.alive
-    return StrongCollapseSequence(complex, steps, last)
+    return steps, state.alive
+
+
+def find_strong_collapse_sequence(complex: SimplicialComplex,
+                                  terminal: int | None = None
+                                  ) -> StrongCollapseSequence | None:
+    """``greedy_strong_collapse`` down to one vertex, or None where it gets
+    stuck, and at once when the Euler characteristic is not 1 (a strong
+    collapse keeps the homotopy type)."""
+    if terminal is not None and (terminal,) not in complex:
+        raise ValueError(f"terminal vertex {terminal} not in complex")
+    if complex.euler_characteristic() != 1:
+        return None
+    steps, core = greedy_strong_collapse(complex, terminal)
+    return StrongCollapseSequence(complex, steps, min(core)) if len(core) == 1 else None
 
 
 def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:

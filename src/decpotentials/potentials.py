@@ -17,7 +17,8 @@ chain table is built.  Every operator satisfies
 
 on its admissible inputs, where pi is the value at the contraction vertex
 for combinatorial operators and the interpolated value at the base point for
-Whitney ones.
+Whitney ones, stored once per operator as vertex rows and weights: the
+vertex with weight 1, or the base point's triangle corners and barycentrics.
 
 Two operators are built from the same representation.  The trace-preserving
 ``BogovskiiOperator`` is the Whitney kind over ``shadow_cone``: its row, the
@@ -43,7 +44,6 @@ trial's residual, and the report, is bitwise what a trial-by-trial loop gives.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,11 +81,18 @@ class DiscretePoincareOperator:
     """Potential operator wrapping a simplicial or singular cone operator."""
 
     def __init__(self, cone, geometry: MeshGeometry | None = None, label: str | None = None):
-        if isinstance(cone, SimplicialConeOperator):
+        # exact types: an InfiniteConeOperator's terms are no linear simplices
+        if type(cone) is SimplicialConeOperator:
             self.kind = "combinatorial"
-        elif isinstance(cone, SingularConeOperator):
+            self._pi = np.array([cone.complex.index((cone.vertex,))]), np.ones(1)
+        elif type(cone) is SingularConeOperator:
             self.kind = "whitney"
             geometry = geometry or MeshGeometry(cone.complex)
+            t = geometry.locate(cone.point)
+            if t is None:
+                raise PreconditionError(
+                    f"base point {tuple(cone.point.tolist())} lies outside the mesh")
+            self._pi = geometry.corner_rows[t], geometry.barycentric(t, cone.point)
         else:
             raise TypeError(f"unsupported cone operator {type(cone).__name__}")
         self.cone = cone
@@ -136,22 +143,10 @@ class DiscretePoincareOperator:
 
     def constant_component_block(self, values: np.ndarray) -> np.ndarray:
         """pi of each column of a block of 0-cochain values."""
-        cx = self.complex
-        if self.kind == "combinatorial":
-            return np.asarray(values[cx.index((self.cone.vertex,))], dtype=float)
-        t = self._base_triangle
-        if t is None:
-            raise ValueError(f"point {tuple(self.cone.point)} lies outside the mesh")
-        lam = self.geometry.barycentric(t, self.cone.point)
-        corners = np.searchsorted(cx._rows[0][:, 0], self.geometry.triangle_vertices[t])
+        rows, weights = self._pi
         # one dot with a contiguous row per column, as whitney_value takes it
-        rows = np.array(values[corners].T, dtype=float, order="C")
-        return np.array([lam @ row for row in rows])
-
-    @cached_property
-    def _base_triangle(self) -> int | None:
-        """The mesh triangle holding the Whitney base point, located once."""
-        return self.geometry.locate(self.cone.point)
+        block = np.array(values[rows].T, dtype=float, order="C")
+        return np.array([weights @ row for row in block])
 
     def project_admissible(self, alpha: Cochain) -> Cochain:
         """Nearest input on which the identity holds (see the block form)."""
@@ -173,6 +168,7 @@ class ComplexPropertyOperator(DiscretePoincareOperator):
     def __init__(self, base: DiscretePoincareOperator):
         super().__init__(base.cone, base.geometry, base.label + "+complex-property")
         self.kind = base.kind
+        self._pi = base._pi
         self.base = base
         cx = self.complex
         for k in range(1, cx.dim + 1):
@@ -180,9 +176,6 @@ class ComplexPropertyOperator(DiscretePoincareOperator):
             if k >= 2:
                 p = (p - cx.coboundary_matrix(k - 2) @ (base.matrix(k - 1) @ p)).tocsr()
             self._matrices[k] = p
-
-    def constant_component_block(self, values: np.ndarray) -> np.ndarray:
-        return self.base.constant_component_block(values)
 
     def project_admissible_block(self, k: int, values: np.ndarray) -> np.ndarray:
         return self.base.project_admissible_block(k, values)
@@ -205,10 +198,8 @@ class BogovskiiOperator(DiscretePoincareOperator):
         check_base_point(geometry, point)
         super().__init__(shadow_cone(point, complex, geometry), geometry, label)
         self.kind = "bogovskii"
-
-    def constant_component_block(self, values: np.ndarray) -> np.ndarray:
-        """Zero: on admissible inputs the identity has no constant term."""
-        return np.zeros(values.shape[1])
+        # on admissible inputs the identity has no constant term
+        self._pi = np.zeros(0, dtype=np.int64), np.zeros(0)
 
     def signed_mass(self, alpha: Cochain) -> float:
         """Total integral of the Whitney interpolant of a top cochain."""
@@ -255,8 +246,6 @@ BLOCK_ENTRIES = 1 << 18
 def _residuals(op, k: int, values: np.ndarray) -> np.ndarray:
     """Residuals of the homotopy identity on k-cochain values, one per column."""
     cx = op.complex
-    if not 0 <= k <= cx.dim:
-        raise ValueError(f"the homotopy identity holds in degrees 0..{cx.dim}, got {k}")
     if k == 0:
         r = op.apply_values(1, cx.coboundary_matrix(0) @ values) - values
         return r + op.constant_component_block(values)
@@ -266,11 +255,19 @@ def _residuals(op, k: int, values: np.ndarray) -> np.ndarray:
     return dp + op.apply_values(k + 1, cx.coboundary_matrix(k) @ values) - values
 
 
+def _degree(cx: SimplicialComplex, k) -> int:
+    """k as an int, checked to be a degree in which the identity holds."""
+    k = operator.index(k)
+    if not 0 <= k <= cx.dim:
+        raise ValueError(f"the homotopy identity holds in degrees 0..{cx.dim}, got {k}")
+    return k
+
+
 def homotopy_residual(op, alpha: Cochain) -> np.ndarray:
     """Componentwise residual of the homotopy identity on one cochain."""
     if alpha.complex is not op.complex:
         raise ValueError("cochain lives on a different complex")
-    return _residuals(op, alpha.dim, alpha.values[:, None])[:, 0]
+    return _residuals(op, _degree(op.complex, alpha.dim), alpha.values[:, None])[:, 0]
 
 
 class _Seeded(ISeedSequence):
@@ -326,7 +323,7 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
     if index < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     cx = op.complex
-    ks = [operator.index(k) for k in (range(cx.dim + 1) if ks is None else ks)]
+    ks = [_degree(cx, k) for k in (range(cx.dim + 1) if ks is None else ks)]
     width = max(1, BLOCK_ENTRIES // max(map(cx.num_simplices, range(cx.dim + 1))))
     per_k = {}
     for k, k_states in zip(ks, _seed_states(index, ks, trials)):

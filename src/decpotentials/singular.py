@@ -17,7 +17,7 @@ dict.
 Piecewise structure is resolved exactly, in chunked numpy passes over the
 candidate (subject, mesh triangle) pairs that the geometry's bucket grid
 and a separating-axis test leave: 1-dimensional images are split at every
-crossing with a mesh edge and integrated per piece by Gauss quadrature (the
+crossing with a mesh edge and integrated per piece by the midpoint rule (the
 integrand is affine per piece, so this is exact); 2-dimensional images are
 clipped against each mesh triangle by a batched Sutherland-Hodgman and
 weighted by the signed overlap area.  A chunk holds about CHUNK_PAIRS grid
@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .simplicial import Cochain
-from .whitney import GAUSS3_NODES, GAUSS3_WEIGHTS, MeshGeometry
+from .whitney import MeshGeometry
 
 DEGENERACY_TOL = 1e-12
 PARAM_TOL = 1e-12
@@ -370,8 +370,8 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
 
     Each segment is split at its crossings with the edges of the triangles it
     meets; every piece takes its triangle from the grid (pieces outside the
-    mesh contribute zero) and is integrated by the 3-point Gauss rule, which
-    is exact because the integrand is affine per piece.
+    mesh contribute zero) and is integrated by the midpoint rule, which is
+    exact because the integrand is affine per piece.
     """
     n_edges = len(geom.edge_coords)
     a = pts[:, 0]
@@ -405,20 +405,14 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
         piece = seg[1:] == seg[:-1]
         seg, t0, t1 = seg[:-1][piece], t[:-1][piece], t[1:][piece]
         d = r[seg]
-        where = geom.locate_all(a[seg] + (0.5 * (t0 + t1))[:, None] * d)
+        mid = a[seg] + (0.5 * (t0 + t1))[:, None] * d
+        where = geom.locate_all(mid)
         inside = where >= 0
-        seg, t0, t1, d, where = seg[inside], t0[inside], t1[inside], d[inside], where[inside]
-        h = t1 - t0
-        G = geom.gradients[where]
-        vals = np.empty((len(seg), len(GAUSS3_NODES), 3))
-        for q, (node, w) in enumerate(zip(GAUSS3_NODES, GAUSS3_WEIGHTS)):
-            lam = geom.barycentric(where, a[seg] + (t0 + node * h)[:, None] * d)
-            for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-                form = lam[:, i, None] * G[:, j] - lam[:, j, None] * G[:, i]
-                vals[:, q, local] = w * h * _dot(form, d)
-        owner = np.broadcast_to(seg[:, None, None], vals.shape)
-        edges = np.broadcast_to(geom.triangle_edges[where][:, None, :], vals.shape)
-        yield _accumulate(owner.ravel(), edges.ravel(), vals.ravel(), n_edges)
+        seg, mid, where = seg[inside], mid[inside], where[inside]
+        step = ((t1 - t0)[:, None] * d)[inside]
+        vals = (geom.edge_forms(where, mid) @ step[:, :, None])[..., 0]
+        yield _accumulate(np.repeat(seg, 3), geom.triangle_edges[where].ravel(), vals.ravel(),
+                          n_edges)
 
 
 def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,

@@ -5,7 +5,9 @@ Conventions on a planar triangle mesh:
 * 0-cochains interpolate to continuous piecewise-linear scalars.
 * 1-cochains interpolate to the edge elements
   ``lambda_u grad(lambda_v) - lambda_v grad(lambda_u)`` for canonical edges
-  ``u < v``; tangential components match across shared edges.
+  ``u < v``; tangential components match across shared edges.  They are
+  written once, in ``MeshGeometry.edge_forms``, and are affine per triangle,
+  so a straight piece's integral is exactly the midpoint value times its vector.
 * 2-cochains interpolate to piecewise-constant densities.  A value is stored
   against the canonical (sorted) triangle, whose geometric orientation may be
   clockwise; dividing by the *signed* area yields the density with respect to
@@ -76,6 +78,8 @@ class MeshGeometry:
         coords = complex.coordinates
         tris = complex._rows[2]
         self.triangle_vertices = tris
+        # each corner's row in the vertex ordering, where its 0-cochain value sits
+        self.corner_rows = np.searchsorted(complex._rows[0][:, 0], tris)
         P = coords[tris]  # (T, 3, 2)
         self.corners = P
         e1 = P[:, 1] - P[:, 0]
@@ -176,6 +180,14 @@ class MeshGeometry:
         lam = (self.gradients[t, 1:] @ d[..., None])[..., 0]
         return np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
 
+    def edge_forms(self, t, point) -> np.ndarray:
+        """Edge forms ``lambda_i grad(lambda_j) - lambda_j grad(lambda_i)`` of
+        triangles at points, shape (..., 3, 2), local edges (01, 02, 12)."""
+        lam = self.barycentric(t, point)[..., None]
+        G = self.gradients[t]
+        i, j = [0, 0, 1], [1, 2, 2]
+        return lam[..., i, :] * G[..., j, :] - lam[..., j, :] * G[..., i, :]
+
     def locate_all(self, points, tol: float = 1e-12) -> np.ndarray:
         """Triangle index containing each point, -1 where none does.
 
@@ -220,17 +232,11 @@ def whitney_value(geom: MeshGeometry, alpha: Cochain, point, triangle: int | Non
     k = alpha.dim
     if k == 2:
         return alpha.values[t] / geom.signed_area[t]
-    lam = geom.barycentric(t, point)
     if k == 0:
-        corners = np.searchsorted(geom.complex._rows[0][:, 0], geom.triangle_vertices[t])
-        return float(lam @ np.asarray(alpha.values[corners], dtype=float))
+        values = np.asarray(alpha.values[geom.corner_rows[t]], dtype=float)
+        return float(geom.barycentric(t, point) @ values)
     if k == 1:
-        G = geom.gradients[t]
-        out = np.zeros(2)
-        for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-            a = alpha.values[geom.triangle_edges[t, local]]
-            out += a * (lam[i] * G[j] - lam[j] * G[i])
-        return out
+        return (alpha.values[geom.triangle_edges[t], None] * geom.edge_forms(t, point)).sum(axis=0)
     raise ValueError(f"no Whitney form in dimension {k}")
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from decpotentials import (
     SimplicialComplex,
@@ -346,16 +347,17 @@ def test_potential_scalar_samples(capsys, tmp_path):
 
 # sha256 of the --out and --samples files of `decpot potential`, recorded
 # before the sample rows were written in one loop and the grids and
-# contraction images were built in numpy
+# contraction images were built in numpy; the 1-form potentials (field f)
+# re-recorded since segment pieces are integrated by the midpoint rule
 POTENTIAL_FILE_DIGESTS = {
     "star-g1": ("3311d121bbecd5dabe5160f084a2ffce830dafc7dcd5e2c5dde1b4b169e0e309",
                "1da1427788c74613b647fc8141c4d43c38331c8bd8c0722add0b05997134bd83"),
-    "star-f": ("969ce880e58334443838a2ad0cc71c96bf72a50bf19ed549400bed2db8855126",
-              "6b37c20f9b9bfe4a6b60ebc6b9cf3aac16305dc2ad1a524321051fd6e4e32cde"),
+    "star-f": ("21416278130ba01ce20923fec90050936ed039dba3d3885b83855d044c83fc44",
+              "eaeabff5b95e46b6816672aff0b225756ce0a26fcc2422a43b2d5c54c7f79e1f"),
     "lipschitz-g1": ("76056a935996936085f45a3c1da5b950e47d7bd63ab1b11405d0a1d354a260df",
                     "31b4ae400072e3dceea0a3ef3d19c9b9bb0304f9c5983c3ee3dbe3f3ecc897df"),
-    "lipschitz-f": ("66238b1989f28a5ef520241022fd21c22015a3c1049cbfbd15cdbf95abdacf83",
-                   "50cac608c21fe6f5004f38b89097fb23d39875fb75905e1002cc94d99caed1da"),
+    "lipschitz-f": ("88775fe1c0eca079191deea65ee3885b380780be524c2fef24b6169e1d8e8a79",
+                   "ef64ce1479d01d7323f4cde719da143fef72e91b5a2506571c4298283708f271"),
 }
 POTENTIAL_ARGS = {
     "star": ["--mesh", "builtin:square:8", "--op", "star", "--point", "0.52,0.51"],
@@ -508,6 +510,21 @@ def test_failed_search_with_euler_characteristic_one_names_no_euler_cause(
     assert code == 2
     message = err_json(err)["message"]
     assert "sequence found for this mesh" in message and "Euler" not in message
+
+
+def test_failed_strong_collapse_names_its_core_size(capsys, tmp_path):
+    # collapsible (Euler characteristic 1), but no vertex of this Delaunay
+    # mesh is dominated, so the greedy strong collapse removes none
+    pts = np.vstack([np.random.default_rng(0).uniform(size=(30, 2)),
+                     [[0, 0], [1, 0], [0, 1], [1, 1]]])
+    cx = SimplicialComplex(Delaunay(pts).simplices, coordinates=pts)
+    assert cx.euler_characteristic() == 1
+    path = tmp_path / "delaunay.json"
+    save_mesh_json(cx, path)
+    code, out, err = run_cli(capsys, ["find-strong-collapse", "--mesh", str(path)])
+    assert code == 2 and out == ""
+    message = err_json(err)["message"]
+    assert "the strong-collapse core has 34 of 34 vertices" in message, message
 
 
 def console_script_target(name):

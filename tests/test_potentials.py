@@ -29,6 +29,7 @@ from decpotentials import (
     generate_square_mesh,
     generate_ushape_mesh,
     homotopy_residual,
+    infinite_cone,
     lipschitz_cone,
     max_residual,
     star_cone,
@@ -75,6 +76,18 @@ def test_kinds_and_labels(collapse_op2, star_op2, bogovskii2):
 def test_unsupported_cone_rejected(square2):
     with pytest.raises(TypeError):
         DiscretePoincareOperator(object())
+    # an infinite cone is not its star simplex
+    with pytest.raises(TypeError, match="InfiniteConeOperator"):
+        DiscretePoincareOperator(infinite_cone((0.52, 0.51), generate_square_mesh(4)))
+
+
+def test_base_point_outside_the_mesh_is_rejected(square2):
+    # pi is read off the triangle holding the base point, and a Bogovskii
+    # domain must be star-shaped about its point, which lies in it
+    for build in (lambda p: DiscretePoincareOperator(star_cone(p, square2)),
+                  lambda p: BogovskiiOperator(p, square2)):
+        with pytest.raises(PreconditionError, match=r"\(1.5, 0.5\) lies outside the mesh"):
+            build((1.5, 0.5))
 
 
 def test_matrix_shapes_and_apply(collapse_op2, square2):
@@ -556,16 +569,24 @@ def test_verify_rejects_a_degree_outside_the_complex(collapse_op2):
         verify_homotopy(collapse_op2, ks=[1.0], trials=1)
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_every_operator_names_a_degree_outside_the_complex(every_op, k):
+    for op in every_op:
+        with pytest.raises(ValueError, match=f"degrees 0..2, got {k}"):
+            verify_homotopy(op, ks=[k], trials=1)
+
+
 # sha256 of `decpot verify --mesh builtin:square:8 --trials 10 --report`,
 # recorded with the trial-by-trial loop, before trials were evaluated in blocks;
 # star, lipschitz and bogovskii re-recorded since image triangles are clipped
-# in each mesh triangle's own frame
+# in each mesh triangle's own frame, and again since segment pieces are
+# integrated by the midpoint rule
 REPORT_DIGESTS = {
     "collapse": "ceb8b92e828ef9a8e49dc39a2cb5e5dc898cca3793eb5a709e420ecdfeccddc7",
     "strong-collapse": "f7fe5f1b4acf8e14f323046f1952f132573c18e17149ac99c278ad9a4e26ec5c",
-    "star": "d67d2eaeefa5a4cd4ab5fca89b8633adc19bbb2eb67bd16e0c65ce8477c70329",
-    "lipschitz": "6aaff73d17314aecdf9a97a9a8a1036010828660fd423c80f85c1a1a4cf3e940",
-    "bogovskii": "db16921438417b61c8f7483aa6b4b5835466dea258356d85e9dc291b5f5002e5",
+    "star": "71c35e6442dd6810e601b23f416da7290c9dfe45734ac68f177153c37c4ee7e5",
+    "lipschitz": "a02bfc3663225a21c0c5cffc5c215513fbc50fbcbcdfb564753ed047b0f3d672",
+    "bogovskii": "0813f02e8bc3544099a12450a9f742fc6a6f253205c6953ccd7a587255494e8e",
 }
 REPORT_ARGS = {
     "collapse": [],
