@@ -5,9 +5,8 @@ object "filling" it toward a distinguished point or vertex:
 
 * ``collapse_cone``   -- simplicial chains, from a collapse sequence;
 * ``contraction_cone``-- simplicial chains, pushing extruded prisms through a
-                         discrete contraction, given as a vertex function on
-                         the product vertices, in the slabs where the
-                         simplex's image moves;
+                         discrete contraction of the product vertices, in
+                         the slabs where the simplex's image moves;
 * ``star_cone``       -- linear singular simplices joining a star point;
 * ``lipschitz_cone``  -- linear singular chains, pushing extruded prisms
                          through a piecewise (per-slab) contraction map;
@@ -19,31 +18,35 @@ Every simplicial cone operator Co satisfies the chain homotopy identity
 ``boundary(Co(v)) = v - a`` for vertices, exactly.  The singular analogues
 satisfy the same identities up to degenerate simplices (which integrate to
 zero and are deliberately kept in the stored chains so that formal boundary
-cancellation still works).  Singular cones are index arrays into one point
-table, and their chain tables are built only when read.  The prism-based
-cones never build the product complex: ``lipschitz_cone`` reads
-``ProductComplex.prism_rows``, and ``contraction_cone`` visits only the
-slabs in which a vertex of the simplex changes image, since every prism of
-any other slab is degenerate.  ``lipschitz_cone`` evaluates its contraction
-once per (vertex, breakpoint), into one table that both the endpoint and
-containment checks and the cone's points are read from; containment in the
-mesh is always checked, with a geometry built when none is given.
+cancellation still works).  Every cone is stored as index arrays per simplex
+dimension: (row, column, coefficient) of each term for simplicial cones, and
+(row, coefficient, corners) into one point table for singular ones; chain
+tables are built only when read.  The prism-based cones never build the
+product complex.  ``contraction_cone`` reads its contraction as each
+vertex's image changes, and pushes the prisms of the slabs where a vertex
+of the simplex moves through it in numpy, every other prism being
+degenerate.  ``lipschitz_cone`` reads ``ProductComplex.prism_rows`` and
+evaluates its contraction once per (vertex, breakpoint), into one table
+that the endpoint and containment checks (always made, with a geometry
+built when none is given) and the cone's points are read from.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .homotopy import (
     CollapseSequence,
     ProductComplex,
     checked_breakpoints,
     validate_collapse_sequence,
+    vertex_images,
 )
 from .simplicial import (
     Chain,
@@ -76,12 +79,28 @@ class _ConeOperatorBase:
 
 
 class SimplicialConeOperator(_ConeOperatorBase):
-    """Cone operator with simplicial chain values and a contraction vertex."""
+    """Cone operator with simplicial chain values and a contraction vertex.
 
-    def __init__(self, complex: SimplicialComplex, vertex: int, table: dict):
+    ``terms[k] = (rows, cols, coeffs)``, int64 arrays: row ``rows[i]``
+    (ascending) of the k-simplices gets ``coeffs[i]`` times (k+1)-simplex
+    ``cols[i]``.  ``table`` holds them, in order, as chains built when read.
+    """
+
+    def __init__(self, complex: SimplicialComplex, vertex: int, terms: dict):
         self.complex = complex
         self.vertex = vertex
-        self.table = table
+        self.terms = terms
+
+    @cached_property
+    def table(self) -> dict:
+        cx, table = self.complex, {}
+        for k, (rows, cols, coeffs) in self.terms.items():
+            targets = cx.simplices(k + 1)
+            chains = [Chain(cx, k + 1) for _ in range(cx.num_simplices(k))]
+            for r, c, x in zip(rows.tolist(), cols.tolist(), coeffs.tolist()):
+                chains[r].terms[targets[c]] = x
+            table.update(zip(cx.simplices(k), chains))
+        return table
 
     def _zero(self, dim):
         return Chain(self.complex, dim, {})
@@ -139,9 +158,9 @@ def collapse_cone(seq: CollapseSequence) -> SimplicialConeOperator:
     if not validate_collapse_sequence(seq):
         raise ValueError("invalid collapse sequence")
     cx = seq.complex
-    table: dict[Simplex, Chain] = {(seq.terminal,): Chain(cx, 1, {})}
+    cone: dict[Simplex, dict[Simplex, int]] = {(seq.terminal,): {}}
     for sigma, tau in reversed(seq.steps):
-        table[sigma] = Chain(cx, len(sigma), {})
+        cone[sigma] = {}
         # Co(tau) = eps * (sigma - Co(rest)), where boundary(sigma) = eps*tau + rest
         facets = facets_of(sigma)
         eps = (-1) ** facets.index(tau)
@@ -149,10 +168,18 @@ def collapse_cone(seq: CollapseSequence) -> SimplicialConeOperator:
         for i, f in enumerate(facets):
             if f != tau:
                 c = eps * (-1) ** i
-                for t, x in table[f].terms.items():
+                for t, x in cone[f].items():
                     out[t] = out.get(t, 0) - c * x
-        table[tau] = Chain(cx, len(tau), out, check=False)
-    return SimplicialConeOperator(cx, seq.terminal, table)
+        cone[tau] = {t: x for t, x in out.items() if x}
+    terms = {}
+    for k, simplices in cx.simplices_by_dim.items():
+        index = cx._index.get(k + 1, {})
+        found = [(i, index[t], x) for i, s in enumerate(simplices) for t, x in cone[s].items()]
+        terms[k] = tuple(np.array(found, dtype=np.int64).reshape(-1, 3).T)
+    return SimplicialConeOperator(cx, seq.terminal, terms)
+
+
+BLOCK_PAIRS = 1 << 12  # (simplex, slab) pairs pushed through a contraction at once
 
 
 def contraction_cone(psi: Callable[[int], int],
@@ -165,52 +192,84 @@ def contraction_cone(psi: Callable[[int], int],
     simplex of the base (every product simplex is a face of a prism, so
     ``psi`` is simplicial), and the non-degenerate images form the cone.
 
-    Only the slabs in which the image of one of the simplex's vertices moves
-    are visited.  In any other slab each prism repeats a vertex image, so it
-    is degenerate and its support is the simplex's image, which is constant
-    from one moving slab to the next; the first and last prisms of a moving
-    slab contain the whole image at its upper and lower level, so checking
-    the moving slabs checks every prism.
+    ``psi`` is read as its ``moves`` (``homotopy.vertex_images``), sampled
+    one vertex at a time where it has none.  Only the slabs in which the
+    image of one of the simplex's vertices moves are visited.  In any other
+    slab each prism repeats a vertex image, so it is degenerate and its
+    support is the simplex's image, which is constant from one moving slab
+    to the next; the first and last prisms of a moving slab contain the
+    whole image at its upper and lower level, so checking the moving slabs
+    checks every prism.
     """
-    base = product.base
-    top = product.n_slabs
-    stride = product.stride
-    moves: dict[int, list[int]] = {}  # vertex -> slabs where its image changes
-    values: dict[int, list[int]] = {}  # vertex -> image below each move, then above the last
-    for (v,) in base.simplices(0):
-        row = [psi(product.vertex_id(v, level)) for level in range(top + 1)]
-        moves[v] = [r for r in range(top) if row[r] != row[r + 1]]
-        values[v] = [row[r] for r in moves[v]] + [row[top]]
-    bottom_images = {images[0] for images in values.values()}
-    if len(bottom_images) != 1:
+    base, levels = product.base, product.n_slabs + 1
+    ids = base._rows[0][:, 0]
+    moves = getattr(psi, "moves", None)
+    if moves is None:
+        moves = []
+        for u in ids.tolist():
+            row = [psi(product.vertex_id(u, level)) for level in range(levels)] + [None]
+            moves += [(u, r, row[r]) for r in range(levels) if row[r] != row[r + 1]]
+        moves = np.array(moves, dtype=np.int64).T
+    image = vertex_images(moves, levels)
+    bottom = image(ids, 0)
+    if (bottom != bottom[0]).any():
         raise ValueError("contraction is not constant at level 0")
-    if any(images[-1] != v for v, images in values.items()):
+    if (image(ids, levels - 1) != ids).any():
         raise ValueError("contraction is not the identity at the top level")
-    (vertex,) = bottom_images
+    # each vertex's listed levels, as a (vertex, level) pattern
+    moving = sp.csr_matrix((np.ones(moves.shape[1], dtype=bool), tuple(moves[:2])))
 
-    def image(v: int, level: int) -> int:
-        return values[v][bisect_left(moves[v], level)]
+    def prism_terms(k: int, rows: np.ndarray):
+        # every (simplex, slab) in which a vertex of the simplex moves, in order
+        incidence = sp.csr_matrix(
+            (np.ones(rows.size, dtype=bool), rows.ravel(), np.arange(0, rows.size + 1, k + 1)),
+            shape=(len(rows), product.stride))
+        pattern = incidence @ moving
+        pattern.sort_indices()
+        pairs = np.repeat(np.arange(len(rows)), np.diff(pattern.indptr)) * levels + pattern.indices
+        pairs = pairs[pairs % levels < levels - 1]
+        # the base simplices of dimension <= k + 1 left-padded with -1 to
+        # k + 2 vertices, in order, and a prism's support padded alike
+        known = np.concatenate([np.pad(base._rows[d], ((0, 0), (k + 1 - d, 0)), constant_values=-1)
+                                for d in range(k + 2) if d in base._rows])
+        dims = (max(product.stride, int(moves[2].max()) + 1) + 1,) * (k + 2)
+        known_keys = np.ravel_multi_index(known.T + 1, dims)
+        # prism i takes the images of v_0..v_i at level r and of v_i..v_k at r + 1
+        pick = np.arange(k + 2) + k * (np.arange(k + 2) > np.arange(k + 1)[:, None])
+        parts = []  # from blocks of whole simplices, about BLOCK_PAIRS pairs each
+        for block in np.split(pairs, np.searchsorted(
+                pairs, pairs[BLOCK_PAIRS::BLOCK_PAIRS] // levels * levels)):
+            owner, r = np.divmod(block, levels)
+            images = np.hstack([image(rows[owner], r[:, None] + j) for j in (0, 1)])
+            images = images[:, pick].reshape(-1, k + 2)
+            support = np.sort(images, axis=1)
+            support[:, 1:][support[:, 1:] == support[:, :-1]] = -1
+            support.sort(axis=1)
+            at = np.searchsorted(known_keys, np.ravel_multi_index(support.T + 1, dims, mode="clip"))
+            bad = np.flatnonzero((known[np.minimum(at, len(known) - 1)] != support).any(axis=1)
+                                 | (images < 0).any(axis=1))
+            if bad.size:
+                p, i = divmod(bad[0], k + 1)
+                s = tuple(rows[owner[p]].tolist())
+                prism = list(product.prisms(s))[r[p] * (k + 1) + i][1]
+                raise ValueError(f"not a simplicial map: prism {prism} over {s} maps to "
+                                 f"{tuple(sorted(set(images[bad[0]].tolist())))}, "
+                                 "which is not a base simplex")
+            # a non-degenerate prism i enters with its sorting parity times (-1)^i,
+            # summed per (simplex, term), zeros dropped, in order of first appearance
+            live = np.flatnonzero(support[:, 0] >= 0)
+            swaps = np.triu(images[live, :, None] > images[live, None, :]).sum(axis=(1, 2))
+            key, first, inverse = np.unique(owner[live // (k + 1)] * len(known) + at[live],
+                                            return_index=True, return_inverse=True)
+            sums = np.bincount(inverse, 1 - 2 * ((swaps + live % (k + 1)) % 2), len(key))
+            keep = np.flatnonzero(sums)[np.argsort(first[sums != 0])]
+            row, col = np.divmod(key[keep], len(known))
+            parts.append((row, col - len(known) + base.num_simplices(k + 1),
+                          sums[keep].astype(np.int64)))
+        return tuple(map(np.concatenate, zip(*parts)))
 
-    table: dict[Simplex, Chain] = {}
-    for k, simplices in base.simplices_by_dim.items():
-        for s in simplices:
-            out: dict[Simplex, int] = {}
-            for r in sorted(set().union(*(moves[v] for v in s))):
-                lo = [image(v, r) for v in s]
-                hi = [image(v, r + 1) for v in s]
-                for i in range(k + 1):
-                    prism_image = lo[: i + 1] + hi[i:]
-                    support = tuple(sorted(set(prism_image)))
-                    if support not in base:
-                        prism = tuple([r * stride + v for v in s[: i + 1]]
-                                      + [(r + 1) * stride + v for v in s[i:]])
-                        raise ValueError(f"not a simplicial map: prism {prism} over {s} "
-                                         f"maps to {support}, which is not a base simplex")
-                    if len(support) == k + 2:
-                        t, perm = canonical_simplex(prism_image)
-                        out[t] = out.get(t, 0) + perm * (-1) ** i
-            table[s] = Chain(base, k + 1, out, check=False)
-    return SimplicialConeOperator(base, vertex, table)
+    terms = {k: prism_terms(k, rows) for k, rows in base._rows.items()}
+    return SimplicialConeOperator(base, int(bottom[0]), terms)
 
 
 # -- geometric cones -----------------------------------------------------

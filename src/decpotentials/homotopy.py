@@ -11,9 +11,9 @@ end inclusions it satisfies the prism identity
     boundary(E(c)) + E(boundary(c)) = j1(c) - j0(c)
 
 exactly, in integer arithmetic; ``ProductComplex.prism_rows`` lists them.
-The product complex is built only on request, listed from each base row's
-copies at every level and its split faces and prisms in every slab: each
-product simplex once, with no face closure.
+The product complex is built only on request, with no face closure: the
+one-slab product's rows (each base row's copies and its split faces and
+prisms) are sorted once and shifted slab by slab.
 
 Collapse sequences (free-face removals) are found by one greedy pass that
 pops free faces from a heap, largest dimension first, over a state that
@@ -29,17 +29,15 @@ the full subcomplex of the vertices still alive.  Failed searches return
 A strong collapse sequence induces a discrete contraction: a vertex
 function on the product vertices that is the identity at the top level and
 constant at the bottom, and that is simplicial when the sequence is valid.
-It keeps, per vertex, only the removal steps that change the vertex's image
-and the new images.  A vertex's image moves only in the slabs of those
-steps, and ``cones.contraction_cone`` visits only the slabs in which a
-vertex of the simplex at hand moves.
+It is stored as its moves, the levels where a vertex's image changes and
+the new images (``vertex_images``), which ``cones.contraction_cone`` reads
+in place of calling the function.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -126,11 +124,17 @@ class ProductComplex:
 
     @cached_property
     def complex(self) -> SimplicialComplex:
-        closed = {}
+        # a row of slab r starts at level r: it is a row of the one-slab
+        # product shifted by r levels, whose level-1 copies sort last
+        one, m, closed = ProductComplex(self.base, (0.0, 1.0)), self.n_slabs, {}
+        slabs = np.arange(m, dtype=np.int64)[:, None, None] * self.stride
         for k in range(self.base.dim + 2):
-            # pieces come one at a time: one that reshape has to copy is freed at once
-            rows = np.concatenate([p.reshape(-1, k + 1) for p in self._listed(k)])
-            closed[k] = rows[np.lexsort(rows.T[::-1])]
+            first = np.concatenate([p.reshape(-1, k + 1) for p in one._listed(k)])
+            first = first[np.lexsort(first.T[::-1])]
+            n = len(first) - len(self.base._rows.get(k, ()))  # rows below level 1
+            rows = closed[k] = np.empty((m * n + len(first) - n, k + 1), dtype=np.int64)
+            np.add(slabs, first[:n], out=rows[:m * n].reshape(m, n, k + 1))
+            rows[m * n:] = first[n:] + (m - 1) * self.stride
         return SimplicialComplex._from_closed(closed)
 
     @cached_property
@@ -350,6 +354,16 @@ def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
     return state.alive == {seq.terminal}
 
 
+def vertex_images(moves: np.ndarray, levels: int) -> Callable:
+    """Images of (vertex, level) arrays under a contraction given by its moves,
+    the (v, l, w) columns of a (3, M) array: v maps to w at level l, listed at
+    the top level and where its image differs from the one a level up."""
+    keys = moves[0] * levels + moves[1]
+    order = np.argsort(keys)
+    keys, images = keys[order], moves[2][order]
+    return lambda vertices, level: images[np.searchsorted(keys, vertices * levels + level)]
+
+
 def contraction_from_strong_collapse(seq: StrongCollapseSequence,
                                      product: ProductComplex) -> Callable[[int], int]:
     """Contraction induced by the sequence, as a function on product vertex ids.
@@ -357,8 +371,9 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     Level ``m`` (time 1) maps by the identity, level ``m - j`` composes the
     first ``j`` vertex retractions, and level 0 is constant at the terminal
     vertex.  The product complex must have exactly one slab per removal step
-    (one slab total when the sequence is empty).  ``contraction_cone``
-    checks that the function is simplicial.
+    (one slab total when the sequence is empty).  The function carries its
+    ``moves`` (``vertex_images``), which ``contraction_cone`` reads instead
+    of calling it, checking that the function is simplicial.
     """
     base = seq.complex
     if product.base is not base:
@@ -368,26 +383,23 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     if top != max(m, 1):
         raise ValueError(f"sequence has {m} steps but product complex has {top} slabs")
 
-    # vertex u's image after the first j removals is images[u][i], where i
-    # counts the entries of steps_at[u] that are at most j
-    steps_at: dict[int, list[int]] = {}
-    images: dict[int, list[int]] = {}
-    preimages: dict[int, list[int]] = {}  # current image -> vertices mapped there
-    for (u,) in base.simplices(0):
-        steps_at[u], images[u], preimages[u] = [], [u], [u]
+    preimages = {u: [u] for (u,) in base.simplices(0)}  # current image -> vertices mapped there
+    moves = [list(preimages), [top] * len(preimages), list(preimages)]  # the top level
     for j, (v, w) in enumerate(seq.steps, start=1):
         # composing with the retraction v -> w moves exactly the vertices
-        # whose current image is v
+        # whose current image is v, to w from level m - j down
         moved = preimages.pop(v, [])
-        for u in moved:
-            steps_at[u].append(j)
-            images[u].append(w)
+        moves[0] += moved
+        moves[1] += [m - j] * len(moved)
+        moves[2] += [w] * len(moved)
         preimages.setdefault(w, []).extend(moved)
+    moves = np.array(moves, dtype=np.int64)
+    image = vertex_images(moves, top + 1)
 
     def psi(product_vertex: int) -> int:
-        v, level = product.vertex_level(product_vertex)
-        return images[v][bisect_right(steps_at[v], min(top - level, m))]
+        return int(image(*product.vertex_level(product_vertex)))
 
+    psi.moves = moves
     return psi
 
 

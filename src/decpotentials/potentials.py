@@ -6,10 +6,11 @@ num k-simplices)) plus a constant functional ``pi`` on 0-cochains.  Row s of
 ``P_k`` is the functional of the (k-1)-simplex s: pair the input with the
 cone of s (combinatorial kind), or integrate its Whitney interpolant over the
 singular cone of s (Whitney kind).  Matrices are assembled per degree on
-first use and cached; a Whitney matrix comes from one batched pass
-(``singular.functional_matrix``) over the cone's stored terms, whose corner
-indices pick the points of every term from the cone's point table, so no
-chain table is built.  Every operator satisfies
+first use and cached, from the cone's stored term arrays, so no chain table
+is built: a combinatorial matrix is its (row, column, coefficient) terms
+converted once to CSR; a Whitney matrix comes from one batched pass
+(``singular.functional_matrix``) over terms whose corner indices pick their
+points from the cone's point table.  Every operator satisfies
 
     d P alpha + P d alpha = alpha            (0 < k < n)
     P d alpha = alpha - (pi alpha)           (k = 0)
@@ -109,14 +110,8 @@ class DiscretePoincareOperator:
             cx = self.complex
             shape = (cx.num_simplices(k - 1), cx.num_simplices(k))
             if self.kind == "combinatorial":
-                index = cx._index[k]
-                rows, cols, vals = [], [], []
-                for i, s in enumerate(cx.simplices(k - 1)):
-                    terms = self.cone.table[s].terms
-                    rows.extend([i] * len(terms))
-                    cols.extend(index[t] for t in terms)
-                    vals.extend(terms.values())
-                m = sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=shape)
+                rows, cols, coeffs = self.cone.terms[k - 1]
+                m = sp.csr_matrix((coeffs.astype(float), (rows, cols)), shape=shape)
             else:
                 # every row's singular cone, integrated in one batched pass
                 rows, coeffs, corners = self.cone.terms[k - 1]

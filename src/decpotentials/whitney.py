@@ -77,7 +77,6 @@ class MeshGeometry:
         self.complex = complex
         coords = complex.coordinates
         tris = complex._rows[2]
-        self.triangle_vertices = tris
         # each corner's row in the vertex ordering, where its 0-cochain value sits
         self.corner_rows = np.searchsorted(complex._rows[0][:, 0], tris)
         P = coords[tris]  # (T, 3, 2)

@@ -1,10 +1,12 @@
 """Cone operators: collapse-based, contraction-based, star, infinite, Lipschitz."""
 
+import functools
 import hashlib
 from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from decpotentials import generate_square_mesh, generate_ushape_mesh
 from decpotentials.cones import (
@@ -160,8 +162,11 @@ def test_contraction_cone_rejects_invalid_strong_collapse():
     # {0, 1, 2, 3}, which is no simplex
     seq = StrongCollapseSequence(cx, [(0, 3), (1, 2), (2, 3)], 3)
     prod = build_product_complex(cx, uniform_breakpoints(3))
-    with pytest.raises(ValueError, match="simplicial"):
+    with pytest.raises(ValueError) as err:
         contraction_cone(contraction_from_strong_collapse(seq, prod), prod)
+    # the first bad prism in (k, simplex, slab, i) order, as every slab's loop named it
+    assert str(err.value) == ("not a simplicial map: prism (8, 12) over (0,) "
+                              "maps to (0, 3), which is not a base simplex")
 
 
 def test_contraction_cone_checks_the_slabs_it_skips():
@@ -186,6 +191,91 @@ def test_contraction_cone_checks_the_slabs_it_skips():
     assert str(err.value) == ("not a simplicial map: prism (4, 8, 9) over (0, 1) "
                               "maps to (0, 2), which is not a base simplex")
     assert tuple(sorted({psi(pv) for pv in (4, 8, 9)})) not in cx
+
+
+def _table_matrix(op, k):
+    """P_k as the per-simplex loop over the cone's chain table assembled it."""
+    cx = op.complex
+    index = cx._index[k]
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(cx.simplices(k - 1)):
+        terms = op.cone.table[s].terms
+        rows.extend([i] * len(terms))
+        cols.extend(index[t] for t in terms)
+        vals.extend(terms.values())
+    shape = (cx.num_simplices(k - 1), cx.num_simplices(k))
+    return sp.csr_matrix((np.array(vals, dtype=float), (rows, cols)), shape=shape)
+
+
+@pytest.mark.parametrize("mesh", ["square:8", "ushape:10", "random"])
+def test_strong_collapse_cone_reads_its_moves(mesh):
+    # the strong-collapse map is never called; sampled through a SimplicialMap
+    # it gives the same term arrays, and P_k matches the chain table's
+    complexes = {"square:8": lambda: [generate_square_mesh(8)],
+                 "ushape:10": lambda: [generate_ushape_mesh(10)],
+                 "random": lambda: [_random_collapsible(np.random.default_rng(seed), rounds=10)
+                                    for seed in range(6)]}[mesh]()
+    for cx in complexes:
+        seq = find_strong_collapse_sequence(cx)
+        assert seq is not None, "coned growth is strong collapsible"
+        prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
+        psi = contraction_from_strong_collapse(seq, prod)
+        calls = []
+
+        @functools.wraps(psi)  # keeps the map's moves
+        def spy(pv):
+            calls.append(pv)
+            return psi(pv)
+
+        op = contraction_cone(spy, prod)
+        assert calls == []
+        sampled = contraction_cone(SimplicialMap(prod.complex, cx, psi), prod)
+        assert op.terms.keys() == sampled.terms.keys() == cx._rows.keys()
+        for k, arrays in op.terms.items():
+            for got, want in zip(arrays, sampled.terms[k]):
+                assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), k
+        P = DiscretePoincareOperator(op)
+        for k in range(1, cx.dim + 1):
+            got, want = P.matrix(k), _table_matrix(P, k)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, name)
+
+
+def test_sampled_contraction_cone_equals_the_push_forward():
+    # any vertex function into a full simplex is simplicial: images that move
+    # back and forth give repeated and cancelling prism images
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n = 2 + trial % 4
+        cx = SimplicialComplex([tuple(range(n))])
+        prod = build_product_complex(cx, uniform_breakpoints(1 + trial % 5))
+        levels = rng.integers(0, n, size=(prod.n_slabs + 1, n))
+        levels[0], levels[-1] = int(rng.integers(0, n)), np.arange(n)
+
+        def psi(pv):
+            v, level = prod.vertex_level(pv)
+            return int(levels[level, v])
+
+        op = contraction_cone(psi, prod)
+        ref = SimplicialMap(prod.complex, cx, psi)
+        for k in range(cx.dim + 1):
+            for s in cx.simplices(k):
+                assert op.table[s] == induced_chain_map(ref, extrusion(s, prod)), (trial, s)
+
+
+def test_contraction_cone_names_images_outside_the_base():
+    cx = SimplicialComplex([(0, 1), (1, 2)])
+    prod = build_product_complex(cx, uniform_breakpoints(2))
+    for bad, image in [(-1, "(-1, 2)"), (7, "(2, 7)")]:
+        def psi(pv):
+            v, level = prod.vertex_level(pv)
+            return v if level == 2 else bad if (v, level) == (0, 1) else 1 if level == 1 else 2
+
+        with pytest.raises(ValueError) as err:
+            contraction_cone(psi, prod)
+        assert str(err.value) == (f"not a simplicial map: prism (0, 3) over (0,) maps to "
+                                  f"{image}, which is not a base simplex")
 
 
 # sha256 of every (simplex, list(table[simplex].terms.items())) in sorted

@@ -355,13 +355,19 @@ def test_product_complex_rows_equal_the_closure_of_its_prisms(square8, ushape10)
             base = SimplicialComplex.from_rows([base._rows[i % 2]])
         times = np.sort(rng.uniform(size=int(rng.integers(0, 4))))
         cases.append((base, (0.0, *times.tolist(), 1.0)))
+    gaps = SimplicialComplex([(0, 3, 7), (3, 7, 9), (9, 12)])  # stride 13, 5 vertices
+    cases += [(gaps, (0.0, 0.1, 1.0)), (gaps, (0.0, 0.3, 0.35, 0.9, 1.0))]
     assert {base.dim for base, _ in cases} >= {0, 1, 2, 3}
     for base, times in cases:
         prod = ProductComplex(base, times)
         got, want = prod.complex._rows, _closed_prisms(prod)
-        assert got.keys() == want.keys()
+        # and the public route: the complex closing every base simplex's prisms
+        closed = SimplicialComplex.from_rows(
+            [prod.prism_rows(rows).reshape(-1, k + 2) for k, rows in base._rows.items()])._rows
+        assert got.keys() == want.keys() == closed.keys()
         for k in want:
             assert got[k].dtype == np.int64 and np.array_equal(got[k], want[k]), (base, times, k)
+            assert np.array_equal(closed[k], want[k]), (base, times, k)
 
 
 def test_product_complex_is_listed_without_a_face_closure(square8, monkeypatch):

@@ -112,8 +112,7 @@ def test_whitney_value_builds_no_simplex_tuples():
         alpha = Cochain(cx, k, rng.uniform(-1, 1, cx.num_simplices(k)))
         value = whitney_value(geom, alpha, p)
         if k == 0:
-            # vertex ids of a full grid are their row indices
-            corners = geom.triangle_vertices[t]
+            corners = geom.corner_rows[t]
             assert value == float(geom.barycentric(t, p) @ alpha.values[corners])
     assert "simplices_by_dim" not in vars(cx)
     assert "_index" not in vars(cx)
@@ -146,5 +145,5 @@ def test_triangle_edges_and_vertices_follow_the_canonical_tuples():
         index = {s: i for i, s in enumerate(cx.simplices(1))}
         want = [[index[(a, b)], index[(a, c)], index[(b, c)]] for a, b, c in cx.simplices(2)]
         assert geom.triangle_edges.tolist() == want
-        assert geom.triangle_vertices.tolist() == [list(t) for t in cx.simplices(2)]
+        assert cx._rows[2].tolist() == [list(t) for t in cx.simplices(2)]
         assert np.array_equal(geom.edge_coords, cx.coordinates[np.array(cx.simplices(1))])
