@@ -27,7 +27,9 @@ star-cone row minus the infinite-cone row, is minus the integral over the
 bounded shadow beyond the simplex.  Its admissible inputs have vanishing
 boundary trace (vanishing mean in top degree); on them the identity holds
 with pi = 0, and the outputs again have vanishing trace.  Its base point
-must not meet any codimension-1 simplex.  ``ComplexPropertyOperator`` holds
+must not meet any codimension-1 simplex, and the domain must be
+star-shaped about it (``check_star_shaped``): elsewhere the identity still
+holds but the outputs do not keep zero trace.  ``ComplexPropertyOperator`` holds
 the matrices of ``P - d P P``, formed once from its base operator's; they
 satisfy the same identity and square to zero.
 
@@ -65,6 +67,11 @@ class BasePointOnFacetError(PreconditionError):
     trace-preserving construction does not allow."""
 
 
+class NotStarShapedError(PreconditionError):
+    """The domain is not star-shaped about the base point, so the shadows of
+    its boundary simplices reach back into it and the trace is not kept."""
+
+
 def check_base_point(geometry: MeshGeometry, point) -> None:
     """Reject base points on any mesh edge, or within 1e-12 mesh diagonals of one."""
     p = np.asarray(point, dtype=float)
@@ -76,6 +83,54 @@ def check_base_point(geometry: MeshGeometry, point) -> None:
             f"base point ({p[0]:g}, {p[1]:g}) lies on edge "
             f"{geometry.complex.simplices(1)[on[0]]} within {tol:.1e}"
         )
+
+
+def check_star_shaped(geometry: MeshGeometry, point) -> None:
+    """Reject a domain that is not star-shaped about the base point.
+
+    The mesh must be a disk: Euler characteristic 1, and boundary edges
+    that, each directed with its triangle on the left, form one loop
+    through every boundary vertex once.  Its boundary is then a simple
+    polygon, whose kernel is the intersection of the inner half-planes of
+    its edges (Lee and Preparata, 1979).  So the point must lie on the
+    inner side of every boundary edge, the side of the edge's triangle: its
+    margin, the signed distance to the edge's line, may not fall below
+    -1e-12 mesh diagonals.
+    """
+    cx = geometry.complex
+    edges = cx.boundary_indices(1)
+    ends = cx._rows[1][edges]
+    # each boundary edge's triangle, and the corner of it off the edge
+    cofacets = cx.coboundary_matrix(1).tocsc()
+    off = cx._rows[2][cofacets.indices[cofacets.indptr[edges]]].sum(axis=1) - ends.sum(axis=1)
+    a, b = geometry.edge_coords[edges].transpose(1, 0, 2)
+    d = b - a
+
+    def cross(q):
+        return d[:, 0] * (q[..., 1] - a[:, 1]) - d[:, 1] * (q[..., 0] - a[:, 0])
+
+    side = np.sign(cross(cx.coordinates[off]))
+    # walk the boundary loop through the first edge, from each tail to its head
+    tail, head = np.where(side > 0, ends.T, ends[:, ::-1].T).tolist()
+    succ = dict(zip(tail, head))
+    start = tail[0] if tail else None
+    v, length = succ.get(start), 1
+    while v in succ and v != start and length < len(succ):
+        v, length = succ[v], length + 1
+    chi = cx.euler_characteristic()
+    if chi != 1 or v != start or length != len(edges) or len(succ) != len(edges):
+        raise NotStarShapedError(
+            f"the Bogovskii operator needs a disk (Euler characteristic 1, one simple "
+            f"boundary loop); the mesh has Euler characteristic {chi}, and the loop "
+            f"through its first boundary edge has {length} of its {len(edges)} edges")
+    p = np.asarray(point, dtype=float)
+    margin = side * cross(p) / np.hypot(d[:, 0], d[:, 1])
+    worst = int(np.argmin(margin))
+    if margin[worst] < -1e-12 * geometry.diagonal:
+        raise NotStarShapedError(
+            f"the domain is not star-shaped about base point ({p[0]:g}, {p[1]:g}): it "
+            f"lies outside boundary edge {tuple(ends[worst].tolist())}, "
+            f"margin {margin[worst]:.3g}")
 
 
 class DiscretePoincareOperator:
@@ -183,7 +238,8 @@ class BogovskiiOperator(DiscretePoincareOperator):
     over the finite join minus that over the infinite cone: minus that over
     the shadow beyond the simplex (``shadow_cone``), which for a boundary
     simplex of a domain star-shaped about the point lies off the domain, so
-    the trace vanishes.  ``truncation_factor`` is accepted and ignored.
+    the trace vanishes.  Any other domain raises ``NotStarShapedError``.
+    ``truncation_factor`` is accepted and ignored.
     """
 
     def __init__(self, point, complex: SimplicialComplex,
@@ -192,6 +248,7 @@ class BogovskiiOperator(DiscretePoincareOperator):
         geometry = geometry or MeshGeometry(complex)
         check_base_point(geometry, point)
         super().__init__(shadow_cone(point, complex, geometry), geometry, label)
+        check_star_shaped(geometry, point)
         self.kind = "bogovskii"
         # on admissible inputs the identity has no constant term
         self._pi = np.zeros(0, dtype=np.int64), np.zeros(0)

@@ -20,7 +20,12 @@ and a separating-axis test leave: 1-dimensional images are split at every
 crossing with a mesh edge and integrated per piece by the midpoint rule (the
 integrand is affine per piece, so this is exact); 2-dimensional images are
 clipped against each mesh triangle by a batched Sutherland-Hodgman and
-weighted by the signed overlap area.  A chunk holds about CHUNK_PAIRS grid
+weighted by the signed overlap area.  The test keeps a segment that only
+touches a triangle, since a segment along a mesh edge is integrated there,
+but not an image triangle that only touches one: their overlap has no
+area, so cone triangles running along mesh edges and through mesh vertices
+clip only the triangles they overlap, and such pairs leave no
+rounding-level sliver entries.  A chunk holds about CHUNK_PAIRS grid
 candidates, which bounds the memory of every pass.  Pieces outside the mesh
 integrate to zero for segments and are an error for triangles unless
 explicitly allowed (an infinite cone is its star simplex, which may overhang
@@ -310,17 +315,20 @@ def _edge_axes(poly: np.ndarray):
     return axes
 
 
-def _apart(axes, own: np.ndarray, other: np.ndarray) -> np.ndarray:
+def _apart(axes, own: np.ndarray, other: np.ndarray, touching_apart: bool) -> np.ndarray:
     """Per pair: does an edge normal of polygon ``own`` separate ``other`` from it?
 
-    Separation is strict: along the normal, one projection ends before the
-    other begins.
+    Along the normal, one projection ends before the other begins, or, if
+    ``touching_apart``, where the other begins, so that two convex polygons
+    which only share boundary points count as apart.
     """
     out = np.zeros(len(own), dtype=bool)
+    below, above = (np.less_equal, np.greater_equal) if touching_apart else (np.less, np.greater)
     for e, lo, hi in axes:
         ex, ey = e[own, 0], e[own, 1]
         proj = [p[:, 1] * ex - p[:, 0] * ey for p in other.transpose(1, 0, 2)]
-        out |= (reduce(np.maximum, proj) < lo[own]) | (reduce(np.minimum, proj) > hi[own])
+        out |= below(reduce(np.maximum, proj), lo[own])
+        out |= above(reduce(np.minimum, proj), hi[own])
     return out
 
 
@@ -329,15 +337,21 @@ def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
 
     Candidates come from the geometry's bucket grid and must pass the
     separating-axis test (subject edges first, as they reject most pairs of
-    a thin subject, then triangle edges).  A chunk holds whole rows (``rows``
-    is sorted) and about CHUNK_PAIRS grid candidates (a row with more is a
-    chunk of its own), which bounds the memory of every later pass.
+    a thin subject, then triangle edges).  For triangle subjects, pairs
+    that only touch count as apart: two convex triangles whose projections
+    only meet on some edge normal have disjoint interiors, so no overlap.
+    Segments keep the strict test: one along a mesh edge touches the
+    triangles on both sides and is integrated in them.  A chunk holds whole
+    rows (``rows`` is sorted) and about CHUNK_PAIRS grid candidates (a row
+    with more is a chunk of its own), which bounds the memory of every
+    later pass.
     """
     lo = pts.min(axis=1)
     hi = pts.max(axis=1)
     ends = np.cumsum(geom.candidate_counts(lo, hi))
     row_end = np.searchsorted(rows, rows, side="right")
     triangle_axes = _edge_axes(geom.ccw_corners)
+    touching_apart = pts.shape[1] == 3
     first = 0
     while first < len(pts):
         done = ends[first - 1] if first else 0
@@ -345,9 +359,9 @@ def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
         stop = int(row_end[stop - 1])
         sub, tri = geom.candidates(lo[first:stop], hi[first:stop])
         chunk = pts[first:stop]
-        meet = ~_apart(_edge_axes(chunk), sub, geom.ccw_corners[tri])
+        meet = ~_apart(_edge_axes(chunk), sub, geom.ccw_corners[tri], touching_apart)
         sub, tri = sub[meet], tri[meet]
-        meet = ~_apart(triangle_axes, tri, chunk[sub])
+        meet = ~_apart(triangle_axes, tri, chunk[sub], touching_apart)
         yield first, stop, sub[meet] + first, tri[meet]
         first = stop
 

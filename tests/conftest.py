@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from decpotentials import MeshGeometry, generate_square_mesh, generate_ushape_mesh
+from decpotentials import (
+    BogovskiiOperator,
+    MeshGeometry,
+    generate_square_mesh,
+    generate_ushape_mesh,
+    potentials,
+)
 from decpotentials.simplicial import Cochain, SimplicialComplex
 
 
@@ -97,3 +103,18 @@ def jittered(request):
     base = {"square8": lambda: generate_square_mesh(8),
             "ushape10": lambda: generate_ushape_mesh(10)}[request.param]()
     return request.param, jitter_interior(base)
+
+
+def unchecked_bogovskii(point, cx, geometry=None):
+    """The Bogovskii construction on a domain that need not be star-shaped.
+
+    On a domain that is not star-shaped about the point, such as the
+    U-shape, the shadow cones still give the homotopy identity on inputs of
+    zero trace, but the outputs no longer keep zero trace, so
+    ``BogovskiiOperator`` rejects the domain.  Assembly and verification
+    tests still build it there, past that one check, because the U-shape's
+    notch gives shadow pieces that leave and re-enter the mesh.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potentials, "check_star_shaped", lambda geometry, point: None)
+        return BogovskiiOperator(point, cx, geometry)

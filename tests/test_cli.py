@@ -207,6 +207,19 @@ def test_verify_bogovskii_rejects_facet_point(capsys):
     assert err_json(err)["type"] == "BasePointOnFacetError"
 
 
+def test_verify_bogovskii_rejects_a_domain_not_star_shaped_about_the_point(capsys):
+    # the U-shape's right arm wall x = 0.7 faces away from (0.152, 0.151)
+    code, _, err = run_cli(
+        capsys,
+        ["verify", "--mesh", "builtin:ushape:20", "--op", "bogovskii",
+         "--point", "0.152,0.151"],
+    )
+    assert code == 2
+    error = err_json(err)
+    assert error["type"] == "NotStarShapedError"
+    assert "boundary edge (140, 154), margin -0.548" in error["message"]
+
+
 def test_complex_property_flag(capsys):
     code, out, _ = run_cli(
         capsys,

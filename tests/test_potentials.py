@@ -14,6 +14,7 @@ from decpotentials import (
     Cochain,
     ComplexPropertyOperator,
     DiscretePoincareOperator,
+    NotStarShapedError,
     OutsideDomainError,
     PreconditionError,
     SimplicialComplex,
@@ -40,7 +41,7 @@ from decpotentials import (
 from decpotentials import potentials
 from decpotentials.cli import main
 
-from conftest import jitter_interior, random_cochain
+from conftest import holed_square_complex, jitter_interior, random_cochain, unchecked_bogovskii
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,62 @@ def test_project_admissible_zeroes_boundary(bogovskii2, square2):
                 assert proj.values[i] == alpha.values[i]
 
 
+def l_shape_mesh(n):
+    """square:n without its top-right quarter: star-shaped about the points
+    of [0, 0.5]^2 only."""
+    cx = generate_square_mesh(n)
+    c = cx.coordinates
+    return SimplicialComplex([t for t in cx.simplices(2) if not (c[list(t)] >= 0.5).all()], c)
+
+
+def delaunay_mesh():
+    # 300 uniform points plus the corners of the unit square
+    pts = np.vstack([np.random.default_rng(1).uniform(size=(300, 2)),
+                     [[0, 0], [1, 0], [0, 1], [1, 1]]])
+    return SimplicialComplex(Delaunay(pts).simplices, coordinates=pts)
+
+
+ACCEPTED = {
+    "square8": (lambda: generate_square_mesh(8), (0.52, 0.51)),
+    "square8-corner": (lambda: generate_square_mesh(8), (0.152, 0.151)),
+    "jittered-square8": (lambda: jitter_interior(generate_square_mesh(8)), (0.52, 0.51)),
+    "l-shape8": (lambda: l_shape_mesh(8), (0.27, 0.26)),
+    "delaunay": (delaunay_mesh, (0.5013, 0.4987)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTED))
+def test_accepted_bogovskii_outputs_have_zero_trace(name):
+    mesh, point = ACCEPTED[name]
+    cx = mesh()
+    op = BogovskiiOperator(point, cx)
+    rng = np.random.default_rng(44)
+    for k in (1, 2):
+        alphas = op.project_admissible_block(k, rng.uniform(-1, 1, (cx.num_simplices(k), 4)))
+        out = op.apply_values(k, alphas)
+        assert np.all(out[cx.boundary_indices(k - 1)] == 0.0), (name, k)
+
+
+def bowtie_mesh():
+    """Two triangles that share only a vertex: Euler characteristic 1."""
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 1.0]])
+    return SimplicialComplex([(0, 1, 2), (2, 3, 4)], coords)
+
+
+@pytest.mark.parametrize("mesh, point, message", [
+    (lambda: generate_ushape_mesh(10), (0.152, 0.151), "boundary edge (40, 48), margin -0.548"),
+    (lambda: l_shape_mesh(8), (0.77, 0.26), "boundary edge (40, 49), margin -0.27"),
+    (lambda: l_shape_mesh(8), (0.1623, 0.5 + 1e-7), "margin -1e-07"),
+    (holed_square_complex, (0.152, 0.151), "characteristic 0, and the loop through its first "
+     "boundary edge has 96 of its 104 edges"),
+    (bowtie_mesh, (0.5, 0.2), "characteristic 1, and the loop through its first boundary "
+     "edge has 5 of its 6 edges"),
+], ids=["ushape10", "l-shape8", "l-shape8-near-kernel", "holed-square", "bowtie"])
+def test_bogovskii_rejects_a_domain_not_star_shaped_about_its_point(mesh, point, message):
+    with pytest.raises(NotStarShapedError, match=re.escape(message)):
+        BogovskiiOperator(point, mesh())
+
+
 def test_bogovskii_preserves_zero_trace(bogovskii2, square2):
     rng = np.random.default_rng(43)
     alpha = bogovskii2.project_admissible(random_cochain(square2, 2, rng))
@@ -436,8 +493,9 @@ def loop_verify(op, ks=None, trials=100, seed=0):
 
 
 def every_operator(cx, square: bool):
-    """Collapse, strong collapse, star (square only), Lipschitz, Bogovskii,
-    and P - dPP of collapse and star, all assembled."""
+    """Collapse, strong collapse, star (square only), Lipschitz, Bogovskii
+    (past its star-shapedness check on the U-shape), and P - dPP of
+    collapse and star, all assembled."""
     seq = find_strong_collapse_sequence(cx)
     product = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
     collapse = DiscretePoincareOperator(collapse_cone(find_collapse_sequence(cx)),
@@ -452,7 +510,8 @@ def every_operator(cx, square: bool):
     else:
         phi = SlabAffineContraction.ushape((0.2, 0.2))
     ops.append(DiscretePoincareOperator(lipschitz_cone(phi, cx), label="lipschitz"))
-    ops.append(BogovskiiOperator((0.52, 0.51) if square else (0.152, 0.151), cx))
+    ops.append(BogovskiiOperator((0.52, 0.51), cx) if square else
+               unchecked_bogovskii((0.152, 0.151), cx))
     return ops
 
 
