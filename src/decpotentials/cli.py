@@ -325,15 +325,16 @@ def cmd_potential(args) -> int:
     alpha = _load_field(args, cx)
     if alpha.dim < 1:
         raise PreconditionError("potentials are defined for cochains of degree >= 1")
+    if args.samples and geom is None:
+        raise PreconditionError("--samples needs a mesh with coordinates")
     potential = op.apply(alpha)
+    # every matrix the residual reads is assembled before any file is written
+    residual = homotopy_residual(op, alpha)
+    worst = float(np.max(np.abs(residual))) if residual.size else 0.0
     if args.out:
         save_cochain_csv(potential, args.out)
     if args.samples:
-        if geom is None:
-            raise PreconditionError("--samples needs a mesh with coordinates")
         _write_samples(geom, potential, args.samples)
-    residual = homotopy_residual(op, alpha)
-    worst = float(np.max(np.abs(residual))) if residual.size else 0.0
     tol = _tolerance(args)
     payload = {
         "command": "potential",

@@ -9,7 +9,7 @@ object "filling" it toward a distinguished point or vertex:
                          the slabs where the simplex's image moves;
 * ``star_cone``       -- linear singular simplices joining a star point;
 * ``lipschitz_cone``  -- linear singular chains, pushing extruded prisms
-                         through a piecewise (per-slab) contraction map;
+                         through a contraction's breakpoint maps;
 * ``infinite_cone``   -- infinite cones from a base point;
 * ``shadow_cone``     -- star cone minus infinite cone, as bounded shadows.
 
@@ -26,9 +26,9 @@ product complex.  ``contraction_cone`` reads its contraction as each
 vertex's image changes, and pushes the prisms of the slabs where a vertex
 of the simplex moves through it in numpy, every other prism being
 degenerate.  ``lipschitz_cone`` reads ``ProductComplex.prism_rows`` and
-evaluates its contraction once per (vertex, breakpoint), into one table
-that the endpoint and containment checks (always made, with a geometry
-built when none is given) and the cone's points are read from.
+maps every vertex at every breakpoint in one array expression, into one
+table that the endpoint and containment checks (always made, with a
+geometry built when none is given) and the cone's points are read from.
 """
 
 from __future__ import annotations
@@ -313,35 +313,41 @@ def shadow_cone(point, complex: SimplicialComplex, geometry) -> SingularConeOper
     return SingularConeOperator(complex, star.point, np.concatenate(pieces), terms)
 
 
-class SlabAffineContraction:
-    """Contraction of the plane onto a point, described slab by slab in time.
+def _affine(maps: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Images of (..., 2) points under (..., 2, 3) maps of ``(x, y, 1)``, broadcast."""
+    return maps[..., 0] * xy[..., :1] + maps[..., 1] * xy[..., 1:] + maps[..., 2]
 
-    Between consecutive breakpoints the map may be given by an affine matrix
-    acting on homogeneous ``(x, y, t, 1)`` input, or by an arbitrary callable
-    (used for the built-in contractions, whose slabs are bilinear in space
-    and time).  Only evaluations at mesh vertices and breakpoints enter the
-    cone construction, which interpolates affinely in between.
+
+class SlabAffineContraction:
+    """Contraction of the plane onto a point, as affine maps at its breakpoints.
+
+    ``maps[j]`` is the (2, 3) matrix of the contraction at ``breakpoints[j]``,
+    acting on homogeneous ``(x, y, 1)`` input; in between, the map is
+    interpolated linearly in time.  The cone construction reads only the
+    images of mesh vertices at the breakpoints.  A contraction read from
+    per-slab matrices keeps them, as ``matrices``, for ``save``.
     """
 
-    def __init__(self, breakpoints: Sequence[float], evaluate: Callable,
-                 point, matrices=None):
+    def __init__(self, breakpoints: Sequence[float], maps, point, matrices=None):
         self.breakpoints = checked_breakpoints(breakpoints)
-        self._evaluate = evaluate
+        self.maps = np.array(maps, dtype=float)
+        if self.maps.shape != (len(self.breakpoints), 2, 3):
+            raise ValueError("need one 2x3 map (homogeneous x, y, 1) per breakpoint")
         self.point = np.asarray(point, dtype=float)
         self.matrices = matrices
 
     def __call__(self, xy, t: float) -> np.ndarray:
-        return np.asarray(self._evaluate(np.asarray(xy, dtype=float), float(t)),
-                          dtype=float)
+        times = self.breakpoints
+        i = min(max(bisect_right(times, t), 1), len(times) - 1) - 1
+        s = (t - times[i]) / (times[i + 1] - times[i])
+        return _affine((1.0 - s) * self.maps[i] + s * self.maps[i + 1],
+                       np.asarray(xy, dtype=float))
 
     @classmethod
     def straight_line(cls, point) -> "SlabAffineContraction":
         a = np.asarray(point, dtype=float)
-
-        def ev(xy, t):
-            return (1.0 - t) * a + t * xy
-
-        return cls((0.0, 1.0), ev, a)
+        return cls((0.0, 1.0), [[[0.0, 0.0, a[0]], [0.0, 0.0, a[1]]],
+                                [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], a)
 
     @classmethod
     def ushape(cls, point) -> "SlabAffineContraction":
@@ -353,41 +359,26 @@ class SlabAffineContraction:
         rectangles containing that horizontal line.
         """
         a = np.asarray(point, dtype=float)
-
-        def ev(xy, t):
-            if t <= 0.5:
-                return np.array([(1.0 - 2.0 * t) * a[0] + 2.0 * t * xy[0], a[1]])
-            return np.array([xy[0], 2.0 * (1.0 - t) * a[1] + (2.0 * t - 1.0) * xy[1]])
-
-        return cls((0.0, 0.5, 1.0), ev, a)
+        return cls((0.0, 0.5, 1.0), [[[0.0, 0.0, a[0]], [0.0, 0.0, a[1]]],
+                                     [[1.0, 0.0, 0.0], [0.0, 0.0, a[1]]],
+                                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], a)
 
     @classmethod
     def from_matrices(cls, breakpoints, matrices, point) -> "SlabAffineContraction":
-        times = tuple(float(t) for t in breakpoints)
-        mats = [np.array(m, dtype=float) for m in matrices]
-        if len(mats) != len(times) - 1:
-            raise ValueError("need one matrix per slab")
-        for m in mats:
-            if m.shape != (2, 4):
-                raise ValueError("slab matrices must be 2x4 (homogeneous x, y, t, 1)")
-
-        def ev(xy, t, _times=times, _mats=mats):
-            i = min(max(bisect_right(_times, t) - 1, 0), len(_mats) - 1)
-            return _mats[i] @ np.array([xy[0], xy[1], t, 1.0])
-
-        self = cls(times, ev, np.asarray(point, dtype=float), matrices=mats)
-        self._check_matrix_continuity()
-        return self
-
-    def _check_matrix_continuity(self):
-        for i in range(len(self.matrices) - 1):
-            t = self.breakpoints[i + 1]
-            a, b = self.matrices[i], self.matrices[i + 1]
-            # restriction to the plane {time = t}: x/y columns plus t*tcol+const
-            ra = np.column_stack([a[:, 0], a[:, 1], a[:, 2] * t + a[:, 3]])
-            rb = np.column_stack([b[:, 0], b[:, 1], b[:, 2] * t + b[:, 3]])
-            if np.max(np.abs(ra - rb)) > 1e-10:
-                raise ValueError(f"slab maps disagree at breakpoint {t}")
+        """From one 2x4 matrix per slab acting on ``(x, y, t, 1)``; each slab
+        gives its maps at its end times, which must agree where slabs meet."""
+        times = checked_breakpoints(breakpoints)
+        mats = np.array(matrices, dtype=float)
+        if mats.shape != (len(times) - 1, 2, 4):
+            raise ValueError("need one 2x4 matrix (homogeneous x, y, t, 1) per slab")
+        t = np.array(times)[:, None, None]
+        # each slab's map in the planes {time = t} of its lower and upper end
+        lower, upper = (np.concatenate([mats[..., :2], mats[..., 2:3] * ts + mats[..., 3:]], axis=2)
+                        for ts in (t[:-1], t[1:]))
+        jumps = np.flatnonzero(np.abs(upper[:-1] - lower[1:]).max(axis=(1, 2)) > 1e-10)
+        if jumps.size:
+            raise ValueError(f"slab maps disagree at breakpoint {times[jumps[0] + 1]}")
+        return cls(times, np.concatenate([lower, upper[-1:]]), point, matrices=mats)
 
     def to_json(self) -> dict:
         if self.matrices is None:
@@ -426,7 +417,7 @@ def _checked_images(phi: SlabAffineContraction, complex: SimplicialComplex, geom
     if geometry is None:
         geometry = MeshGeometry(complex)
     vertices = complex._rows[0][:, 0]
-    images = np.array([[phi(x, t) for t in phi.breakpoints] for x in coords[vertices]])
+    images = _affine(phi.maps, coords[vertices][:, None])
     moved = np.max(np.abs(images[:, -1] - coords[vertices]), axis=1) > 1e-10
     unbased = np.max(np.abs(images[:, 0] - phi.point), axis=1) > 1e-10
     # (vertex, breakpoint) images, and (vertex, slab) path midpoints, each
@@ -467,8 +458,8 @@ def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
     each extruded prism becomes the linear singular simplex on its vertex
     images, i.e. the affine interpolation of the contraction per prism.
     Degenerate image simplices are kept (they matter for formal boundary
-    cancellation, and integrate to zero).  The contraction is evaluated once
-    per (vertex, breakpoint) and checked by ``validate_contraction``.
+    cancellation, and integrate to zero).  The contraction is read only at
+    (vertex, breakpoint) pairs, and checked by ``validate_contraction``.
     """
     images, issues = _checked_images(phi, complex, geometry)
     if issues:

@@ -27,7 +27,8 @@ star-cone row minus the infinite-cone row, is minus the integral over the
 bounded shadow beyond the simplex.  Its admissible inputs have vanishing
 boundary trace (vanishing mean in top degree); on them the identity holds
 with pi = 0, and the outputs again have vanishing trace.  Its base point
-must not meet any codimension-1 simplex, and the domain must be
+must not meet any codimension-1 simplex, and must lie at least 1e-12 mesh
+diagonals inside every boundary edge's line, so that the domain is
 star-shaped about it (``check_star_shaped``): elsewhere the identity still
 holds but the outputs do not keep zero trace.  ``ComplexPropertyOperator`` holds
 the matrices of ``P - d P P``, formed once from its base operator's; they
@@ -52,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.random.bit_generator import ISeedSequence
 
-from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone
+from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone, star_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary  # noqa: F401 (perfbench reads it)
 from .singular import functional_matrix, point_segment_distance
 from .whitney import MeshGeometry
@@ -86,50 +87,33 @@ def check_base_point(geometry: MeshGeometry, point) -> None:
 
 
 def check_star_shaped(geometry: MeshGeometry, point) -> None:
-    """Reject a domain that is not star-shaped about the base point.
+    """Reject a domain that is not star-shaped about a base point of the mesh.
 
-    The mesh must be a disk: Euler characteristic 1, and boundary edges
-    that, each directed with its triangle on the left, form one loop
-    through every boundary vertex once.  Its boundary is then a simple
-    polygon, whose kernel is the intersection of the inner half-planes of
-    its edges (Lee and Preparata, 1979).  So the point must lie on the
-    inner side of every boundary edge, the side of the edge's triangle: its
-    margin, the signed distance to the edge's line, may not fall below
-    -1e-12 mesh diagonals.
+    The point must lie on the inner side of every boundary edge's line, the
+    side of the edge's triangle, by a margin (signed distance to the line) of
+    at least 1e-12 mesh diagonals.  A ray from such a point crosses each of
+    those lines at most once, and only outward, so once it leaves the mesh
+    it never re-enters: the point sees the whole mesh, whatever its
+    topology.  For a simple polygon these points are its kernel (Lee and
+    Preparata, 1979).
     """
     cx = geometry.complex
     edges = cx.boundary_indices(1)
-    ends = cx._rows[1][edges]
-    # each boundary edge's triangle, and the corner of it off the edge
+    # +1 where the edge's one triangle lies to its left: the edge's sign in
+    # that triangle's boundary times the triangle's orientation
     cofacets = cx.coboundary_matrix(1).tocsc()
-    off = cx._rows[2][cofacets.indices[cofacets.indptr[edges]]].sum(axis=1) - ends.sum(axis=1)
+    at = cofacets.indptr[edges]
+    side = cofacets.data[at] * geometry.orientation[cofacets.indices[at]]
     a, b = geometry.edge_coords[edges].transpose(1, 0, 2)
-    d = b - a
-
-    def cross(q):
-        return d[:, 0] * (q[..., 1] - a[:, 1]) - d[:, 1] * (q[..., 0] - a[:, 0])
-
-    side = np.sign(cross(cx.coordinates[off]))
-    # walk the boundary loop through the first edge, from each tail to its head
-    tail, head = np.where(side > 0, ends.T, ends[:, ::-1].T).tolist()
-    succ = dict(zip(tail, head))
-    start = tail[0] if tail else None
-    v, length = succ.get(start), 1
-    while v in succ and v != start and length < len(succ):
-        v, length = succ[v], length + 1
-    chi = cx.euler_characteristic()
-    if chi != 1 or v != start or length != len(edges) or len(succ) != len(edges):
-        raise NotStarShapedError(
-            f"the Bogovskii operator needs a disk (Euler characteristic 1, one simple "
-            f"boundary loop); the mesh has Euler characteristic {chi}, and the loop "
-            f"through its first boundary edge has {length} of its {len(edges)} edges")
-    p = np.asarray(point, dtype=float)
-    margin = side * cross(p) / np.hypot(d[:, 0], d[:, 1])
+    d, p = b - a, np.asarray(point, dtype=float)
+    margin = side * (d[:, 0] * (p[1] - a[:, 1]) - d[:, 1] * (p[0] - a[:, 0])) / np.hypot(*d.T)
     worst = int(np.argmin(margin))
-    if margin[worst] < -1e-12 * geometry.diagonal:
+    tol = 1e-12 * geometry.diagonal
+    if margin[worst] < tol:
+        where = "outside" if margin[worst] < 0 else f"within {tol:.1e} of the line of"
         raise NotStarShapedError(
             f"the domain is not star-shaped about base point ({p[0]:g}, {p[1]:g}): it "
-            f"lies outside boundary edge {tuple(ends[worst].tolist())}, "
+            f"lies {where} boundary edge {tuple(cx._rows[1][edges[worst]].tolist())}, "
             f"margin {margin[worst]:.3g}")
 
 
@@ -247,8 +231,10 @@ class BogovskiiOperator(DiscretePoincareOperator):
                  truncation_factor: float | None = None, label: str = "bogovskii"):
         geometry = geometry or MeshGeometry(complex)
         check_base_point(geometry, point)
-        super().__init__(shadow_cone(point, complex, geometry), geometry, label)
+        # the star cone locates the point; a rejected domain builds no shadows
+        super().__init__(star_cone(point, complex), geometry, label)
         check_star_shaped(geometry, point)
+        self.cone = shadow_cone(point, complex, geometry)
         self.kind = "bogovskii"
         # on admissible inputs the identity has no constant term
         self._pi = np.zeros(0, dtype=np.int64), np.zeros(0)

@@ -414,6 +414,20 @@ def test_potential_rejects_degree_zero_field(capsys, tmp_path, square2):
     assert "degree" in err_json(err)["message"]
 
 
+def test_potential_that_fails_writes_no_file(capsys, tmp_path):
+    # from the left arm of the U, star cones over the right arm cross the
+    # notch: P_1 assembles, but the residual's P_2 leaves the mesh
+    code, _, err = run_cli(
+        capsys,
+        ["potential", "--mesh", "builtin:ushape:10", "--op", "star", "--point", "0.15,0.8",
+         "--field", "f", "--out", str(tmp_path / "pot.csv"),
+         "--samples", str(tmp_path / "s.csv")],
+    )
+    assert code == 2
+    assert err_json(err)["type"] == "OutsideDomainError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_find_collapse_and_reuse(capsys, tmp_path):
     seq = tmp_path / "seq.json"
     code, out, _ = run_cli(

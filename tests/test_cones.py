@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from decpotentials import generate_square_mesh, generate_ushape_mesh
 from decpotentials.cones import (
     SlabAffineContraction,
+    _checked_images,
     collapse_cone,
     contraction_cone,
     infinite_cone,
@@ -453,19 +454,21 @@ def test_lipschitz_cone_checks_containment_without_a_geometry(ushape10):
         phi, ushape10, MeshGeometry(ushape10))
 
 
-def test_lipschitz_cone_evaluates_phi_once_per_vertex_and_breakpoint():
-    cx = generate_ushape_mesh(20)
-    phi = SlabAffineContraction.ushape(np.array([0.2, 0.2]))
-    calls = []
-    evaluate = phi._evaluate
-
-    def counting(xy, t):
-        calls.append(t)
-        return evaluate(xy, t)
-
-    phi._evaluate = counting
-    lipschitz_cone(phi, cx)
-    assert len(calls) == cx.num_simplices(0) * len(phi.breakpoints)
+def test_checked_images_are_phi_at_every_breakpoint():
+    # the one array expression gives bitwise what phi gives point by point
+    cx = generate_ushape_mesh(10)
+    mats = [[[0.3, 0.1, 0.7, 0.2], [0.1, 0.3, 0.3, 0.2]],
+            [[0.3, 0.1, 0.4, 0.3], [0.1, 0.3, 0.6, 0.1]]]  # agree at t = 1/3
+    contractions = [SlabAffineContraction.straight_line((0.2, 0.7)),
+                    SlabAffineContraction.ushape((0.2, 0.2)),
+                    SlabAffineContraction.from_matrices((0.0, 1 / 3, 1.0), mats, (0.2, 0.2))]
+    vertices = cx._rows[0][:, 0]
+    for phi in contractions:
+        images, _ = _checked_images(phi, cx, None)
+        assert images.shape == (len(vertices), len(phi.breakpoints), 2)
+        for n, v in enumerate(vertices.tolist()):
+            for j, t in enumerate(phi.breakpoints):
+                assert images[n, j].tobytes() == phi(cx.coordinates[v], t).tobytes()
 
 
 def test_lipschitz_cone_on_closed_star_yields_mesh_chains(square2, geom2):

@@ -14,6 +14,7 @@ from decpotentials import (
     Cochain,
     ComplexPropertyOperator,
     DiscretePoincareOperator,
+    MeshGeometry,
     NotStarShapedError,
     OutsideDomainError,
     PreconditionError,
@@ -41,7 +42,8 @@ from decpotentials import (
 from decpotentials import potentials
 from decpotentials.cli import main
 
-from conftest import holed_square_complex, jitter_interior, random_cochain, unchecked_bogovskii
+from conftest import (annulus_complex, holed_square_complex, jitter_interior, random_cochain,
+                      unchecked_bogovskii)
 
 
 @pytest.fixture(scope="module")
@@ -317,14 +319,32 @@ def bowtie_mesh():
     (lambda: generate_ushape_mesh(10), (0.152, 0.151), "boundary edge (40, 48), margin -0.548"),
     (lambda: l_shape_mesh(8), (0.77, 0.26), "boundary edge (40, 49), margin -0.27"),
     (lambda: l_shape_mesh(8), (0.1623, 0.5 + 1e-7), "margin -1e-07"),
-    (holed_square_complex, (0.152, 0.151), "characteristic 0, and the loop through its first "
-     "boundary edge has 96 of its 104 edges"),
-    (bowtie_mesh, (0.5, 0.2), "characteristic 1, and the loop through its first boundary "
-     "edge has 5 of its 6 edges"),
-], ids=["ushape10", "l-shape8", "l-shape8-near-kernel", "holed-square", "bowtie"])
+    (holed_square_complex, (0.152, 0.151), "boundary edge (336, 337), margin -0.391"),
+    (bowtie_mesh, (0.5, 0.2), "boundary edge (2, 3), margin -0.212"),
+    # within 1e-12 diagonals of the re-entrant wall's line, on either side
+    (lambda: jitter_interior(l_shape_mesh(8), seed=3), (0.5 - 1e-13, 0.2),
+     "lies within 1.4e-12 of the line of boundary edge (40, 49), margin 1e-13"),
+    (lambda: jitter_interior(l_shape_mesh(8), seed=3), (0.5 + 1e-13, 0.2),
+     "lies outside boundary edge (40, 49), margin -1e-13"),
+], ids=["ushape10", "l-shape8", "l-shape8-near-kernel", "holed-square", "bowtie",
+        "l-shape8-band-inside", "l-shape8-band-outside"])
 def test_bogovskii_rejects_a_domain_not_star_shaped_about_its_point(mesh, point, message):
     with pytest.raises(NotStarShapedError, match=re.escape(message)):
         BogovskiiOperator(point, mesh())
+
+
+@pytest.mark.parametrize("mesh", [holed_square_complex, annulus_complex, bowtie_mesh],
+                         ids=["holed-square24", "annulus", "bowtie"])
+def test_bogovskii_rejects_every_point_of_a_domain_star_shaped_about_none(mesh):
+    cx = mesh()
+    geom = MeshGeometry(cx)
+    rng = np.random.default_rng(19)
+    # 1,000 points spread over the triangles by area
+    picks = rng.choice(len(geom.corners), 1000, p=np.abs(geom.signed_area) / geom.total_area)
+    points = np.einsum("ni,nij->nj", rng.dirichlet((1, 1, 1), 1000), geom.corners[picks])
+    for p in points:
+        with pytest.raises((NotStarShapedError, BasePointOnFacetError)):
+            BogovskiiOperator(p, cx, geom)
 
 
 def test_bogovskii_preserves_zero_trace(bogovskii2, square2):
