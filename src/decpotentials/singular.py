@@ -27,12 +27,13 @@ area, so cone triangles running along mesh edges and through mesh vertices
 clip only the triangles they overlap, and such pairs leave no
 rounding-level sliver entries.  A chunk holds about CHUNK_PAIRS grid
 candidates, which bounds the memory of every pass.  Pieces outside the mesh
-integrate to zero for segments and are an error for triangles unless
-explicitly allowed (an infinite cone is its star simplex, which may overhang
-the mesh, plus its shadow cut off exactly by the mesh bounding box).  The
-coverage test compares the uncovered area with COVERAGE_TOL times the mesh
-area, not with the image's own area, so a thin image near an edge is not
-rejected for the round-off of its clipped pieces.
+are an error unless explicitly allowed, in which case they integrate to zero
+(an infinite cone is its star simplex, which may overhang the mesh, plus its
+shadow cut off exactly by the mesh bounding box; ``segment_functional``
+extends the interpolant by zero).  The coverage test compares the uncovered
+area (length) with COVERAGE_TOL times the mesh area (diagonal), not with the
+image's own, so a thin image near an edge is not rejected for the round-off
+of its clipped pieces.
 """
 
 from __future__ import annotations
@@ -48,14 +49,15 @@ from .whitney import MeshGeometry
 
 DEGENERACY_TOL = 1e-12
 PARAM_TOL = 1e-12
-# uncovered image area allowed in strict clipping, as a share of the mesh area
+# uncovered image area (length) allowed in strict integration, as a share of
+# the mesh area (diagonal)
 COVERAGE_TOL = 1e-10
 # grid candidate pairs per numpy pass of the batched kernels
 CHUNK_PAIRS = 1 << 12
 
 
 class OutsideDomainError(ValueError):
-    """A 2-dimensional image extends beyond the mesh and clipping is strict."""
+    """An image extends beyond the mesh and integration is strict."""
 
 
 Point = tuple[float, float]
@@ -379,13 +381,36 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
+def _check_covered(geom: MeshGeometry, pts: np.ndarray, first: int, uncovered, whole,
+                   describe) -> None:
+    """Reject the first of the subjects ``first, first + 1, ...`` whose length
+    (segments) or area (triangles) off the mesh exceeds COVERAGE_TOL times the
+    mesh diagonal or area; ``whole`` is each subject's own length or area."""
+    what, measure, scale, size = ("segment", "length", "diagonal", geom.diagonal) \
+        if pts.shape[1] == 2 else ("image triangle", "area", "area", geom.total_area)
+    tol = COVERAGE_TOL * size
+    bad = np.nonzero(uncovered > tol)[0]
+    if bad.size:
+        i = int(bad[0])
+        if describe is not None:
+            what = f"{describe(first + i)}: {what}"
+        raise OutsideDomainError(
+            f"{what} {tuple(map(_point_tuple, pts[first + i]))} leaves the mesh: "
+            f"{measure} {uncovered[i]:.3e} of its {whole[i]:.3e} is not "
+            f"covered (tolerance {tol:.1e}, {COVERAGE_TOL:g} of the mesh {scale})"
+        )
+
+
+def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
+                     allow_exterior: bool, describe):
     """(subject, edge, weight) per chunk, for segments pts[:, 0] -> pts[:, 1].
 
     Each segment is split at its crossings with the edges of the triangles it
-    meets; every piece takes its triangle from the grid (pieces outside the
-    mesh contribute zero) and is integrated by the midpoint rule, which is
-    exact because the integrand is affine per piece.
+    meets; every piece takes its triangle from the grid and is integrated by
+    the midpoint rule, which is exact because the integrand is affine per
+    piece.  Pieces outside the mesh contribute zero if ``allow_exterior``;
+    otherwise their length may not exceed COVERAGE_TOL times the mesh
+    diagonal.
     """
     n_edges = len(geom.edge_coords)
     a = pts[:, 0]
@@ -422,8 +447,12 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
         mid = a[seg] + (0.5 * (t0 + t1))[:, None] * d
         where = geom.locate_all(mid)
         inside = where >= 0
-        seg, mid, where = seg[inside], mid[inside], where[inside]
-        step = ((t1 - t0)[:, None] * d)[inside]
+        step = (t1 - t0)[:, None] * d
+        if not allow_exterior:
+            outside = np.bincount(seg[~inside] - first, np.hypot(*step[~inside].T),
+                                  minlength=stop - first)
+            _check_covered(geom, pts, first, outside, np.hypot(*r[first:stop].T), describe)
+        seg, mid, where, step = seg[inside], mid[inside], where[inside], step[inside]
         vals = (geom.edge_forms(where, mid) @ step[:, :, None])[..., 0]
         yield _accumulate(np.repeat(seg, 3), geom.triangle_edges[where].ravel(), vals.ravel(),
                           n_edges)
@@ -452,19 +481,9 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         hit = overlap != 0.0
         sub, tri, overlap = sub[hit], tri[hit], overlap[hit]
         if not allow_exterior:
+            whole = np.abs(area[first:stop])
             covered = np.bincount(sub - first, overlap, minlength=stop - first)
-            uncovered = np.abs(area[first:stop]) - covered
-            tol = COVERAGE_TOL * geom.total_area
-            bad = np.nonzero(uncovered > tol)[0]
-            if bad.size:
-                j = first + int(bad[0])
-                what = "image triangle" if describe is None else \
-                    f"{describe(j)}: image triangle"
-                raise OutsideDomainError(
-                    f"{what} {tuple(map(_point_tuple, pts[j]))} leaves the mesh: "
-                    f"area {uncovered[bad[0]]:.3e} of its {abs(area[j]):.3e} is not "
-                    f"covered (tolerance {tol:.1e}, {COVERAGE_TOL:g} of the mesh area)"
-                )
+            _check_covered(geom, pts, first, whole - covered, whole, describe)
         yield sub, tri, sign[sub] * overlap / geom.signed_area[tri]
 
 
@@ -489,11 +508,9 @@ def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows
     keep = keep[~_degenerate(pts[keep])]
     rows, coeffs, pts = rows[keep], np.asarray(coeffs, dtype=float)[keep], pts[keep]
     n_cols = geom.complex.num_simplices(dim)
-    if dim == 1:
-        chunks = _segment_entries(geom, pts, rows)
-    else:
-        name = None if describe is None else (lambda j: describe(int(rows[j])))
-        chunks = _triangle_entries(geom, pts, rows, allow_exterior, name)
+    name = None if describe is None else (lambda j: describe(int(rows[j])))
+    entries = _segment_entries if dim == 1 else _triangle_entries
+    chunks = entries(geom, pts, rows, allow_exterior, name)
     # a chunk holds whole rows, so each chunk's sums are final and the
     # chunks come in row order
     parts = [_accumulate(rows[sub], col, coeffs[sub] * w, n_cols) for sub, col, w in chunks]
@@ -518,7 +535,7 @@ def segment_functional(geom: MeshGeometry, a, b) -> dict[int, float]:
     Pieces outside the mesh contribute zero (the interpolant is extended by
     zero off the mesh).
     """
-    return _row(geom, 1, [1.0], [a, b], False)
+    return _row(geom, 1, [1.0], [a, b], True)
 
 
 def triangle_functional(geom: MeshGeometry, pts, *,

@@ -416,7 +416,7 @@ def test_potential_rejects_degree_zero_field(capsys, tmp_path, square2):
 
 def test_potential_that_fails_writes_no_file(capsys, tmp_path):
     # from the left arm of the U, star cones over the right arm cross the
-    # notch: P_1 assembles, but the residual's P_2 leaves the mesh
+    # notch, so assembling the potential's P_1 leaves the mesh
     code, _, err = run_cli(
         capsys,
         ["potential", "--mesh", "builtin:ushape:10", "--op", "star", "--point", "0.15,0.8",

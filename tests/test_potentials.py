@@ -452,6 +452,55 @@ def test_outside_domain_error_names_the_row_and_the_missing_area(ushape10, ugeom
         op.matrix(2)
 
 
+def test_segment_leaving_the_mesh_names_the_row_and_the_missing_length(ushape10, ugeom):
+    # the same operator's segment cones: from the left arm, the segment to a
+    # vertex of the right arm crosses the notch
+    op = DiscretePoincareOperator(star_cone((0.15, 0.8), ushape10), geometry=ugeom)
+    message = r"row of simplex \(\d+,\): segment .* length \d\.\d{3}e-\d+ of its"
+    with pytest.raises(OutsideDomainError, match=message):
+        op.matrix(1)
+    alpha = Cochain(ushape10, 1, np.ones(ushape10.num_simplices(1)))
+    with pytest.raises(OutsideDomainError, match=message):
+        op.apply(alpha)
+
+
+def workload_operator(name):
+    """Star, Lipschitz or Bogovskii as a benchmark workload builds it."""
+    kind, mesh = name.split("-")
+    build = generate_square_mesh if mesh.startswith("square") else generate_ushape_mesh
+    cx = build(int(mesh[len("square"):]))
+    if kind == "star":
+        return DiscretePoincareOperator(star_cone((0.5, 0.5), cx))
+    if kind == "lipschitz":
+        phi = SlabAffineContraction.ushape((0.2, 0.2))
+        return DiscretePoincareOperator(lipschitz_cone(phi, cx))
+    return BogovskiiOperator((0.52, 0.51), cx)
+
+
+# sha256 of the data, indices and indptr of matrix(1) for the Whitney
+# operators of the benchmark workloads, recorded before segment pieces off the
+# mesh were an error: on meshes that hold every segment the check moves no bit
+MATRIX1_DIGESTS = {
+    "star-square8": "04f70a554cd528fdd772200e18711cd1c722c7b250e1706e1a2f57a5421963ba",
+    "star-square12": "ebb44e8ae4b79a5d49ab4b3022840a6c68b3a766c564881b98c1a4977dccfb5f",
+    "star-square16": "4af5feef17ec8aad0d93c2f5aecf8ec61ccacccfb06667d414bd91a46a1fc661",
+    "lipschitz-ushape10": "4335523af60f562dda273d6f1aa68c3b81788676e3899cafa7bdde5956a6cd8c",
+    "lipschitz-ushape20": "64eda97905a9b0783745fdc6ac30ce7179280022d976d218695b11fe11e4b76b",
+    "bogovskii-square8": "be1497a447e71c87deb6146d37afb21658106f5786646e911decacde17c0d7b4",
+    "bogovskii-square12": "f2417096319d16b1dfac3e3f33728d1ceac45a928acf601aff0147b9c2f6b437",
+    "bogovskii-square16": "261499d1e24618273b037fbbecbdeb029dfdcb925d101a06f37a0a76b7646029",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX1_DIGESTS))
+def test_segment_containment_moves_no_bit_of_a_contained_operator(name):
+    m = workload_operator(name).matrix(1)
+    h = hashlib.sha256()
+    for part in (m.data, m.indices, m.indptr):
+        h.update(part.tobytes())
+    assert h.hexdigest() == MATRIX1_DIGESTS[name]
+
+
 # -- batched verification against the trial-by-trial loop it replaced --------
 #
 # The loop below is verify_homotopy as it was before trials were evaluated in
@@ -501,8 +550,9 @@ def loop_verify(op, ks=None, trials=100, seed=0):
     for k in range(cx.dim + 1) if ks is None else ks:
         worst = 0.0
         total = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng((seed, k, trial))
+        # one trial at a time, each the next row of the degree's generator
+        rng = np.random.default_rng((seed, k))
+        for _ in range(trials):
             alpha = Cochain(cx, k, rng.uniform(-1.0, 1.0, cx.num_simplices(k)))
             r = loop_residual(op, loop_project(op, alpha))
             m = float(np.max(np.abs(r))) if r.size else 0.0
@@ -631,12 +681,30 @@ def test_verify_draws_are_the_numpy_streams(collapse_op2, seed, ks):
     report = verify_homotopy(recorder, ks=ks, trials=trials, seed=seed)
     assert report["seed"] == seed and type(report["seed"]) is int
     size = collapse_op2.complex.num_simplices
-    want = [(k, np.random.default_rng((seed, k, trial)).uniform(-1.0, 1.0, size(k)))
-            for k in ks for trial in range(trials)]
+    want = [(k, row) for k in ks
+            for row in np.random.default_rng((seed, k)).uniform(-1.0, 1.0, (trials, size(k)))]
     assert len(recorder.draws) == len(want)
     for (k, got), (want_k, draw) in zip(recorder.draws, want):
         assert k == want_k
         assert got.tobytes() == draw.tobytes(), (k, seed)
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+def test_verify_draws_of_fewer_trials_are_a_prefix(collapse_op2, monkeypatch, columns):
+    # 7 trials in blocks of 3 are 3 + 3 + 1, and 11 are 3 + 3 + 3 + 2
+    if columns is not None:
+        largest = max(map(collapse_op2.complex.num_simplices, range(3)))
+        monkeypatch.setattr(potentials, "BLOCK_ENTRIES", columns * largest)
+    draws = {}
+    for trials in (7, 11):
+        recorder = RecordingOperator(collapse_op2)
+        verify_homotopy(recorder, trials=trials, seed=13)
+        draws[trials] = recorder.draws
+    for k in range(3):
+        few = [d for j, d in draws[7] if j == k]
+        many = [d for j, d in draws[11] if j == k]
+        assert len(few) == 7 and len(many) == 11
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(few, many[:7])), k
 
 
 def test_verify_rejects_a_degree_outside_the_complex(collapse_op2):
@@ -656,16 +724,13 @@ def test_every_operator_names_a_degree_outside_the_complex(every_op, k):
 
 
 # sha256 of `decpot verify --mesh builtin:square:8 --trials 10 --report`,
-# recorded with the trial-by-trial loop, before trials were evaluated in blocks;
-# star, lipschitz and bogovskii re-recorded since image triangles are clipped
-# in each mesh triangle's own frame, and again since segment pieces are
-# integrated by the midpoint rule
+# recorded since each degree's trials are the rows of one generator's draw
 REPORT_DIGESTS = {
-    "collapse": "ceb8b92e828ef9a8e49dc39a2cb5e5dc898cca3793eb5a709e420ecdfeccddc7",
-    "strong-collapse": "f7fe5f1b4acf8e14f323046f1952f132573c18e17149ac99c278ad9a4e26ec5c",
-    "star": "71c35e6442dd6810e601b23f416da7290c9dfe45734ac68f177153c37c4ee7e5",
-    "lipschitz": "a02bfc3663225a21c0c5cffc5c215513fbc50fbcbcdfb564753ed047b0f3d672",
-    "bogovskii": "0813f02e8bc3544099a12450a9f742fc6a6f253205c6953ccd7a587255494e8e",
+    "collapse": "0604944560c32c3d7f54a6d90ab5919379c698bcacf73be88b879c82a5dc730b",
+    "strong-collapse": "96eac11276058f82a7015e60172c4bd6cd7e575fb2cf193bdc4983282f284f77",
+    "star": "5d1995a3047bed0cedab8fd57e7bcf603829fd4e5135d29a45615f2898cb775a",
+    "lipschitz": "b98d777dd6028a90f0fe3befc7fb3d2b5261713dfbee7659faec44e2d9bdd522",
+    "bogovskii": "5fb674ba6b9e4922b7cc9aa6e47772d57f6042459df56268e33b26cced0d0d55",
 }
 REPORT_ARGS = {
     "collapse": [],
