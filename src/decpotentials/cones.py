@@ -33,6 +33,7 @@ geometry built when none is given) and the cone's points are read from.
 
 from __future__ import annotations
 
+import itertools
 import json
 from bisect import bisect_right
 from functools import cached_property
@@ -44,16 +45,16 @@ import scipy.sparse as sp
 from .homotopy import (
     CollapseSequence,
     ProductComplex,
+    _step_positions,
+    _Subcomplex,
     checked_breakpoints,
     validate_collapse_sequence,
     vertex_images,
 )
 from .simplicial import (
     Chain,
-    Simplex,
     SimplicialComplex,
     canonical_simplex,
-    facets_of,
 )
 from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain, shadow_pieces
 from .whitney import MeshGeometry
@@ -158,24 +159,28 @@ def collapse_cone(seq: CollapseSequence) -> SimplicialConeOperator:
     if not validate_collapse_sequence(seq):
         raise ValueError("invalid collapse sequence")
     cx = seq.complex
-    cone: dict[Simplex, dict[Simplex, int]] = {(seq.terminal,): {}}
-    for sigma, tau in reversed(seq.steps):
-        cone[sigma] = {}
+    facets = _Subcomplex(cx).facets
+    cone: dict[int, list] = {k: [None] * len(r) for k, r in cx._rows.items()}
+    cone[0][int(cx.positions(0, [seq.terminal])[0])] = {}
+    for k, sigma, tau in reversed(_step_positions(seq)):
+        cone[k + 1][sigma] = {}
         # Co(tau) = eps * (sigma - Co(rest)), where boundary(sigma) = eps*tau + rest
-        facets = facets_of(sigma)
-        eps = (-1) ** facets.index(tau)
-        out: dict[Simplex, int] = {sigma: eps}
-        for i, f in enumerate(facets):
+        faces, lower = facets[k + 1][sigma], cone[k]
+        eps = (-1) ** faces.index(tau)
+        out: dict[int, int] = {sigma: eps}
+        for i, f in enumerate(faces):
             if f != tau:
                 c = eps * (-1) ** i
-                for t, x in cone[f].items():
+                for t, x in lower[f].items():
                     out[t] = out.get(t, 0) - c * x
-        cone[tau] = {t: x for t, x in out.items() if x}
+        lower[tau] = {t: x for t, x in out.items() if x}
     terms = {}
-    for k, simplices in cx.simplices_by_dim.items():
-        index = cx._index.get(k + 1, {})
-        found = [(i, index[t], x) for i, s in enumerate(simplices) for t, x in cone[s].items()]
-        terms[k] = tuple(np.array(found, dtype=np.int64).reshape(-1, 3).T)
+    for k in cx._rows:
+        chains, cone[k] = cone[k], None
+        sizes = np.fromiter(map(len, chains), dtype=np.int64, count=len(chains))
+        terms[k] = (np.repeat(np.arange(len(chains), dtype=np.int64), sizes),
+                    *(np.fromiter(itertools.chain.from_iterable(map(part, chains)), dtype=np.int64,
+                                  count=sizes.sum()) for part in (dict.keys, dict.values)))
     return SimplicialConeOperator(cx, seq.terminal, terms)
 
 

@@ -16,15 +16,16 @@ one-slab product's rows (each base row's copies and its split faces and
 prisms) are sorted once and shifted slab by slab.
 
 Collapse sequences (free-face removals) are found by one greedy pass that
-pops free faces from a heap, largest dimension first, over a state that
-keeps each simplex's number of current cofacets; validation replays a
-sequence on the same state.  Greedy is exact in dimension <= 2: it gets
-stuck only on complexes that are not collapsible; in dimension >= 3 it can
-get stuck on a collapsible one.  Strong collapse sequences
-(dominated-vertex removals) are searched greedily, which suffices
-(Barmak-Minian, DCG 2012), and found and validated with one local test on
-the full subcomplex of the vertices still alive.  Failed searches return
-``None``.
+pops free faces from a heap, largest dimension first, on simplex positions:
+a dead flag and a count of live cofacets per simplex, with facets and
+cofacets read from the coboundary matrices.  Validation maps a sequence's
+tuples to positions and replays it on the same state.  Greedy is exact in
+dimension <= 2: it gets stuck only on complexes that are not collapsible;
+in dimension >= 3 it can get stuck on a collapsible one.  Strong collapse
+sequences (dominated-vertex removals) are searched greedily, lowest
+dominated vertex first, which suffices (Barmak-Minian, DCG 2012), and found
+and validated with one local test on the full subcomplex of the vertices
+still alive.  Failed searches return ``None``.
 
 A strong collapse sequence induces a discrete contraction: a vertex
 function on the product vertices that is the identity at the top level and
@@ -50,7 +51,6 @@ from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
     canonical_simplex,
-    facets_of,
 )
 
 
@@ -195,27 +195,53 @@ class StrongCollapseSequence:
     terminal: int
 
 
-class _CollapseState:
-    """A closed simplex set under collapse, with each simplex's number of
-    current cofacets.
-
-    A face is free when its count is 1.  Removing a free pair changes only
-    the counts of the pair's facets.
-    """
+class _Subcomplex:
+    """A complex under removal, on simplex positions: per dimension, each
+    simplex's facets (none for a vertex), a dead flag, and its number of live
+    cofacets.  A strong collapse removes stars, so its states are the full
+    subcomplexes on the live vertices, and a vertex's maximal simplices there
+    are its live star simplices with no live cofacet."""
 
     def __init__(self, complex: SimplicialComplex):
-        self.current = {s for sims in complex.simplices_by_dim.values() for s in sims}
-        self.count = {s: len(complex.cofacets(s)) for s in self.current}
+        # reversed, a row of coboundary_matrix(k - 1) lists the facets in facets_of order
+        self.complex, self.facets = complex, {0: [()] * complex.num_simplices(0)}
+        for k in range(1, complex.dim + 1):
+            rows = complex.coboundary_matrix(k - 1).indices.reshape(-1, k + 1)
+            self.facets[k] = rows[:, ::-1].tolist()
+        self.dead = {k: [False] * len(r) for k, r in complex._rows.items()}
+        self.count = {k: np.bincount(complex.coboundary_matrix(k).indices,
+                                     minlength=len(d)).tolist()
+                      if k < complex.dim else [0] * len(d) for k, d in self.dead.items()}
 
-    def remove(self, sigma: Simplex, tau: Simplex) -> list[Simplex]:
-        """Remove the free pair (sigma, tau); return the faces it freed."""
-        self.current -= {sigma, tau}
-        freed = []
-        for f in facets_of(sigma) + (facets_of(tau) if len(tau) > 1 else []):
-            n = self.count[f] = self.count[f] - 1
-            if n == 1:
-                freed.append(f)
-        return freed
+    def remove(self, k: int, s: int) -> list[tuple[int, int]]:
+        """Remove k-simplex s; return the facets it leaves free, as ``(1 - k, position)``."""
+        self.dead[k][s] = True
+        count, facets = self.count.get(k - 1), self.facets[k][s]
+        for f in facets:
+            count[f] -= 1
+        return [(1 - k, f) for f in facets if count[f] == 1]
+
+    @cached_property
+    def star(self) -> list[list[tuple]]:
+        """Per vertex, its star's (dead flags, counts, position, vertex positions)."""
+        cx, star = self.complex, [[] for _ in range(self.complex.num_simplices(0))]
+        for k, rows in cx._rows.items():
+            for s, row in enumerate(np.searchsorted(cx._rows[0][:, 0], rows).tolist()):
+                for v in row:
+                    star[v].append((self.dead[k], self.count[k], s, row))
+        return star
+
+    def dominators(self, v: int) -> set[int]:
+        """Vertices other than v in every maximal simplex containing v."""
+        maximal = [row for dead, count, s, row in self.star[v] if not (dead[s] or count[s])]
+        return set(maximal[0]).intersection(*maximal[1:]) - {v}
+
+    def remove_star(self, v: int) -> set[int]:
+        """Remove v's star; return its vertices, the only ones whose dominators change."""
+        for dead, _, s, row in self.star[v]:
+            if not dead[s]:
+                self.remove(len(row) - 1, s)
+        return {u for *_, row in self.star[v] for u in row}
 
 
 def find_collapse_sequence(complex: SimplicialComplex,
@@ -233,74 +259,62 @@ def find_collapse_sequence(complex: SimplicialComplex,
     the homotopy type, so a complex whose Euler characteristic is not 1
     returns None at once.
     """
-    if terminal is not None and (terminal,) not in complex:
+    if terminal is not None and terminal not in complex._rows[0]:
         raise ValueError(f"terminal vertex {terminal} not in complex")
     if complex.euler_characteristic() != 1:
         return None
-    state = _CollapseState(complex)
-    heap = [(-len(f), f) for f, n in state.count.items() if n == 1]
-    heapq.heapify(heap)
-    steps: list[tuple[Simplex, Simplex]] = []
+    state = _Subcomplex(complex)
+    cofacets = [(m.indptr.tolist(), m.indices.tolist()) for m in complex._cofacet_csc.values()]
+    # (-k, position) pops in the order of (-len, tuple), since rows are
+    # lexicographic; listed in that order, the free faces are already a heap
+    heap = [(-k, f) for k in reversed(state.count) for f, n in enumerate(state.count[k]) if n == 1]
+    stop = (0, complex.positions(0, [terminal])[0]) if terminal is not None else None
+    steps: list[tuple[int, int, int]] = []
     while heap:
-        _, tau = heapq.heappop(heap)
-        if state.count[tau] != 1 or tau == (terminal,):  # removed or no longer free
+        entry = heapq.heappop(heap)
+        k, tau = -entry[0], entry[1]
+        if state.count[k][tau] != 1 or entry == stop:  # removed or no longer free
             continue
-        sigma = next(s for s in complex.cofacets(tau) if s in state.current)
-        steps.append((sigma, tau))
-        for f in state.remove(sigma, tau):
-            heapq.heappush(heap, (-len(f), f))
-    if len(state.current) > 1:
+        ptr, ind = cofacets[k]
+        sigma = next(s for s in ind[ptr[tau]:ptr[tau + 1]] if not state.dead[k + 1][s])
+        steps.append((k, sigma, tau))
+        for freed in state.remove(k + 1, sigma) + state.remove(k, tau):
+            heapq.heappush(heap, freed)
+    if sum(dead.count(False) for dead in state.dead.values()) > 1:
         return None
-    ((last,),) = state.current
-    return CollapseSequence(complex, steps, last)
+    rows = {k: list(map(tuple, r.tolist())) for k, r in complex._rows.items()}
+    return CollapseSequence(complex, [(rows[k + 1][s], rows[k][t]) for k, s, t in steps],
+                            rows[0][state.dead[0].index(False)][0])
+
+
+def _step_positions(seq: CollapseSequence) -> list[tuple[int, int, int]] | None:
+    """Steps as ``(k, sigma, tau)`` positions; None unless each names a k+1- and a k-simplex."""
+    cx, named = seq.complex, [simplex for step in seq.steps for simplex in step]  # sigma, tau, ...
+    dims = np.fromiter(map(len, named), dtype=np.int64, count=len(named)) - 1
+    at = np.full(len(named), -1)
+    for d in range(cx.dim + 1):
+        pick = np.flatnonzero(dims == d).tolist()
+        at[pick] = cx.positions(d, [named[i] for i in pick])
+    bad = ((dims[::2] != dims[1::2] + 1) | (at[::2] < 0) | (at[1::2] < 0)).any()
+    return None if bad else list(zip(dims[1::2].tolist(), at[::2].tolist(), at[1::2].tolist()))
 
 
 def validate_collapse_sequence(seq: CollapseSequence) -> bool:
     """Replay the sequence, checking that sigma is tau's only cofacet left."""
-    state = _CollapseState(seq.complex)
-    for sigma, tau in seq.steps:
-        if not (tau in state.current and sigma in state.current and state.count[tau] == 1
-                and len(sigma) == len(tau) + 1 and set(tau) < set(sigma)):
+    steps, state = _step_positions(seq), _Subcomplex(seq.complex)
+    if steps is None:
+        return False
+    for k, sigma, tau in steps:
+        if (state.dead[k][tau] or state.dead[k + 1][sigma] or state.count[k][tau] != 1
+                or tau not in state.facets[k + 1][sigma]):
             return False
-        state.remove(sigma, tau)
-    return state.current == {(seq.terminal,)}
+        state.remove(k + 1, sigma)
+        state.remove(k, tau)
+    return (sum(dead.count(False) for dead in state.dead.values()) == 1
+            and state.dead[0].index(False) == int(seq.complex.positions(0, [seq.terminal])[0]))
 
 
 # -- strong collapse -----------------------------------------------------
-
-
-class _AliveVertices:
-    """A strong-collapse state: the full subcomplex on the vertices still alive.
-
-    Removing a dominated vertex deletes its star, so every state of a strong
-    collapse is of this form, and a vertex's maximal simplices there are the
-    maximal simplices of its alive star.
-    """
-
-    def __init__(self, complex: SimplicialComplex):
-        self.complex = complex
-        self.star: dict[int, list[Simplex]] = {}
-        for sims in complex.simplices_by_dim.values():
-            for s in sims:
-                for v in s:
-                    self.star.setdefault(v, []).append(s)
-        self.alive = set(self.star)
-
-    def dominators(self, v: int) -> set[int]:
-        """Vertices other than v in every maximal simplex containing v."""
-        alive, cofacets = self.alive, self.complex.cofacets
-        common = None
-        for s in self.star[v]:
-            if alive.issuperset(s) and not any(alive.issuperset(c) for c in cofacets(s)):
-                common = set(s) if common is None else common.intersection(s)
-        common.discard(v)
-        return common
-
-    def remove(self, v: int) -> set[int]:
-        """Delete v's star; return v's alive neighbours, the only vertices
-        whose dominators change."""
-        self.alive.discard(v)
-        return {u for s in self.star[v] if len(s) == 2 for u in s if u in self.alive}
 
 
 def greedy_strong_collapse(complex: SimplicialComplex, terminal: int | None = None):
@@ -309,26 +323,19 @@ def greedy_strong_collapse(complex: SimplicialComplex, terminal: int | None = No
 
     A vertex is dominated when some other vertex belongs to every maximal
     simplex containing it; removal deletes its entire star, and it is
-    recorded with its lowest dominator."""
-    state = _AliveVertices(complex)
-    dominated: dict[int, int] = {}  # vertex -> its lowest dominator
-
-    def update(u: int) -> None:
-        found = state.dominators(u) if u != terminal else None
-        if found:
-            dominated[u] = min(found)
-        else:
-            dominated.pop(u, None)
-
-    for v in state.alive:
-        update(v)
+    recorded with its lowest dominator.  Candidates wait in a heap: every
+    vertex, then the star of each one removed; one not dominated is dropped."""
+    ids = complex._rows[0][:, 0].tolist()
+    state, heap = _Subcomplex(complex), list(range(len(ids)))
     steps: list[tuple[int, int]] = []
-    while len(state.alive) > 1 and dominated:
-        v = min(dominated)
-        steps.append((v, dominated.pop(v)))
-        for u in state.remove(v):
-            update(u)
-    return steps, state.alive
+    while len(ids) - len(steps) > 1 and heap:
+        v = heapq.heappop(heap)
+        if state.dead[0][v] or ids[v] == terminal or not (found := state.dominators(v)):
+            continue
+        steps.append((ids[v], ids[min(found)]))
+        for u in state.remove_star(v):
+            heapq.heappush(heap, u)
+    return steps, {ids[v] for v, dead in enumerate(state.dead[0]) if not dead}
 
 
 def find_strong_collapse_sequence(complex: SimplicialComplex,
@@ -337,7 +344,7 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
     """``greedy_strong_collapse`` down to one vertex, or None where it gets
     stuck, and at once when the Euler characteristic is not 1 (a strong
     collapse keeps the homotopy type)."""
-    if terminal is not None and (terminal,) not in complex:
+    if terminal is not None and terminal not in complex._rows[0]:
         raise ValueError(f"terminal vertex {terminal} not in complex")
     if complex.euler_characteristic() != 1:
         return None
@@ -346,12 +353,13 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
 
 
 def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
-    state = _AliveVertices(seq.complex)
-    for v, w in seq.steps:
-        if v not in state.alive or w not in state.alive or w not in state.dominators(v):
+    cx, state = seq.complex, _Subcomplex(seq.complex)
+    for v, w in cx.positions(0, np.reshape(seq.steps, (-1, 1))).reshape(-1, 2).tolist():
+        if min(v, w) < 0 or state.dead[0][v] or state.dead[0][w] or w not in state.dominators(v):
             return False
-        state.remove(v)
-    return state.alive == {seq.terminal}
+        state.remove_star(v)
+    alive = [u for u, dead in zip(cx._rows[0][:, 0].tolist(), state.dead[0]) if not dead]
+    return alive == [seq.terminal]
 
 
 def vertex_images(moves: np.ndarray, levels: int) -> Callable:
@@ -383,7 +391,7 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     if top != max(m, 1):
         raise ValueError(f"sequence has {m} steps but product complex has {top} slabs")
 
-    preimages = {u: [u] for (u,) in base.simplices(0)}  # current image -> vertices mapped there
+    preimages = {u: [u] for u in base._rows[0][:, 0].tolist()}  # image -> vertices mapped there
     moves = [list(preimages), [top] * len(preimages), list(preimages)]  # the top level
     for j, (v, w) in enumerate(seq.steps, start=1):
         # composing with the retraction v -> w moves exactly the vertices

@@ -124,7 +124,7 @@ class DiscretePoincareOperator:
         # exact types: an InfiniteConeOperator's terms are no linear simplices
         if type(cone) is SimplicialConeOperator:
             self.kind = "combinatorial"
-            self._pi = np.array([cone.complex.index((cone.vertex,))]), np.ones(1)
+            self._pi = np.searchsorted(cone.complex._rows[0][:, 0], [cone.vertex]), np.ones(1)
         elif type(cone) is SingularConeOperator:
             self.kind = "whitney"
             geometry = geometry or MeshGeometry(cone.complex)

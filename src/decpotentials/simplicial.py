@@ -120,7 +120,6 @@ class SimplicialComplex:
     def _setup(self, rows: dict[int, np.ndarray], coordinates) -> None:
         self._rows = rows
         self.vertex_count = int(rows[0][-1, 0]) + 1
-        self._cofacets: dict[Simplex, list[Simplex]] | None = None
         self._coboundary: dict[int, sp.csr_matrix] = {}
         self._boundary_indices: dict[int, np.ndarray] = {}
         if coordinates is not None:
@@ -187,18 +186,30 @@ class SimplicialComplex:
         t = tuple(simplex)
         return t in self._index.get(len(t) - 1, {})
 
+    def positions(self, k: int, rows) -> np.ndarray:
+        """Positions among the k-simplices of rows of vertex ids, -1 for a row
+        that names none (absent, or not strictly increasing)."""
+        known, ids, rows = self._rows[k], self._rows[0][:, 0], np.asarray(rows).reshape(-1, k + 1)
+        if rows.dtype.kind not in "iu" or not len(rows):
+            return np.full(len(rows), -1)
+        # one key per row of vertex positions, ascending over the known rows
+        keys = [np.ravel_multi_index(np.searchsorted(ids, r).T, (len(ids),) * (k + 1), mode="clip")
+                for r in (known, rows)]
+        at = np.minimum(np.searchsorted(*keys), len(known) - 1)
+        return np.where((known[at] == rows).all(axis=1), at, -1)
+
+    @cached_property
+    def _cofacet_csc(self) -> dict[int, sp.csc_matrix]:
+        """Each ``coboundary_matrix(k)`` as CSC: column i lists simplex i's cofacets, ascending."""
+        return {k: self.coboundary_matrix(k).tocsc() for k in range(self.dim)}
+
     def cofacets(self, simplex: Simplex) -> list[Simplex]:
-        """All codimension-1 cofaces of a simplex."""
-        if self._cofacets is None:
-            table: dict[Simplex, list[Simplex]] = {}
-            for k in self.simplices_by_dim:
-                if k == 0:
-                    continue
-                for s in self.simplices(k):
-                    for f in facets_of(s):
-                        table.setdefault(f, []).append(s)
-            self._cofacets = table
-        return self._cofacets.get(simplex, [])
+        """All codimension-1 cofaces of a simplex, ascending: its ``_cofacet_csc`` column."""
+        k = len(simplex) - 1
+        if not 0 <= k < self.dim or simplex not in self:
+            return []
+        m, i = self._cofacet_csc[k], self.index(simplex)
+        return list(map(tuple, self._rows[k + 1][m.indices[m.indptr[i]:m.indptr[i + 1]]].tolist()))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(r) for k, r in self._rows.items())

@@ -29,6 +29,8 @@ from decpotentials.homotopy import (
     find_collapse_sequence,
     find_strong_collapse_sequence,
     uniform_breakpoints,
+    validate_collapse_sequence,
+    validate_strong_collapse_sequence,
 )
 from decpotentials.simplicial import (
     Chain,
@@ -587,3 +589,23 @@ def test_whitney_operators_build_no_chain_table_or_tuple_views():
     star = ops["star"].cone
     (c, x), = star.chain((1, 0)).terms
     assert c == -1 and x is star.table[(0, 1)].terms[0][1]
+
+
+def test_combinatorial_operators_build_no_tuple_views():
+    # the searches, their validation and the cones run on simplex positions
+    for op in ("collapse", "strong-collapse"):
+        cx = generate_square_mesh(6)
+        if op == "collapse":
+            seq = find_collapse_sequence(cx)
+            assert validate_collapse_sequence(seq)
+            cone = collapse_cone(seq)
+        else:
+            seq = find_strong_collapse_sequence(cx)
+            assert validate_strong_collapse_sequence(seq)
+            product = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
+            cone = contraction_cone(contraction_from_strong_collapse(seq, product), product)
+        p = DiscretePoincareOperator(cone)
+        p.matrix(1), p.matrix(2)
+        assert verify_homotopy(p, trials=2)["per_k"]["1"]["max"] < 1e-12
+        assert not {"_cofacets", "simplices_by_dim", "_index"} & vars(cx).keys(), op
+        assert "table" not in vars(cone), op

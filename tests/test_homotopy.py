@@ -15,12 +15,14 @@ from decpotentials.homotopy import (
     extrusion,
     find_collapse_sequence,
     find_strong_collapse_sequence,
+    greedy_strong_collapse,
     load_sequence,
     save_sequence,
     uniform_breakpoints,
     validate_collapse_sequence,
     validate_strong_collapse_sequence,
 )
+from decpotentials.cones import collapse_cone
 from decpotentials.simplicial import Chain, SimplicialComplex, boundary, induced_chain_map
 from decpotentials.meshes import generate_square_mesh, generate_ushape_mesh, vertex_at
 from conftest import annulus_complex, holed_square_complex
@@ -301,3 +303,101 @@ def test_collapse_search_past_the_euler_check_gets_stuck():
     cx = SimplicialComplex(holed.simplices(2) + [(n, n + 1, n + 2)])
     assert cx.euler_characteristic() == 1
     assert find_collapse_sequence(cx) is None
+
+
+def _sha(*parts) -> str:
+    """sha256 of the dtype and bytes of each array part and the repr of any other."""
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            h.update(p.dtype.str.encode() + np.ascontiguousarray(p).tobytes())
+        else:
+            h.update(repr(p).encode())
+    return h.hexdigest()
+
+
+# sha256 of the steps, the terminal, and each degree's (rows, cols, coeffs)
+# cone terms, recorded before the searches, their validation and the
+# collapse cone ran on simplex positions
+COLLAPSE_PINS = {
+    "square:16": {
+        "steps": "0fd92ab51193c3a43fd0612d4b9ffe718078611a2886b1c314124949fb9a8e1c",
+        "terminal": 288,
+        "terms 0": "c7c0039945cc95674d6219482774d15ae4a4952c53de97c0b2629afbc8e06fff",
+        "terms 1": "6433ee940448364b0e2a3a52fd07556a4a2a43114c710de6ff410e4ca01f7bec",
+        "terms 2": "cf7f3e053316f5ff376d4684964bf230925b90b4ebe866353eb434e2dc6ea8c2",
+    },
+    "ushape:20": {
+        "steps": "f5c4e5ba3662ac2b69091e2ee90bb775e600568294ff5abc6ce6b2b3c4fa9fc8",
+        "terminal": 342,
+        "terms 0": "064a84ab77cbc2649d88c45dd2737d088f37659092f0dd3f7abb5070c151c862",
+        "terms 1": "eeae72b06ea1f14a9bf17da02522a346772f7edde11db72b7f4f3b6771a2703b",
+        "terms 2": "cf7f3e053316f5ff376d4684964bf230925b90b4ebe866353eb434e2dc6ea8c2",
+    },
+}
+STRONG_COLLAPSE_PINS = {
+    "square:10": {"steps": "a657129b656eab2da07bb948a1a6d780b71f3b71d8907bd9230c5cf3fc242190",
+                  "terminal": 120},
+    "ushape:20": {"steps": "732feda90842b600e348e15d5dfa6bcad5bbf168c56f6ba8254bc0d7aece9a1f",
+                  "terminal": 342},
+}
+
+
+@pytest.mark.parametrize("mesh", sorted(COLLAPSE_PINS))
+def test_collapse_steps_and_cone_terms_are_pinned(mesh):
+    kind, n = mesh.split(":")
+    cx = (generate_square_mesh if kind == "square" else generate_ushape_mesh)(int(n))
+    seq = find_collapse_sequence(cx)
+    terms = collapse_cone(seq).terms
+    got = {"steps": _sha(seq.steps), "terminal": seq.terminal,
+           **{f"terms {k}": _sha(*terms[k]) for k in sorted(terms)}}
+    assert got == COLLAPSE_PINS[mesh]
+
+
+@pytest.mark.parametrize("mesh", sorted(STRONG_COLLAPSE_PINS))
+def test_strong_collapse_steps_are_pinned(mesh):
+    kind, n = mesh.split(":")
+    cx = (generate_square_mesh if kind == "square" else generate_ushape_mesh)(int(n))
+    seq = find_strong_collapse_sequence(cx)
+    assert {"steps": _sha(seq.steps), "terminal": seq.terminal} == STRONG_COLLAPSE_PINS[mesh]
+
+
+def test_strong_collapse_cores_are_pinned():
+    # the cores left where greedy removal sticks, free and with the terminal pinned
+    annulus, holed = annulus_complex(with_coords=False), holed_square_complex()
+    assert greedy_strong_collapse(annulus)[1] == set(range(6))
+    assert greedy_strong_collapse(annulus, 0)[1] == set(range(6))
+    assert greedy_strong_collapse(holed)[1] == {286, 287, 288, 311, 313, 336, 337, 338}
+    assert greedy_strong_collapse(holed, 0)[1] == {
+        0, 26, 52, 78, 104, 130, 156, 182, 208, 234, 260, 286, 287, 288, 311, 313, 336, 337, 338}
+
+
+# first steps that no collapse of square:2 takes: ((0, 1, 4), (0, 1)) is its first
+# step, (0, 1) is free there and (0, 3, 4) is a triangle not containing it
+BAD_FIRST_STEPS = {
+    "absent sigma": ((0, 1, 99), (0, 1)),
+    "absent tau": ((0, 1, 4), (0, 99)),
+    "negative vertex": ((-1, 0, 1), (0, 1)),
+    "unsorted sigma": ((4, 1, 0), (0, 1)),
+    "unsorted tau": ((0, 1, 4), (1, 0)),
+    "sigma not a coface": ((0, 3, 4), (0, 1)),
+    "sigma two dimensions up": ((0, 1, 4), (0,)),
+    "sigma of tau's dimension": ((0, 1), (0, 1)),
+    "tau of top dimension": ((0, 1, 4), (0, 1, 4)),
+    "tau of top dimension, sigma above it": ((0, 1, 3, 4), (0, 1, 4)),
+    "empty tau": ((0,), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FIRST_STEPS))
+def test_validate_collapse_rejects_a_bad_step_without_raising(square2, name):
+    seq = find_collapse_sequence(square2)
+    assert seq.steps[0] == ((0, 1, 4), (0, 1))
+    assert validate_collapse_sequence(seq) is True
+    bad = [BAD_FIRST_STEPS[name]] + seq.steps[1:]
+    assert validate_collapse_sequence(CollapseSequence(square2, bad, seq.terminal)) is False
+    # the same step after the valid ones, where nothing is left to remove
+    late = seq.steps + [BAD_FIRST_STEPS[name]]
+    assert validate_collapse_sequence(CollapseSequence(square2, late, seq.terminal)) is False
+    for terminal in (seq.terminal + 1, 99):
+        assert not validate_collapse_sequence(CollapseSequence(square2, seq.steps, terminal))
