@@ -45,10 +45,8 @@ import scipy.sparse as sp
 from .homotopy import (
     CollapseSequence,
     ProductComplex,
-    _step_positions,
-    _Subcomplex,
+    _replay,
     checked_breakpoints,
-    validate_collapse_sequence,
     vertex_images,
 )
 from .simplicial import (
@@ -156,13 +154,14 @@ def collapse_cone(seq: CollapseSequence) -> SimplicialConeOperator:
     zero and the freed face records the coface corrected by the cone of the
     remaining boundary; the terminal vertex also has cone zero.
     """
-    if not validate_collapse_sequence(seq):
+    replay = _replay(seq)
+    if replay is None:
         raise ValueError("invalid collapse sequence")
+    steps, facets = replay
     cx = seq.complex
-    facets = _Subcomplex(cx).facets
     cone: dict[int, list] = {k: [None] * len(r) for k, r in cx._rows.items()}
     cone[0][int(cx.positions(0, [seq.terminal])[0])] = {}
-    for k, sigma, tau in reversed(_step_positions(seq)):
+    for k, sigma, tau in reversed(steps):
         cone[k + 1][sigma] = {}
         # Co(tau) = eps * (sigma - Co(rest)), where boundary(sigma) = eps*tau + rest
         faces, lower = facets[k + 1][sigma], cone[k]

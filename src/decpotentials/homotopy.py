@@ -299,19 +299,26 @@ def _step_positions(seq: CollapseSequence) -> list[tuple[int, int, int]] | None:
     return None if bad else list(zip(dims[1::2].tolist(), at[::2].tolist(), at[1::2].tolist()))
 
 
-def validate_collapse_sequence(seq: CollapseSequence) -> bool:
-    """Replay the sequence, checking that sigma is tau's only cofacet left."""
+def _replay(seq: CollapseSequence):
+    """Replay the sequence, checking that sigma is tau's only cofacet left: its
+    ``(k, sigma, tau)`` positions and the facet table, or None if invalid."""
     steps, state = _step_positions(seq), _Subcomplex(seq.complex)
     if steps is None:
-        return False
+        return None
     for k, sigma, tau in steps:
         if (state.dead[k][tau] or state.dead[k + 1][sigma] or state.count[k][tau] != 1
                 or tau not in state.facets[k + 1][sigma]):
-            return False
+            return None
         state.remove(k + 1, sigma)
         state.remove(k, tau)
-    return (sum(dead.count(False) for dead in state.dead.values()) == 1
-            and state.dead[0].index(False) == int(seq.complex.positions(0, [seq.terminal])[0]))
+    ok = (sum(dead.count(False) for dead in state.dead.values()) == 1
+          and state.dead[0].index(False) == int(seq.complex.positions(0, [seq.terminal])[0]))
+    return (steps, state.facets) if ok else None
+
+
+def validate_collapse_sequence(seq: CollapseSequence) -> bool:
+    """Replay the sequence, checking that sigma is tau's only cofacet left."""
+    return _replay(seq) is not None
 
 
 # -- strong collapse -----------------------------------------------------

@@ -321,8 +321,6 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if trials >= 2**32:
-        raise ValueError(f"trials must be below 2**32, got {trials}")
     index = operator.index(seed) if hasattr(seed, "__index__") else -1
     if index < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

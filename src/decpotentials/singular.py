@@ -15,25 +15,27 @@ the same computation on a batch of one term set, returning the row as a
 dict.
 
 Piecewise structure is resolved exactly, in chunked numpy passes over the
-candidate (subject, mesh triangle) pairs that the geometry's bucket grid
-and a separating-axis test leave: 1-dimensional images are split at every
-crossing with a mesh edge and integrated per piece by the midpoint rule (the
-integrand is affine per piece, so this is exact); 2-dimensional images are
-clipped against each mesh triangle by a batched Sutherland-Hodgman and
-weighted by the signed overlap area.  The test keeps a segment that only
-touches a triangle, since a segment along a mesh edge is integrated there,
-but not an image triangle that only touches one: their overlap has no
-area, so cone triangles running along mesh edges and through mesh vertices
-clip only the triangles they overlap, and such pairs leave no
-rounding-level sliver entries.  A chunk holds about CHUNK_PAIRS grid
-candidates, which bounds the memory of every pass.  Pieces outside the mesh
-are an error unless explicitly allowed, in which case they integrate to zero
-(an infinite cone is its star simplex, which may overhang the mesh, plus its
-shadow cut off exactly by the mesh bounding box; ``segment_functional``
-extends the interpolant by zero).  The coverage test compares the uncovered
-area (length) with COVERAGE_TOL times the mesh area (diagonal), not with the
-image's own, so a thin image near an edge is not rejected for the round-off
-of its clipped pieces.
+candidate (subject, mesh triangle) pairs of the geometry's bucket grid.
+1-dimensional images are cut to each triangle their line meets.  Each
+corner's side of the line depends on the segment and the vertex alone, and
+each crossing on the segment and the canonical edge alone, so neighbouring
+triangles agree bitwise on where a piece ends (the orientation tests of a
+straight walk, Devillers, Pion and Teillaud 2002); each piece is integrated
+in its triangle by the midpoint rule, exact for the affine integrand.
+2-dimensional images must also pass a separating-axis test, in which an
+image triangle that only touches a mesh triangle counts as apart (their
+overlap has no area, so such pairs leave no rounding-level sliver entries),
+and are clipped against each mesh triangle by a batched Sutherland-Hodgman
+and weighted by the signed overlap area.  A chunk holds about CHUNK_PAIRS
+grid candidates, which bounds the memory of every pass.  Pieces outside the
+mesh are an error unless explicitly allowed, in which case they integrate to
+zero (an infinite cone is its star simplex, which may overhang the mesh,
+plus its shadow cut off exactly by the mesh bounding box;
+``segment_functional`` extends the interpolant by zero).  The coverage test
+compares the uncovered area (length) with COVERAGE_TOL times the mesh area
+(diagonal), not with the image's own, so a thin image near an edge is not
+rejected for the round-off of its clipped pieces.  Simplices exactly flat in
+floating point are degenerate and integrate to zero.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ import scipy.sparse as sp
 from .simplicial import Cochain
 from .whitney import MeshGeometry
 
-DEGENERACY_TOL = 1e-12
-PARAM_TOL = 1e-12
 # uncovered image area (length) allowed in strict integration, as a share of
 # the mesh area (diagonal)
 COVERAGE_TOL = 1e-10
@@ -198,21 +198,18 @@ def _degenerate(pts: np.ndarray) -> np.ndarray:
     k = pts.shape[1] - 1
     if k <= 0 or k >= 3:
         return np.full(len(pts), k >= 3)
-    diffs = pts[:, None, :, :] - pts[:, :, None, :]
-    scale = np.sqrt((diffs ** 2).sum(axis=3).max(axis=(1, 2)))
     if k == 1:
-        return scale == 0.0
+        return (pts[:, 0] == pts[:, 1]).all(axis=1)
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    return (scale == 0.0) | (np.abs(det) <= DEGENERACY_TOL * scale * scale)
+    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] == 0.0
 
 
 def is_degenerate(points) -> bool:
-    """Rank test: do the points span an affine k-flat in the plane?
+    """Rank test: are the points exactly flat in floating point?
 
-    The threshold is relative to the squared diameter of the point set, so
-    the verdict is invariant under rigid motions and uniform scaling.
+    Two points are when they coincide, three when their cross product is
+    exactly zero, at every scale; four or more always are, in the plane.
     """
     pts = np.asarray(points, dtype=float)
     return bool(_degenerate(pts.reshape(1, len(pts), 2))[0])
@@ -307,64 +304,49 @@ def polygon_area(poly) -> float:
 
 def _edge_axes(poly: np.ndarray):
     """(normal, lo, hi) per edge of convex polygons: the edge normal and each
-    polygon's extent along it.  A segment has one edge."""
+    polygon's extent along it."""
     m = poly.shape[1]
     axes = []
-    for i in range(1 if m == 2 else m):
+    for i in range(m):
         e = poly[:, (i + 1) % m] - poly[:, i]
         proj = poly[..., 1] * e[:, None, 0] - poly[..., 0] * e[:, None, 1]
         axes.append((e, proj.min(axis=1), proj.max(axis=1)))
     return axes
 
 
-def _apart(axes, own: np.ndarray, other: np.ndarray, touching_apart: bool) -> np.ndarray:
+def _apart(axes, own: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Per pair: does an edge normal of polygon ``own`` separate ``other`` from it?
 
-    Along the normal, one projection ends before the other begins, or, if
-    ``touching_apart``, where the other begins, so that two convex polygons
-    which only share boundary points count as apart.
+    Along the normal, one projection ends where or before the other begins,
+    so that two convex polygons which only share boundary points count as
+    apart.
     """
     out = np.zeros(len(own), dtype=bool)
-    below, above = (np.less_equal, np.greater_equal) if touching_apart else (np.less, np.greater)
     for e, lo, hi in axes:
         ex, ey = e[own, 0], e[own, 1]
         proj = [p[:, 1] * ex - p[:, 0] * ey for p in other.transpose(1, 0, 2)]
-        out |= below(reduce(np.maximum, proj), lo[own])
-        out |= above(reduce(np.minimum, proj), hi[own])
+        out |= reduce(np.maximum, proj) <= lo[own]
+        out |= reduce(np.minimum, proj) >= hi[own]
     return out
 
 
 def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
-    """(first, stop, subject, triangle) per chunk of consecutive subjects.
-
-    Candidates come from the geometry's bucket grid and must pass the
-    separating-axis test (subject edges first, as they reject most pairs of
-    a thin subject, then triangle edges).  For triangle subjects, pairs
-    that only touch count as apart: two convex triangles whose projections
-    only meet on some edge normal have disjoint interiors, so no overlap.
-    Segments keep the strict test: one along a mesh edge touches the
-    triangles on both sides and is integrated in them.  A chunk holds whole
-    rows (``rows`` is sorted) and about CHUNK_PAIRS grid candidates (a row
-    with more is a chunk of its own), which bounds the memory of every
-    later pass.
+    """(first, stop, subject, triangle) per chunk of consecutive subjects: the
+    candidate pairs of the geometry's bucket grid.  A chunk holds whole rows
+    (``rows`` is sorted) and about CHUNK_PAIRS candidates (a row with more is
+    a chunk of its own), which bounds the memory of every later pass.
     """
     lo = pts.min(axis=1)
     hi = pts.max(axis=1)
     ends = np.cumsum(geom.candidate_counts(lo, hi))
     row_end = np.searchsorted(rows, rows, side="right")
-    triangle_axes = _edge_axes(geom.ccw_corners)
-    touching_apart = pts.shape[1] == 3
     first = 0
     while first < len(pts):
         done = ends[first - 1] if first else 0
         stop = max(first + 1, int(np.searchsorted(ends, done + CHUNK_PAIRS, side="right")))
         stop = int(row_end[stop - 1])
         sub, tri = geom.candidates(lo[first:stop], hi[first:stop])
-        chunk = pts[first:stop]
-        meet = ~_apart(_edge_axes(chunk), sub, geom.ccw_corners[tri], touching_apart)
-        sub, tri = sub[meet], tri[meet]
-        meet = ~_apart(triangle_axes, tri, chunk[sub], touching_apart)
-        yield first, stop, sub[meet] + first, tri[meet]
+        yield first, stop, sub + first, tri
         first = stop
 
 
@@ -405,56 +387,56 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
                      allow_exterior: bool, describe):
     """(subject, edge, weight) per chunk, for segments pts[:, 0] -> pts[:, 1].
 
-    Each segment is split at its crossings with the edges of the triangles it
-    meets; every piece takes its triangle from the grid and is integrated by
-    the midpoint rule, which is exact because the integrand is affine per
-    piece.  Pieces outside the mesh contribute zero if ``allow_exterior``;
-    otherwise their length may not exceed COVERAGE_TOL times the mesh
-    diagonal.
+    A segment's piece in a triangle its line meets runs from the least to the
+    greatest parameter of the line's edge crossings and of the corners on
+    it, cut to [0, 1]; a piece along an edge is integrated only in the
+    edge's lowest-index triangle.  Unless ``allow_exterior``, the length
+    that no piece covers may not exceed COVERAGE_TOL times the mesh diagonal.
     """
-    n_edges = len(geom.edge_coords)
+    n_edges, n_triangles = len(geom.edge_coords), len(geom.corners)
+    lowest = np.full(n_edges, n_triangles)  # each edge's lowest-index triangle
+    np.minimum.at(lowest, geom.triangle_edges, np.arange(n_triangles)[:, None])
+    # corners and local edges, one row each; local edge m = (01, 02, 12)[m]
+    # runs from corner i[m] to corner j[m], its canonical direction
+    i, j = [0, 0, 1], [1, 2, 2]
+    cx, cy = np.ascontiguousarray(geom.corners.transpose(2, 1, 0))
+    ex, ey = cx[j] - cx[i], cy[j] - cy[i]
     a = pts[:, 0]
     r = pts[:, 1] - a
+    (ax, ay), (rx, ry) = a.T, r.T
     for first, stop, sub, tri in _pairs(geom, pts, rows):
-        # crossing parameters; spurious extra ones are harmless (splitting
-        # never changes the integral), nearly parallel edges need no split
-        sub = np.repeat(sub, 3)
-        ec = geom.edge_coords[geom.triangle_edges[tri].ravel()]
-        p = ec[:, 0]
-        s = ec[:, 1] - ec[:, 0]
-        rs = r[sub]
-        denom = rs[:, 0] * s[:, 1] - rs[:, 1] * s[:, 0]
-        ok = np.abs(denom) > 1e-12 * np.sqrt(_dot(rs, rs)) * np.sqrt((s * s).sum(axis=1))
-        qp = p - a[sub]
+        # each corner's side of the segment's line: the line meets the
+        # triangles whose corners are not all strictly on one side
+        dx, dy = cx[:, tri] - ax[sub], cy[:, tri] - ay[sub]
+        sign = np.sign(rx[sub] * dy - ry[sub] * dx)
+        meet = np.abs(sign.sum(axis=0)) < 3.0
+        sub, tri, dx, dy, sign = sub[meet], tri[meet], dx[:, meet], dy[:, meet], sign[:, meet]
+        sx, sy, ux, uy = rx[sub], ry[sub], ex[:, tri], ey[:, tri]
+        # the line meets a corner on it at the corner's projection, and an
+        # edge whose ends lie strictly on either side where it crosses the
+        # edge's line, a parameter of the canonical edge alone, clamped
+        # between the ends' projections against rounding
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / denom
-            u = (qp[:, 0] * rs[:, 1] - qp[:, 1] * rs[:, 0]) / denom
-        cut = ok & (u >= -1e-9) & (u <= 1.0 + 1e-9) & (t > PARAM_TOL) & (t < 1.0 - PARAM_TOL)
-        # every segment's parameters, sorted: 0, its crossings, 1; a crossing
-        # within PARAM_TOL of the previous parameter or of 1 is dropped
-        own = np.arange(first, stop)
-        seg = np.concatenate([own, sub[cut], own])
-        t = np.concatenate([np.zeros(len(own)), t[cut], np.ones(len(own))])
-        order = np.lexsort((t, seg))
-        seg, t = seg[order], t[order]
-        gap = np.diff(t, prepend=-np.inf)
-        new = np.diff(seg, prepend=-1) != 0
-        keep = new | (t == 1.0) | ((gap > PARAM_TOL) & (1.0 - t > PARAM_TOL))
-        seg, t = seg[keep], t[keep]
-        piece = seg[1:] == seg[:-1]
-        seg, t0, t1 = seg[:-1][piece], t[:-1][piece], t[1:][piece]
-        d = r[seg]
-        mid = a[seg] + (0.5 * (t0 + t1))[:, None] * d
-        where = geom.locate_all(mid)
-        inside = where >= 0
-        step = (t1 - t0)[:, None] * d
+            proj = (dx * sx + dy * sy) / (sx * sx + sy * sy)
+            cut = (dx[i] * uy - dy[i] * ux) / (sx * uy - sy * ux)
+        cut = np.fmin(np.fmax(cut, np.minimum(proj[i], proj[j])), np.maximum(proj[i], proj[j]))
+        on = sign == 0.0
+        t = np.where(np.concatenate([sign[i] * sign[j] < 0.0, on]), np.concatenate([cut, proj]),
+                     np.nan)
+        t0, t1 = np.maximum(np.fmin.reduce(t), 0.0), np.minimum(np.fmax.reduce(t), 1.0)
+        along = on[i] & on[j]
+        edge = geom.triangle_edges[tri, along.argmax(axis=0)]
+        keep = (t1 > t0) & (~along.any(axis=0) | (lowest[edge] == tri))
+        sub, tri, t0, t1 = sub[keep], tri[keep], t0[keep], t1[keep]
         if not allow_exterior:
-            outside = np.bincount(seg[~inside] - first, np.hypot(*step[~inside].T),
-                                  minlength=stop - first)
-            _check_covered(geom, pts, first, outside, np.hypot(*r[first:stop].T), describe)
-        seg, mid, where, step = seg[inside], mid[inside], where[inside], step[inside]
-        vals = (geom.edge_forms(where, mid) @ step[:, :, None])[..., 0]
-        yield _accumulate(np.repeat(seg, 3), geom.triangle_edges[where].ravel(), vals.ravel(),
+            whole = np.hypot(rx[first:stop], ry[first:stop])
+            covered = np.bincount(sub - first, t1 - t0, minlength=stop - first)
+            _check_covered(geom, pts, first, whole * (1.0 - covered), whole, describe)
+        d = r[sub]
+        mid = a[sub] + (0.5 * (t0 + t1))[:, None] * d
+        step = (t1 - t0)[:, None] * d
+        vals = (geom.edge_forms(tri, mid) @ step[:, :, None])[..., 0]
+        yield _accumulate(np.repeat(sub, 3), geom.triangle_edges[tri].ravel(), vals.ravel(),
                           n_edges)
 
 
@@ -462,9 +444,9 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
                       allow_exterior: bool, describe):
     """(subject, triangle, weight) per chunk, for image triangles.
 
-    Each image is clipped against every mesh triangle it meets and weighted
-    by the overlap area over the triangle's signed area, with the image's
-    orientation sign.  Unless ``allow_exterior``, the image must be covered
+    Each image is clipped against every mesh triangle that no separating axis
+    sets apart from it, and weighted by the overlap area over the triangle's
+    signed area, with the image's orientation sign.  Unless ``allow_exterior``, the image must be covered
     by the mesh: the area it leaves uncovered may not exceed COVERAGE_TOL
     times the mesh area.
     """
@@ -475,7 +457,13 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     # clip in each mesh triangle's frame, so rounding scales with the triangle
     origin = geom.ccw_corners[:, :1]
     sides = _sides(geom.ccw_corners - origin)
+    triangle_axes = _edge_axes(geom.ccw_corners)
     for first, stop, sub, tri in _pairs(geom, pts, rows):
+        # separating axes, the image's first: they reject most pairs of a thin image
+        meet = ~_apart(_edge_axes(pts[first:stop]), sub - first, geom.ccw_corners[tri])
+        sub, tri = sub[meet], tri[meet]
+        meet = ~_apart(triangle_axes, tri, pts[sub])
+        sub, tri = sub[meet], tri[meet]
         xy, n = _clip(pts[sub] - origin[tri], np.full(len(sub), 3), sides[tri])
         overlap = np.abs(_areas(xy, n))
         hit = overlap != 0.0

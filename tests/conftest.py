@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from decpotentials import (
     BogovskiiOperator,
@@ -118,3 +119,47 @@ def unchecked_bogovskii(point, cx, geometry=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(potentials, "check_star_shaped", lambda geometry, point: None)
         return BogovskiiOperator(point, cx, geometry)
+
+
+def certified_residual(op) -> float:
+    """max_k ||R_k Pi_k||_inf from the sparse matrices: the worst residual of
+    the homotopy identity over admissible inputs with entries in [-1, 1].
+
+    R_k = D_{k-1} P_k + P_{k+1} D_k - I, plus pi in every row at k = 0, and
+    Pi_k is the admissible projection: the identity for Poincare operators.
+    For Bogovskii operators Pi_k keeps the interior columns below the top
+    degree; at the top degree Pi = I - a o^T / A (signed areas a,
+    orientations o, total area A), so row i of R Pi is r_i - c_i o^T with
+    c_i = r_i . a / A, whose absolute sum is taken over the row's support
+    plus |c_i| for each column off it, with nothing dense.
+    """
+    cx = op.complex
+    top = cx.dim
+    worst = 0.0
+    for k in range(top + 1):
+        n = cx.num_simplices(k)
+        r = -sp.identity(n, format="csr")
+        if k > 0:
+            r = r + cx.coboundary_matrix(k - 1) @ op.matrix(k)
+        if k < top:
+            r = r + op.matrix(k + 1) @ cx.coboundary_matrix(k)
+        if k == 0:
+            vertices, weights = op._pi
+            r = r + sp.csr_matrix((np.tile(weights, n), (np.repeat(np.arange(n), len(vertices)),
+                                                          np.tile(vertices, n))), shape=(n, n))
+        r = sp.csr_matrix(r)
+        r.sum_duplicates()
+        if not isinstance(op, BogovskiiOperator):
+            sums = abs(r).sum(axis=1).A1
+        elif k < top:
+            interior = np.ones(n)
+            interior[cx.boundary_indices(k)] = 0.0
+            sums = abs(r @ sp.diags(interior)).sum(axis=1).A1
+        else:
+            geom = op.geometry
+            c = (r @ geom.signed_area) / geom.total_area
+            row = np.repeat(np.arange(n), np.diff(r.indptr))
+            on = np.abs(r.data - c[row] * geom.orientation[r.indices])
+            sums = np.bincount(row, on, minlength=n) + (n - np.diff(r.indptr)) * np.abs(c)
+        worst = max(worst, float(sums.max(initial=0.0)))
+    return worst

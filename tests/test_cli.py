@@ -361,7 +361,8 @@ def test_potential_scalar_samples(capsys, tmp_path):
 # sha256 of the --out and --samples files of `decpot potential`, recorded
 # before the sample rows were written in one loop and the grids and
 # contraction images were built in numpy; the 1-form potentials (field f)
-# re-recorded since segment pieces are integrated by the midpoint rule
+# re-recorded since segment pieces are integrated by the midpoint rule; the
+# lipschitz ones again since segments are cut at crossings both neighbours share
 POTENTIAL_FILE_DIGESTS = {
     "star-g1": ("3311d121bbecd5dabe5160f084a2ffce830dafc7dcd5e2c5dde1b4b169e0e309",
                "1da1427788c74613b647fc8141c4d43c38331c8bd8c0722add0b05997134bd83"),
@@ -369,8 +370,8 @@ POTENTIAL_FILE_DIGESTS = {
               "eaeabff5b95e46b6816672aff0b225756ce0a26fcc2422a43b2d5c54c7f79e1f"),
     "lipschitz-g1": ("76056a935996936085f45a3c1da5b950e47d7bd63ab1b11405d0a1d354a260df",
                     "31b4ae400072e3dceea0a3ef3d19c9b9bb0304f9c5983c3ee3dbe3f3ecc897df"),
-    "lipschitz-f": ("88775fe1c0eca079191deea65ee3885b380780be524c2fef24b6169e1d8e8a79",
-                   "ef64ce1479d01d7323f4cde719da143fef72e91b5a2506571c4298283708f271"),
+    "lipschitz-f": ("2a67eaae373fb07a0f2f52c8fd09cac0c26c5f0002516498d15786750228254f",
+                   "d3891a7bd364a7165398e8d3059afd27fc3bcea120f4f4131e8bb0a42809d68e"),
 }
 POTENTIAL_ARGS = {
     "star": ["--mesh", "builtin:square:8", "--op", "star", "--point", "0.52,0.51"],

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from decpotentials import (
     BogovskiiOperator,
@@ -37,7 +38,7 @@ from decpotentials.singular import (
     triangle_functional,
 )
 from decpotentials.whitney import MeshGeometry
-from conftest import random_cochain, unchecked_bogovskii
+from conftest import jitter_interior, random_cochain, unchecked_bogovskii
 
 
 def test_lift_matches_coordinates(square2):
@@ -207,6 +208,57 @@ def test_segment_functional_sums_the_closed_form_over_its_pieces(jittered):
             <= 1e-14, (a, b)
 
 
+def closed_form_over_pieces(geom, a, b):
+    """Reference row of the segment a -> b: split at every crossing with a
+    mesh edge, each piece located by its midpoint and integrated in closed
+    form in its triangle; pieces off the mesh give zero."""
+    ends = geom.edge_coords
+    r, s = b - a, ends[:, 1] - ends[:, 0]
+    q = ends[:, 0] - a
+    denom = r[0] * s[:, 1] - r[1] * s[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (q[:, 0] * s[:, 1] - q[:, 1] * s[:, 0]) / denom
+        v = (q[:, 0] * r[1] - q[:, 1] * r[0]) / denom
+    cuts = np.sort(u[(denom != 0) & (u > 0) & (u < 1) & (v >= 0) & (v <= 1)])
+    want = {}
+    for t0, t1 in zip(np.r_[0.0, cuts], np.r_[cuts, 1.0]):
+        t = geom.locate(a + 0.5 * (t0 + t1) * r)
+        if t1 - t0 >= 1e-12 and t is not None:
+            for e, w in closed_form_row(geom, t, a + t0 * r, a + t1 * r).items():
+                want[e] = want.get(e, 0.0) + w
+    return want
+
+
+@pytest.mark.parametrize("a, b", [((0.1, 0.1), (0.9, 0.5)), ((0.0, 0.3), (1.0, 0.8))],
+                         ids=["interior", "wall-to-wall"])
+def test_segment_through_mesh_vertices_sums_the_closed_form_over_its_pieces(a, b):
+    # slope 1/2 on square:10: the segment passes through mesh vertices
+    # obliquely, where a piece ends at a corner of the triangle it leaves and
+    # starts at a corner of the one it enters
+    geom = MeshGeometry(generate_square_mesh(10))
+    a, b = np.array(a), np.array(b)
+    row, want = segment_functional(geom, a, b), closed_form_over_pieces(geom, a, b)
+    assert len(want) > 3
+    assert max(abs(row.get(e, 0.0) - want.get(e, 0.0)) for e in set(row) | set(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("mesh", ["square10", "jittered-square8"])
+def test_segment_inside_a_mesh_edge_gives_its_share_of_the_edge(mesh):
+    # pieces of mesh edges with both ends off the mesh vertices: the segment's
+    # line passes through the edge's ends, or within rounding of them, and
+    # its share of the edge must land in exactly one triangle
+    cx = generate_square_mesh(10) if mesh == "square10" else jitter_interior(generate_square_mesh(8))
+    geom = MeshGeometry(cx)
+    rng = np.random.default_rng(0)
+    edge = rng.integers(0, cx.num_simplices(1), 100)
+    share = np.sort(rng.uniform(size=(100, 2)), axis=1)
+    u, w = geom.edge_coords[edge].transpose(1, 0, 2)
+    pts = u[:, None] + share[..., None] * (w - u)[:, None]
+    m = singular.functional_matrix(geom, 1, np.arange(100), np.ones(100), pts, 100)
+    want = sp.csr_matrix((share[:, 1] - share[:, 0], (np.arange(100), edge)), shape=m.shape)
+    assert abs(m - want).max() <= 1e-14
+
+
 def test_triangle_functional_identity_row(geom2):
     pts = np.array(geom2.corners[3])
     row = triangle_functional(geom2, pts)
@@ -370,14 +422,13 @@ SHADOW_MESHES = {"square:8": lambda: generate_square_mesh(8),
                  "ushape:20": lambda: generate_ushape_mesh(20)}
 
 # sha256 of the data, indices and indptr of Bogovskii matrix(1) and matrix(2)
-# at (0.152, 0.151), recorded since image triangles are clipped in each mesh
-# triangle's own frame, image triangles that only touch a mesh triangle are
-# not clipped against it, and segment pieces are integrated by the midpoint
-# rule
+# at (0.152, 0.151), recorded since segments are cut to each triangle at
+# crossings both neighbours share and only exactly flat simplices count as
+# degenerate
 SHADOW_MATRIX_DIGESTS = {
-    "square:8": "80820b96572c3f11750a5d3c2bb08b81565a21ef33e6827a90baace383efcb63",
-    "square:16": "883ca3bc314d2f5afef708cc7ee9d610d0f5775d9a558d11a1dfdca9de12d626",
-    "ushape:20": "3440554e9f22a6bfa5cdf86451739c56e1fe30f4947fbae3fe78a17e1e7ce15e",
+    "square:8": "0b57ee1faf287ba4fba04565830b9f3657239b962744e948c040a5f6dc60ce6c",
+    "square:16": "2464d2af059e81936cecff352bbc2e1669a7107d6d6b84c52d1563358c312897",
+    "ushape:20": "d71d5aa87594d0cace17dbf8169a48a03dd13cc4ad7e53be292683ceb36d796a",
 }
 
 
