@@ -26,7 +26,10 @@ in its triangle by the midpoint rule, exact for the affine integrand.
 image triangle that only touches a mesh triangle counts as apart (their
 overlap has no area, so such pairs leave no rounding-level sliver entries),
 and are clipped against each mesh triangle by a batched Sutherland-Hodgman
-and weighted by the signed overlap area.  A chunk holds about CHUNK_PAIRS
+and weighted by the signed overlap area.  The clip keeps its polygons as
+flat point lists (each point's x, y and polygon index, in polygon order), so
+a half-plane is a few whole-array passes and one compaction in which every
+point emits its crossing and then itself.  A chunk holds about CHUNK_PAIRS
 grid candidates, which bounds the memory of every pass.  Pieces outside the
 mesh are an error unless explicitly allowed, in which case they integrate to
 zero (an infinite cone is its star simplex, which may overhang the mesh,
@@ -224,37 +227,41 @@ def _clip(xy: np.ndarray, n: np.ndarray, sides: np.ndarray):
     Polygon i is the first ``n[i]`` points of ``xy[i]``; it is clipped in
     turn against the half-planes ``sides[i, j] = (start, end)``, each the
     points on or left of the line from start to end.  Returns the clipped
-    polygons in the same padded layout.  Every row does the arithmetic of a
-    scalar clip in the same order, so a batch of one is that clip.
+    polygons as flat lists: their points in polygon order, shape (M, 2), and
+    each point's polygon index, ascending; an emptied polygon has no points.
+    Every polygon does the arithmetic of a scalar clip in the same order, so
+    a batch of one is that clip.
     """
-    rows = np.arange(len(xy))
-    for j in range(sides.shape[1]):
-        if xy.shape[1] == 0:
+    row, col = np.nonzero(np.arange(xy.shape[1]) < n[:, None])
+    x, y = xy[row, col, 0], xy[row, col, 1]
+    for (c1x, c1y), (c2x, c2y) in np.ascontiguousarray(sides.transpose(1, 2, 3, 0)):
+        if not len(row):
             break
-        cp1, cp2 = sides[:, j, 0], sides[:, j, 1]
-        ex = (cp2[:, 0] - cp1[:, 0])[:, None]
-        ey = (cp2[:, 1] - cp1[:, 1])[:, None]
-        dist = ex * (xy[..., 1] - cp1[:, None, 1]) - ey * (xy[..., 0] - cp1[:, None, 0])
-        last = np.maximum(n - 1, 0)
-        # distance of each point's predecessor (the last point for the first)
-        d_s = np.concatenate([dist[rows, last][:, None], dist[:, :-1]], axis=1)
-        valid = np.arange(xy.shape[1]) < n[:, None]
+        x1, y1 = c1x[row], c1y[row]
+        dist = (c2x - c1x)[row] * (y - y1) - (c2y - c1y)[row] * (x - x1)
+        prev = _predecessors(row)
+        d_s, sx, sy = dist[prev], x[prev], y[prev]
         inside = dist >= 0.0
-        cross = valid & (inside != (d_s >= 0.0))
-        keep = valid & inside
-        # each input point emits its crossing, then itself
-        end = np.cumsum(cross.astype(np.int64) + keep, axis=1)
-        n = end[:, -1]
-        out = np.zeros((len(xy), int(n.max(initial=0)), 2))
-        r, c = np.nonzero(keep)
-        out[r, end[r, c] - 1] = xy[r, c]
-        r, c = np.nonzero(cross)
-        prev = np.where(c == 0, last[r], c - 1)
-        s, e = xy[r, prev], xy[r, c]
-        t = (d_s[r, c] / (d_s[r, c] - dist[r, c]))[:, None]
-        out[r, end[r, c] - 1 - keep[r, c]] = s + t * (e - s)
-        xy = out
-    return xy, n
+        # each point emits its crossing with the edge from its predecessor,
+        # then itself; crossings are computed everywhere and kept where the
+        # ends' sides differ
+        emit = np.flatnonzero(np.stack([inside != (d_s >= 0.0), inside], axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = d_s / (d_s - dist)
+            x = np.stack([sx + t * (x - sx), x], axis=1).ravel()[emit]
+            y = np.stack([sy + t * (y - sy), y], axis=1).ravel()[emit]
+        row = row[emit >> 1]
+    return np.stack([x, y], axis=1), row
+
+
+def _predecessors(row: np.ndarray) -> np.ndarray:
+    """Each point's predecessor in its flat polygon list, the last point for the first."""
+    start = np.ones(len(row), dtype=bool)
+    start[1:] = row[1:] != row[:-1]
+    first = np.flatnonzero(start)
+    prev = np.arange(-1, len(row) - 1)
+    prev[first] = np.append(first[1:], len(row)) - 1
+    return prev
 
 
 def _sides(poly: np.ndarray) -> np.ndarray:
@@ -262,23 +269,16 @@ def _sides(poly: np.ndarray) -> np.ndarray:
     return np.stack([np.roll(poly, 1, axis=1), poly], axis=2)
 
 
-def _areas(xy: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Signed shoelace areas of padded polygons, summed point by point."""
-    acc = np.zeros(len(xy))
-    if xy.shape[1] == 0:
-        return acc
-    rows = np.arange(len(xy))
-    x0, y0 = xy[rows, n - 1, 0], xy[rows, n - 1, 1]
-    for j in range(xy.shape[1]):
-        x1, y1 = xy[:, j, 0], xy[:, j, 1]
-        acc += np.where(j < n, x0 * y1 - x1 * y0, 0.0)
-        x0, y0 = x1, y1
-    return np.where(n >= 3, 0.5 * acc, 0.0)
+def _areas(xy: np.ndarray, row: np.ndarray, n_polygons: int) -> np.ndarray:
+    """Signed shoelace areas of the flat polygon lists of ``_clip``.
 
-
-def _polygon(points) -> tuple[np.ndarray, np.ndarray]:
-    xy = np.asarray(points, dtype=float).reshape(1, -1, 2)
-    return xy, np.array([xy.shape[1]])
+    Each polygon's terms ``x_prev y - x y_prev`` add up point by point, the
+    closing edge first, as a scalar loop adds them; a polygon of fewer than
+    three points sums to exactly zero.
+    """
+    x, y = xy.T
+    prev = _predecessors(row)
+    return 0.5 * np.bincount(row, x[prev] * y - x * y[prev], minlength=n_polygons)
 
 
 def clip_polygon(subject, clipper):
@@ -290,13 +290,15 @@ def clip_polygon(subject, clipper):
     test and for the crossing, so an edge whose ends test differently always
     has a crossing parameter in [0, 1].
     """
-    xy, n = _clip(*_polygon(subject), _sides(np.asarray(clipper, dtype=float)[None]))
-    return [_point_tuple(p) for p in xy[0, :n[0]]]
+    xy = np.asarray(subject, dtype=float).reshape(1, -1, 2)
+    xy, _ = _clip(xy, np.array([xy.shape[1]]), _sides(np.asarray(clipper, dtype=float)[None]))
+    return [_point_tuple(p) for p in xy]
 
 
 def polygon_area(poly) -> float:
     """Signed shoelace area."""
-    return float(_areas(*_polygon(poly))[0])
+    xy = np.asarray(poly, dtype=float).reshape(-1, 2)
+    return float(_areas(xy, np.zeros(len(xy), dtype=np.int64), 1)[0])
 
 
 # -- batched Whitney functionals ------------------------------------------
@@ -464,8 +466,8 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         sub, tri = sub[meet], tri[meet]
         meet = ~_apart(triangle_axes, tri, pts[sub])
         sub, tri = sub[meet], tri[meet]
-        xy, n = _clip(pts[sub] - origin[tri], np.full(len(sub), 3), sides[tri])
-        overlap = np.abs(_areas(xy, n))
+        xy, piece = _clip(pts[sub] - origin[tri], np.full(len(sub), 3), sides[tri])
+        overlap = np.abs(_areas(xy, piece, len(sub)))
         hit = overlap != 0.0
         sub, tri, overlap = sub[hit], tri[hit], overlap[hit]
         if not allow_exterior:
@@ -604,12 +606,13 @@ def shadow_pieces(geom: MeshGeometry, points):
         u, w = np.where(ccw[..., None], pts[:, 1:], pts[:, :0:-1]).transpose(1, 0, 2)
         sides = np.stack([np.stack(pair, axis=1) for pair in ((p, u), (w, p), (w, u))], axis=1)
         box = np.array([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
-        xy, n = _clip(np.broadcast_to(box, (len(pts), 4, 2)), np.full(len(pts), 4), sides)
-        # fan triangles (q_0, q_c+1, q_c+2) with c + 2 < n, ordered like (p, a, b)
-        at, c = np.nonzero(np.arange(2, max(xy.shape[1], 2)) < n[:, None])
-        q, r, turn = xy[at, c + 1], xy[at, c + 2], ccw[at]
-        owner, pieces = keep[at], np.stack([xy[at, 0 * c], np.where(turn, q, r),
-                                            np.where(turn, r, q)], axis=1).reshape(-1, 3, 2)
+        xy, cone = _clip(np.broadcast_to(box, (len(pts), 4, 2)), np.full(len(pts), 4), sides)
+        # fan triangles (q_first, q_i-1, q_i) with i - first >= 2, ordered like (p, a, b)
+        first = np.searchsorted(cone, cone)
+        i = np.flatnonzero(np.arange(len(cone)) - first >= 2)
+        q, r, turn = xy[i - 1], xy[i], ccw[cone[i]]
+        owner, pieces = keep[cone[i]], np.stack([xy[first[i]], np.where(turn, q, r),
+                                                 np.where(turn, r, q)], axis=1)
     # clipping can leave repeated or collinear polygon points, whose fan
     # triangles have no area
     good = ~_degenerate(pieces)

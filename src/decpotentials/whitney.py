@@ -111,9 +111,10 @@ class MeshGeometry:
         self.edge_coords = coords[complex._rows[1]]  # (E, 2, 2) canonical edge endpoints
 
         # bucket grid, with at most about 4 cells per triangle
-        self._tri_min = P.min(axis=1)
-        self._tri_max = P.max(axis=1)
-        self._reach = (self._tri_max - self._tri_min).max(axis=0)
+        tri_min, tri_max = P.min(axis=1), P.max(axis=1)
+        self._reach = (tri_max - tri_min).max(axis=0)
+        # triangle bounding boxes as contiguous columns: x0, y0, x1, y1
+        self._tri_box = np.ascontiguousarray(np.concatenate([tri_min, tri_max], axis=1).T)
         extent = self.bbox_max - self.bbox_min
         mean_edge = float(np.linalg.norm(self.edge_coords[:, 1] - self.edge_coords[:, 0],
                                          axis=1).mean())
@@ -121,7 +122,7 @@ class MeshGeometry:
         self._shape = np.maximum(1, np.ceil(extent / cell)).astype(int)  # (nx, ny)
         self._cell = extent / self._shape
         nx, ny = self._shape
-        ix, iy = self._cell_of(self._tri_min)
+        ix, iy = self._cell_of(tri_min)
         filed = iy * nx + ix
         self._cell_triangles = np.argsort(filed, kind="stable")
         counts = np.bincount(filed, minlength=nx * ny)
@@ -154,8 +155,6 @@ class MeshGeometry:
         ``lo`` and ``hi`` are (N, 2) arrays of box corners.  Pairs come
         grouped by box in box order.
         """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
         x0, x1, y0, y1 = self._cell_ranges(lo, hi)
         nx = self._shape[0]
         # one run of consecutive cells per box and grid row
@@ -166,7 +165,9 @@ class MeshGeometry:
         length = self._cell_start[row * nx + x1[box] + 1] - first
         box = np.repeat(box, length)
         tri = self._cell_triangles[np.repeat(first, length) + _offsets(length)]
-        meet = ((self._tri_min[tri] <= hi[box]) & (self._tri_max[tri] >= lo[box])).all(axis=1)
+        (lx, ly), (hx, hy) = (np.ascontiguousarray(np.asarray(c, dtype=float).T) for c in (lo, hi))
+        tx0, ty0, tx1, ty1 = self._tri_box.take(tri, axis=1)
+        meet = (tx0 <= hx[box]) & (ty0 <= hy[box]) & (tx1 >= lx[box]) & (ty1 >= ly[box])
         return box[meet], tri[meet]
 
     def barycentric(self, t, point) -> np.ndarray:

@@ -29,6 +29,7 @@ from decpotentials import (
     lipschitz_cone,
     star_cone,
 )
+from decpotentials import singular
 from decpotentials.singular import chain_functional
 
 from conftest import unchecked_bogovskii
@@ -59,8 +60,77 @@ def ref_clip(subject, clipper):
 
 
 def ref_area(poly):
-    return 0.5 * sum(x0 * y1 - x1 * y0
-                     for (x0, y0), (x1, y1) in zip(poly[-1:] + poly[:-1], poly))
+    # summed term by term in point order, the closing edge first
+    acc = 0.0
+    for (x0, y0), (x1, y1) in zip(poly[-1:] + poly[:-1], poly):
+        acc += x0 * y1 - x1 * y0
+    return 0.5 * acc
+
+
+def clip_batch():
+    """(subjects padded with nan, sizes, CCW clippers) of 2,100 polygons."""
+    rng = np.random.default_rng(23)
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    subjects, clippers = [], []
+
+    def ccw(tri):
+        e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+        return tri if e1[0] * e2[1] - e1[1] * e2[0] > 0 else tri[::-1]
+
+    # random triangles of either orientation against random CCW triangles
+    for _ in range(800):
+        subjects.append(rng.uniform(-0.5, 1.5, (3, 2)))
+        clippers.append(ccw(rng.uniform(-0.5, 1.5, (3, 2))))
+    # dyadic points on a 1/4 lattice: subjects that touch, run along or pass
+    # through the clipper's edges and corners
+    while len(subjects) < 1400:
+        tri = rng.integers(-2, 7, (3, 2)) / 4.0
+        clip = rng.integers(0, 5, (3, 2)) / 4.0
+        e1, e2 = clip[1] - clip[0], clip[2] - clip[0]
+        if e1[0] * e2[1] - e1[1] * e2[0] != 0.0:
+            subjects.append(tri)
+            clippers.append(ccw(clip))
+    # against the unit triangle, whose half-planes are x >= 0, y >= 0 and
+    # x + y <= 1 in clip order: emptied by the first, second and third, and
+    # wholly inside, each moved by a random similarity shared with the clipper
+    for base in ([[-2.0, 0.2], [-1.0, 0.2], [-1.5, 0.7]], [[0.2, -2.0], [0.6, -2.0], [0.4, -1.0]],
+                 [[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]], [[0.1, 0.1], [0.5, 0.1], [0.1, 0.5]]):
+        for _ in range(100):
+            a = rng.uniform(0, 2 * np.pi)
+            m = rng.uniform(0.1, 10.0) * np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+            move = rng.uniform(-5, 5, 2)
+            subjects.append(np.array(base) @ m.T + move)
+            clippers.append(unit @ m.T + move)
+    # the mesh bounding box as shadow_pieces passes it, against random triangles
+    box = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for _ in range(300):
+        subjects.append(box)
+        clippers.append(ccw(rng.uniform(-1.0, 2.0, (3, 2))))
+    n = np.array([len(s) for s in subjects])
+    xy = np.full((len(subjects), 4, 2), np.nan)
+    for i, s in enumerate(subjects):
+        xy[i, :len(s)] = s
+    return xy, n, np.array(clippers)
+
+
+def test_batched_clip_is_the_scalar_clip_bit_for_bit():
+    xy, n, clippers = clip_batch()
+    sides = singular._sides(clippers)
+    out, row = singular._clip(xy, n, sides)
+    areas = singular._areas(out, row, len(xy))
+    assert len(xy) >= 2000 and (np.diff(row) >= 0).all()
+    for i in range(len(xy)):
+        ref = ref_clip([tuple(p) for p in xy[i, :n[i]]], [tuple(p) for p in clippers[i]])
+        mine = out[row == i]
+        assert np.array(ref, dtype=float).reshape(-1, 2).tobytes() == mine.tobytes(), i
+        assert np.float64(ref_area(ref)).tobytes() == areas[i].tobytes(), i
+        one, one_row = singular._clip(xy[i:i + 1], n[i:i + 1], sides[i:i + 1])
+        assert one.tobytes() == mine.tobytes() and (one_row == 0).all()
+    # polygons emptied by each half-plane in turn, and some left whole
+    alive = [np.isin(np.arange(len(xy)), singular._clip(xy, n, sides[:, :j])[1])
+             for j in range(4)]
+    assert all((alive[j - 1] & ~alive[j]).sum() >= 100 for j in (1, 2, 3))
+    assert (areas != 0.0).sum() >= 1000
 
 
 def ref_bary(geom, t, p):

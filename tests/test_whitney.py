@@ -1,11 +1,14 @@
 """Whitney interpolation and the de Rham (integration) map."""
 
 import numpy as np
+import pytest
 from scipy.spatial import Delaunay
 
 from decpotentials import generate_square_mesh, generate_ushape_mesh
 from decpotentials.simplicial import Cochain, SimplicialComplex, coboundary
 from decpotentials.whitney import MeshGeometry, de_rham, whitney_value
+
+from conftest import jitter_interior
 
 
 def test_barycentric_gradients(triangle):
@@ -132,6 +135,40 @@ def test_grid_locate_matches_a_full_scan(jittered):
         hits = np.nonzero((geom.barycentric(everything, p) >= -1e-12).all(axis=1))[0]
         assert t == (hits[0] if hits.size else -1)
         assert geom.locate(p) == (int(hits[0]) if hits.size else None)
+
+
+@pytest.mark.parametrize("mesh", ["square8", "jittered-square8", "jittered-ushape10"])
+def test_candidates_are_a_full_scan_of_bounding_boxes(mesh):
+    cx = {"square8": lambda: generate_square_mesh(8),
+          "jittered-square8": lambda: jitter_interior(generate_square_mesh(8)),
+          "jittered-ushape10": lambda: jitter_interior(generate_ushape_mesh(10))}[mesh]()
+    geom = MeshGeometry(cx)
+    tmin, tmax = geom.corners.min(axis=1), geom.corners.max(axis=1)
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-0.2, 1.1, (300, 2))
+    t = rng.integers(0, len(tmin), 200)
+    right = np.stack([tmax[t, 0], tmin[t, 1] - 0.01], axis=1)
+    above = np.stack([tmin[t, 0] - 0.01, tmax[t, 1]], axis=1)
+    # random boxes, then point boxes: random points, every vertex and each
+    # triangle's upper right box corner; then boxes whose lower (upper) edge
+    # is a triangle box's upper (lower) edge, met at one coordinate only
+    lo = np.concatenate([lo, rng.uniform(-0.2, 1.1, (200, 2)), cx.coordinates, tmax, right,
+                         above, tmin[t] - 0.02])
+    hi = np.concatenate([lo[:300] + rng.uniform(0.0, 0.3, (300, 2)), lo[300:-3 * len(t)],
+                         right + 0.01, above + 0.01, np.stack([tmin[t, 0] + 0.01, tmin[t, 1]], 1)])
+    box, tri = geom.candidates(lo, hi)
+    # the grid lists a box's triangles cell by cell (each filed under the
+    # cell of its box's lower left corner), in index order within a cell
+    ix, iy = geom._cell_of(tmin)
+    filed = iy * geom._shape[0] + ix
+    meets = ((tmin <= hi[:, None]) & (tmax >= lo[:, None])).all(axis=2)
+    want_box, want_tri = np.nonzero(meets)
+    order = np.lexsort((want_tri, filed[want_tri], want_box))
+    assert np.array_equal(box, want_box[order]) and np.array_equal(tri, want_tri[order])
+    # the test is closed: a box that meets a triangle's box at one
+    # coordinate lists the triangle
+    touch = len(lo) - 3 * len(t) + np.arange(3 * len(t))
+    assert meets[touch, np.tile(t, 3)].all()
 
 
 def test_triangle_edges_and_vertices_follow_the_canonical_tuples():
