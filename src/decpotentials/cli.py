@@ -152,7 +152,7 @@ def _vertex_contraction_operator(cx: SimplicialComplex, terminal: int):
     """One-slab contraction that fixes the top level and sends the bottom to
     one vertex; it is simplicial exactly when the complex is that vertex's
     closed star."""
-    if (terminal,) not in cx:
+    if cx.positions(0, [terminal])[0] < 0:
         raise PreconditionError(f"terminal vertex {terminal} not in mesh")
     product = build_product_complex(cx, (0.0, 1.0))
 
@@ -308,14 +308,14 @@ def cmd_verify(args) -> int:
 
 
 def _write_samples(geom: MeshGeometry, pot, path) -> None:
-    # one row per triangle barycenter; covectors are written as vectors
+    # one row per triangle barycenter; covectors are written as vectors, and
+    # floats as their repr
     barycenters = geom.corners.mean(axis=1)
+    values = whitney_value(geom, pot, barycenters, np.arange(len(barycenters)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "value"] if pot.dim == 0 else ["x", "y", "vx", "vy"])
-        for t, p in enumerate(barycenters):
-            value = np.atleast_1d(whitney_value(geom, pot, p, t))
-            writer.writerow([repr(float(x)) for x in (p[0], p[1], *value)])
+        writer.writerows(np.column_stack([barycenters, values]).tolist())
 
 
 def cmd_potential(args) -> int:

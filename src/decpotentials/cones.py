@@ -232,11 +232,13 @@ def contraction_cone(psi: Callable[[int], int],
         pattern.sort_indices()
         pairs = np.repeat(np.arange(len(rows)), np.diff(pattern.indptr)) * levels + pattern.indices
         pairs = pairs[pairs % levels < levels - 1]
-        # the base simplices of dimension <= k + 1 left-padded with -1 to
-        # k + 2 vertices, in order, and a prism's support padded alike
-        known = np.concatenate([np.pad(base._rows[d], ((0, 0), (k + 1 - d, 0)), constant_values=-1)
-                                for d in range(k + 2) if d in base._rows])
-        dims = (max(product.stride, int(moves[2].max()) + 1) + 1,) * (k + 2)
+        # the base simplices of dimension < width left-padded with -1 to
+        # width vertices, in order, and a prism's support padded alike; a
+        # support wider than every base simplex is none of them
+        width = min(k + 2, base.dim + 1)
+        known = np.concatenate([np.pad(base._rows[d], ((0, 0), (width - 1 - d, 0)),
+                                       constant_values=-1) for d in range(width)])
+        dims = (max(product.stride, int(moves[2].max()) + 1) + 1,) * width
         known_keys = np.ravel_multi_index(known.T + 1, dims)
         # prism i takes the images of v_0..v_i at level r and of v_i..v_k at r + 1
         pick = np.arange(k + 2) + k * (np.arange(k + 2) > np.arange(k + 1)[:, None])
@@ -249,9 +251,11 @@ def contraction_cone(psi: Callable[[int], int],
             support = np.sort(images, axis=1)
             support[:, 1:][support[:, 1:] == support[:, :-1]] = -1
             support.sort(axis=1)
+            live = np.flatnonzero(support[:, 0] >= 0)
+            wide, support = (support[:, :-width] >= 0).any(axis=1), support[:, -width:]
             at = np.searchsorted(known_keys, np.ravel_multi_index(support.T + 1, dims, mode="clip"))
             bad = np.flatnonzero((known[np.minimum(at, len(known) - 1)] != support).any(axis=1)
-                                 | (images < 0).any(axis=1))
+                                 | (images < 0).any(axis=1) | wide)
             if bad.size:
                 p, i = divmod(bad[0], k + 1)
                 s = tuple(rows[owner[p]].tolist())
@@ -261,7 +265,6 @@ def contraction_cone(psi: Callable[[int], int],
                                  "which is not a base simplex")
             # a non-degenerate prism i enters with its sorting parity times (-1)^i,
             # summed per (simplex, term), zeros dropped, in order of first appearance
-            live = np.flatnonzero(support[:, 0] >= 0)
             swaps = np.triu(images[live, :, None] > images[live, None, :]).sum(axis=(1, 2))
             key, first, inverse = np.unique(owner[live // (k + 1)] * len(known) + at[live],
                                             return_index=True, return_inverse=True)

@@ -82,7 +82,7 @@ def save_mesh_json(complex: SimplicialComplex, path) -> None:
     data = {
         "vertices": [[float(x), float(y)] for x, y in
                      complex.coordinates[: complex.vertex_count]],
-        "triangles": [list(t) for t in complex.simplices(2)],
+        "triangles": complex._rows[2].tolist() if 2 in complex._rows else [],
     }
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True)
@@ -103,8 +103,9 @@ def save_cochain_csv(cochain: Cochain, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dim", cochain.dim])
-        for s, v in zip(cochain.complex.simplices(cochain.dim), cochain.values):
-            writer.writerow([*s, repr(float(v))])
+        # ids as ints, values as float reprs
+        rows = cochain.complex._rows.get(cochain.dim, np.empty((0, 0), dtype=np.int64)).tolist()
+        writer.writerows(s + [v] for s, v in zip(rows, cochain.values.astype(float).tolist()))
 
 
 def load_cochain_csv(complex: SimplicialComplex, path) -> Cochain:

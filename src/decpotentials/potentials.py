@@ -56,7 +56,7 @@ import scipy.sparse as sp
 from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone, star_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary  # noqa: F401 (perfbench reads it)
 from .singular import functional_matrix, point_segment_distance
-from .whitney import MeshGeometry
+from .whitney import MeshGeometry, _dot
 
 
 class PreconditionError(ValueError):
@@ -82,7 +82,7 @@ def check_base_point(geometry: MeshGeometry, point) -> None:
     if on.size:
         raise BasePointOnFacetError(
             f"base point ({p[0]:g}, {p[1]:g}) lies on edge "
-            f"{geometry.complex.simplices(1)[on[0]]} within {tol:.1e}"
+            f"{tuple(geometry.complex._rows[1][on[0]].tolist())} within {tol:.1e}"
         )
 
 
@@ -154,9 +154,10 @@ class DiscretePoincareOperator:
             else:
                 # every row's singular cone, integrated in one batched pass
                 rows, coeffs, corners = self.cone.terms[k - 1]
-                m = functional_matrix(self.geometry, k, rows, coeffs, self.cone.points[corners],
-                                      shape[0], allow_exterior=self.kind == "bogovskii",
-                                      describe=lambda i: f"row of simplex {cx.simplices(k - 1)[i]}")
+                m = functional_matrix(
+                    self.geometry, k, rows, coeffs, self.cone.points[corners], shape[0],
+                    allow_exterior=self.kind == "bogovskii",
+                    describe=lambda i: f"row of simplex {tuple(cx._rows[k - 1][i].tolist())}")
             self._matrices[k] = m
         return self._matrices[k]
 
@@ -179,8 +180,7 @@ class DiscretePoincareOperator:
         """pi of each column of a block of 0-cochain values."""
         rows, weights = self._pi
         # one dot with a contiguous row per column, as whitney_value takes it
-        block = np.array(values[rows].T, dtype=float, order="C")
-        return np.array([weights @ row for row in block])
+        return _dot(weights, np.array(values[rows].T, dtype=float, order="C"))
 
     def project_admissible(self, alpha: Cochain) -> Cochain:
         """Nearest input on which the identity holds (see the block form)."""
@@ -228,11 +228,11 @@ class BogovskiiOperator(DiscretePoincareOperator):
 
     def __init__(self, point, complex: SimplicialComplex,
                  geometry: MeshGeometry | None = None,
-                 truncation_factor: float | None = None, label: str = "bogovskii"):
+                 truncation_factor: float | None = None):
         geometry = geometry or MeshGeometry(complex)
         check_base_point(geometry, point)
         # the star cone locates the point; a rejected domain builds no shadows
-        super().__init__(star_cone(point, complex), geometry, label)
+        super().__init__(star_cone(point, complex), geometry, "bogovskii")
         check_star_shaped(geometry, point)
         self.cone = shadow_cone(point, complex, geometry)
         self.kind = "bogovskii"
@@ -268,10 +268,8 @@ class BogovskiiOperator(DiscretePoincareOperator):
         values = np.array(values, dtype=float)
         if k == cx.dim:
             # each mass from a contiguous row, as signed_mass takes it
-            rows = np.ascontiguousarray(values.T)
-            orientation = self.geometry.orientation
-            c = np.array([row @ orientation for row in rows]) / self.geometry.total_area
-            return values - self.geometry.signed_area[:, None] * c
+            mass = _dot(np.ascontiguousarray(values.T), self.geometry.orientation)
+            return values - self.geometry.signed_area[:, None] * (mass / self.geometry.total_area)
         values[cx.boundary_indices(k)] = 0.0
         return values
 

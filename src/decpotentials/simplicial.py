@@ -287,9 +287,9 @@ class Chain:
         self.terms = {s: c for s, c in clean.items() if c != 0}
 
     @classmethod
-    def single(cls, complex: SimplicialComplex, vertices: Sequence[int], coeff=1) -> "Chain":
+    def single(cls, complex: SimplicialComplex, vertices: Sequence[int]) -> "Chain":
         t, sign = canonical_simplex(vertices)
-        return cls(complex, len(t) - 1, {t: sign * coeff})
+        return cls(complex, len(t) - 1, {t: sign})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -356,17 +356,10 @@ class Cochain:
         self.dim = dim
         self.values = arr
 
-    @classmethod
-    def zeros(cls, complex: SimplicialComplex, dim: int, dtype=float) -> "Cochain":
-        return cls(complex, dim, np.zeros(complex.num_simplices(dim), dtype=dtype))
-
     def evaluate(self, vertices: Sequence[int]):
         """Value on an arbitrarily ordered simplex, with orientation sign."""
         t, sign = canonical_simplex(vertices)
         return sign * self.values[self.complex.index(t)]
-
-    def copy(self) -> "Cochain":
-        return Cochain(self.complex, self.dim, self.values.copy())
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if other.dim != self.dim:

@@ -50,7 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .simplicial import Cochain
-from .whitney import MeshGeometry
+from .whitney import MeshGeometry, _dot
 
 # uncovered image area (length) allowed in strict integration, as a share of
 # the mesh area (diagonal)
@@ -358,11 +358,6 @@ def _accumulate(major, minor, vals, n_minor: int):
     sums = np.zeros(len(keys))
     np.add.at(sums, slot, vals)
     return keys // n_minor, keys % n_minor, sums
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (N, 2) arrays, rounded as ``u[i] @ v[i]``."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def _check_covered(geom: MeshGeometry, pts: np.ndarray, first: int, uncovered, whole,

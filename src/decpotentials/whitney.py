@@ -18,6 +18,9 @@ The de Rham map integrates fields over canonical simplices by quadrature
 (vertex sampling for k=0, 3-point Gauss-Legendre on edges for k=1, a
 6-point symmetric triangle rule for k=2).  Both rules are exact for
 polynomial integrands up to degree 4, which covers every built-in field.
+It is one pass per degree over the complex's rows, with one field call per
+quadrature node; each simplex's node terms add up in the rule's order from
+zero.  ``whitney_value`` also takes arrays of points and their triangles.
 
 ``MeshGeometry`` also holds a uniform bucket grid over the mesh, built once
 in numpy.  It lists the candidate triangles of a batch of boxes in one pass
@@ -207,9 +210,9 @@ class MeshGeometry:
         np.minimum.at(best, box[inside], tri[inside])
         return np.where(best == none, -1, best)
 
-    def locate(self, point, tol: float = 1e-12):
+    def locate(self, point):
         """Index of a triangle containing the point, or None (see ``locate_all``)."""
-        t = int(self.locate_all(point, tol)[0])
+        t = int(self.locate_all(point)[0])
         return None if t < 0 else t
 
 
@@ -219,24 +222,40 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def whitney_value(geom: MeshGeometry, alpha: Cochain, point, triangle: int | None = None):
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products of the rows (last axis) of two arrays, broadcast over the
+    leading axes, each rounded as ``u[i] @ v[i]``."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _in_order(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right from zero, as a scalar loop adds it."""
+    return np.add.reduce(np.ascontiguousarray(terms.T), axis=0, initial=0.0)
+
+
+def whitney_value(geom: MeshGeometry, alpha: Cochain, point, triangle=None):
     """Evaluate the Whitney interpolant of a cochain at a point.
 
     Returns a scalar (k=0), a covector as a length-2 array (k=1), or the
-    density relative to dx^dy (k=2).  For points on shared edges the k=1
-    normal component and the k=2 density depend on the chosen triangle.
+    density relative to dx^dy (k=2).  An (N, 2) array of points gives N
+    values, each bitwise the value of its point alone.  ``triangle`` holds
+    the point's (points') triangle index, located when None.  For points on
+    shared edges the k=1 normal component and the k=2 density depend on the
+    chosen triangle.
     """
-    t = geom.locate(point) if triangle is None else triangle
-    if t is None:
-        raise ValueError(f"point {tuple(point)} lies outside the mesh")
-    k = alpha.dim
+    if triangle is None:
+        triangle = geom.locate_all(point).reshape(np.shape(point)[:-1])
+        if (triangle < 0).any():
+            raise ValueError(f"point {tuple(point)} lies outside the mesh")
+    t, k = triangle, alpha.dim
     if k == 2:
         return alpha.values[t] / geom.signed_area[t]
     if k == 0:
         values = np.asarray(alpha.values[geom.corner_rows[t]], dtype=float)
-        return float(geom.barycentric(t, point) @ values)
+        value = _dot(geom.barycentric(t, point), values)
+        return value if value.ndim else float(value)
     if k == 1:
-        return (alpha.values[geom.triangle_edges[t], None] * geom.edge_forms(t, point)).sum(axis=0)
+        return (alpha.values[geom.triangle_edges[t], None] * geom.edge_forms(t, point)).sum(axis=-2)
     raise ValueError(f"no Whitney form in dimension {k}")
 
 
@@ -246,35 +265,23 @@ def de_rham(complex: SimplicialComplex, field: Callable, k: int) -> Cochain:
     Args:
         field: callable of a length-2 point; must return a scalar for k=0 and
             k=2 (a density against dx^dy), and a length-2 covector for k=1.
+            It is called once per quadrature node, simplex by simplex.
         k: cochain degree, 0..2.
     """
     coords = complex.coordinates
     if coords is None:
         raise ValueError("complex has no vertex coordinates")
+    if k not in (0, 1, 2):
+        raise ValueError(f"no de Rham map in dimension {k}")
+    P = coords[complex._rows.get(k, np.empty((0, k + 1), dtype=np.int64))]  # (S, k + 1, 2)
     if k == 0:
-        vals = np.array([float(field(coords[v])) for (v,) in complex.simplices(0)])
-        return Cochain(complex, 0, vals)
+        return Cochain(complex, 0, np.array([float(field(p)) for p in P[:, 0]]))
     if k == 1:
-        vals = np.empty(complex.num_simplices(1))
-        for i, (u, v) in enumerate(complex.simplices(1)):
-            p, q = coords[u], coords[v]
-            d = q - p
-            acc = 0.0
-            for t, w in zip(GAUSS3_NODES, GAUSS3_WEIGHTS):
-                acc += w * float(np.asarray(field(p + t * d)) @ d)
-            vals[i] = acc
-        return Cochain(complex, 1, vals)
-    if k == 2:
-        vals = np.empty(complex.num_simplices(2))
-        for i, tri in enumerate(complex.simplices(2)):
-            P = coords[np.array(tri)]
-            e1 = P[1] - P[0]
-            e2 = P[2] - P[0]
-            area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-            pts = TRI6_BARY @ P
-            acc = 0.0
-            for p, w in zip(pts, TRI6_WEIGHTS):
-                acc += w * float(field(p))
-            vals[i] = area * acc
-        return Cochain(complex, 2, vals)
-    raise ValueError(f"no de Rham map in dimension {k}")
+        d = P[:, 1] - P[:, 0]
+        nodes = P[:, :1] + GAUSS3_NODES[:, None] * d[:, None]
+        f = np.array([field(p) for p in nodes.reshape(-1, 2)], dtype=float).reshape(-1, 3, 2)
+        return Cochain(complex, 1, _in_order(GAUSS3_WEIGHTS * _dot(f, d[:, None])))
+    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
+    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    g = np.array([float(field(p)) for p in (TRI6_BARY @ P).reshape(-1, 2)]).reshape(-1, 6)
+    return Cochain(complex, 2, area * _in_order(TRI6_WEIGHTS * g))

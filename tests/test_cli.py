@@ -598,3 +598,87 @@ def test_console_script_roundtrip(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vertices"] == 4
+
+
+# -- runs that read only the complex's rows --------------------------------
+
+LOAD_MESH = cli.load_mesh
+SMALLEST_OPERATORS = {
+    "collapse": ["--mesh", "builtin:square:2"],
+    "strong-collapse": ["--mesh", "builtin:square:2"],
+    "contraction": ["--mesh", "builtin:square:1", "--terminal-vertex", "0"],
+    "star": ["--mesh", "builtin:square:2", "--point", "0.52,0.51"],
+    "lipschitz": ["--mesh", "builtin:ushape:10", "--contraction", "ushape", "--point", "0.2,0.2"],
+    "bogovskii": ["--mesh", "builtin:square:2", "--point", "0.52,0.51"],
+}
+
+
+def run_without_tuple_tables(capsys, monkeypatch, argv):
+    """Run decpot, then check that the complex it loaded holds neither the
+    canonical simplex tuples nor their index; returns run_cli's result and
+    that complex."""
+    loaded = []
+    monkeypatch.setattr(cli, "load_mesh", lambda spec: loaded.append(LOAD_MESH(spec)) or loaded[0])
+    result = run_cli(capsys, argv)
+    (cx,) = loaded
+    assert "simplices_by_dim" not in vars(cx) and "_index" not in vars(cx), argv
+    return (*result, cx)
+
+
+@pytest.mark.parametrize("op", sorted(SMALLEST_OPERATORS))
+def test_verify_and_potential_build_no_simplex_tuples(op, capsys, monkeypatch, tmp_path):
+    args = ["--op", op, *SMALLEST_OPERATORS[op]]
+    code, *_ = run_without_tuple_tables(capsys, monkeypatch, ["verify", *args, "--trials", "3"])
+    assert code == 0
+    # g2 has zero mean, so every operator takes it; f is a 1-form, whose
+    # nonzero boundary trace Bogovskii's identity does not cover (exit 3)
+    for field in ("g2", "f"):
+        out, samples = tmp_path / f"{field}.csv", tmp_path / f"{field}-samples.csv"
+        code, _, err, cx = run_without_tuple_tables(
+            capsys, monkeypatch, ["potential", *args, "--field", field, "--out", str(out),
+                                  "--samples", str(samples)])
+        assert code == (3 if (op, field) == ("bogovskii", "f") else 0) and err == ""
+        assert out.read_text().startswith(f"dim,{1 if field == 'g2' else 0}\n")
+        rows = samples.read_text().splitlines()
+        assert rows[0] == ("x,y,vx,vy" if field == "g2" else "x,y,value")
+        assert len(rows) == 1 + cx.num_simplices(2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh-info", "--mesh", "builtin:ushape:10"],
+    ["find-collapse", "--mesh", "builtin:square:4"],
+    ["find-strong-collapse", "--mesh", "builtin:square:4", "--terminal-vertex", "3"],
+])
+def test_mesh_commands_build_no_simplex_tuples(argv, capsys, monkeypatch, tmp_path):
+    out = [] if argv[0] == "mesh-info" else ["--out", str(tmp_path / "seq.json")]
+    code, *_ = run_without_tuple_tables(capsys, monkeypatch, [*argv, *out])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--mesh", "builtin:ushape:10", "--op", "star", "--point", "0.15,0.8"],
+     {"type": "OutsideDomainError",
+      "message": "row of simplex (4,): segment ((0.15, 0.8), (0.4, 0.0)) leaves the mesh: "
+                 "length 2.095e-02 of its 8.382e-01 is not covered (tolerance 1.4e-10, "
+                 "1e-10 of the mesh diagonal)"}),
+    (["--mesh", "builtin:square:4", "--op", "bogovskii", "--point", "0.5,0.5"],
+     {"type": "BasePointOnFacetError",
+      "message": "base point (0.5, 0.5) lies on edge (6, 12) within 1.4e-12"}),
+    (["--mesh", "builtin:square:4", "--op", "contraction", "--terminal-vertex", "99"],
+     {"type": "PreconditionError", "message": "terminal vertex 99 not in mesh"}),
+])
+def test_error_exits_build_no_simplex_tuples(argv, error, capsys, monkeypatch):
+    code, _, err, _ = run_without_tuple_tables(capsys, monkeypatch, ["verify", *argv])
+    assert code == 2 and err_json(err) == error
+
+
+def test_strong_collapse_of_a_mesh_with_a_large_vertex_id(capsys, tmp_path):
+    # one triangle on vertices 0, 1 and 60000 of a file's vertex list
+    coords = np.zeros((60001, 2))
+    coords[1], coords[60000] = (1.0, 0.0), (0.0, 1.0)
+    path = tmp_path / "sparse.json"
+    save_mesh_json(SimplicialComplex([(0, 1, 60000)], coords), path)
+    code, out, err = run_cli(capsys, ["verify", "--mesh", f"file:{path}",
+                                      "--op", "strong-collapse", "--trials", "3"])
+    assert code == 0 and err == ""
+    assert out_json(out)["pass"] is True

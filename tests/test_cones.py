@@ -281,6 +281,28 @@ def test_contraction_cone_names_images_outside_the_base():
                                   f"{image}, which is not a base simplex")
 
 
+def _strong_collapse_cone(cx):
+    seq = find_strong_collapse_sequence(cx)
+    prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
+    return contraction_cone(contraction_from_strong_collapse(seq, prod), prod)
+
+
+@pytest.mark.parametrize("top", [60000, 10**6])
+def test_strong_collapse_cone_of_sparse_vertex_ids(top):
+    # (0, 1, top) is (0, 1, 2) relabelled in order, so its terms, which are
+    # positions, are the same; the support keys fit in int64 however large
+    # the ids, since a support wider than every base simplex is rejected
+    # before it is keyed
+    op, dense = _strong_collapse_cone(SimplicialComplex([(0, 1, top)])), \
+        _strong_collapse_cone(SimplicialComplex([(0, 1, 2)]))
+    assert (op.vertex, dense.vertex) == (top, 2)
+    assert op.terms.keys() == dense.terms.keys()
+    for k, arrays in op.terms.items():
+        for got, want in zip(arrays, dense.terms[k]):
+            assert got.dtype == np.int64 and np.array_equal(got, want), k
+    _check_cone_identity(op, op.complex)
+
+
 # sha256 of every (simplex, list(table[simplex].terms.items())) in sorted
 # simplex order, recorded before contraction_cone skipped the slabs in which
 # no vertex of a simplex moves: the same terms, in the same insertion order

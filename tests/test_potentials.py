@@ -698,6 +698,22 @@ def test_projection_of_raw_cochains_is_bitwise_the_loop_projection(every_op):
         assert got.tobytes() == loop_project(bogovskii, alpha).values.tobytes(), k
 
 
+def test_pi_and_projection_of_a_block_are_the_column_loops(every_op):
+    # each column of a block gets bitwise the pi and the projection it gets
+    # alone: one row dot per column, not one mat-vec for the block
+    rng = np.random.default_rng(13)
+    for op in every_op:
+        cx = op.complex
+        for k in range(cx.dim + 1):
+            block = rng.uniform(-1.0, 1.0, (cx.num_simplices(k), 9))
+            want = np.column_stack([loop_project(op, Cochain(cx, k, block[:, j].copy())).values
+                                    for j in range(block.shape[1])])
+            assert op.project_admissible_block(k, block).tobytes() == want.tobytes(), (op.label, k)
+        block = rng.uniform(-1.0, 1.0, (cx.num_simplices(0), 9))
+        want = [loop_pi(op, Cochain(cx, 0, block[:, j].copy())) for j in range(block.shape[1])]
+        assert op.constant_component_block(block).tobytes() == np.array(want).tobytes(), op.label
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_verify_needs_at_least_one_trial(collapse_op2, trials):
     with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):

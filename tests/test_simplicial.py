@@ -138,7 +138,7 @@ def test_induced_chain_map_drops_degenerate(square2):
     image = induced_chain_map(const, Chain.single(square2, (0, 1)))
     assert image.is_zero()
     ident = SimplicialMap(square2, square2, lambda v: v)
-    c = Chain.single(square2, (0, 1, 4), 3)
+    c = 3 * Chain.single(square2, (0, 1, 4))
     assert induced_chain_map(ident, c) == c
 
 

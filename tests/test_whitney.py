@@ -6,7 +6,8 @@ from scipy.spatial import Delaunay
 
 from decpotentials import generate_square_mesh, generate_ushape_mesh
 from decpotentials.simplicial import Cochain, SimplicialComplex, coboundary
-from decpotentials.whitney import MeshGeometry, de_rham, whitney_value
+from decpotentials.whitney import (GAUSS3_NODES, GAUSS3_WEIGHTS, TRI6_BARY, TRI6_WEIGHTS,
+                                   MeshGeometry, _dot, de_rham, whitney_value)
 
 from conftest import jitter_interior
 
@@ -184,3 +185,117 @@ def test_triangle_edges_and_vertices_follow_the_canonical_tuples():
         assert geom.triangle_edges.tolist() == want
         assert cx._rows[2].tolist() == [list(t) for t in cx.simplices(2)]
         assert np.array_equal(geom.edge_coords, cx.coordinates[np.array(cx.simplices(1))])
+
+
+# The de Rham map as it was written before it took one pass per degree: a
+# loop over the canonical simplex tuples and the quadrature nodes.  The
+# batched map must give every value bit for bit.
+def loop_de_rham(cx, field, k):
+    coords = cx.coordinates
+    if k == 0:
+        return np.array([float(field(coords[v])) for (v,) in cx.simplices(0)])
+    vals = np.empty(cx.num_simplices(k))
+    if k == 1:
+        for i, (u, v) in enumerate(cx.simplices(1)):
+            p, q = coords[u], coords[v]
+            d = q - p
+            acc = 0.0
+            for t, w in zip(GAUSS3_NODES, GAUSS3_WEIGHTS):
+                acc += w * float(np.asarray(field(p + t * d)) @ d)
+            vals[i] = acc
+        return vals
+    for i, tri in enumerate(cx.simplices(2)):
+        P = coords[np.array(tri)]
+        e1 = P[1] - P[0]
+        e2 = P[2] - P[0]
+        area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+        acc = 0.0
+        for p, w in zip(TRI6_BARY @ P, TRI6_WEIGHTS):
+            acc += w * float(field(p))
+        vals[i] = area * acc
+    return vals
+
+
+ORACLE_FIELDS = {
+    0: [lambda p: p[0] * (1.0 - p[0]) * p[1] * (1.0 - p[1]),
+        lambda p: np.sin(3.0 * p[0]) * np.exp(p[1]),
+        lambda p: p[0] - 2.0 * p[1] ** 3 + 0.1],
+    1: [lambda p: np.array([p[1] - 0.5, p[0] - 0.5]),
+        lambda p: [np.cos(2.0 * p[1]), p[0] * p[1] - 0.3],
+        lambda p: (p[1] ** 2 - 0.3, np.exp(-p[0]) * np.sin(p[1]))],
+    2: [lambda p: p[0] * (1.0 - p[0]) * p[1] * (1.0 - p[1]),
+        lambda p: p[0] * (1.0 - p[0]) * p[1] * (1.0 - p[1]) - 1.0 / 36.0,
+        lambda p: np.sin(5.0 * p[0] * p[1]) + p[0] ** 3],
+}
+
+
+def oracle_mesh(name):
+    if name == "delaunay204":
+        points = np.vstack([[[0, 0], [1, 0], [0, 1], [1, 1]],
+                            np.random.default_rng(9).uniform(size=(200, 2))])
+        return SimplicialComplex(Delaunay(points).simplices, points)
+    return {"square7": lambda: generate_square_mesh(7),
+            "ushape10": lambda: generate_ushape_mesh(10)}[name]()
+
+
+@pytest.mark.parametrize("mesh", ["square7", "ushape10", "delaunay204"])
+def test_de_rham_is_the_simplex_loop_bit_for_bit(mesh):
+    cx = oracle_mesh(mesh)
+    for k, fields in ORACLE_FIELDS.items():
+        for n, field in enumerate(fields):
+            got = de_rham(cx, field, k).values
+            assert got.dtype == np.float64 and got.shape == (cx.num_simplices(k),)
+            assert got.tobytes() == loop_de_rham(cx, field, k).tobytes(), (k, n)
+
+
+@pytest.mark.parametrize("mesh", ["square7", "ushape10", "delaunay204"])
+def test_de_rham_calls_the_field_once_per_node_in_simplex_order(mesh):
+    for k, nodes in ((0, 1), (1, 3), (2, 6)):
+        cx, seen = oracle_mesh(mesh), []
+        de_rham(cx, lambda p: seen.append(np.array(p)) or (np.ones(2) if k == 1 else 1.0), k)
+        # the batched map reads the complex's rows, not its simplex tuples
+        assert "simplices_by_dim" not in vars(cx) and "_index" not in vars(cx)
+        want = []
+        loop_de_rham(cx, lambda p: want.append(np.array(p)) or (np.ones(2) if k == 1 else 1.0), k)
+        assert len(seen) == nodes * cx.num_simplices(k)
+        assert all(p.shape == (2,) for p in seen)
+        assert np.array(seen).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("mesh", ["square7", "ushape10", "delaunay204"])
+def test_whitney_value_of_many_points_is_the_point_loop_bit_for_bit(mesh):
+    cx = oracle_mesh(mesh)
+    geom = MeshGeometry(cx)
+    rng = np.random.default_rng(21)
+    # a random point of every triangle, and every barycenter
+    lam = rng.dirichlet(np.ones(3), len(geom.corners))
+    points = np.concatenate([np.einsum("ti,tij->tj", lam, geom.corners),
+                             geom.corners.mean(axis=1)])
+    triangles = np.tile(np.arange(len(geom.corners)), 2)
+    for k in range(3):
+        alpha = Cochain(cx, k, rng.uniform(-1, 1, cx.num_simplices(k)))
+        got = whitney_value(geom, alpha, points, triangles)
+        want = np.array([whitney_value(geom, alpha, p, int(t)) for p, t in zip(points, triangles)])
+        assert got.shape == want.shape == (len(points),) + ((2,) if k == 1 else ())
+        assert got.tobytes() == want.tobytes(), k
+        # barycenters lie inside one triangle each, the one locating them finds
+        located = whitney_value(geom, alpha, points[len(geom.corners):])
+        assert located.tobytes() == got[len(geom.corners):].tobytes(), k
+        if k == 0:
+            # one point's value is one dot of its barycentrics with its corner values
+            t = int(triangles[0])
+            corners = alpha.values[geom.corner_rows[t]]
+            assert got[0] == float(geom.barycentric(t, points[0]) @ corners)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 64, 100, 1000, 4099, 8192])
+def test_row_dot_rounds_as_the_dot_of_each_pair_of_rows(n):
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-1, 1, (12, n))
+    v = rng.uniform(-1, 1, n)
+    want = np.array([row @ v for row in u])
+    assert _dot(u, v).tobytes() == want.tobytes()
+    w = rng.uniform(-1, 1, (12, n))
+    assert _dot(u, w).tobytes() == np.array([a @ b for a, b in zip(u, w)]).tobytes()
+    signs = rng.choice([-1, 1], n)
+    assert _dot(u, signs).tobytes() == np.array([row @ signs for row in u]).tobytes()
