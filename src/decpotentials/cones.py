@@ -234,12 +234,19 @@ def contraction_cone(psi: Callable[[int], int],
         pairs = pairs[pairs % levels < levels - 1]
         # the base simplices of dimension < width left-padded with -1 to
         # width vertices, in order, and a prism's support padded alike; a
-        # support wider than every base simplex is none of them
+        # support wider than every base simplex is none of them.  A row's key
+        # ravels its vertex positions + 1, 0 for padding, so keys are bounded
+        # by the vertex count; an id that is no vertex shares a key with a
+        # vertex or with padding, and the comparison with the known row
+        # rejects it
         width = min(k + 2, base.dim + 1)
         known = np.concatenate([np.pad(base._rows[d], ((0, 0), (width - 1 - d, 0)),
                                        constant_values=-1) for d in range(width)])
-        dims = (max(product.stride, int(moves[2].max()) + 1) + 1,) * width
-        known_keys = np.ravel_multi_index(known.T + 1, dims)
+
+        def keys(rows):
+            return np.ravel_multi_index(np.searchsorted(ids, rows.T, side="right"),
+                                        (len(ids) + 1,) * width)
+        known_keys = keys(known)
         # prism i takes the images of v_0..v_i at level r and of v_i..v_k at r + 1
         pick = np.arange(k + 2) + k * (np.arange(k + 2) > np.arange(k + 1)[:, None])
         parts = []  # from blocks of whole simplices, about BLOCK_PAIRS pairs each
@@ -253,7 +260,7 @@ def contraction_cone(psi: Callable[[int], int],
             support.sort(axis=1)
             live = np.flatnonzero(support[:, 0] >= 0)
             wide, support = (support[:, :-width] >= 0).any(axis=1), support[:, -width:]
-            at = np.searchsorted(known_keys, np.ravel_multi_index(support.T + 1, dims, mode="clip"))
+            at = np.searchsorted(known_keys, keys(support))
             bad = np.flatnonzero((known[np.minimum(at, len(known) - 1)] != support).any(axis=1)
                                  | (images < 0).any(axis=1) | wide)
             if bad.size:

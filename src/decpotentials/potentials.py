@@ -52,6 +52,11 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
+# scipy's private CSR mat-vec kernel: ``matrix @ vector`` ends in it, after a
+# dispatch that costs more than the product itself on these matrices, so one
+# cochain calls it directly, as ``_cs_matrix._matmul_vector`` does; a test in
+# tests/test_potentials.py fails if a scipy upgrade renames or changes it
+from scipy.sparse._sparsetools import csr_matvec
 
 from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone, star_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary  # noqa: F401 (perfbench reads it)
@@ -143,27 +148,35 @@ class DiscretePoincareOperator:
 
     def matrix(self, k: int) -> sp.csr_matrix:
         """Sparse matrix of P on k-cochains, shape (num (k-1)-simplices, num k)."""
-        if not 1 <= k <= self.complex.dim:
-            raise ValueError(f"P acts on degrees 1..{self.complex.dim}, got {k}")
-        if k not in self._matrices:
-            cx = self.complex
-            shape = (cx.num_simplices(k - 1), cx.num_simplices(k))
-            if self.kind == "combinatorial":
-                rows, cols, coeffs = self.cone.terms[k - 1]
-                m = sp.csr_matrix((coeffs.astype(float), (rows, cols)), shape=shape)
-            else:
-                # every row's singular cone, integrated in one batched pass
-                rows, coeffs, corners = self.cone.terms[k - 1]
-                m = functional_matrix(
-                    self.geometry, k, rows, coeffs, self.cone.points[corners], shape[0],
-                    allow_exterior=self.kind == "bogovskii",
-                    describe=lambda i: f"row of simplex {tuple(cx._rows[k - 1][i].tolist())}")
-            self._matrices[k] = m
-        return self._matrices[k]
+        if k in self._matrices:
+            return self._matrices[k]
+        cx = self.complex
+        if not 1 <= k <= cx.dim:
+            raise ValueError(f"P acts on degrees 1..{cx.dim}, got {k}")
+        shape = (cx.num_simplices(k - 1), cx.num_simplices(k))
+        if self.kind == "combinatorial":
+            rows, cols, coeffs = self.cone.terms[k - 1]
+            m = sp.csr_matrix((coeffs.astype(float), (rows, cols)), shape=shape)
+        else:
+            # every row's singular cone, integrated in one batched pass
+            rows, coeffs, corners = self.cone.terms[k - 1]
+            m = functional_matrix(
+                self.geometry, k, rows, coeffs, self.cone.points[corners], shape[0],
+                allow_exterior=self.kind == "bogovskii",
+                describe=lambda i: f"row of simplex {tuple(cx._rows[k - 1][i].tolist())}")
+        self._matrices[k] = m
+        return m
 
     def apply_values(self, k: int, values: np.ndarray) -> np.ndarray:
         """P_k on k-cochain values: one cochain (1-D) or one per column (2-D)."""
-        return self.matrix(k) @ values
+        m = self.matrix(k)
+        # one real vector, whose product with the float64 matrix is float64
+        if (values.shape != (m.shape[1],) or values.dtype.kind not in "biuf"
+                or values.itemsize > 8):
+            return m @ values
+        out = np.zeros(m.shape[0])
+        csr_matvec(*m.shape, m.indptr, m.indices, m.data, values, out)
+        return out
 
     def apply(self, alpha: Cochain) -> Cochain:
         if alpha.complex is not self.complex:
@@ -184,11 +197,12 @@ class DiscretePoincareOperator:
 
     def project_admissible(self, alpha: Cochain) -> Cochain:
         """Nearest input on which the identity holds (see the block form)."""
-        values = self.project_admissible_block(alpha.dim, alpha.values[:, None])
-        return Cochain(self.complex, alpha.dim, values[:, 0])
+        values = self.project_admissible_block(alpha.dim, alpha.values)
+        return Cochain(self.complex, alpha.dim, values)
 
     def project_admissible_block(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Each column's nearest admissible input: every cochain is admissible."""
+        """The nearest admissible input of one cochain (1-D) or of each column
+        (2-D): every cochain is admissible."""
         return values
 
 
@@ -249,12 +263,12 @@ class BogovskiiOperator(DiscretePoincareOperator):
         """Reject top-degree values (one cochain or one per column) of nonzero mass."""
         mass = self.geometry.orientation @ values
         scale = np.abs(values).max(axis=0, initial=0.0)
-        bad = np.flatnonzero(np.abs(mass) > 1e-9 * np.maximum(scale, 1.0))
-        if bad.size:
+        if values.ndim > 1:  # the first column of nonzero mass, if any, as one cochain
+            bad = np.flatnonzero(np.abs(mass) > 1e-9 * np.maximum(scale, 1.0))
+            mass, scale = (mass[bad[0]], scale[bad[0]]) if bad.size else (0.0, 0.0)
+        if abs(mass) > 1e-9 * max(scale, 1.0):
             raise PreconditionError(
-                f"top-degree input must have zero mean, got total integral "
-                f"{np.atleast_1d(mass)[bad[0]]:.3e}"
-            )
+                f"top-degree input must have zero mean, got total integral {mass:.3e}")
 
     def apply_values(self, k: int, values: np.ndarray) -> np.ndarray:
         if k == self.complex.dim:
@@ -262,14 +276,16 @@ class BogovskiiOperator(DiscretePoincareOperator):
         return super().apply_values(k, values)
 
     def project_admissible_block(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Each column's nearest admissible input: zero boundary trace, or zero
-        mean on top."""
-        cx = self.complex
+        """The nearest admissible input of one cochain (1-D) or of each column
+        (2-D): zero boundary trace, or zero mean on top."""
+        cx, g = self.complex, self.geometry
         values = np.array(values, dtype=float)
         if k == cx.dim:
+            if values.ndim == 1:
+                return values - (values @ g.orientation / g.total_area) * g.signed_area
             # each mass from a contiguous row, as signed_mass takes it
-            mass = _dot(np.ascontiguousarray(values.T), self.geometry.orientation)
-            return values - self.geometry.signed_area[:, None] * (mass / self.geometry.total_area)
+            mass = _dot(np.ascontiguousarray(values.T), g.orientation)
+            return values - g.signed_area[:, None] * (mass / g.total_area)
         values[cx.boundary_indices(k)] = 0.0
         return values
 

@@ -287,12 +287,12 @@ def _strong_collapse_cone(cx):
     return contraction_cone(contraction_from_strong_collapse(seq, prod), prod)
 
 
-@pytest.mark.parametrize("top", [60000, 10**6])
+@pytest.mark.parametrize("top", [60000, 10**6, 3_000_000])
 def test_strong_collapse_cone_of_sparse_vertex_ids(top):
     # (0, 1, top) is (0, 1, 2) relabelled in order, so its terms, which are
     # positions, are the same; the support keys fit in int64 however large
-    # the ids, since a support wider than every base simplex is rejected
-    # before it is keyed
+    # the ids, since they ravel vertex positions, not ids, and a support
+    # wider than every base simplex is rejected before it is keyed
     op, dense = _strong_collapse_cone(SimplicialComplex([(0, 1, top)])), \
         _strong_collapse_cone(SimplicialComplex([(0, 1, 2)]))
     assert (op.vertex, dense.vertex) == (top, 2)

@@ -233,10 +233,29 @@ def test_bogovskii_homotopy(bogovskii2):
 
 
 def test_bogovskii_nonzero_mean_rejected(bogovskii2, square2, geom2):
-    # signed-area values interpolate to the constant density 1: mass = area
+    # signed-area values interpolate to the constant density 1: mass = area;
+    # the message names the mass of one cochain, or of a block's first bad column
+    message = "^top-degree input must have zero mean, got total integral "
     alpha = Cochain(square2, 2, np.array(geom2.signed_area, dtype=float))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=message + r"1.000e\+00$"):
         bogovskii2.apply(alpha)
+    rng = np.random.default_rng(43)
+    alpha = random_cochain(square2, 2, rng)
+    with pytest.raises(PreconditionError, match=message + r"1.280e\+00$"):
+        bogovskii2.apply(alpha)
+    with pytest.raises(PreconditionError, match=message + "-1.280e-07$"):
+        bogovskii2.apply(Cochain(square2, 2, alpha.values[::-1] * 1e-7))
+    with pytest.raises(PreconditionError, match=message + r"-4.000e\+00$"):
+        bogovskii2.apply(Cochain(square2, 2, np.arange(8)))
+    o = geom2.orientation
+    block = bogovskii2.project_admissible_block(2, rng.uniform(-1.0, 1.0, (8, 4)))
+    block[:, 2] += 0.3 * o
+    block[:, 3] -= 0.7 * o
+    with pytest.raises(PreconditionError, match=message + r"2.400e\+00$"):
+        bogovskii2.apply_values(2, block)
+    # projected inputs pass, alone or as a strided column
+    for v in (bogovskii2.project_admissible(alpha).values, block[:, 1]):
+        bogovskii2.apply(Cochain(square2, 2, v))
 
 
 def test_bogovskii_signed_mass(bogovskii2, square2, geom2):
@@ -689,13 +708,21 @@ def test_homotopy_residual_is_bitwise_the_loop_residual(every_op):
 
 
 def test_projection_of_raw_cochains_is_bitwise_the_loop_projection(every_op):
+    # contiguous, strided and integer values; the projection reads a
+    # contiguous float copy, so a strided view projects as its copy does (a
+    # strided dot rounds differently), and one cochain as a one-column block
     rng = np.random.default_rng(12)
     bogovskii = every_op[-1]
     cx = bogovskii.complex
     for k in range(cx.dim + 1):
-        alpha = random_cochain(cx, k, rng)
-        got = bogovskii.project_admissible(alpha).values
-        assert got.tobytes() == loop_project(bogovskii, alpha).values.tobytes(), k
+        n = cx.num_simplices(k)
+        for v in (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 2))[:, 1],
+                  rng.integers(-9, 10, n)):
+            got = bogovskii.project_admissible(Cochain(cx, k, v)).values
+            want = loop_project(bogovskii, Cochain(cx, k, v.copy())).values
+            assert got.tobytes() == want.tobytes(), (k, v.dtype, v.strides)
+            column = bogovskii.project_admissible_block(k, v[:, None])[:, 0]
+            assert got.tobytes() == column.tobytes(), (k, v.dtype, v.strides)
 
 
 def test_pi_and_projection_of_a_block_are_the_column_loops(every_op):
@@ -712,6 +739,75 @@ def test_pi_and_projection_of_a_block_are_the_column_loops(every_op):
         block = rng.uniform(-1.0, 1.0, (cx.num_simplices(0), 9))
         want = [loop_pi(op, Cochain(cx, 0, block[:, j].copy())) for j in range(block.shape[1])]
         assert op.constant_component_block(block).tobytes() == np.array(want).tobytes(), op.label
+
+
+def one_cochain_inputs(op, k, rng):
+    """A block of three admissible k-cochains, and one-cochain values of it
+    and of integers: contiguous float64, a strided column of the block,
+    int64, float32 and read-only."""
+    cx = op.complex
+    n = cx.num_simplices(k)
+    block = op.project_admissible_block(k, rng.uniform(-1.0, 1.0, (n, 3)))
+    ints = rng.integers(-9, 10, n)
+    if isinstance(op, BogovskiiOperator) and k == cx.dim:
+        # zero mass: the last value cancels the signed sum of the others
+        o = op.geometry.orientation
+        ints[-1] -= o[-1] * (ints @ o)
+    readonly = block[:, 2].copy()
+    readonly.flags.writeable = False
+    return block, [block[:, 0].copy(), block[:, 1], ints, (ints / 8).astype(np.float32), readonly]
+
+
+def test_one_cochain_is_the_kernel_product_bit_for_bit(every_op):
+    # one cochain goes straight to scipy's CSR kernel, and must give the
+    # bits of scipy's own product; a scipy that renames or changes the
+    # kernel fails here
+    rng = np.random.default_rng(14)
+    for op in every_op:
+        cx = op.complex
+        for k in range(1, cx.dim + 1):
+            block, inputs = one_cochain_inputs(op, k, rng)
+            for v in inputs:
+                want = op.matrix(k) @ v
+                got = op.apply_values(k, v)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), \
+                    (op.label, k, v.dtype, v.strides)
+                assert op.apply(Cochain(cx, k, v)).values.tobytes() == want.tobytes()
+            columns = np.column_stack([op.apply_values(k, block[:, j]) for j in range(3)])
+            assert op.apply_values(k, block).tobytes() == columns.tobytes(), (op.label, k)
+
+
+def test_one_cochain_of_a_wrong_shape_or_a_wider_dtype_is_scipys_product(collapse_op2):
+    # the kernel writes float64 only, and reads past a short vector
+    n = collapse_op2.complex.num_simplices(1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        collapse_op2.apply_values(1, np.ones(n + 1))
+    for dtype in (np.complex64, np.complex128, np.longdouble):
+        v = (np.arange(n) + 0.5).astype(dtype)
+        want = collapse_op2.matrix(1) @ v
+        got = collapse_op2.apply_values(1, v)
+        assert got.dtype == want.dtype != np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_bogovskii_rejects_one_cochain_as_it_rejects_a_one_column_block(bogovskii2, square2):
+    # masses on both sides of the 1e-9 threshold, at scales below and above 1
+    rng = np.random.default_rng(44)
+    o = bogovskii2.geometry.orientation
+    base = bogovskii2.project_admissible(random_cochain(square2, 2, rng)).values
+    seen = set()
+    for scale in (0.5, 1.0, 30.0):
+        for mass in np.geomspace(1e-11, 1e-7, 41) * max(scale, 1.0):
+            for v in (scale * base + mass / 8 * o, scale * base - mass / 8 * o):
+                outcomes = []
+                for values in (v, v[:, None]):
+                    try:
+                        bogovskii2.apply_values(2, values)
+                        outcomes.append(None)
+                    except PreconditionError as e:
+                        outcomes.append(str(e))
+                assert outcomes[0] == outcomes[1], (scale, mass)
+                seen.add((scale, outcomes[0] is None))
+    assert len(seen) == 6
 
 
 @pytest.mark.parametrize("trials", [0, -3])
