@@ -22,7 +22,9 @@ cancellation still works).  Every cone is stored as index arrays per simplex
 dimension: (row, column, coefficient) of each term for simplicial cones, and
 (row, coefficient, corners) into one point table for singular ones; chain
 tables are built only when read.  The prism-based cones never build the
-product complex.  ``contraction_cone`` reads its contraction as each
+product complex.  ``contraction_cone`` reads a strong collapse's cone off
+its steps by their elementary recurrence, one numpy walk per degree; any
+other contraction, or one the recurrence cannot follow, it reads as each
 vertex's image changes, and pushes the prisms of the slabs where a vertex
 of the simplex moves through it in numpy, every other prism being
 degenerate.  ``lipschitz_cone`` reads ``ProductComplex.prism_rows`` and
@@ -197,13 +199,16 @@ def contraction_cone(psi: Callable[[int], int],
     ``psi`` is simplicial), and the non-degenerate images form the cone.
 
     ``psi`` is read as its ``moves`` (``homotopy.vertex_images``), sampled
-    one vertex at a time where it has none.  Only the slabs in which the
-    image of one of the simplex's vertices moves are visited.  In any other
-    slab each prism repeats a vertex image, so it is degenerate and its
-    support is the simplex's image, which is constant from one moving slab
-    to the next; the first and last prisms of a moving slab contain the
-    whole image at its upper and lower level, so checking the moving slabs
-    checks every prism.
+    one vertex at a time where it has none.  A strong collapse's ``psi``
+    also carries its ``steps``: slab j maps the images by v_j -> w_j alone,
+    so ``C(tau) = [w_j, tau] + s C(tau[v_j -> w_j])``, v_j the first removed
+    vertex of tau and s the sign that sorts the next row, or 0 when w_j is
+    in tau or no vertex of tau is removed, each row's terms in reverse path
+    order.  Any other ``psi``, and steps that do not fit the product or
+    reach a join that is no base simplex, are swept over the slabs in which
+    a vertex of the simplex moves: elsewhere each prism repeats a vertex
+    image, within the simplex's image, which the first and last prisms of
+    a moving slab hold whole.  Both give the same terms in the same order.
     """
     base, levels = product.base, product.n_slabs + 1
     ids = base._rows[0][:, 0]
@@ -220,6 +225,59 @@ def contraction_cone(psi: Callable[[int], int],
         raise ValueError("contraction is not constant at level 0")
     if (image(ids, levels - 1) != ids).any():
         raise ValueError("contraction is not the identity at the top level")
+    terms = _strong_collapse_terms(product, getattr(psi, "steps", None))
+    if terms is None:
+        terms = _swept_terms(product, moves, image)
+    return SimplicialConeOperator(base, int(bottom[0]), terms)
+
+
+def _strong_collapse_terms(product: ProductComplex, steps) -> dict | None:
+    """The cone's terms from a strong collapse's (v_j, w_j) ``steps`` columns, all
+    rows walking their recurrence at once; None where the sweep decides (no steps,
+    another slab count, a vertex removed twice or to a removed one, a bad join)."""
+    if steps is None or product.n_slabs != max(steps.shape[1], 1):
+        return None
+    base, m = product.base, steps.shape[1]
+    ids, step = base._rows[0][:, 0], np.arange(m)
+    at = base.positions(0, steps.reshape(-1, 1)).reshape(2, m)
+    removal = np.full(len(ids) + 1, m)  # each vertex's removal step, m for none; -1 is spare
+    removal[at[0]] = step
+    if (at < 0).any() or (removal[at[0]] != step).any() or (removal[at[1]] <= step).any():
+        return None
+    terms = {}
+    for k, rows in base._rows.items():
+        # each row's first step j, removing its vertex at column p; a row with
+        # no step never moves, and one holding w_j is degenerate from there on
+        first = removal[np.searchsorted(ids, rows)]
+        p, j = first.argmin(axis=1), first.min(axis=1)
+        live = np.flatnonzero(j < m)
+        live = live[(rows[live] != steps[1, j[live], None]).all(axis=1)]
+        r, w, p = rows[live], steps[1, j[live]], p[live]
+        below = (r < w[:, None]).sum(axis=1)
+        col, nxt = np.full((2, len(rows)), -1)
+        col[live] = base.positions(k + 1, np.sort(np.c_[r, w], axis=1)) if k < base.dim else -1
+        if (col[live] < 0).any():  # else the next rows, faces of the joins, are base simplices
+            return None
+        r[np.arange(len(r)), p] = w
+        nxt[live] = base.positions(k, np.sort(r, axis=1))
+        # the join's sign orients (w_j, tau); flip sorts the next row
+        sign, flip = np.zeros((2, len(rows)), dtype=np.int64)
+        sign[live], flip[live] = 1 - 2 * (below % 2), 1 - 2 * ((below - p - (below > p)) % 2)
+        src, cur, run, parts = live, live, np.ones(len(live), dtype=np.int64), [(live[:0],) * 3]
+        while cur.size:
+            parts.append((src, col[cur], run * sign[cur]))
+            run, cur = run * flip[cur], nxt[cur]
+            keep = col[cur] >= 0
+            src, cur, run = src[keep], cur[keep], run[keep]
+        row, col, coeff = map(np.concatenate, zip(*parts[::-1]))  # reverse path order
+        order = np.argsort(row, kind="stable")
+        terms[k] = (row[order], col[order], coeff[order])
+    return terms
+
+
+def _swept_terms(product: ProductComplex, moves: np.ndarray, image: Callable) -> dict:
+    """The cone's terms, pushing each (simplex, moving slab)'s prisms through the moves."""
+    base, levels, ids = product.base, product.n_slabs + 1, product.base._rows[0][:, 0]
     # each vertex's listed levels, as a (vertex, level) pattern
     moving = sp.csr_matrix((np.ones(moves.shape[1], dtype=bool), tuple(moves[:2])))
 
@@ -282,8 +340,7 @@ def contraction_cone(psi: Callable[[int], int],
                           sums[keep].astype(np.int64)))
         return tuple(map(np.concatenate, zip(*parts)))
 
-    terms = {k: prism_terms(k, rows) for k, rows in base._rows.items()}
-    return SimplicialConeOperator(base, int(bottom[0]), terms)
+    return {k: prism_terms(k, rows) for k, rows in base._rows.items()}
 
 
 # -- geometric cones -----------------------------------------------------

@@ -32,7 +32,8 @@ function on the product vertices that is the identity at the top level and
 constant at the bottom, and that is simplicial when the sequence is valid.
 It is stored as its moves, the levels where a vertex's image changes and
 the new images (``vertex_images``), which ``cones.contraction_cone`` reads
-in place of calling the function.
+in place of calling the function, and it carries the sequence's steps, from
+which ``contraction_cone`` builds the cone by their elementary recurrence.
 """
 
 from __future__ import annotations
@@ -388,7 +389,10 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     vertex.  The product complex must have exactly one slab per removal step
     (one slab total when the sequence is empty).  The function carries its
     ``moves`` (``vertex_images``), which ``contraction_cone`` reads instead
-    of calling it, checking that the function is simplicial.
+    of calling it, checking that the function is simplicial, and its
+    ``steps``, the (dominated, dominating) columns of a (2, m) int64 array,
+    from which ``contraction_cone`` reads the cone by the recurrence
+    ``C(tau) = [w_j, tau] + s C(tau[v_j -> w_j])``.
     """
     base = seq.complex
     if product.base is not base:
@@ -414,7 +418,7 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     def psi(product_vertex: int) -> int:
         return int(image(*product.vertex_level(product_vertex)))
 
-    psi.moves = moves
+    psi.moves, psi.steps = moves, np.array(seq.steps, dtype=np.int64).reshape(-1, 2).T
     return psi
 
 

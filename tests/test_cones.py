@@ -7,8 +7,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from decpotentials import generate_square_mesh, generate_ushape_mesh
+from decpotentials import cones, generate_square_mesh, generate_ushape_mesh
 from decpotentials.cones import (
     SlabAffineContraction,
     _checked_images,
@@ -326,6 +327,94 @@ def test_strong_collapse_cone_tables_are_pinned():
             h.update(repr((s, list(op.table[s].terms.items()))).encode())
         digests[name] = h.hexdigest()
     assert digests == CONTRACTION_TABLE_DIGESTS
+
+
+def _swept(psi):
+    """``psi`` with its moves and without its steps, so that its cone is swept."""
+    def bare(pv):
+        return psi(pv)
+
+    bare.moves = psi.moves
+    return bare
+
+
+def _assert_same_terms(op, want):
+    assert op.vertex == want.vertex and op.terms.keys() == want.terms.keys()
+    for k, arrays in op.terms.items():
+        for got, ref in zip(arrays, want.terms[k]):
+            assert got.dtype == ref.dtype == np.int64 and np.array_equal(got, ref), k
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 14))
+def test_strong_collapse_recurrence_equals_the_sweep(seed, rounds):
+    cx = _random_collapsible(np.random.default_rng(seed), rounds=rounds)
+    seq = find_strong_collapse_sequence(cx)
+    assert seq is not None, "coned growth is strong collapsible"
+    prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
+    psi = contraction_from_strong_collapse(seq, prod)
+    assert cones._strong_collapse_terms(prod, psi.steps) is not None
+    op = contraction_cone(psi, prod)
+    _assert_same_terms(op, contraction_cone(_swept(psi), prod))
+    _check_cone_identity(op, cx)
+
+
+def test_strong_collapse_cone_falls_back_to_the_sweep_for_a_deeper_bad_join():
+    # (0,)'s first step joins it to 1, an edge, but its second, 1 -> 3, joins
+    # (1, 3), no edge: the recurrence gives way, and the sweep names that
+    # prism over (0,), in the lower slab it visits first
+    cx = SimplicialComplex([(0, 1), (1, 2), (2, 3)])
+    seq = StrongCollapseSequence(cx, [(0, 1), (1, 3), (2, 3)], 3)
+    prod = build_product_complex(cx, uniform_breakpoints(3))
+    psi = contraction_from_strong_collapse(seq, prod)
+    message = ("not a simplicial map: prism (4, 8) over (0,) maps to (1, 3), "
+               "which is not a base simplex")
+    for f in (psi, _swept(psi)):
+        with pytest.raises(ValueError) as err:
+            contraction_cone(f, prod)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("simplex, steps", [((1, 2), [(2, 1), (1, 2)]),
+                                            ((0, 1, 2), [(0, 1), (0, 2), (1, 2)])])
+def test_strong_collapse_cone_of_steps_it_cannot_follow_is_swept(simplex, steps):
+    # a vertex removed to one already removed, or removed twice: no strong
+    # collapse, but a contraction all the same
+    cx = SimplicialComplex([simplex])
+    seq = StrongCollapseSequence(cx, steps, 2)
+    prod = build_product_complex(cx, uniform_breakpoints(len(steps)))
+    psi = contraction_from_strong_collapse(seq, prod)
+    op = contraction_cone(psi, prod)
+    _assert_same_terms(op, contraction_cone(_swept(psi), prod))
+    _check_cone_identity(op, cx)
+
+
+def test_strong_collapse_cone_of_another_slab_count_is_swept(monkeypatch):
+    # psi padded with one identity slab on top keeps its steps, which no
+    # longer fit the product: the sweep gives the same cone
+    cx = generate_square_mesh(4)
+    seq = find_strong_collapse_sequence(cx)
+    m = len(seq.steps)
+    prod, padded = (build_product_complex(cx, uniform_breakpoints(n)) for n in (m, m + 1))
+    psi = contraction_from_strong_collapse(seq, prod)
+
+    def taller(pv):
+        v, level = padded.vertex_level(pv)
+        return psi(prod.vertex_id(v, min(level, m)))
+
+    taller.steps, sweep, swept = psi.steps, cones._swept_terms, []
+    want = contraction_cone(psi, prod)
+    monkeypatch.setattr(cones, "_swept_terms", lambda *args: swept.append(1) or sweep(*args))
+    _assert_same_terms(contraction_cone(taller, padded), want)
+    assert swept == [1]
+
+
+def test_strong_collapse_cone_tables_come_from_the_recurrence(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("the sweep was taken")
+
+    monkeypatch.setattr(cones, "_swept_terms", no_sweep)
+    test_strong_collapse_cone_tables_are_pinned()
 
 
 def test_star_cone_formal_homotopy_identity(square2):

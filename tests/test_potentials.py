@@ -258,6 +258,27 @@ def test_bogovskii_nonzero_mean_rejected(bogovskii2, square2, geom2):
         bogovskii2.apply(Cochain(square2, 2, v))
 
 
+def test_bogovskii_zero_mean_threshold(bogovskii2, square2, geom2):
+    # a mass passes up to 1e-9 times the largest |value|, and up to 1e-9 at
+    # any scale: one cochain and a block's columns alike
+    o = geom2.orientation.astype(float)
+    message = "^top-degree input must have zero mean, got total integral "
+    wide = np.zeros(8)
+    wide[:2] = 1000.0 * o[:2] * [1.0, -1.0]  # scale 1000, mass 0
+    cases = [(wide, 1.1e-6, "1.100e-06"), (wide, 0.9e-6, None), (wide, 1e-9, None),
+             (np.zeros(8), 1e-9, None), (np.zeros(8), 1.2e-9, "1.200e-09")]
+    for base, mass, raised in cases:
+        v = base.copy()
+        v[2] = mass * o[2]
+        for apply in (lambda: bogovskii2.apply(Cochain(square2, 2, v)),
+                      lambda: bogovskii2.apply_values(2, np.column_stack([np.zeros(8), v]))):
+            if raised is None:
+                apply()
+            else:
+                with pytest.raises(PreconditionError, match=message + raised + "$"):
+                    apply()
+
+
 def test_bogovskii_signed_mass(bogovskii2, square2, geom2):
     alpha = Cochain(square2, 2, np.array(geom2.signed_area, dtype=float))
     assert abs(bogovskii2.signed_mass(alpha) - geom2.total_area) < 1e-14
