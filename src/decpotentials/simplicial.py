@@ -378,6 +378,13 @@ class Cochain:
         return f"Cochain(dim={self.dim}, values={self.values!r})"
 
 
+def _cochain_of(complex: SimplicialComplex, dim: int, values: np.ndarray) -> Cochain:
+    """A Cochain of values whose shape its caller has just produced, unchecked."""
+    cochain = object.__new__(Cochain)
+    cochain.complex, cochain.dim, cochain.values = complex, dim, values
+    return cochain
+
+
 def coboundary(cochain: Cochain) -> Cochain:
     """Adjoint of the boundary under the duality pairing."""
     k = cochain.dim

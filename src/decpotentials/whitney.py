@@ -197,9 +197,14 @@ class MeshGeometry:
         A point belongs to a triangle when each barycentric coordinate is at
         least ``-tol``; ties on shared edges/vertices resolve to the lowest
         triangle index, which is harmless for tangentially continuous
-        integrands.
+        integrands.  A point with a NaN or infinite coordinate lies in none.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():  # such a point has no grid cell to probe
+            found = np.full(len(pts), -1)
+            found[finite] = self.locate_all(pts[finite], tol)
+            return found
         # a barycentric slack of tol moves a point at most 2 tol diameters
         pad = 4.0 * tol * float(self._reach.sum())
         box, tri = self.candidates(pts - pad, pts + pad)

@@ -207,6 +207,22 @@ def test_verify_bogovskii_rejects_facet_point(capsys):
     assert err_json(err)["type"] == "BasePointOnFacetError"
 
 
+@pytest.mark.parametrize("op, message", [
+    (["star"], "base point (nan, 0.5) lies outside the mesh"),
+    (["bogovskii"], "base point (nan, 0.5) lies outside the mesh"),
+    (["lipschitz", "--contraction", "ushape"], "phi(vertex 0, 0.0) leaves the mesh"),
+], ids=["star", "bogovskii", "lipschitz"])
+def test_verify_rejects_a_nan_base_point(capsys, op, message):
+    # located nowhere, like an infinite one, rather than failing in the grid probe
+    code, out, err = run_cli(
+        capsys,
+        ["verify", "--mesh", "builtin:square:4", "--op", *op, "--point", "nan,0.5"],
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err_json(err)["message"]
+
+
 def test_verify_bogovskii_rejects_a_domain_not_star_shaped_about_the_point(capsys):
     # the U-shape's right arm wall x = 0.7 faces away from (0.152, 0.151)
     code, _, err = run_cli(

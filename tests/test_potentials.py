@@ -41,6 +41,7 @@ from decpotentials import (
 )
 from decpotentials import potentials
 from decpotentials.cli import main
+from decpotentials.whitney import _dot
 
 from conftest import (annulus_complex, certified_residual, holed_square_complex, jitter_interior,
                       random_cochain, unchecked_bogovskii)
@@ -808,6 +809,132 @@ def test_one_cochain_of_a_wrong_shape_or_a_wider_dtype_is_scipys_product(collaps
         want = collapse_op2.matrix(1) @ v
         got = collapse_op2.apply_values(1, v)
         assert got.dtype == want.dtype != np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_apply_and_projection_give_cochains_of_the_right_degree_and_shape(every_op):
+    # the results are wrapped without a shape check, so the shapes are checked here
+    rng = np.random.default_rng(15)
+    other = generate_square_mesh(2)
+    for op in every_op:
+        cx = op.complex
+        for k in range(cx.dim + 1):
+            alpha = op.project_admissible(random_cochain(cx, k, rng))
+            assert type(alpha) is Cochain and alpha.complex is cx and alpha.dim == k
+            assert alpha.values.shape == (cx.num_simplices(k),), (op.label, k)
+            if k == 0:
+                with pytest.raises(ValueError, match="degrees 1..2, got 0"):
+                    op.apply(alpha)
+                continue
+            out = op.apply(alpha)
+            assert type(out) is Cochain and out.complex is cx and out.dim == k - 1
+            assert out.values.shape == (cx.num_simplices(k - 1),), (op.label, k)
+        # a cochain of another complex is rejected before it is wrapped
+        for method in (op.apply, op.project_admissible):
+            with pytest.raises(ValueError, match="cochain lives on a different complex"):
+                method(random_cochain(other, 1, rng))
+        # a contiguous float64 top-degree cochain is projected, never written
+        v = rng.uniform(-1.0, 1.0, cx.num_simplices(cx.dim))
+        before = v.tobytes()
+        got = op.project_admissible(Cochain(cx, cx.dim, v)).values
+        assert v.tobytes() == before, op.label
+        if isinstance(op, BogovskiiOperator):
+            assert not np.shares_memory(got, v)
+
+
+@pytest.mark.parametrize("kind", ["star", "star+cp", "bogovskii"])
+def test_one_cochain_reads_the_matrix_as_it_is_now(kind):
+    # apply_values keeps no copy of a matrix's arrays or shape: after each
+    # in-place edit of matrix(k) it is still bitwise matrix(k) @ v; the
+    # operator is built afresh, as the edits would spoil a shared one
+    cx = generate_square_mesh(4)
+    if kind == "bogovskii":
+        op = BogovskiiOperator((0.52, 0.51), cx)
+    else:
+        op = DiscretePoincareOperator(star_cone((0.52, 0.51), cx))
+        if kind == "star+cp":
+            op = ComplexPropertyOperator(op)
+    rng = np.random.default_rng(16)
+    for k in (1, 2):
+        m = op.matrix(k)
+        v = op.project_admissible_block(k, rng.uniform(-1.0, 1.0, cx.num_simplices(k)))
+
+        def check(step):
+            got = op.apply_values(k, v)
+            assert got.tobytes() == (op.matrix(k) @ v).tobytes(), (k, step)
+
+        check("as assembled")
+        m.data = 3.0 * m.data
+        check("data reassigned")
+        # reverse each row's entries in place, then let scipy sort them back
+        for r in range(m.shape[0]):
+            row = slice(m.indptr[r], m.indptr[r + 1])
+            m.indices[row], m.data[row] = m.indices[row][::-1].copy(), m.data[row][::-1].copy()
+        m.has_sorted_indices = False
+        check("rows reversed")
+        m.sort_indices()
+        check("indices sorted")
+        m.data[::3] = 0.0
+        nnz = m.nnz
+        m.eliminate_zeros()
+        assert m.nnz < nnz
+        check("zeros eliminated")
+        m.resize(m.shape[0] + 2, m.shape[1])
+        assert op.apply_values(k, v).shape == (m.shape[0],)
+        check("resized")
+
+
+@pytest.mark.parametrize("n", [8, 65])
+def test_bogovskii_float_orientation_keeps_the_int64_bits(n):
+    # the masses dot a float64 copy of the int64 orientation; square:65 has
+    # 8,450 triangles, past numpy's 8,192-element cast buffer
+    cx = generate_square_mesh(n)
+    op = BogovskiiOperator((0.52, 0.51), cx)
+    g = op.geometry
+    o = g.orientation
+    assert o.dtype == np.int64
+    rng = np.random.default_rng(n)
+    size = cx.num_simplices(2)
+    block = rng.uniform(-1.0, 1.0, (size, 4))
+    ones = [block[:, 0].copy(), block[:, 1], rng.integers(-9, 10, size)]
+
+    def int64_check(values):
+        """The zero-mean check with the int64 orientation: None or its message."""
+        mass = o @ values
+        if values.ndim > 1:
+            heavy = np.flatnonzero(np.abs(mass) > 1e-9)
+            scale = np.abs(values[:, heavy]).max(axis=0, initial=0.0)
+            bad = np.flatnonzero(np.abs(mass[heavy]) > 1e-9 * np.maximum(scale, 1.0))
+            mass, scale = (mass[heavy[bad[0]]], scale[bad[0]]) if bad.size else (0.0, 0.0)
+        else:
+            scale = np.abs(values).max(initial=0.0) if abs(mass) > 1e-9 else 0.0
+        if abs(mass) > 1e-9 * max(scale, 1.0):
+            return f"top-degree input must have zero mean, got total integral {mass:.3e}"
+        return None
+
+    def check(values):
+        try:
+            op._check_zero_mean(values)
+        except PreconditionError as e:
+            return str(e)
+        return None
+
+    for v in ones:
+        assert np.float64(op._orientation @ v).tobytes() == np.float64(o @ v).tobytes()
+        assert op.signed_mass(Cochain(cx, 2, v)) == float(v @ o)
+        want = np.array(v, dtype=float)
+        want = want - (want @ o / g.total_area) * g.signed_area
+        assert op.project_admissible_block(2, v).tobytes() == want.tobytes(), v.strides
+        # the raw input, and its projection given masses about the 1e-9 threshold
+        for w in [v] + [want + mass / size * o for mass in (0.9e-9, 1.1e-9, 1e-6, 1.0)]:
+            assert check(w) == int64_check(w), v.strides
+    assert (op._orientation @ block).tobytes() == (o @ block).tobytes()
+    mass = _dot(np.ascontiguousarray(block.T), o)
+    want = block - g.signed_area[:, None] * (mass / g.total_area)
+    assert op.project_admissible_block(2, block).tobytes() == want.tobytes()
+    for mass in (0.0, 1.1e-9, 1.0):
+        w = want.copy()
+        w[:, 2] += mass / size * o
+        assert check(w) == int64_check(w), mass
 
 
 def test_bogovskii_rejects_one_cochain_as_it_rejects_a_one_column_block(bogovskii2, square2):

@@ -1,5 +1,7 @@
 """Whitney interpolation and the de Rham (integration) map."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
@@ -95,6 +97,25 @@ def test_locate(geom2):
     assert t is not None
     assert t == min(i for i in range(geom2.signed_area.size)
                     if np.all(geom2.barycentric(i, [0.5, 0.5]) >= -1e-12))
+
+
+def test_locate_puts_points_with_a_nan_or_infinite_coordinate_nowhere(geom2, square2):
+    # a NaN coordinate has no grid cell: it used to be cast to int64 (with
+    # numpy's "invalid value" warning) and then index the grid out of bounds
+    points = np.array([[np.nan, 0.5], [0.1, 0.05], [0.5, np.nan], [np.nan, np.nan],
+                       [np.inf, 0.5], [-np.inf, np.nan], [0.3, 0.2]])
+    finite = np.isfinite(points).all(axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = geom2.locate_all(points)
+        assert geom2.locate(np.array([np.nan, 0.5])) is None
+    assert got[~finite].tolist() == [-1] * 5
+    assert got[finite].tolist() == geom2.locate_all(points[finite]).tolist() == [0, 0]
+    rng = np.random.default_rng(6)
+    for k in range(3):
+        alpha = Cochain(square2, k, rng.uniform(-1, 1, square2.num_simplices(k)))
+        with pytest.raises(ValueError, match="lies outside the mesh"):
+            whitney_value(geom2, alpha, np.array([np.nan, 0.5]))
 
 
 def test_whitney_value_with_triangle_hint(geom2, square2):
