@@ -377,7 +377,7 @@ def shadow_cone(point, complex: SimplicialComplex, geometry) -> SingularConeOper
     star = star_cone(point, complex)
     pieces, terms = [], {}
     for k in range(complex.dim):
-        owner, piece = shadow_pieces(geometry, star.points[star.terms[k][2]])
+        owner, piece = shadow_pieces(geometry, star.points.take(star.terms[k][2], axis=0))
         corners = sum(map(len, pieces)) + np.arange(piece.size // 2).reshape(-1, k + 2)
         terms[k] = (owner, np.full(len(owner), -1), corners)
         pieces.append(piece.reshape(-1, 2))
@@ -387,6 +387,15 @@ def shadow_cone(point, complex: SimplicialComplex, geometry) -> SingularConeOper
 def _affine(maps: np.ndarray, xy: np.ndarray) -> np.ndarray:
     """Images of (..., 2) points under (..., 2, 3) maps of ``(x, y, 1)``, broadcast."""
     return maps[..., 0] * xy[..., :1] + maps[..., 1] * xy[..., 1:] + maps[..., 2]
+
+
+def _base_point(point) -> np.ndarray:
+    """A contraction's point as a float array, which must be two finite numbers."""
+    a = np.asarray(point, dtype=float)
+    if a.shape != (2,) or not np.isfinite(a).all():
+        raise ValueError(
+            f"contraction point {tuple(a.ravel().tolist())} is not two finite numbers")
+    return a
 
 
 class SlabAffineContraction:
@@ -404,7 +413,7 @@ class SlabAffineContraction:
         self.maps = np.array(maps, dtype=float)
         if self.maps.shape != (len(self.breakpoints), 2, 3):
             raise ValueError("need one 2x3 map (homogeneous x, y, 1) per breakpoint")
-        self.point = np.asarray(point, dtype=float)
+        self.point = _base_point(point)
         self.matrices = matrices
 
     def __call__(self, xy, t: float) -> np.ndarray:
@@ -416,7 +425,7 @@ class SlabAffineContraction:
 
     @classmethod
     def straight_line(cls, point) -> "SlabAffineContraction":
-        a = np.asarray(point, dtype=float)
+        a = _base_point(point)
         return cls((0.0, 1.0), [[[0.0, 0.0, a[0]], [0.0, 0.0, a[1]]],
                                 [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], a)
 
@@ -429,7 +438,7 @@ class SlabAffineContraction:
         identity.  Suited to meshes whose domain is an axis-aligned union of
         rectangles containing that horizontal line.
         """
-        a = np.asarray(point, dtype=float)
+        a = _base_point(point)
         return cls((0.0, 0.5, 1.0), [[[0.0, 0.0, a[0]], [0.0, 0.0, a[1]]],
                                      [[1.0, 0.0, 0.0], [0.0, 0.0, a[1]]],
                                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], a)
@@ -488,8 +497,9 @@ def _checked_images(phi: SlabAffineContraction, complex: SimplicialComplex, geom
     if geometry is None:
         geometry = MeshGeometry(complex)
     vertices = complex._rows[0][:, 0]
-    images = _affine(phi.maps, coords[vertices][:, None])
-    moved = np.max(np.abs(images[:, -1] - coords[vertices]), axis=1) > 1e-10
+    at = coords.take(vertices, axis=0)
+    images = _affine(phi.maps, at[:, None])
+    moved = np.max(np.abs(images[:, -1] - at), axis=1) > 1e-10
     unbased = np.max(np.abs(images[:, 0] - phi.point), axis=1) > 1e-10
     # (vertex, breakpoint) images, and (vertex, slab) path midpoints, each
     # located in one probe of the grid

@@ -175,7 +175,7 @@ class DiscretePoincareOperator:
             # every row's singular cone, integrated in one batched pass
             rows, coeffs, corners = self.cone.terms[k - 1]
             m = functional_matrix(
-                self.geometry, k, rows, coeffs, self.cone.points[corners], shape[0],
+                self.geometry, k, rows, coeffs, self.cone.points.take(corners, axis=0), shape[0],
                 allow_exterior=self.kind == "bogovskii",
                 describe=lambda i: f"row of simplex {tuple(cx._rows[k - 1][i].tolist())}")
         self._matrices[k] = m

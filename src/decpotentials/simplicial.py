@@ -54,10 +54,10 @@ def facets_of(simplex: Simplex):
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """Distinct rows in lexicographic order."""
-    rows = rows[np.lexsort(rows.T[::-1])]
+    rows = rows.take(np.lexsort(rows.T[::-1]), axis=0)
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    return rows.take(np.flatnonzero(keep), axis=0)
 
 
 def _face_closure(groups: Iterable[np.ndarray], items=()) -> dict[int, np.ndarray]:
@@ -139,11 +139,11 @@ class SimplicialComplex:
 
     def _check_nondegenerate(self, coords):
         edges = self._rows.get(1, np.empty((0, 2), dtype=np.int64))
-        same = (coords[edges[:, 0]] == coords[edges[:, 1]]).all(axis=1)
+        same = (coords.take(edges[:, 0], axis=0) == coords.take(edges[:, 1], axis=0)).all(axis=1)
         if same.any():
             raise ValueError(f"zero-length edge {tuple(edges[same.argmax()].tolist())}")
         triangles = self._rows.get(2, np.empty((0, 3), dtype=np.int64))
-        a, b, c = coords[triangles.T]
+        a, b, c = coords.take(triangles.T, axis=0)
         e1, e2 = b - a, c - a
         flat = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] == 0.0
         if flat.any():
@@ -196,7 +196,7 @@ class SimplicialComplex:
         keys = [np.ravel_multi_index(np.searchsorted(ids, r).T, (len(ids),) * (k + 1), mode="clip")
                 for r in (known, rows)]
         at = np.minimum(np.searchsorted(*keys), len(known) - 1)
-        return np.where((known[at] == rows).all(axis=1), at, -1)
+        return np.where((known.take(at, axis=0) == rows).all(axis=1), at, -1)
 
     @cached_property
     def _cofacet_csc(self) -> dict[int, sp.csc_matrix]:

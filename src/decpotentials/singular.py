@@ -30,15 +30,18 @@ and weighted by the signed overlap area.  The clip keeps its polygons as
 flat point lists (each point's x, y and polygon index, in polygon order), so
 a half-plane is a few whole-array passes and one compaction in which every
 point emits its crossing and then itself.  A chunk holds about CHUNK_PAIRS
-grid candidates, which bounds the memory of every pass.  Pieces outside the
-mesh are an error unless explicitly allowed, in which case they integrate to
-zero (an infinite cone is its star simplex, which may overhang the mesh,
-plus its shadow cut off exactly by the mesh bounding box;
-``segment_functional`` extends the interpolant by zero).  The coverage test
-compares the uncovered area (length) with COVERAGE_TOL times the mesh area
-(diagonal), not with the image's own, so a thin image near an edge is not
-rejected for the round-off of its clipped pieces.  Simplices exactly flat in
-floating point are degenerate and integrate to zero.
+grid candidates, which bounds the memory of every pass.  Rows and columns of
+multi-dimensional arrays are gathered with ``ndarray.take`` (a mask through
+``flatnonzero`` first): the same values that advanced indexing gathers, on a
+path several times faster.  Pieces outside the mesh are an error unless
+explicitly allowed, in which case they integrate to zero (an infinite cone
+is its star simplex, which may overhang the mesh, plus its shadow cut off
+exactly by the mesh bounding box; ``segment_functional`` extends the
+interpolant by zero).  The coverage test compares the uncovered area
+(length) with COVERAGE_TOL times the mesh area (diagonal), not with the
+image's own, so a thin image near an edge is not rejected for the round-off
+of its clipped pieces.  Simplices exactly flat in floating point are
+degenerate and integrate to zero.
 """
 
 from __future__ import annotations
@@ -232,8 +235,9 @@ def _clip(xy: np.ndarray, n: np.ndarray, sides: np.ndarray):
     Every polygon does the arithmetic of a scalar clip in the same order, so
     a batch of one is that clip.
     """
-    row, col = np.nonzero(np.arange(xy.shape[1]) < n[:, None])
-    x, y = xy[row, col, 0], xy[row, col, 1]
+    at = np.flatnonzero(np.arange(xy.shape[1]) < n[:, None])
+    row = at // xy.shape[1]
+    x, y = xy.reshape(-1, 2).take(at, axis=0).T
     for (c1x, c1y), (c2x, c2y) in np.ascontiguousarray(sides.transpose(1, 2, 3, 0)):
         if not len(row):
             break
@@ -305,28 +309,29 @@ def polygon_area(poly) -> float:
 
 
 def _edge_axes(poly: np.ndarray):
-    """(normal, lo, hi) per edge of convex polygons: the edge normal and each
-    polygon's extent along it."""
+    """(edge, lo, hi) per edge of convex polygons: the edge vectors as
+    (xy, polygon) columns, and each polygon's extent along the edge normal."""
     m = poly.shape[1]
     axes = []
     for i in range(m):
         e = poly[:, (i + 1) % m] - poly[:, i]
         proj = poly[..., 1] * e[:, None, 0] - poly[..., 0] * e[:, None, 1]
-        axes.append((e, proj.min(axis=1), proj.max(axis=1)))
+        axes.append((np.ascontiguousarray(e.T), proj.min(axis=1), proj.max(axis=1)))
     return axes
 
 
 def _apart(axes, own: np.ndarray, other: np.ndarray) -> np.ndarray:
     """Per pair: does an edge normal of polygon ``own`` separate ``other`` from it?
 
-    Along the normal, one projection ends where or before the other begins,
-    so that two convex polygons which only share boundary points count as
-    apart.
+    ``other`` holds the other polygon's corners as (corner, xy, pair)
+    columns.  Along the normal, one projection ends where or before the
+    other begins, so that two convex polygons which only share boundary
+    points count as apart.
     """
     out = np.zeros(len(own), dtype=bool)
     for e, lo, hi in axes:
-        ex, ey = e[own, 0], e[own, 1]
-        proj = [p[:, 1] * ex - p[:, 0] * ey for p in other.transpose(1, 0, 2)]
+        ex, ey = e.take(own, axis=1)
+        proj = [py * ex - px * ey for px, py in other]
         out |= reduce(np.maximum, proj) <= lo[own]
         out |= reduce(np.minimum, proj) >= hi[own]
     return out
@@ -355,9 +360,7 @@ def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
 def _accumulate(major, minor, vals, n_minor: int):
     """Sum values per (major, minor) key, in input order; keys come sorted."""
     keys, slot = np.unique(major.astype(np.int64) * n_minor + minor, return_inverse=True)
-    sums = np.zeros(len(keys))
-    np.add.at(sums, slot, vals)
-    return keys // n_minor, keys % n_minor, sums
+    return keys // n_minor, keys % n_minor, np.bincount(slot, vals, minlength=len(keys))
 
 
 def _check_covered(geom: MeshGeometry, pts: np.ndarray, first: int, uncovered, whole,
@@ -398,43 +401,45 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     i, j = [0, 0, 1], [1, 2, 2]
     cx, cy = np.ascontiguousarray(geom.corners.transpose(2, 1, 0))
     ex, ey = cx[j] - cx[i], cy[j] - cy[i]
-    a = pts[:, 0]
+    a = np.ascontiguousarray(pts[:, 0])
     r = pts[:, 1] - a
     (ax, ay), (rx, ry) = a.T, r.T
     for first, stop, sub, tri in _pairs(geom, pts, rows):
         # each corner's side of the segment's line: the line meets the
         # triangles whose corners are not all strictly on one side
-        dx, dy = cx[:, tri] - ax[sub], cy[:, tri] - ay[sub]
+        dx, dy = cx.take(tri, axis=1) - ax[sub], cy.take(tri, axis=1) - ay[sub]
         sign = np.sign(rx[sub] * dy - ry[sub] * dx)
-        meet = np.abs(sign.sum(axis=0)) < 3.0
-        sub, tri, dx, dy, sign = sub[meet], tri[meet], dx[:, meet], dy[:, meet], sign[:, meet]
-        sx, sy, ux, uy = rx[sub], ry[sub], ex[:, tri], ey[:, tri]
+        meet = np.flatnonzero(np.abs(sign.sum(axis=0)) < 3.0)
+        sub, tri = sub[meet], tri[meet]
+        dx, dy, sign = (v.take(meet, axis=1) for v in (dx, dy, sign))
+        sx, sy, ux, uy = rx[sub], ry[sub], ex.take(tri, axis=1), ey.take(tri, axis=1)
         # the line meets a corner on it at the corner's projection, and an
         # edge whose ends lie strictly on either side where it crosses the
         # edge's line, a parameter of the canonical edge alone, clamped
         # between the ends' projections against rounding
         with np.errstate(divide="ignore", invalid="ignore"):
             proj = (dx * sx + dy * sy) / (sx * sx + sy * sy)
-            cut = (dx[i] * uy - dy[i] * ux) / (sx * uy - sy * ux)
-        cut = np.fmin(np.fmax(cut, np.minimum(proj[i], proj[j])), np.maximum(proj[i], proj[j]))
+            cut = (dx.take(i, axis=0) * uy - dy.take(i, axis=0) * ux) / (sx * uy - sy * ux)
+        pi, pj = proj.take(i, axis=0), proj.take(j, axis=0)
+        cut = np.fmin(np.fmax(cut, np.minimum(pi, pj)), np.maximum(pi, pj))
         on = sign == 0.0
-        t = np.where(np.concatenate([sign[i] * sign[j] < 0.0, on]), np.concatenate([cut, proj]),
-                     np.nan)
+        t = np.where(np.concatenate([sign.take(i, axis=0) * sign.take(j, axis=0) < 0.0, on]),
+                     np.concatenate([cut, proj]), np.nan)
         t0, t1 = np.maximum(np.fmin.reduce(t), 0.0), np.minimum(np.fmax.reduce(t), 1.0)
-        along = on[i] & on[j]
-        edge = geom.triangle_edges[tri, along.argmax(axis=0)]
-        keep = (t1 > t0) & (~along.any(axis=0) | (lowest[edge] == tri))
+        along = on.take(i, axis=0) & on.take(j, axis=0)
+        edge = geom.triangle_edges.ravel().take(3 * tri + along.argmax(axis=0))
+        keep = np.flatnonzero((t1 > t0) & (~along.any(axis=0) | (lowest[edge] == tri)))
         sub, tri, t0, t1 = sub[keep], tri[keep], t0[keep], t1[keep]
         if not allow_exterior:
             whole = np.hypot(rx[first:stop], ry[first:stop])
             covered = np.bincount(sub - first, t1 - t0, minlength=stop - first)
             _check_covered(geom, pts, first, whole * (1.0 - covered), whole, describe)
-        d = r[sub]
-        mid = a[sub] + (0.5 * (t0 + t1))[:, None] * d
+        d = r.take(sub, axis=0)
+        mid = a.take(sub, axis=0) + (0.5 * (t0 + t1))[:, None] * d
         step = (t1 - t0)[:, None] * d
         vals = (geom.edge_forms(tri, mid) @ step[:, :, None])[..., 0]
-        yield _accumulate(np.repeat(sub, 3), geom.triangle_edges[tri].ravel(), vals.ravel(),
-                          n_edges)
+        yield _accumulate(np.repeat(sub, 3), geom.triangle_edges.take(tri, axis=0).ravel(),
+                          vals.ravel(), n_edges)
 
 
 def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
@@ -452,16 +457,19 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     sign = np.where(area > 0, 1.0, -1.0)
     # clip in each mesh triangle's frame, so rounding scales with the triangle
-    origin = geom.ccw_corners[:, :1]
+    origin = geom.ccw_corners[:, :1].copy()
     sides = _sides(geom.ccw_corners - origin)
     triangle_axes = _edge_axes(geom.ccw_corners)
+    # corners as (corner, xy, subject or triangle) columns, for the axis tests
+    images, corners = (np.ascontiguousarray(p.transpose(1, 2, 0)) for p in (pts, geom.ccw_corners))
     for first, stop, sub, tri in _pairs(geom, pts, rows):
         # separating axes, the image's first: they reject most pairs of a thin image
-        meet = ~_apart(_edge_axes(pts[first:stop]), sub - first, geom.ccw_corners[tri])
+        meet = ~_apart(_edge_axes(pts[first:stop]), sub - first, corners.take(tri, axis=2))
         sub, tri = sub[meet], tri[meet]
-        meet = ~_apart(triangle_axes, tri, pts[sub])
+        meet = ~_apart(triangle_axes, tri, images.take(sub, axis=2))
         sub, tri = sub[meet], tri[meet]
-        xy, piece = _clip(pts[sub] - origin[tri], np.full(len(sub), 3), sides[tri])
+        xy = pts.take(sub, axis=0) - origin.take(tri, axis=0)
+        xy, piece = _clip(xy, np.full(len(sub), 3), sides.take(tri, axis=0))
         overlap = np.abs(_areas(xy, piece, len(sub)))
         hit = overlap != 0.0
         sub, tri, overlap = sub[hit], tri[hit], overlap[hit]
@@ -490,8 +498,8 @@ def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows
     pts = np.asarray(points, dtype=float).reshape(len(rows), dim + 1, 2)
     # terms grouped by row, in term order within a row
     keep = np.argsort(rows, kind="stable")
-    keep = keep[~_degenerate(pts[keep])]
-    rows, coeffs, pts = rows[keep], np.asarray(coeffs, dtype=float)[keep], pts[keep]
+    keep = keep[~_degenerate(pts.take(keep, axis=0))]
+    rows, coeffs, pts = rows[keep], np.asarray(coeffs, dtype=float)[keep], pts.take(keep, axis=0)
     n_cols = geom.complex.num_simplices(dim)
     name = None if describe is None else (lambda j: describe(int(rows[j])))
     entries = _segment_entries if dim == 1 else _triangle_entries
@@ -580,8 +588,8 @@ def shadow_pieces(geom: MeshGeometry, points):
     through p and line ab, fanned into triangles oriented like (p, a, b).
     All points lie in the box.  Degenerate cones and pieces are dropped."""
     pts = np.asarray(points, dtype=float)
-    keep = np.nonzero(~_degenerate(pts))[0]
-    pts = pts[keep]
+    keep = np.flatnonzero(~_degenerate(pts))
+    pts = pts.take(keep, axis=0)
     p, lo, hi = pts[:, 0], geom.bbox_min, geom.bbox_max
     if pts.shape[1] == 2:
         v, d = pts[:, 1], pts[:, 1] - p
@@ -593,8 +601,8 @@ def shadow_pieces(geom: MeshGeometry, points):
             leave = np.where(d == 0.0, np.inf, np.maximum(t0, t1)).min(axis=1)
             start = np.where((enter <= 1.0)[:, None], v, p + enter[:, None] * d)
             ends = np.stack([start, p + leave[:, None] * d], axis=1)
-        ok = leave > np.maximum(enter, 1.0)
-        owner, pieces = keep[ok], np.clip(ends[ok], lo, hi)
+        ok = np.flatnonzero(leave > np.maximum(enter, 1.0))
+        owner, pieces = keep[ok], np.clip(ends.take(ok, axis=0), lo, hi)
     else:
         e = pts[:, 1:] - p[:, None]
         ccw = (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] > 0)[:, None]
@@ -605,13 +613,13 @@ def shadow_pieces(geom: MeshGeometry, points):
         # fan triangles (q_first, q_i-1, q_i) with i - first >= 2, ordered like (p, a, b)
         first = np.searchsorted(cone, cone)
         i = np.flatnonzero(np.arange(len(cone)) - first >= 2)
-        q, r, turn = xy[i - 1], xy[i], ccw[cone[i]]
-        owner, pieces = keep[cone[i]], np.stack([xy[first[i]], np.where(turn, q, r),
+        q, r, turn = xy.take(i - 1, axis=0), xy.take(i, axis=0), ccw.take(cone[i], axis=0)
+        owner, pieces = keep[cone[i]], np.stack([xy.take(first[i], axis=0), np.where(turn, q, r),
                                                  np.where(turn, r, q)], axis=1)
     # clipping can leave repeated or collinear polygon points, whose fan
     # triangles have no area
-    good = ~_degenerate(pieces)
-    return owner[good], pieces[good]
+    good = np.flatnonzero(~_degenerate(pieces))
+    return owner[good], pieces.take(good, axis=0)
 
 
 def cone_functional(geom: MeshGeometry, cone: InfiniteCone) -> dict[int, float]:

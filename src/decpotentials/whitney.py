@@ -82,7 +82,7 @@ class MeshGeometry:
         tris = complex._rows[2]
         # each corner's row in the vertex ordering, where its 0-cochain value sits
         self.corner_rows = np.searchsorted(complex._rows[0][:, 0], tris)
-        P = coords[tris]  # (T, 3, 2)
+        P = coords.take(tris, axis=0)  # (T, 3, 2)
         self.corners = P
         e1 = P[:, 1] - P[:, 0]
         e2 = P[:, 2] - P[:, 0]
@@ -102,7 +102,7 @@ class MeshGeometry:
         self.gradients = np.stack([g0, g1, g2], axis=1)  # (T, 3, 2)
 
         used = np.unique(tris)
-        pts = coords[used]
+        pts = coords.take(used, axis=0)
         self.bbox_min = pts.min(axis=0)
         self.bbox_max = pts.max(axis=0)
         self.diagonal = float(np.linalg.norm(self.bbox_max - self.bbox_min))
@@ -111,7 +111,7 @@ class MeshGeometry:
         # local edge -> global edge index, per triangle, order (01, 02, 12):
         # a triangle's coboundary row lists its facets in that order
         self.triangle_edges = complex.coboundary_matrix(1).indices.reshape(-1, 3)
-        self.edge_coords = coords[complex._rows[1]]  # (E, 2, 2) canonical edge endpoints
+        self.edge_coords = coords.take(complex._rows[1], axis=0)  # (E, 2, 2) canonical ends
 
         # bucket grid, with at most about 4 cells per triangle
         tri_min, tri_max = P.min(axis=1), P.max(axis=1)
@@ -179,15 +179,15 @@ class MeshGeometry:
         ``t`` and ``point`` broadcast: one triangle index and one point give
         a length-3 array, index and point arrays give one row per pair.
         """
-        d = np.asarray(point, dtype=float) - self.corners[t, 0]
-        lam = (self.gradients[t, 1:] @ d[..., None])[..., 0]
+        d = np.asarray(point, dtype=float) - self.corners.take(t, axis=0)[..., 0, :]
+        lam = (self.gradients.take(t, axis=0)[..., 1:, :] @ d[..., None])[..., 0]
         return np.concatenate([1.0 - lam[..., :1] - lam[..., 1:], lam], axis=-1)
 
     def edge_forms(self, t, point) -> np.ndarray:
         """Edge forms ``lambda_i grad(lambda_j) - lambda_j grad(lambda_i)`` of
         triangles at points, shape (..., 3, 2), local edges (01, 02, 12)."""
         lam = self.barycentric(t, point)[..., None]
-        G = self.gradients[t]
+        G = self.gradients.take(t, axis=0)
         i, j = [0, 0, 1], [1, 2, 2]
         return lam[..., i, :] * G[..., j, :] - lam[..., j, :] * G[..., i, :]
 
@@ -208,7 +208,7 @@ class MeshGeometry:
         # a barycentric slack of tol moves a point at most 2 tol diameters
         pad = 4.0 * tol * float(self._reach.sum())
         box, tri = self.candidates(pts - pad, pts + pad)
-        lam = self.barycentric(tri, pts[box])
+        lam = self.barycentric(tri, pts.take(box, axis=0))
         inside = (lam >= -tol).all(axis=1)
         none = len(self.corners)
         best = np.full(len(pts), none)
@@ -251,7 +251,8 @@ def whitney_value(geom: MeshGeometry, alpha: Cochain, point, triangle=None):
     if triangle is None:
         triangle = geom.locate_all(point).reshape(np.shape(point)[:-1])
         if (triangle < 0).any():
-            raise ValueError(f"point {tuple(point)} lies outside the mesh")
+            outside = np.asarray(point, dtype=float).reshape(-1, 2)[np.argmax(triangle < 0)]
+            raise ValueError(f"point {tuple(outside.tolist())} lies outside the mesh")
     t, k = triangle, alpha.dim
     if k == 2:
         return alpha.values[t] / geom.signed_area[t]

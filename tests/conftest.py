@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -52,6 +54,16 @@ def triangle():
     """One reference-like triangle with vertices (0,0), (1,0), (0,1)."""
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     return SimplicialComplex([(0, 1, 2)], coords)
+
+
+def matrix_digest(op) -> str:
+    """sha256 of the data, indices and indptr of matrix(1) and matrix(2)."""
+    h = hashlib.sha256()
+    for k in (1, 2):
+        m = op.matrix(k)
+        for part in (m.data, m.indices, m.indptr):
+            h.update(part.tobytes())
+    return h.hexdigest()
 
 
 def random_cochain(cx, k, rng):

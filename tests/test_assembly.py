@@ -26,13 +26,15 @@ from decpotentials import (
     DiscretePoincareOperator,
     MeshGeometry,
     SlabAffineContraction,
+    generate_square_mesh,
+    generate_ushape_mesh,
     lipschitz_cone,
     star_cone,
 )
 from decpotentials import singular
 from decpotentials.singular import chain_functional
 
-from conftest import unchecked_bogovskii
+from conftest import jitter_interior, matrix_digest, unchecked_bogovskii
 
 GAUSS = ((0.5 - 0.5 * np.sqrt(0.6), 5 / 18), (0.5, 8 / 18), (0.5 + 0.5 * np.sqrt(0.6), 5 / 18))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -333,3 +335,74 @@ def test_matrix_bytes_do_not_depend_on_the_hash_seed():
                              capture_output=True, text=True)
         digests.add(res.stdout.strip())
     assert len(digests) == 1
+
+
+# sha256 of the data, indices and indptr of matrix(1) and matrix(2) of the
+# star operator at (0.5, 0.5) and the Lipschitz operator of the builtin
+# U-shape contraction at (0.2, 0.2), recorded before the assembly gathered
+# by ``take``: rewriting how the kernels gather values changes no bit
+POINCARE_MATRIX_DIGESTS = {
+    "star square:8": "b4dea363e6160a79b237327c328ef0c968d8707699430f5e5a7f5d7929de2865",
+    "star jittered square:8": "ea0a22a6b98f59cd66d228791e6218309044928a8e81e48ef25694d1ebb7cac7",
+    "lipschitz ushape:10": "78e018b5a432a8d968ae41b04cf822989ca67b7dab75f0ec84ec6e3073656fa4",
+}
+
+
+def star_operator(cx, point=(0.5, 0.5)):
+    return DiscretePoincareOperator(star_cone(point, cx), MeshGeometry(cx))
+
+
+def lipschitz_operator(cx):
+    geom = MeshGeometry(cx)
+    phi = SlabAffineContraction.ushape((0.2, 0.2))
+    return DiscretePoincareOperator(lipschitz_cone(phi, cx, geometry=geom), geom)
+
+
+POINCARE_BUILDS = {
+    "star square:8": lambda: star_operator(generate_square_mesh(8)),
+    "star jittered square:8": lambda: star_operator(jitter_interior(generate_square_mesh(8))),
+    "lipschitz ushape:10": lambda: lipschitz_operator(generate_ushape_mesh(10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINCARE_BUILDS))
+def test_poincare_matrices_keep_their_bits(name):
+    assert matrix_digest(POINCARE_BUILDS[name]()) == POINCARE_MATRIX_DIGESTS[name]
+
+
+def row_candidates(op):
+    """Most (image, triangle) grid candidates of one row of either degree."""
+    geom, most = op.geometry, 0
+    for rows, _, corners in op.cone.terms.values():
+        pts = op.cone.points.take(corners, axis=0)
+        if len(rows):
+            counts = geom.candidate_counts(pts.min(axis=1), pts.max(axis=1))
+            most = max(most, int(np.bincount(rows, counts).max()))
+    return most
+
+
+def digest_or_error(op):
+    try:
+        return matrix_digest(op)
+    except singular.OutsideDomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", ["square8", "ushape10"])
+def test_chunk_size_changes_no_bit(name, monkeypatch):
+    cx = {"square8": lambda: generate_square_mesh(8),
+          "ushape10": lambda: generate_ushape_mesh(10)}[name]()
+    # ``operators`` gives star and Bogovskii on the square, Lipschitz and
+    # Bogovskii on the U-shape; the U-shape is not star-shaped about a point
+    # of its bar, so every chunk size must reject the same first row of its star
+    third = lipschitz_operator if name == "square8" else lambda cx: star_operator(cx, (0.2, 0.2))
+    results = []
+    for pairs in (singular.CHUNK_PAIRS, 64, 1):
+        monkeypatch.setattr(singular, "CHUNK_PAIRS", pairs)
+        ops = [*operators(name, cx), third(cx)]
+        results.append([digest_or_error(op) for op in ops])
+    assert results[1] == results[0] and results[2] == results[0]
+    if name == "ushape10":
+        assert "leaves the mesh" in results[0][2]
+    # a row whose candidates overfill a chunk is a chunk of its own
+    assert max(map(row_candidates, ops)) > 64

@@ -210,10 +210,13 @@ def test_verify_bogovskii_rejects_facet_point(capsys):
 @pytest.mark.parametrize("op, message", [
     (["star"], "base point (nan, 0.5) lies outside the mesh"),
     (["bogovskii"], "base point (nan, 0.5) lies outside the mesh"),
-    (["lipschitz", "--contraction", "ushape"], "phi(vertex 0, 0.0) leaves the mesh"),
-], ids=["star", "bogovskii", "lipschitz"])
+    (["lipschitz", "--contraction", "ushape"], "contraction point (nan, 0.5) is not two finite"),
+    (["lipschitz", "--contraction", "straight-line"],
+     "contraction point (nan, 0.5) is not two finite"),
+], ids=["star", "bogovskii", "lipschitz", "straight-line"])
 def test_verify_rejects_a_nan_base_point(capsys, op, message):
-    # located nowhere, like an infinite one, rather than failing in the grid probe
+    # located nowhere, like an infinite one, rather than failing in the grid
+    # probe; a contraction rejects it before any image check
     code, out, err = run_cli(
         capsys,
         ["verify", "--mesh", "builtin:square:4", "--op", *op, "--point", "nan,0.5"],

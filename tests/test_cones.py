@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 from itertools import combinations
 
 import numpy as np
@@ -510,6 +511,30 @@ def test_from_matrices_rejects_discontinuous_slabs():
     ]
     with pytest.raises(ValueError):
         SlabAffineContraction.from_matrices((0.0, 0.5, 1.0), mats, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("point, name", [
+    (np.array([np.nan, 0.5]), "(nan, 0.5)"),
+    ((0.5, np.inf), "(0.5, inf)"),
+    ([0.2], "(0.2,)"),
+    ([0.2, 0.2, 0.2], "(0.2, 0.2, 0.2)"),
+], ids=["nan", "inf", "one-number", "three-numbers"])
+def test_contraction_rejects_a_point_that_is_not_two_finite_numbers(point, name, tmp_path):
+    message = f"contraction point {name} is not two finite numbers"
+    slab = [[[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]]
+    builds = [lambda: SlabAffineContraction.straight_line(point),
+              lambda: SlabAffineContraction.ushape(point),
+              lambda: SlabAffineContraction.from_matrices((0.0, 1.0), slab, point)]
+    for build in builds:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"breakpoints": [0.0, 1.0], "slabs": [{"matrix": slab[0]}],
+                                "point": np.asarray(point, dtype=float).tolist()}))
+    with pytest.raises(ValueError) as info:
+        SlabAffineContraction.load(path)
+    assert str(info.value) == message
 
 
 def test_validate_contraction_flags_escapes(ushape10):

@@ -109,6 +109,16 @@ def test_boundary_indices_locate_the_boundary_simplices(square2):
     assert square2.boundary_indices(2).size == 0
 
 
+def test_positions_find_rows_and_name_none_for_the_rest(square2):
+    for k in range(3):
+        rows = np.array(square2.simplices(k))
+        assert square2.positions(k, rows).tolist() == list(range(len(rows)))
+        assert square2.positions(k, rows[::-1]).tolist() == list(range(len(rows)))[::-1]
+        assert square2.positions(k, []).tolist() == []
+        assert square2.positions(k, np.empty((0, k + 1), dtype=np.int64)).tolist() == []
+    assert square2.positions(1, [(1, 0), (0, 99), (0, 1)]).tolist() == [-1, -1, 0]
+
+
 def test_cofacets(square2):
     assert square2.cofacets((0, 1)) == [(0, 1, 4)]
     assert len(square2.cofacets((0, 4))) == 2

@@ -1,7 +1,5 @@
 """Singular chains, degeneracy, clipping, and the planar integration engine."""
 
-import hashlib
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,7 +36,7 @@ from decpotentials.singular import (
     triangle_functional,
 )
 from decpotentials.whitney import MeshGeometry
-from conftest import jitter_interior, random_cochain, unchecked_bogovskii
+from conftest import jitter_interior, matrix_digest, random_cochain, unchecked_bogovskii
 
 
 def test_lift_matches_coordinates(square2):
@@ -259,6 +257,14 @@ def test_segment_inside_a_mesh_edge_gives_its_share_of_the_edge(mesh):
     assert abs(m - want).max() <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_functional_matrix_of_no_terms_is_empty(geom2, dim):
+    m = singular.functional_matrix(geom2, dim, [], [], [], 3)
+    assert m.shape == (3, geom2.complex.num_simplices(dim))
+    assert m.nnz == 0
+    assert m.indptr.tolist() == [0, 0, 0, 0]
+
+
 def test_triangle_functional_identity_row(geom2):
     pts = np.array(geom2.corners[3])
     row = triangle_functional(geom2, pts)
@@ -447,9 +453,4 @@ def test_shadow_cone_stores_no_degenerate_piece(shadow_op):
 
 def test_shadow_matrices_keep_their_bits(shadow_op):
     name, op = shadow_op
-    h = hashlib.sha256()
-    for k in (1, 2):
-        m = op.matrix(k)
-        for part in (m.data, m.indices, m.indptr):
-            h.update(part.tobytes())
-    assert h.hexdigest() == SHADOW_MATRIX_DIGESTS[name]
+    assert matrix_digest(op) == SHADOW_MATRIX_DIGESTS[name]

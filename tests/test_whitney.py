@@ -118,6 +118,18 @@ def test_locate_puts_points_with_a_nan_or_infinite_coordinate_nowhere(geom2, squ
             whitney_value(geom2, alpha, np.array([np.nan, 0.5]))
 
 
+def test_whitney_value_names_the_first_outside_point_as_floats(geom2, square2):
+    alpha = Cochain(square2, 0, np.zeros(square2.num_simplices(0)))
+    for point in (np.array([np.nan, 0.5]), (np.nan, 0.5), [np.nan, 0.5],
+                  np.array([[0.3, 0.2], [np.nan, 0.5], [2.0, 0.5]])):
+        with pytest.raises(ValueError) as info:
+            whitney_value(geom2, alpha, point)
+        assert str(info.value) == "point (nan, 0.5) lies outside the mesh"
+    with pytest.raises(ValueError) as info:
+        whitney_value(geom2, alpha, np.array([[[0.3, 0.2], [0.1, 0.1]], [[0.2, 0.1], [1.5, -0.5]]]))
+    assert str(info.value) == "point (1.5, -0.5) lies outside the mesh"
+
+
 def test_whitney_value_with_triangle_hint(geom2, square2):
     rng = np.random.default_rng(5)
     alpha = Cochain(square2, 1, rng.uniform(-1, 1, square2.num_simplices(1)))
@@ -320,3 +332,22 @@ def test_row_dot_rounds_as_the_dot_of_each_pair_of_rows(n):
     assert _dot(u, w).tobytes() == np.array([a @ b for a, b in zip(u, w)]).tobytes()
     signs = rng.choice([-1, 1], n)
     assert _dot(u, signs).tobytes() == np.array([row @ signs for row in u]).tobytes()
+
+
+@pytest.mark.parametrize("mesh", ["square7", "ushape10"])
+def test_scalar_triangle_index_gives_the_row_of_the_batched_call(mesh):
+    geom = MeshGeometry(oracle_mesh(mesh))
+    rng = np.random.default_rng(8)
+    triangles = np.arange(len(geom.corners))
+    points = np.einsum("ti,tij->tj", rng.dirichlet(np.ones(3), len(triangles)), geom.corners)
+    for method in (geom.barycentric, geom.edge_forms):
+        batch = method(triangles, points)
+        for t in (0, len(triangles) // 2, len(triangles) - 1):
+            for index in (t, np.int64(t), np.intp(t)):
+                one = method(index, points[t])
+                assert one.shape == batch.shape[1:]
+                assert one.tobytes() == batch[t].tobytes()
+    t = geom.locate(points[3])
+    assert type(t) is int
+    assert geom.barycentric(t, points[3]).min() >= -1e-12
+    assert geom.locate(np.array([5.0, 5.0])) is None
