@@ -28,18 +28,16 @@ import sys
 
 import numpy as np
 
-from .cones import SlabAffineContraction, collapse_cone, contraction_cone, lipschitz_cone, star_cone
+from .cones import (SlabAffineContraction, collapse_cone, lipschitz_cone, star_cone,
+                    strong_collapse_cone)
 from .homotopy import (
     CollapseSequence,
     StrongCollapseSequence,
-    build_product_complex,
-    contraction_from_strong_collapse,
     find_collapse_sequence,
     find_strong_collapse_sequence,
     greedy_strong_collapse,
     load_sequence,
     save_sequence,
-    uniform_breakpoints,
 )
 from .meshes import (
     generate_square_mesh,
@@ -148,21 +146,6 @@ def _load_contraction(args):
     return SlabAffineContraction.load(path)
 
 
-def _vertex_contraction_operator(cx: SimplicialComplex, terminal: int):
-    """One-slab contraction that fixes the top level and sends the bottom to
-    one vertex; it is simplicial exactly when the complex is that vertex's
-    closed star."""
-    if cx.positions(0, [terminal])[0] < 0:
-        raise PreconditionError(f"terminal vertex {terminal} not in mesh")
-    product = build_product_complex(cx, (0.0, 1.0))
-
-    def psi(pv: int) -> int:
-        v, level = product.vertex_level(pv)
-        return v if level == 1 else terminal
-
-    return contraction_cone(psi, product)
-
-
 # --op name -> (sequence class, search) of the combinatorial operators
 SEQUENCE_KINDS = {
     "collapse": (CollapseSequence, find_collapse_sequence),
@@ -209,15 +192,15 @@ def build_operator(args, cx: SimplicialComplex, geometry: MeshGeometry | None):
         base = DiscretePoincareOperator(collapse_cone(_sequence(args, cx)), geometry,
                                         label="collapse")
     elif op == "strong-collapse":
-        seq = _sequence(args, cx)
-        product = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
-        psi = contraction_from_strong_collapse(seq, product)
-        base = DiscretePoincareOperator(
-            contraction_cone(psi, product), geometry, label="strong-collapse"
-        )
+        base = DiscretePoincareOperator(strong_collapse_cone(_sequence(args, cx)), geometry,
+                                        label="strong-collapse")
     elif op == "contraction":
+        # a closed star retracts onto its centre a vertex at a time: joins to it
         terminal = _require(args.terminal_vertex, "terminal-vertex", op)
-        cone = _vertex_contraction_operator(cx, terminal)
+        if cx.positions(0, [terminal])[0] < 0:
+            raise PreconditionError(f"terminal vertex {terminal} not in mesh")
+        steps = [(v, terminal) for v in cx._rows[0][:, 0].tolist() if v != terminal]
+        cone = strong_collapse_cone(StrongCollapseSequence(cx, steps, terminal))
         base = DiscretePoincareOperator(cone, geometry, label="contraction")
     elif op == "star":
         point = _parse_point(_require(args.point, "point", op))
@@ -386,7 +369,7 @@ def _add_operator_args(p):
     p.add_argument("--truncation-factor", type=float, default=10.0,
                    help="ignored: bogovskii integrals are exact, with no truncation")
     p.add_argument("--complex-property", action="store_true",
-                   help="replace P by P - dPP (kills the double potential)")
+                   help="replace P by P - dPP, which squares to zero; on a 2-D mesh it is P")
     p.add_argument("--tolerance", type=float, default=None,
                    help="residual threshold (default depends on --op)")
 

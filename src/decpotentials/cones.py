@@ -4,6 +4,7 @@ A cone operator sends each k-simplex of a complex to a (k+1)-dimensional
 object "filling" it toward a distinguished point or vertex:
 
 * ``collapse_cone``   -- simplicial chains, from a collapse sequence;
+* ``strong_collapse_cone`` -- the same, from a strong collapse's steps;
 * ``contraction_cone``-- simplicial chains, pushing extruded prisms through a
                          discrete contraction of the product vertices, in
                          the slabs where the simplex's image moves;
@@ -22,9 +23,9 @@ cancellation still works).  Every cone is stored as index arrays per simplex
 dimension: (row, column, coefficient) of each term for simplicial cones, and
 (row, coefficient, corners) into one point table for singular ones; chain
 tables are built only when read.  The prism-based cones never build the
-product complex.  ``contraction_cone`` reads a strong collapse's cone off
-its steps by their elementary recurrence, one numpy walk per degree; any
-other contraction, or one the recurrence cannot follow, it reads as each
+product complex.  A strong collapse's cone is read off its steps by their
+recurrence, one numpy walk per degree whose checks validate the sequence,
+also in ``contraction_cone``; any other contraction it reads as each
 vertex's image changes, and pushes the prisms of the slabs where a vertex
 of the simplex moves through it in numpy, every other prism being
 degenerate.  ``lipschitz_cone`` reads ``ProductComplex.prism_rows`` and
@@ -35,6 +36,7 @@ geometry built when none is given) and the cone's points are read from.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 from bisect import bisect_right
@@ -47,6 +49,7 @@ import scipy.sparse as sp
 from .homotopy import (
     CollapseSequence,
     ProductComplex,
+    StrongCollapseSequence,
     _replay,
     checked_breakpoints,
     vertex_images,
@@ -118,6 +121,7 @@ class SingularConeOperator(_ConeOperatorBase):
     """
 
     _element, _chain_type = LinearSimplex, SingularChain
+    star = False  # every term joins the point to a simplex (``star_cone``)
 
     def __init__(self, complex: SimplicialComplex, point, points: np.ndarray, terms: dict):
         self.complex = complex
@@ -185,6 +189,23 @@ def collapse_cone(seq: CollapseSequence) -> SimplicialConeOperator:
     return SimplicialConeOperator(cx, seq.terminal, terms)
 
 
+def strong_collapse_cone(seq: StrongCollapseSequence) -> SimplicialConeOperator:
+    """Cone operator of a strong collapse, read off its steps: step j retracts
+    v_j onto w_j, so ``C(tau) = [w_j, tau] + s C(tau[v_j -> w_j])``, v_j the
+    first removed vertex of tau and s the sign that sorts the next row, or 0
+    when w_j is in tau or tau is the terminal.  Its checks (w_j joins every
+    live simplex holding v_j: it dominates v_j) and a terminal never removed
+    are ``validate_strong_collapse_sequence``; a ``ValueError`` names the first
+    bad step."""
+    steps = np.array(seq.steps, dtype=np.int64).reshape(-1, 2).T
+    terms = _strong_collapse_terms(seq.complex, steps)
+    left = np.setdiff1d(seq.complex._rows[0][:, 0], steps[0]).tolist()
+    if left != [seq.terminal]:
+        raise ValueError(f"not a strong collapse to vertex {seq.terminal}: the steps leave "
+                         f"vertices {left[:4]}{'...' if len(left) > 4 else ''}")
+    return SimplicialConeOperator(seq.complex, left[0], terms)
+
+
 BLOCK_PAIRS = 1 << 12  # (simplex, slab) pairs pushed through a contraction at once
 
 
@@ -200,15 +221,12 @@ def contraction_cone(psi: Callable[[int], int],
 
     ``psi`` is read as its ``moves`` (``homotopy.vertex_images``), sampled
     one vertex at a time where it has none.  A strong collapse's ``psi``
-    also carries its ``steps``: slab j maps the images by v_j -> w_j alone,
-    so ``C(tau) = [w_j, tau] + s C(tau[v_j -> w_j])``, v_j the first removed
-    vertex of tau and s the sign that sorts the next row, or 0 when w_j is
-    in tau or no vertex of tau is removed, each row's terms in reverse path
-    order.  Any other ``psi``, and steps that do not fit the product or
-    reach a join that is no base simplex, are swept over the slabs in which
-    a vertex of the simplex moves: elsewhere each prism repeats a vertex
-    image, within the simplex's image, which the first and last prisms of
-    a moving slab hold whole.  Both give the same terms in the same order.
+    also carries its ``steps``, whose cone is ``strong_collapse_cone``'s.
+    Any other ``psi``, and steps that do not fit the product or are no
+    strong collapse, are swept over the slabs in which a vertex of the
+    simplex moves: elsewhere each prism repeats a vertex image, within the
+    simplex's image, which the first and last prisms of a moving slab hold
+    whole.  Both give the same terms in the same order.
     """
     base, levels = product.base, product.n_slabs + 1
     ids = base._rows[0][:, 0]
@@ -225,26 +243,28 @@ def contraction_cone(psi: Callable[[int], int],
         raise ValueError("contraction is not constant at level 0")
     if (image(ids, levels - 1) != ids).any():
         raise ValueError("contraction is not the identity at the top level")
-    terms = _strong_collapse_terms(product, getattr(psi, "steps", None))
+    steps, terms = getattr(psi, "steps", None), None
+    if steps is not None and product.n_slabs == max(steps.shape[1], 1):
+        with contextlib.suppress(ValueError):  # the sweep names the bad prism
+            terms = _strong_collapse_terms(base, steps)
     if terms is None:
         terms = _swept_terms(product, moves, image)
     return SimplicialConeOperator(base, int(bottom[0]), terms)
 
 
-def _strong_collapse_terms(product: ProductComplex, steps) -> dict | None:
+def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
     """The cone's terms from a strong collapse's (v_j, w_j) ``steps`` columns, all
-    rows walking their recurrence at once; None where the sweep decides (no steps,
-    another slab count, a vertex removed twice or to a removed one, a bad join)."""
-    if steps is None or product.n_slabs != max(steps.shape[1], 1):
-        return None
-    base, m = product.base, steps.shape[1]
-    ids, step = base._rows[0][:, 0], np.arange(m)
+    rows walking their recurrence at once; a ``ValueError`` names the first step
+    that is no elementary strong collapse."""
+    ids, m = base._rows[0][:, 0], steps.shape[1]
+    step = np.arange(m)
     at = base.positions(0, steps.reshape(-1, 1)).reshape(2, m)
-    removal = np.full(len(ids) + 1, m)  # each vertex's removal step, m for none; -1 is spare
-    removal[at[0]] = step
-    if (at < 0).any() or (removal[at[0]] != step).any() or (removal[at[1]] <= step).any():
-        return None
-    terms = {}
+    removal = np.full(len(ids) + 1, m)  # each vertex's first removal step, m for none; -1 is spare
+    np.minimum.at(removal, at[0], step)
+    bad = np.flatnonzero((at < 0).any(axis=0) | (removal[at[0]] < step) | (removal[at[1]] <= step))
+    b = int(bad[0]) if bad.size else m
+    removal[removal >= b] = m  # the walk takes the steps before the first bad one
+    terms, missing = {}, []
     for k, rows in base._rows.items():
         # each row's first step j, removing its vertex at column p; a row with
         # no step never moves, and one holding w_j is degenerate from there on
@@ -256,8 +276,10 @@ def _strong_collapse_terms(product: ProductComplex, steps) -> dict | None:
         below = (r < w[:, None]).sum(axis=1)
         col, nxt = np.full((2, len(rows)), -1)
         col[live] = base.positions(k + 1, np.sort(np.c_[r, w], axis=1)) if k < base.dim else -1
-        if (col[live] < 0).any():  # else the next rows, faces of the joins, are base simplices
-            return None
+        # a missing join is a fault; else the next rows, faces of the joins, are base simplices
+        missing += [(j[i], k, tuple(rows[i].tolist())) for i in live[col[live] < 0].tolist()]
+        if missing:
+            continue
         r[np.arange(len(r)), p] = w
         nxt[live] = base.positions(k, np.sort(r, axis=1))
         # the join's sign orients (w_j, tau); flip sorts the next row
@@ -272,6 +294,15 @@ def _strong_collapse_terms(product: ProductComplex, steps) -> dict | None:
         row, col, coeff = map(np.concatenate, zip(*parts[::-1]))  # reverse path order
         order = np.argsort(row, kind="stable")
         terms[k] = (row[order], col[order], coeff[order])
+    if missing or b < m:
+        j, _, tau = min(missing) if missing else (b, 0, ())
+        v, w = steps[:, j].tolist()
+        why = (f"{w} does not dominate {v}, so the retraction is not simplicial: the join of "
+               f"{w} and {tau} is no simplex" if missing else
+               "names a vertex not in the complex" if (at[:, j] < 0).any() else
+               f"removes {v} again, after step {removal[at[0, j]]}" if removal[at[0, j]] < j
+               else f"retracts {v} onto a removed vertex or itself")
+        raise ValueError(f"not a strong collapse: step {j} ({v}, {w}) {why}")
     return terms
 
 
@@ -361,9 +392,12 @@ def star_cone(point, complex: SimplicialComplex) -> SingularConeOperator:
     """Join every simplex to a star point by a linear singular simplex.
 
     Simplices whose join with the point is degenerate keep their (degenerate)
-    simplex in the table; it integrates to zero.
+    simplex in the table; it integrates to zero.  The cone is marked ``star``,
+    so an operator on it first checks that the domain is star-shaped.
     """
-    return _join(point, complex, SingularConeOperator)
+    cone = _join(point, complex, SingularConeOperator)
+    cone.star = True
+    return cone
 
 
 def infinite_cone(point, complex: SimplicialComplex) -> InfiniteConeOperator:

@@ -31,9 +31,10 @@ A strong collapse sequence induces a discrete contraction: a vertex
 function on the product vertices that is the identity at the top level and
 constant at the bottom, and that is simplicial when the sequence is valid.
 It is stored as its moves, the levels where a vertex's image changes and
-the new images (``vertex_images``), which ``cones.contraction_cone`` reads
-in place of calling the function, and it carries the sequence's steps, from
-which ``contraction_cone`` builds the cone by their elementary recurrence.
+the new images (``vertex_images``), and it carries the sequence's steps.
+The cone needs only the steps: ``cones.strong_collapse_cone`` builds it
+from the sequence alone, accepting exactly the sequences that
+``validate_strong_collapse_sequence`` accepts.
 """
 
 from __future__ import annotations
@@ -389,10 +390,8 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     vertex.  The product complex must have exactly one slab per removal step
     (one slab total when the sequence is empty).  The function carries its
     ``moves`` (``vertex_images``), which ``contraction_cone`` reads instead
-    of calling it, checking that the function is simplicial, and its
-    ``steps``, the (dominated, dominating) columns of a (2, m) int64 array,
-    from which ``contraction_cone`` reads the cone by the recurrence
-    ``C(tau) = [w_j, tau] + s C(tau[v_j -> w_j])``.
+    of calling it, and its ``steps``, the (dominated, dominating) columns of
+    a (2, m) int64 array.
     """
     base = seq.complex
     if product.base is not base:

@@ -30,9 +30,10 @@ with pi = 0, and the outputs again have vanishing trace.  Its base point
 must not meet any codimension-1 simplex, and must lie at least 1e-12 mesh
 diagonals inside every boundary edge's line, so that the domain is
 star-shaped about it (``check_star_shaped``): elsewhere the identity still
-holds but the outputs do not keep zero trace.  ``ComplexPropertyOperator`` holds
-the matrices of ``P - d P P``, formed once from its base operator's; they
-satisfy the same identity and square to zero.
+holds but the outputs do not keep zero trace.  A star operator needs only
+the closed kernel, checked before any row.  ``ComplexPropertyOperator``
+holds the matrices of ``P - d P P``, which satisfy the same identity and
+square to zero: on a 2-D mesh they are P's.
 
 One cochain (1-D values of a real dtype no wider than float64) costs
 ``apply`` one read of its matrix's ``shape``, one zeroed float64 output and
@@ -105,7 +106,7 @@ def check_base_point(geometry: MeshGeometry, point) -> None:
         )
 
 
-def check_star_shaped(geometry: MeshGeometry, point) -> None:
+def check_star_shaped(geometry: MeshGeometry, point, closed: bool = False) -> None:
     """Reject a domain that is not star-shaped about a base point of the mesh.
 
     The point must lie on the inner side of every boundary edge's line, the
@@ -114,7 +115,8 @@ def check_star_shaped(geometry: MeshGeometry, point) -> None:
     those lines at most once, and only outward, so once it leaves the mesh
     it never re-enters: the point sees the whole mesh, whatever its
     topology.  For a simple polygon these points are its kernel (Lee and
-    Preparata, 1979).
+    Preparata, 1979).  A star cone needs only the ``closed`` kernel, to that
+    margin: a point on those lines, as on a convex domain's boundary, is kept.
     """
     cx = geometry.complex
     edges = cx.boundary_indices(1)
@@ -128,7 +130,7 @@ def check_star_shaped(geometry: MeshGeometry, point) -> None:
     margin = side * (d[:, 0] * (p[1] - a[:, 1]) - d[:, 1] * (p[0] - a[:, 0])) / np.hypot(*d.T)
     worst = int(np.argmin(margin))
     tol = 1e-12 * geometry.diagonal
-    if margin[worst] < tol:
+    if margin[worst] < (-tol if closed else tol):
         where = "outside" if margin[worst] < 0 else f"within {tol:.1e} of the line of"
         raise NotStarShapedError(
             f"the domain is not star-shaped about base point ({p[0]:g}, {p[1]:g}): it "
@@ -152,6 +154,8 @@ class DiscretePoincareOperator:
                 raise PreconditionError(
                     f"base point {tuple(cone.point.tolist())} lies outside the mesh")
             self._pi = geometry.corner_rows[t], geometry.barycentric(t, cone.point)
+            if cone.star:  # every join must lie in the domain
+                check_star_shaped(geometry, cone.point, closed=True)
         else:
             raise TypeError(f"unsupported cone operator {type(cone).__name__}")
         self.cone = cone
@@ -229,8 +233,13 @@ class DiscretePoincareOperator:
 class ComplexPropertyOperator(DiscretePoincareOperator):
     """P - d P P: same homotopy identity, and the composition squares to zero.
 
-    The matrices ``P_k - D_{k-2} (P_{k-1} P_k)`` are formed here from the base
-    operator's, so ``apply`` is one sparse mat-vec.
+    A combinatorial operator's ``P_k - D_{k-2} (P_{k-1} P_k)`` are formed
+    here, one mat-vec each; a Whitney operator's mesh is 2-D, where
+    ``P_1 P_2`` is the only composition and is zero, so it keeps ``P``.
+    With ``R_1 = D_0 P_1 + P_2 D_1 - I`` and ``R_2 = D_1 P_2 - I``,
+    ``D_0 (P_1 P_2) = R_1 P_2 - P_2 R_2``, so ``P_1 P_2`` is closed, a
+    constant on a connected mesh, which ``P_1 D_0 + pi = I`` makes
+    ``pi P_1 P_2 = 0``: ``pi P_1 = 0`` for every cone here.
     """
 
     def __init__(self, base: DiscretePoincareOperator):
@@ -241,7 +250,7 @@ class ComplexPropertyOperator(DiscretePoincareOperator):
         cx = self.complex
         for k in range(1, cx.dim + 1):
             p = base.matrix(k)
-            if k >= 2:
+            if k >= 2 and self.kind == "combinatorial":
                 p = (p - cx.coboundary_matrix(k - 2) @ (base.matrix(k - 1) @ p)).tocsr()
             self._matrices[k] = p
 

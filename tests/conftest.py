@@ -6,10 +6,12 @@ import scipy.sparse as sp
 
 from decpotentials import (
     BogovskiiOperator,
+    DiscretePoincareOperator,
     MeshGeometry,
     generate_square_mesh,
     generate_ushape_mesh,
     potentials,
+    star_cone,
 )
 from decpotentials.simplicial import Cochain, SimplicialComplex
 
@@ -129,8 +131,20 @@ def unchecked_bogovskii(point, cx, geometry=None):
     notch gives shadow pieces that leave and re-enter the mesh.
     """
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(potentials, "check_star_shaped", lambda geometry, point: None)
+        mp.setattr(potentials, "check_star_shaped", lambda geometry, point, closed=False: None)
         return BogovskiiOperator(point, cx, geometry)
+
+
+def unchecked_star(point, cx, geometry=None):
+    """The star construction on a domain that need not be star-shaped.
+
+    A star operator rejects such a domain before any row is assembled
+    (``NotStarShapedError``); assembly tests still build it there, with its
+    cone not marked ``star``, to reach the rows whose joins leave the mesh.
+    """
+    cone = star_cone(point, cx)
+    cone.star = False
+    return DiscretePoincareOperator(cone, geometry)
 
 
 def certified_residual(op) -> float:

@@ -25,6 +25,7 @@ from decpotentials import (
     Cochain,
     DiscretePoincareOperator,
     MeshGeometry,
+    NotStarShapedError,
     SlabAffineContraction,
     generate_square_mesh,
     generate_ushape_mesh,
@@ -34,7 +35,7 @@ from decpotentials import (
 from decpotentials import singular
 from decpotentials.singular import chain_functional
 
-from conftest import jitter_interior, matrix_digest, unchecked_bogovskii
+from conftest import jitter_interior, matrix_digest, unchecked_bogovskii, unchecked_star
 
 GAUSS = ((0.5 - 0.5 * np.sqrt(0.6), 5 / 18), (0.5, 8 / 18), (0.5 + 0.5 * np.sqrt(0.6), 5 / 18))
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -394,8 +395,13 @@ def test_chunk_size_changes_no_bit(name, monkeypatch):
           "ushape10": lambda: generate_ushape_mesh(10)}[name]()
     # ``operators`` gives star and Bogovskii on the square, Lipschitz and
     # Bogovskii on the U-shape; the U-shape is not star-shaped about a point
-    # of its bar, so every chunk size must reject the same first row of its star
-    third = lipschitz_operator if name == "square8" else lambda cx: star_operator(cx, (0.2, 0.2))
+    # of its bar, so its star operator is rejected before any row, and every
+    # chunk size must reject the same first row of its unchecked star
+    if name == "ushape10":
+        with pytest.raises(NotStarShapedError, match=r"outside boundary edge \(40, 48\)"):
+            star_operator(cx, (0.2, 0.2))
+    third = (lipschitz_operator if name == "square8"
+             else lambda cx: unchecked_star((0.2, 0.2), cx, MeshGeometry(cx)))
     results = []
     for pairs in (singular.CHUNK_PAIRS, 64, 1):
         monkeypatch.setattr(singular, "CHUNK_PAIRS", pairs)

@@ -18,7 +18,7 @@ from decpotentials import (
     save_cochain_csv,
     save_mesh_json,
 )
-from decpotentials import cli
+from decpotentials import cli, cones, homotopy, potentials
 from decpotentials.cli import main
 
 from conftest import annulus_complex, holed_square_complex
@@ -434,9 +434,12 @@ def test_potential_rejects_degree_zero_field(capsys, tmp_path, square2):
     assert "degree" in err_json(err)["message"]
 
 
-def test_potential_that_fails_writes_no_file(capsys, tmp_path):
+def test_potential_that_fails_writes_no_file(capsys, tmp_path, monkeypatch):
     # from the left arm of the U, star cones over the right arm cross the
-    # notch, so assembling the potential's P_1 leaves the mesh
+    # notch, so assembling the potential's P_1 leaves the mesh; the star
+    # operator's domain check, which rejects the U before any row, is
+    # skipped to reach that row after P_2 has been applied
+    monkeypatch.setattr(potentials, "check_star_shaped", lambda geometry, point, closed: None)
     code, _, err = run_cli(
         capsys,
         ["potential", "--mesh", "builtin:ushape:10", "--op", "star", "--point", "0.15,0.8",
@@ -663,6 +666,48 @@ def test_verify_and_potential_build_no_simplex_tuples(op, capsys, monkeypatch, t
         assert len(rows) == 1 + cx.num_simplices(2)
 
 
+@pytest.mark.parametrize("op", sorted(SMALLEST_OPERATORS))
+def test_verify_and_potential_build_no_product_complex(op, capsys, monkeypatch):
+    # strong collapse and contraction read their cones off the steps: no
+    # ProductComplex, contraction or prism sweep; lipschitz_cone reads its
+    # prisms off a ProductComplex of the contraction's breakpoints, never
+    # listing its simplices
+    def refuse(*args):
+        raise AssertionError("a contraction was built or swept")
+
+    built, init = [], homotopy.ProductComplex.__init__
+    monkeypatch.setattr(homotopy.ProductComplex, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    for module in (cli, cones, homotopy):
+        for name in ("contraction_from_strong_collapse", "_swept_terms"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    args = ["--op", op, *SMALLEST_OPERATORS[op]]
+    for argv in (["verify", *args, "--trials", "3"], ["potential", *args, "--field", "g2"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0 and err == "", argv
+    assert bool(built) == (op == "lipschitz")
+    assert all("complex" not in vars(p) for p in built)
+
+
+def test_invalid_strong_collapse_sequence_file_names_its_step(capsys, tmp_path):
+    path = tmp_path / "seq.json"
+    assert run_cli(capsys, ["find-strong-collapse", "--mesh", "builtin:square:2",
+                            "--out", str(path)])[0] == 0
+    data = json.loads(path.read_text())
+    # the third step retracts its vertex onto the one the first step removed
+    data["steps"][2]["dominating"] = data["steps"][0]["dominated"]
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["verify", "--mesh", "builtin:square:2",
+                                      "--op", "strong-collapse", "--sequence", str(path)])
+    assert code == 2 and out == ""
+    v = data["steps"][2]["dominated"]
+    assert err_json(err) == {
+        "type": "ValueError",
+        "message": f"not a strong collapse: step 2 ({v}, {data['steps'][0]['dominated']}) "
+                   f"retracts {v} onto a removed vertex or itself"}
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh-info", "--mesh", "builtin:ushape:10"],
     ["find-collapse", "--mesh", "builtin:square:4"],
@@ -676,10 +721,9 @@ def test_mesh_commands_build_no_simplex_tuples(argv, capsys, monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("argv, error", [
     (["--mesh", "builtin:ushape:10", "--op", "star", "--point", "0.15,0.8"],
-     {"type": "OutsideDomainError",
-      "message": "row of simplex (4,): segment ((0.15, 0.8), (0.4, 0.0)) leaves the mesh: "
-                 "length 2.095e-02 of its 8.382e-01 is not covered (tolerance 1.4e-10, "
-                 "1e-10 of the mesh diagonal)"}),
+     {"type": "NotStarShapedError",
+      "message": "the domain is not star-shaped about base point (0.15, 0.8): it lies "
+                 "outside boundary edge (40, 48), margin -0.55"}),
     (["--mesh", "builtin:square:4", "--op", "bogovskii", "--point", "0.5,0.5"],
      {"type": "BasePointOnFacetError",
       "message": "base point (0.5, 0.5) lies on edge (6, 12) within 1.4e-12"}),

@@ -20,6 +20,7 @@ from decpotentials.cones import (
     lipschitz_cone,
     shadow_cone,
     star_cone,
+    strong_collapse_cone,
     validate_contraction,
 )
 from decpotentials.homotopy import (
@@ -354,7 +355,7 @@ def test_strong_collapse_recurrence_equals_the_sweep(seed, rounds):
     assert seq is not None, "coned growth is strong collapsible"
     prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
     psi = contraction_from_strong_collapse(seq, prod)
-    assert cones._strong_collapse_terms(prod, psi.steps) is not None
+    assert cones._strong_collapse_terms(cx, psi.steps)
     op = contraction_cone(psi, prod)
     _assert_same_terms(op, contraction_cone(_swept(psi), prod))
     _check_cone_identity(op, cx)
@@ -416,6 +417,94 @@ def test_strong_collapse_cone_tables_come_from_the_recurrence(monkeypatch):
 
     monkeypatch.setattr(cones, "_swept_terms", no_sweep)
     test_strong_collapse_cone_tables_are_pinned()
+
+
+def _step_list(rng, cx, kind):
+    """A strong collapse of cx as (steps, terminal), or one corrupted by ``kind``:
+    1 swaps two steps, 2 takes another terminal, 3 and 4 another dominating or
+    dominated vertex, 5 repeats a removal, 6 truncates, 7 is random and 8 is
+    empty.  A vertex drawn may be one past the complex's, which is none of its."""
+    ids = [v for (v,) in cx.simplices(0)]
+    seq = find_strong_collapse_sequence(cx)
+    steps, terminal = (list(seq.steps), seq.terminal) if seq else ([], ids[0])
+
+    def pick():
+        return int(rng.choice(ids + [ids[-1] + 1]))
+
+    at = int(rng.integers(max(len(steps), 1)))
+    if kind == 1 and len(steps) > 1:
+        i, j = rng.choice(len(steps), 2, replace=False)
+        steps[i], steps[j] = steps[j], steps[i]
+    elif kind == 2:
+        terminal = pick()
+    elif kind in (3, 4) and steps:
+        steps[at] = (steps[at][0], pick()) if kind == 3 else (pick(), steps[at][1])
+    elif kind == 5 and steps:
+        steps.insert(int(rng.integers(at, len(steps) + 1)), steps[at])
+    elif kind == 6:
+        steps = steps[:at]
+    elif kind == 7:
+        steps, terminal = [(pick(), pick()) for _ in range(int(rng.integers(len(ids))))], pick()
+    elif kind == 8:
+        steps = []
+    return steps, terminal
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 8), kind=st.integers(0, 8),
+       hollow=st.booleans())
+def test_strong_collapse_cone_accepts_exactly_the_valid_sequences(seed, rounds, kind, hollow):
+    rng = np.random.default_rng(seed)
+    cx = _random_collapsible(rng, rounds=rounds)
+    if hollow:  # a cycle on three new vertices: no strong collapse at all
+        n = cx.vertex_count
+        cx = SimplicialComplex([*cx.simplices(cx.dim), (n, n + 1), (n + 1, n + 2), (n, n + 2)])
+    seq = StrongCollapseSequence(cx, *_step_list(rng, cx, kind))
+    try:
+        op = strong_collapse_cone(seq)
+    except ValueError as exc:
+        assert not validate_strong_collapse_sequence(seq), exc
+        assert str(exc).startswith("not a strong collapse")
+        return
+    assert validate_strong_collapse_sequence(seq)
+    prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
+    _assert_same_terms(op, contraction_cone(contraction_from_strong_collapse(seq, prod), prod))
+    assert op.vertex == seq.terminal
+
+
+@pytest.mark.parametrize("steps, terminal, message", [
+    ([(3, 2), (0, 1), (1, 2)], 2, None),
+    ([(3, 2), (0, 1), (1, 2)], 1, "not a strong collapse to vertex 1: the steps leave vertices [2]"),
+    ([], 2, "not a strong collapse to vertex 2: the steps leave vertices [0, 1, 2, 3]"),
+    ([(0, 7), (1, 2)], 2, "not a strong collapse: step 0 (0, 7) names a vertex not in the complex"),
+    ([(3, 2), (0, 1), (0, 2)], 2,
+     "not a strong collapse: step 2 (0, 2) removes 0 again, after step 1"),
+    ([(0, 1), (1, 0)], 0,
+     "not a strong collapse: step 1 (1, 0) retracts 1 onto a removed vertex or itself"),
+    ([(1, 1), (0, 2)], 2,
+     "not a strong collapse: step 0 (1, 1) retracts 1 onto a removed vertex or itself"),
+    ([(1, 3), (0, 2), (2, 3)], 3,
+     "not a strong collapse: step 0 (1, 3) 3 does not dominate 1, so the retraction is not "
+     "simplicial: the join of 3 and (1,) is no simplex"),
+    # the missing join comes first, before the unknown vertex
+    ([(1, 3), (0, 9)], 3,
+     "not a strong collapse: step 0 (1, 3) 3 does not dominate 1, so the retraction is not "
+     "simplicial: the join of 3 and (1,) is no simplex"),
+    ([(0, 1), (1, 3), (2, 3)], 3,
+     "not a strong collapse: step 1 (1, 3) 3 does not dominate 1, so the retraction is not "
+     "simplicial: the join of 3 and (1,) is no simplex"),
+])
+def test_strong_collapse_cone_names_the_first_bad_step(steps, terminal, message):
+    # a triangle with an edge hanging off its vertex 2
+    cx = SimplicialComplex([(0, 1, 2), (2, 3)])
+    seq = StrongCollapseSequence(cx, steps, terminal)
+    assert validate_strong_collapse_sequence(seq) == (message is None)
+    if message is None:
+        _check_cone_identity(strong_collapse_cone(seq), cx)
+        return
+    with pytest.raises(ValueError) as err:
+        strong_collapse_cone(seq)
+    assert str(err.value) == message
 
 
 def test_star_cone_formal_homotopy_identity(square2):

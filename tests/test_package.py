@@ -1,5 +1,6 @@
 """The public names: ``__all__``, the names README's library example imports
-and the library functions the benchmark's tracer wraps."""
+and the library functions the benchmark's tracer wraps; README's library
+example runs."""
 
 import importlib
 import importlib.util
@@ -21,6 +22,13 @@ def test_readme_example_imports_are_exported():
     names = {name.strip() for block in blocks for name in block.split(",")} - {""}
     assert names, "README has no library example"
     assert sorted(names - set(decpotentials.__all__)) == []
+
+
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"## Library overview\n\n```python\n(.*?)```", README.read_text(),
+                          re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("{'0': {'max': ")
 
 
 def test_traced_functions_resolve():

@@ -19,6 +19,7 @@ from decpotentials import (
     OutsideDomainError,
     PreconditionError,
     SimplicialComplex,
+    StrongCollapseSequence,
     build_product_complex,
     check_base_point,
     coboundary,
@@ -35,6 +36,7 @@ from decpotentials import (
     lipschitz_cone,
     max_residual,
     star_cone,
+    strong_collapse_cone,
     uniform_breakpoints,
     verify_homotopy,
     whitney_value,
@@ -44,7 +46,7 @@ from decpotentials.cli import main
 from decpotentials.whitney import _dot
 
 from conftest import (annulus_complex, certified_residual, holed_square_complex, jitter_interior,
-                      random_cochain, unchecked_bogovskii)
+                      random_cochain, unchecked_bogovskii, unchecked_star)
 
 
 @pytest.fixture(scope="module")
@@ -474,6 +476,89 @@ def test_complex_property_matrices_square_to_zero(collapse_op8, star_op8):
         assert product.sum(axis=1).max() <= 1e-12, base.label
 
 
+def _delaunay(n, seed):
+    """n uniform points plus the corners of the unit square, triangulated."""
+    pts = np.vstack([np.random.default_rng(seed).random((n, 2)), [[0, 0], [1, 0], [0, 1], [1, 1]]])
+    return SimplicialComplex(Delaunay(pts).simplices, coordinates=pts)
+
+
+def test_combinatorial_double_potentials_are_exactly_zero(square8, ushape10):
+    closed_star = SimplicialComplex([(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+    cones = [collapse_cone(find_collapse_sequence(cx)) for cx in (square8, ushape10)]
+    cones += [strong_collapse_cone(find_strong_collapse_sequence(cx)) for cx in (square8, ushape10)]
+    # --op contraction: every vertex of a closed star retracted onto its centre
+    cones.append(strong_collapse_cone(StrongCollapseSequence(
+        closed_star, [(v, 4) for v in range(4)], 4)))
+    for cone in cones:
+        op = DiscretePoincareOperator(cone)
+        assert (op.matrix(1) @ op.matrix(2)).count_nonzero() == 0
+        cp = ComplexPropertyOperator(op)
+        for k in (1, 2):  # P - dPP keeps P's bits
+            assert (cp.matrix(k) != op.matrix(k)).nnz == 0
+
+
+# P_1 P_2 is zero in exact arithmetic (ComplexPropertyOperator); in floats each
+# row sum of |P_1 P_2| stays below this many units of roundoff times the row's
+# scale, the row sum of |P_1| times the largest row sum of |P_2|.  The scale is
+# not the row sum of |P_1| |P_2|: where an entry of P_1 or P_2 is itself
+# roundoff, such as the Lipschitz U-shape's, that sum is roundoff too.  The
+# largest multiple measured on these meshes is 2.4.
+DOUBLE_POTENTIAL_ROUNDOFFS = 16
+
+
+@pytest.mark.parametrize("mesh", ["square:12", "ushape:20", "delaunay:200"])
+def test_whitney_double_potentials_are_roundoff(mesh):
+    kind, n = mesh.split(":")
+    cx = {"square": generate_square_mesh, "ushape": generate_ushape_mesh,
+          "delaunay": lambda n: _delaunay(n, 1)}[kind](int(n))
+    geom = MeshGeometry(cx)
+    if kind == "ushape":  # star-shaped about no point
+        ops = [lipschitz_cone(SlabAffineContraction.ushape((0.2, 0.2)), cx, geom)]
+    else:
+        ops = [star_cone((0.52, 0.51), cx),
+               lipschitz_cone(SlabAffineContraction.straight_line((0.3, 0.6)), cx, geom)]
+    ops = [DiscretePoincareOperator(cone, geom) for cone in ops]
+    if kind != "ushape":
+        ops.append(BogovskiiOperator((0.5013, 0.4987), cx, geom))
+    u = np.finfo(float).eps / 2
+    for op in ops:
+        p1, p2 = op.matrix(1), op.matrix(2)
+        rows = abs(p1 @ p2).sum(axis=1).A1
+        scale = abs(p1).sum(axis=1).A1 * abs(p2).sum(axis=1).max()
+        assert (rows <= DOUBLE_POTENTIAL_ROUNDOFFS * u * scale).all(), (mesh, op.label)
+        # so P - dPP is P itself
+        cp = ComplexPropertyOperator(op)
+        assert all(cp.matrix(k) is op.matrix(k) for k in (1, 2))
+
+
+def test_star_rejects_a_domain_not_star_shaped_before_any_row(ushape10, ugeom, square8, geom8,
+                                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was assembled")
+
+    geometries, init = [], MeshGeometry.__init__
+    monkeypatch.setattr(MeshGeometry, "__init__",
+                        lambda self, cx: geometries.append(cx) or init(self, cx))
+    monkeypatch.setattr(potentials, "functional_matrix", refuse)
+    with pytest.raises(NotStarShapedError) as err:
+        DiscretePoincareOperator(star_cone((0.2, 0.2), ushape10), ugeom)
+    assert str(err.value) == ("the domain is not star-shaped about base point (0.2, 0.2): "
+                              "it lies outside boundary edge (40, 48), margin -0.5")
+    # a point on the boundary of a convex domain sees all of it
+    for point in ((0.0, 0.0), (0.0, 0.5), (1.0, 0.25)):
+        DiscretePoincareOperator(star_cone(point, square8), geom8)
+    # a point outside the mesh is named as such, before the domain is checked
+    with pytest.raises(PreconditionError, match=r"lies outside the mesh"):
+        DiscretePoincareOperator(star_cone((1.5, 0.5), square8), geom8)
+    assert geometries == []  # the check reads the given geometry
+
+
+@pytest.mark.parametrize("point", [(0.0, 0.0), (0.0, 0.5)])
+def test_star_from_a_boundary_point_of_a_convex_domain(square8, geom8, point):
+    op = DiscretePoincareOperator(star_cone(point, square8), geom8)
+    assert max_residual(verify_homotopy(op, trials=5)) <= 1e-10
+
+
 @pytest.mark.parametrize("eps", [1e-8, 1e-10])
 def test_star_operator_with_base_point_near_an_edge(square8, geom8, eps):
     # the base point sits eps to the right of the mesh edge on x = 0.5, so the
@@ -485,8 +570,8 @@ def test_star_operator_with_base_point_near_an_edge(square8, geom8, eps):
 
 def test_outside_domain_error_names_the_row_and_the_missing_area(ushape10, ugeom):
     # from the left arm of the U, star cones over edges of the right arm
-    # cross the notch
-    op = DiscretePoincareOperator(star_cone((0.15, 0.8), ushape10), geometry=ugeom)
+    # cross the notch; a checked star operator rejects the domain first
+    op = unchecked_star((0.15, 0.8), ushape10, ugeom)
     with pytest.raises(OutsideDomainError,
                        match=r"row of simplex \(\d+, \d+\): image triangle .* "
                              r"area \d\.\d{3}e-\d+ of its"):
@@ -496,7 +581,7 @@ def test_outside_domain_error_names_the_row_and_the_missing_area(ushape10, ugeom
 def test_segment_leaving_the_mesh_names_the_row_and_the_missing_length(ushape10, ugeom):
     # the same operator's segment cones: from the left arm, the segment to a
     # vertex of the right arm crosses the notch
-    op = DiscretePoincareOperator(star_cone((0.15, 0.8), ushape10), geometry=ugeom)
+    op = unchecked_star((0.15, 0.8), ushape10, ugeom)
     message = r"row of simplex \(\d+,\): segment .* length \d\.\d{3}e-\d+ of its"
     with pytest.raises(OutsideDomainError, match=message):
         op.matrix(1)
