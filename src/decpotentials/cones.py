@@ -25,13 +25,14 @@ dimension: (row, column, coefficient) of each term for simplicial cones, and
 tables are built only when read.  The prism-based cones never build the
 product complex.  A strong collapse's cone is read off its steps by their
 recurrence, one numpy walk per degree whose checks validate the sequence,
-also in ``contraction_cone``; any other contraction it reads as each
-vertex's image changes, and pushes the prisms of the slabs where a vertex
-of the simplex moves through it in numpy, every other prism being
-degenerate.  ``lipschitz_cone`` reads ``ProductComplex.prism_rows`` and
-maps every vertex at every breakpoint in one array expression, into one
-table that the endpoint and containment checks (always made, with a
-geometry built when none is given) and the cone's points are read from.
+also in ``contraction_cone``; any other contraction it samples once into a
+table of every vertex's image at every level, and pushes the prisms of the
+slabs where a vertex of the simplex moves through that table in numpy,
+every other prism being degenerate.  ``lipschitz_cone`` reads
+``ProductComplex.prism_rows`` and maps every vertex at every breakpoint in
+one array expression, into one table that the endpoint and containment
+checks (always made, with a geometry built when none is given) and the
+cone's points are read from.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .homotopy import (
     CollapseSequence,
@@ -52,7 +52,6 @@ from .homotopy import (
     StrongCollapseSequence,
     _replay,
     checked_breakpoints,
-    vertex_images,
 )
 from .simplicial import (
     Chain,
@@ -206,9 +205,6 @@ def strong_collapse_cone(seq: StrongCollapseSequence) -> SimplicialConeOperator:
     return SimplicialConeOperator(seq.complex, left[0], terms)
 
 
-BLOCK_PAIRS = 1 << 12  # (simplex, slab) pairs pushed through a contraction at once
-
-
 def contraction_cone(psi: Callable[[int], int],
                      product: ProductComplex) -> SimplicialConeOperator:
     """Cone operator from a discrete contraction of the product complex.
@@ -219,37 +215,28 @@ def contraction_cone(psi: Callable[[int], int],
     simplex of the base (every product simplex is a face of a prism, so
     ``psi`` is simplicial), and the non-degenerate images form the cone.
 
-    ``psi`` is read as its ``moves`` (``homotopy.vertex_images``), sampled
-    one vertex at a time where it has none.  A strong collapse's ``psi``
-    also carries its ``steps``, whose cone is ``strong_collapse_cone``'s.
-    Any other ``psi``, and steps that do not fit the product or are no
-    strong collapse, are swept over the slabs in which a vertex of the
-    simplex moves: elsewhere each prism repeats a vertex image, within the
-    simplex's image, which the first and last prisms of a moving slab hold
-    whole.  Both give the same terms in the same order.
+    A strong collapse's ``psi`` carries its ``steps``.  When they fit the
+    product (one slab per step), leave one vertex and pass the recurrence's
+    checks, the cone is ``strong_collapse_cone``'s and ``psi`` is never
+    called.  Any other ``psi`` is sampled once per (vertex, level) into one
+    image table, whose first and last rows are checked, and swept
+    (``_swept_terms``).  Both give the same terms in the same order.
     """
-    base, levels = product.base, product.n_slabs + 1
-    ids = base._rows[0][:, 0]
-    moves = getattr(psi, "moves", None)
-    if moves is None:
-        moves = []
-        for u in ids.tolist():
-            row = [psi(product.vertex_id(u, level)) for level in range(levels)] + [None]
-            moves += [(u, r, row[r]) for r in range(levels) if row[r] != row[r + 1]]
-        moves = np.array(moves, dtype=np.int64).T
-    image = vertex_images(moves, levels)
-    bottom = image(ids, 0)
-    if (bottom != bottom[0]).any():
-        raise ValueError("contraction is not constant at level 0")
-    if (image(ids, levels - 1) != ids).any():
-        raise ValueError("contraction is not the identity at the top level")
-    steps, terms = getattr(psi, "steps", None), None
+    base, ids = product.base, product.base._rows[0][:, 0]
+    steps = getattr(psi, "steps", None)
     if steps is not None and product.n_slabs == max(steps.shape[1], 1):
-        with contextlib.suppress(ValueError):  # the sweep names the bad prism
-            terms = _strong_collapse_terms(base, steps)
-    if terms is None:
-        terms = _swept_terms(product, moves, image)
-    return SimplicialConeOperator(base, int(bottom[0]), terms)
+        left = np.setdiff1d(ids, steps[0])
+        if len(left) == 1:
+            with contextlib.suppress(ValueError):  # the sweep names the bad prism
+                return SimplicialConeOperator(base, int(left[0]),
+                                              _strong_collapse_terms(base, steps))
+    image = np.array([[psi(product.vertex_id(u, level)) for u in ids.tolist()]
+                      for level in range(product.n_slabs + 1)], dtype=np.int64)
+    if (image[0] != image[0, 0]).any():
+        raise ValueError("contraction is not constant at level 0")
+    if (image[-1] != ids).any():
+        raise ValueError("contraction is not the identity at the top level")
+    return SimplicialConeOperator(base, int(image[0, 0]), _swept_terms(product, image))
 
 
 def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
@@ -306,72 +293,52 @@ def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
     return terms
 
 
-def _swept_terms(product: ProductComplex, moves: np.ndarray, image: Callable) -> dict:
-    """The cone's terms, pushing each (simplex, moving slab)'s prisms through the moves."""
-    base, levels, ids = product.base, product.n_slabs + 1, product.base._rows[0][:, 0]
-    # each vertex's listed levels, as a (vertex, level) pattern
-    moving = sp.csr_matrix((np.ones(moves.shape[1], dtype=bool), tuple(moves[:2])))
-
-    def prism_terms(k: int, rows: np.ndarray):
+def _swept_terms(product: ProductComplex, image: np.ndarray) -> dict:
+    """The cone's terms, pushing the prisms of each base simplex through
+    ``image[level, i]``, the image of vertex ``i`` (its position) at a level,
+    in the slabs where a vertex of the simplex moves: elsewhere each prism
+    repeats a vertex image, within the simplex's image, which the first and
+    last prisms of a moving slab hold whole."""
+    base, ids = product.base, product.base._rows[0][:, 0]
+    moving = image[:-1] != image[1:]  # (slab, vertex)
+    terms = {}
+    for k, rows in base._rows.items():
+        at = np.searchsorted(ids, rows)
         # every (simplex, slab) in which a vertex of the simplex moves, in order
-        incidence = sp.csr_matrix(
-            (np.ones(rows.size, dtype=bool), rows.ravel(), np.arange(0, rows.size + 1, k + 1)),
-            shape=(len(rows), product.stride))
-        pattern = incidence @ moving
-        pattern.sort_indices()
-        pairs = np.repeat(np.arange(len(rows)), np.diff(pattern.indptr)) * levels + pattern.indices
-        pairs = pairs[pairs % levels < levels - 1]
-        # the base simplices of dimension < width left-padded with -1 to
-        # width vertices, in order, and a prism's support padded alike; a
-        # support wider than every base simplex is none of them.  A row's key
-        # ravels its vertex positions + 1, 0 for padding, so keys are bounded
-        # by the vertex count; an id that is no vertex shares a key with a
-        # vertex or with padding, and the comparison with the known row
-        # rejects it
-        width = min(k + 2, base.dim + 1)
-        known = np.concatenate([np.pad(base._rows[d], ((0, 0), (width - 1 - d, 0)),
-                                       constant_values=-1) for d in range(width)])
-
-        def keys(rows):
-            return np.ravel_multi_index(np.searchsorted(ids, rows.T, side="right"),
-                                        (len(ids) + 1,) * width)
-        known_keys = keys(known)
+        owner, r = np.nonzero(moving[:, at].any(axis=2).T)
         # prism i takes the images of v_0..v_i at level r and of v_i..v_k at r + 1
         pick = np.arange(k + 2) + k * (np.arange(k + 2) > np.arange(k + 1)[:, None])
-        parts = []  # from blocks of whole simplices, about BLOCK_PAIRS pairs each
-        for block in np.split(pairs, np.searchsorted(
-                pairs, pairs[BLOCK_PAIRS::BLOCK_PAIRS] // levels * levels)):
-            owner, r = np.divmod(block, levels)
-            images = np.hstack([image(rows[owner], r[:, None] + j) for j in (0, 1)])
-            images = images[:, pick].reshape(-1, k + 2)
-            support = np.sort(images, axis=1)
-            support[:, 1:][support[:, 1:] == support[:, :-1]] = -1
-            support.sort(axis=1)
-            live = np.flatnonzero(support[:, 0] >= 0)
-            wide, support = (support[:, :-width] >= 0).any(axis=1), support[:, -width:]
-            at = np.searchsorted(known_keys, keys(support))
-            bad = np.flatnonzero((known[np.minimum(at, len(known) - 1)] != support).any(axis=1)
-                                 | (images < 0).any(axis=1) | wide)
-            if bad.size:
-                p, i = divmod(bad[0], k + 1)
-                s = tuple(rows[owner[p]].tolist())
-                prism = list(product.prisms(s))[r[p] * (k + 1) + i][1]
-                raise ValueError(f"not a simplicial map: prism {prism} over {s} maps to "
-                                 f"{tuple(sorted(set(images[bad[0]].tolist())))}, "
-                                 "which is not a base simplex")
-            # a non-degenerate prism i enters with its sorting parity times (-1)^i,
-            # summed per (simplex, term), zeros dropped, in order of first appearance
-            swaps = np.triu(images[live, :, None] > images[live, None, :]).sum(axis=(1, 2))
-            key, first, inverse = np.unique(owner[live // (k + 1)] * len(known) + at[live],
-                                            return_index=True, return_inverse=True)
-            sums = np.bincount(inverse, 1 - 2 * ((swaps + live % (k + 1)) % 2), len(key))
-            keep = np.flatnonzero(sums)[np.argsort(first[sums != 0])]
-            row, col = np.divmod(key[keep], len(known))
-            parts.append((row, col - len(known) + base.num_simplices(k + 1),
-                          sums[keep].astype(np.int64)))
-        return tuple(map(np.concatenate, zip(*parts)))
-
-    return {k: prism_terms(k, rows) for k, rows in base._rows.items()}
+        images = np.hstack([image[r[:, None] + j, at[owner]] for j in (0, 1)])
+        images = images[:, pick].reshape(-1, k + 2)
+        # each prism's support: its distinct images, right-aligned after -1
+        # padding, looked up among the base simplices of its width; one wider
+        # than every base simplex is none of them
+        support = np.sort(images, axis=1)
+        support[:, 1:][support[:, 1:] == support[:, :-1]] = -1
+        support.sort(axis=1)
+        width, found = (support >= 0).sum(axis=1), np.full(len(support), -1)
+        for w in range(1, min(k + 2, base.dim + 1) + 1):
+            sel = np.flatnonzero(width == w)
+            found[sel] = base.positions(w - 1, support[sel, -w:])
+        bad = np.flatnonzero((found < 0) | (images < 0).any(axis=1))
+        if bad.size:
+            p, i = divmod(bad[0], k + 1)
+            s = tuple(rows[owner[p]].tolist())
+            prism = list(product.prisms(s))[r[p] * (k + 1) + i][1]
+            raise ValueError(f"not a simplicial map: prism {prism} over {s} maps to "
+                             f"{tuple(sorted(set(images[bad[0]].tolist())))}, "
+                             "which is not a base simplex")
+        # a non-degenerate prism i enters with its sorting parity times (-1)^i,
+        # summed per (simplex, term), zeros dropped, in order of first appearance
+        live = np.flatnonzero(width == k + 2)
+        swaps = np.triu(images[live, :, None] > images[live, None, :]).sum(axis=(1, 2))
+        n = max(base.num_simplices(k + 1), 1)  # none at the top degree, where no prism is live
+        key, first, inverse = np.unique(owner[live // (k + 1)] * n + found[live],
+                                        return_index=True, return_inverse=True)
+        sums = np.bincount(inverse, 1 - 2 * ((swaps + live % (k + 1)) % 2), len(key))
+        keep = np.flatnonzero(sums)[np.argsort(first[sums != 0])]
+        terms[k] = (*np.divmod(key[keep], n), sums[keep].astype(np.int64))
+    return terms
 
 
 # -- geometric cones -----------------------------------------------------

@@ -30,11 +30,12 @@ still alive.  Failed searches return ``None``.
 A strong collapse sequence induces a discrete contraction: a vertex
 function on the product vertices that is the identity at the top level and
 constant at the bottom, and that is simplicial when the sequence is valid.
-It is stored as its moves, the levels where a vertex's image changes and
-the new images (``vertex_images``), and it carries the sequence's steps.
-The cone needs only the steps: ``cones.strong_collapse_cone`` builds it
-from the sequence alone, accepting exactly the sequences that
-``validate_strong_collapse_sequence`` accepts.
+It looks a vertex's image up among the levels where it changes, and it
+carries the sequence's steps, which are all the cone needs:
+``cones.strong_collapse_cone`` builds it from the sequence alone,
+accepting exactly the sequences that ``validate_strong_collapse_sequence``
+accepts, and ``cones.contraction_cone`` reads the function's steps without
+calling it.
 """
 
 from __future__ import annotations
@@ -371,16 +372,6 @@ def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
     return alive == [seq.terminal]
 
 
-def vertex_images(moves: np.ndarray, levels: int) -> Callable:
-    """Images of (vertex, level) arrays under a contraction given by its moves,
-    the (v, l, w) columns of a (3, M) array: v maps to w at level l, listed at
-    the top level and where its image differs from the one a level up."""
-    keys = moves[0] * levels + moves[1]
-    order = np.argsort(keys)
-    keys, images = keys[order], moves[2][order]
-    return lambda vertices, level: images[np.searchsorted(keys, vertices * levels + level)]
-
-
 def contraction_from_strong_collapse(seq: StrongCollapseSequence,
                                      product: ProductComplex) -> Callable[[int], int]:
     """Contraction induced by the sequence, as a function on product vertex ids.
@@ -388,10 +379,10 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     Level ``m`` (time 1) maps by the identity, level ``m - j`` composes the
     first ``j`` vertex retractions, and level 0 is constant at the terminal
     vertex.  The product complex must have exactly one slab per removal step
-    (one slab total when the sequence is empty).  The function carries its
-    ``moves`` (``vertex_images``), which ``contraction_cone`` reads instead
-    of calling it, and its ``steps``, the (dominated, dominating) columns of
-    a (2, m) int64 array.
+    (one slab total when the sequence is empty).  The function carries the
+    sequence's ``steps``, the (dominated, dominating) columns of a (2, m)
+    int64 array, from which ``contraction_cone`` reads its cone without
+    calling it.
     """
     base = seq.complex
     if product.base is not base:
@@ -411,13 +402,18 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
         moves[1] += [m - j] * len(moved)
         moves[2] += [w] * len(moved)
         preimages.setdefault(w, []).extend(moved)
-    moves = np.array(moves, dtype=np.int64)
-    image = vertex_images(moves, top + 1)
+    # u's listed levels are the top one and each where its image differs
+    # from the one a level up; it maps to w there and below, down to the next
+    u, level, w = np.array(moves, dtype=np.int64)
+    keys = u * (top + 1) + level
+    order = np.argsort(keys)
+    keys, images = keys[order], w[order]
 
     def psi(product_vertex: int) -> int:
-        return int(image(*product.vertex_level(product_vertex)))
+        v, level = product.vertex_level(product_vertex)
+        return int(images[np.searchsorted(keys, v * (top + 1) + level)])
 
-    psi.moves, psi.steps = moves, np.array(seq.steps, dtype=np.int64).reshape(-1, 2).T
+    psi.steps = np.array(seq.steps, dtype=np.int64).reshape(-1, 2).T
     return psi
 
 

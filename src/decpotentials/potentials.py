@@ -43,10 +43,6 @@ shape is kept, so the result stays bitwise ``matrix(k) @ values`` after the
 matrix is edited in place.  ``apply`` and ``project_admissible`` wrap their
 results without re-checking the shape they just produced.  Bogovskii masses
 dot a float64 copy of the orientation, which gives the int64 dot's bits.
-On the benchmark's cochain stream (``BENCH_28.json``, medians of 10
-alternating pairs) ``potentials_per_s`` rose from 80,269 to 96,594 on
-``many-rhs``, 61,805 to 72,310 on ``whitney`` and 109,122 to 133,963 on
-``combinatorial``.
 
 ``verify_homotopy`` estimates the identity's residual on seeded random
 cochains and reports per-degree maxima.  Degree k draws its trials from one

@@ -26,22 +26,25 @@ in its triangle by the midpoint rule, exact for the affine integrand.
 image triangle that only touches a mesh triangle counts as apart (their
 overlap has no area, so such pairs leave no rounding-level sliver entries),
 and are clipped against each mesh triangle by a batched Sutherland-Hodgman
-and weighted by the signed overlap area.  The clip keeps its polygons as
-flat point lists (each point's x, y and polygon index, in polygon order), so
-a half-plane is a few whole-array passes and one compaction in which every
-point emits its crossing and then itself.  A chunk holds about CHUNK_PAIRS
-grid candidates, which bounds the memory of every pass.  Rows and columns of
-multi-dimensional arrays are gathered with ``ndarray.take`` (a mask through
-``flatnonzero`` first): the same values that advanced indexing gathers, on a
-path several times faster.  Pieces outside the mesh are an error unless
-explicitly allowed, in which case they integrate to zero (an infinite cone
-is its star simplex, which may overhang the mesh, plus its shadow cut off
-exactly by the mesh bounding box; ``segment_functional`` extends the
-interpolant by zero).  The coverage test compares the uncovered area
-(length) with COVERAGE_TOL times the mesh area (diagonal), not with the
-image's own, so a thin image near an edge is not rejected for the round-off
-of its clipped pieces.  Simplices exactly flat in floating point are
-degenerate and integrate to zero.
+and weighted by the signed overlap area.  The image's own axes also find
+the mesh triangles strictly inside it, which need no clip: they weigh
+exactly +-1, free of the clip's rounding, which grows with the image's
+extent over the triangle's size and so with the mesh.  The clip keeps its
+polygons as flat point lists (each point's x, y and polygon index, in
+polygon order), so a half-plane is a few whole-array passes and one
+compaction in which every point emits its crossing and then itself.  A chunk
+holds about CHUNK_PAIRS grid candidates, which bounds the memory of every
+pass.  Rows and columns of multi-dimensional arrays are gathered with
+``ndarray.take`` (a mask through ``flatnonzero`` first): the same values
+that advanced indexing gathers, on a path several times faster.  Pieces
+outside the mesh are an error unless explicitly allowed, in which case they
+integrate to zero (an infinite cone is its star simplex, which may overhang
+the mesh, plus its shadow cut off exactly by the mesh bounding box;
+``segment_functional`` extends the interpolant by zero).  The coverage test
+compares the uncovered area (length) with COVERAGE_TOL times the mesh area
+(diagonal), not with the image's own, so a thin image near an edge is not
+rejected for the round-off of its clipped pieces.  Simplices exactly flat in
+floating point are degenerate and integrate to zero.
 """
 
 from __future__ import annotations
@@ -320,21 +323,27 @@ def _edge_axes(poly: np.ndarray):
     return axes
 
 
-def _apart(axes, own: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Per pair: does an edge normal of polygon ``own`` separate ``other`` from it?
+def _apart(axes, own: np.ndarray, other: np.ndarray):
+    """Per pair: does an edge normal of polygon ``own`` separate ``other`` from
+    it, and do ``other``'s corners lie strictly inside ``own``?
 
     ``other`` holds the other polygon's corners as (corner, xy, pair)
     columns.  Along the normal, one projection ends where or before the
     other begins, so that two convex polygons which only share boundary
-    points count as apart.
+    points count as apart.  ``own`` is counterclockwise, so the low end of
+    its extent along each normal is that edge's line, and a corner is inside
+    when it projects above the low end of every one.
     """
-    out = np.zeros(len(own), dtype=bool)
+    apart, enclosed = np.zeros(len(own), dtype=bool), np.ones(len(own), dtype=bool)
     for e, lo, hi in axes:
         ex, ey = e.take(own, axis=1)
+        lo = lo.take(own)
         proj = [py * ex - px * ey for px, py in other]
-        out |= reduce(np.maximum, proj) <= lo[own]
-        out |= reduce(np.minimum, proj) >= hi[own]
-    return out
+        bottom = reduce(np.minimum, proj)
+        apart |= reduce(np.maximum, proj) <= lo
+        apart |= bottom >= hi.take(own)
+        enclosed &= bottom > lo
+    return apart, enclosed
 
 
 def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
@@ -448,14 +457,16 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
 
     Each image is clipped against every mesh triangle that no separating axis
     sets apart from it, and weighted by the overlap area over the triangle's
-    signed area, with the image's orientation sign.  Unless ``allow_exterior``, the image must be covered
-    by the mesh: the area it leaves uncovered may not exceed COVERAGE_TOL
-    times the mesh area.
+    signed area, with the image's orientation sign; a triangle whose corners
+    lie strictly inside the image needs no clip, and weighs exactly +-1.
+    Unless ``allow_exterior``, the image must be covered by the mesh: the
+    area it leaves uncovered may not exceed COVERAGE_TOL times the mesh area.
     """
     e1 = pts[:, 1] - pts[:, 0]
     e2 = pts[:, 2] - pts[:, 0]
     area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     sign = np.where(area > 0, 1.0, -1.0)
+    ccw = np.where(area[:, None, None] > 0, pts, pts[:, ::-1])  # for the image's axes
     # clip in each mesh triangle's frame, so rounding scales with the triangle
     origin = geom.ccw_corners[:, :1].copy()
     sides = _sides(geom.ccw_corners - origin)
@@ -464,20 +475,26 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     images, corners = (np.ascontiguousarray(p.transpose(1, 2, 0)) for p in (pts, geom.ccw_corners))
     for first, stop, sub, tri in _pairs(geom, pts, rows):
         # separating axes, the image's first: they reject most pairs of a thin image
-        meet = ~_apart(_edge_axes(pts[first:stop]), sub - first, corners.take(tri, axis=2))
-        sub, tri = sub[meet], tri[meet]
-        meet = ~_apart(triangle_axes, tri, images.take(sub, axis=2))
-        sub, tri = sub[meet], tri[meet]
-        xy = pts.take(sub, axis=0) - origin.take(tri, axis=0)
-        xy, piece = _clip(xy, np.full(len(sub), 3), sides.take(tri, axis=0))
-        overlap = np.abs(_areas(xy, piece, len(sub)))
-        hit = overlap != 0.0
-        sub, tri, overlap = sub[hit], tri[hit], overlap[hit]
+        apart, enclosed = _apart(_edge_axes(ccw[first:stop]), sub - first,
+                                 corners.take(tri, axis=2))
+        meet = np.flatnonzero(~apart)
+        sub, tri, enclosed = sub.take(meet), tri.take(meet), enclosed.take(meet)
+        meet = np.flatnonzero(~_apart(triangle_axes, tri, images.take(sub, axis=2))[0])
+        sub, tri, enclosed = sub.take(meet), tri.take(meet), enclosed.take(meet)
+        # a triangle inside the image overlaps it whole, and weighs exactly +-1
+        overlap = np.abs(geom.signed_area.take(tri))
+        clip = np.flatnonzero(~enclosed)
+        s, t = sub.take(clip), tri.take(clip)
+        xy, piece = _clip(pts.take(s, axis=0) - origin.take(t, axis=0), np.full(len(clip), 3),
+                          sides.take(t, axis=0))
+        overlap[clip] = np.abs(_areas(xy, piece, len(clip)))
+        hit = np.flatnonzero(overlap)
+        sub, tri, overlap = sub.take(hit), tri.take(hit), overlap.take(hit)
         if not allow_exterior:
             whole = np.abs(area[first:stop])
             covered = np.bincount(sub - first, overlap, minlength=stop - first)
             _check_covered(geom, pts, first, whole - covered, whole, describe)
-        yield sub, tri, sign[sub] * overlap / geom.signed_area[tri]
+        yield sub, tri, sign.take(sub) * overlap / geom.signed_area.take(tri)
 
 
 def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows: int, *,

@@ -228,7 +228,7 @@ def test_strong_collapse_cone_reads_its_moves(mesh):
         psi = contraction_from_strong_collapse(seq, prod)
         calls = []
 
-        @functools.wraps(psi)  # keeps the map's moves
+        @functools.wraps(psi)  # keeps the map's steps
         def spy(pv):
             calls.append(pv)
             return psi(pv)
@@ -284,6 +284,57 @@ def test_contraction_cone_names_images_outside_the_base():
                                   f"{image}, which is not a base simplex")
 
 
+def _path_contraction(levels):
+    """The path 0-1-2 over two slabs, and psi reading ``levels[level][v]``."""
+    prod = build_product_complex(SimplicialComplex([(0, 1), (1, 2)]), uniform_breakpoints(2))
+
+    def psi(pv):
+        v, level = prod.vertex_level(pv)
+        return levels[level][v]
+
+    return psi, prod
+
+
+@pytest.mark.parametrize("levels, message", [
+    ([[1, 1, 2], [1, 1, 2], [0, 1, 2]], "contraction is not constant at level 0"),
+    ([[1, 1, 1], [1, 1, 1], [0, 1, 1]], "contraction is not the identity at the top level"),
+])
+def test_contraction_cone_checks_both_ends(levels, message):
+    psi, prod = _path_contraction(levels)
+    with pytest.raises(ValueError) as err:
+        contraction_cone(psi, prod)
+    assert str(err.value) == message
+
+
+def test_contraction_cone_samples_a_plain_map_once_per_vertex_and_level():
+    psi, prod = _path_contraction([[1, 1, 1], [0, 1, 1], [0, 1, 2]])
+    calls = []
+
+    def spy(pv):
+        calls.append(pv)
+        return psi(pv)
+
+    op = contraction_cone(spy, prod)
+    assert sorted(calls) == [prod.vertex_id(v, level) for level in range(3) for v in range(3)]
+    assert op.vertex == 1
+    _check_cone_identity(op, prod.base)
+
+
+def test_truncated_strong_collapse_is_no_contraction():
+    # the steps but the last leave two vertices: each step is a valid
+    # retraction, so the recurrence runs, but level 0 is not constant, and
+    # the cone is refused, not read off the steps
+    cx = generate_square_mesh(2)
+    seq = find_strong_collapse_sequence(cx)
+    short = StrongCollapseSequence(cx, seq.steps[:-1], seq.terminal)
+    prod = build_product_complex(cx, uniform_breakpoints(len(short.steps)))
+    psi = contraction_from_strong_collapse(short, prod)
+    assert cones._strong_collapse_terms(cx, psi.steps)
+    with pytest.raises(ValueError) as err:
+        contraction_cone(psi, prod)
+    assert str(err.value) == "contraction is not constant at level 0"
+
+
 def _strong_collapse_cone(cx):
     seq = find_strong_collapse_sequence(cx)
     prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
@@ -332,11 +383,10 @@ def test_strong_collapse_cone_tables_are_pinned():
 
 
 def _swept(psi):
-    """``psi`` with its moves and without its steps, so that its cone is swept."""
+    """``psi`` without its steps, so that its cone is sampled and swept."""
     def bare(pv):
         return psi(pv)
 
-    bare.moves = psi.moves
     return bare
 
 

@@ -667,6 +667,15 @@ def test_certified_residual_bounds_every_trial(kind):
     assert max_residual(verify_homotopy(op, trials=20)) <= certified_residual(op) <= 1e-10
 
 
+def test_bogovskii_certificate_grows_slower_than_its_rows():
+    # a shadow row's weights sum to O(N) over the triangles it covers; those
+    # inside its image weigh exactly +-1, so the certificate does not take
+    # the clip's rounding of each, which grew 10.6x from square:16 to 32
+    low, high = (certified_residual(certified_operator("bogovskii", n, (0.52, 0.51)))
+                 for n in (16, 32))
+    assert 0.0 < high <= 7.0 * low
+
+
 def test_collapse_operator_certifies_exactly_zero():
     # integer matrices: every entry of R_k is an exact sum of integers
     cx = generate_square_mesh(4)
@@ -1125,13 +1134,14 @@ def test_every_operator_names_a_degree_outside_the_complex(every_op, k):
 
 # sha256 of `decpot verify --mesh builtin:square:8 --trials 10 --report`,
 # recorded since each degree's trials are the rows of one generator's draw;
-# bogovskii re-recorded since only exactly flat shadow pieces are dropped
+# bogovskii re-recorded since only exactly flat shadow pieces are dropped, and
+# again since a triangle inside a shadow piece weighs exactly +-1
 REPORT_DIGESTS = {
     "collapse": "0604944560c32c3d7f54a6d90ab5919379c698bcacf73be88b879c82a5dc730b",
     "strong-collapse": "96eac11276058f82a7015e60172c4bd6cd7e575fb2cf193bdc4983282f284f77",
     "star": "5d1995a3047bed0cedab8fd57e7bcf603829fd4e5135d29a45615f2898cb775a",
     "lipschitz": "b98d777dd6028a90f0fe3befc7fb3d2b5261713dfbee7659faec44e2d9bdd522",
-    "bogovskii": "b1eaea6c3ca3654d58313e1e7cc73510e736810026362a27b33f8978d6746d76",
+    "bogovskii": "40e3752ee6d80fdc72c005c9ba2759dd5377159388d8881226fae45acc8105d2",
 }
 REPORT_ARGS = {
     "collapse": [],

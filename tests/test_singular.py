@@ -1,5 +1,7 @@
 """Singular chains, degeneracy, clipping, and the planar integration engine."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -429,12 +431,12 @@ SHADOW_MESHES = {"square:8": lambda: generate_square_mesh(8),
 
 # sha256 of the data, indices and indptr of Bogovskii matrix(1) and matrix(2)
 # at (0.152, 0.151), recorded since segments are cut to each triangle at
-# crossings both neighbours share and only exactly flat simplices count as
-# degenerate
+# crossings both neighbours share, only exactly flat simplices count as
+# degenerate, and a triangle inside an image weighs exactly +-1
 SHADOW_MATRIX_DIGESTS = {
-    "square:8": "0b57ee1faf287ba4fba04565830b9f3657239b962744e948c040a5f6dc60ce6c",
-    "square:16": "2464d2af059e81936cecff352bbc2e1669a7107d6d6b84c52d1563358c312897",
-    "ushape:20": "d71d5aa87594d0cace17dbf8169a48a03dd13cc4ad7e53be292683ceb36d796a",
+    "square:8": "cc84a273149f669953f43c0a7136cb55cd88ebafd5c1a09e2fdeda9dcdae1057",
+    "square:16": "b617fb457610106209daceb4942d9221e32905dff5dfe7751db9cfc71d048ef9",
+    "ushape:20": "87356c63a40efee9b60830224d7a15f20030c25be23af4a4c94d3438c2db13a1",
 }
 
 
@@ -449,6 +451,36 @@ def test_shadow_cone_stores_no_degenerate_piece(shadow_op):
     pieces = [s.points for chain in op.cone.table.values() for _, s in chain.terms]
     assert pieces
     assert not [p for p in pieces if is_degenerate(p)]
+
+
+def _strictly_inside(tri, corner) -> bool:
+    """Exactly, in rationals: is the point strictly inside the triangle?"""
+    (ax, ay), (bx, by), (cx, cy), (px, py) = ([Fraction(v) for v in p] for p in (*tri, corner))
+    o = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    return all(o * ((qx - sx) * (py - sy) - (qy - sy) * (px - sx)) > 0
+               for (sx, sy), (qx, qy) in (((ax, ay), (bx, by)), ((bx, by), (cx, cy)),
+                                          ((cx, cy), (ax, ay))))
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+def test_triangles_inside_an_image_weigh_exactly_one(jitter):
+    # a mesh triangle strictly inside the image overlaps it whole: its weight
+    # is the image's orientation times the triangle's, exactly, with no clip
+    cx = generate_square_mesh(8)
+    if jitter:
+        cx = jitter_interior(cx, seed=3, amplitude=0.2)
+    geom = MeshGeometry(cx)
+    rng = np.random.default_rng(11)
+    enclosed = 0
+    for image in rng.uniform(-0.04, 0.04, (3, 3, 2)) + [[0.05, 0.05], [0.95, 0.05], [0.05, 0.95]]:
+        # about half the square, in both orientations
+        for pts, sign in ((image, 1.0), (image[::-1], -1.0)):
+            row = triangle_functional(geom, pts)
+            for t, corners in enumerate(geom.corners.tolist()):
+                if all(_strictly_inside(pts.tolist(), c) for c in corners):
+                    enclosed += 1
+                    assert row[t] == sign * np.sign(geom.signed_area[t]), t
+    assert enclosed >= 100
 
 
 def test_shadow_matrices_keep_their_bits(shadow_op):
