@@ -272,15 +272,24 @@ def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
         # the join's sign orients (w_j, tau); flip sorts the next row
         sign, flip = np.zeros((2, len(rows)), dtype=np.int64)
         sign[live], flip[live] = 1 - 2 * (below % 2), 1 - 2 * ((below - p - (below > p)) % 2)
-        src, cur, run, parts = live, live, np.ones(len(live), dtype=np.int64), [(live[:0],) * 3]
+        # walk twice: first each row's path length, then each step's term
+        # into its slot, rows in order and each row's path reversed
+        length, src, cur = np.zeros(len(rows), dtype=np.int64), live, live
         while cur.size:
-            parts.append((src, col[cur], run * sign[cur]))
-            run, cur = run * flip[cur], nxt[cur]
+            length[src] += 1
+            cur = nxt[cur]
+            keep = col[cur] >= 0
+            src, cur = src[keep], cur[keep]
+        last = np.cumsum(length) - 1
+        out = np.empty((2, last[-1] + 1), dtype=np.int64)
+        src, cur, run, step = live, live, np.ones(len(live), dtype=np.int64), 0
+        while cur.size:
+            slot = last[src] - step
+            out[0, slot], out[1, slot] = col[cur], run * sign[cur]
+            run, cur, step = run * flip[cur], nxt[cur], step + 1
             keep = col[cur] >= 0
             src, cur, run = src[keep], cur[keep], run[keep]
-        row, col, coeff = map(np.concatenate, zip(*parts[::-1]))  # reverse path order
-        order = np.argsort(row, kind="stable")
-        terms[k] = (row[order], col[order], coeff[order])
+        terms[k] = (np.repeat(np.arange(len(rows)), length), out[0], out[1])
     if missing or b < m:
         j, _, tau = min(missing) if missing else (b, 0, ())
         v, w = steps[:, j].tolist()

@@ -209,6 +209,21 @@ def test_contraction_from_single_triangle_sequence():
     assert [psi(prod.vertex_id(v, 0)) for v in (0, 1, 2)] == [2, 2, 2]
 
 
+def test_contraction_builds_its_lookup_on_its_first_call(monkeypatch):
+    # the cone reads a contraction's steps and never calls it, so building
+    # one sorts nothing; its first call sorts its (vertex, level) keys once
+    cx = generate_square_mesh(4)
+    seq = find_strong_collapse_sequence(cx)
+    prod = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    psi = contraction_from_strong_collapse(seq, prod)
+    assert not sorts
+    images = [psi(prod.vertex_id(v, 0)) for v in range(cx.vertex_count)]
+    assert images == [seq.terminal] * cx.vertex_count and len(sorts) == 1
+
+
 def test_contraction_needs_matching_slab_count():
     cx = SimplicialComplex([(0, 1, 2)])
     seq = find_strong_collapse_sequence(cx)

@@ -1,6 +1,9 @@
 """The test configuration itself: a failing Hypothesis test is reported like
-any other failure, while library-side warnings still fail their tests."""
+any other failure, while library-side warnings still fail their tests, and
+the test extra declares every distribution the test files import."""
 
+import ast
+import re
 import shutil
 import subprocess
 import sys
@@ -41,3 +44,38 @@ def test_failing_hypothesis_example_is_reported_and_the_run_goes_on(tmp_path):
     assert "Falsifying example: test_falsified(" in out, out
     assert "PASSED test_sample.py::test_passes" in out, out
     assert "FAILED test_sample.py::test_warns - RuntimeWarning" in out, out
+
+
+def declared_distributions():
+    """Names of the distributions in ``dependencies`` and the ``test`` extra
+    (read without ``tomllib``, which Python 3.10 lacks)."""
+    text = PYPROJECT.read_text()
+    lists = [re.search(rf"^{key} = \[(.*?)\]", text, re.M | re.S).group(1)
+             for key in ("dependencies", "test")]
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower()
+            for spec in re.findall(r'"([^"]+)"', "".join(lists))}
+
+
+def test_every_third_party_import_of_the_tests_is_declared():
+    # a clean ``pip install .[test]`` must collect every test file: each
+    # module a test file imports at its top level is the standard library's,
+    # the package's, another test module, or a declared distribution
+    tests = Path(__file__).resolve().parent
+    local = {"decpotentials"} | {path.stem for path in tests.glob("*.py")}
+    imported = {}
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.split(".")[0], path.name)
+    third_party = {name: where for name, where in imported.items()
+                   if name not in sys.stdlib_module_names and name not in local}
+    assert {"numpy", "scipy", "pytest", "hypothesis"} <= set(third_party)
+    missing = {name: where for name, where in third_party.items()
+               if name.lower() not in declared_distributions()}
+    assert not missing, missing
