@@ -26,9 +26,9 @@ tables are built only when read.  The prism-based cones never build the
 product complex.  A strong collapse's cone is read off its steps by their
 recurrence, one numpy walk per degree whose checks validate the sequence,
 also in ``contraction_cone``; any other contraction it samples once into a
-table of every vertex's image at every level, and pushes the prisms of the
-slabs where a vertex of the simplex moves through that table in numpy,
-every other prism being degenerate.  ``lipschitz_cone`` reads
+table of every vertex's image at every level, and pushes each prism of the
+slabs where a vertex of the simplex moves through that table, one prism at
+a time, every other prism being degenerate.  ``lipschitz_cone`` reads
 ``ProductComplex.prism_rows`` and maps every vertex at every breakpoint in
 one array expression, into one table that the endpoint and containment
 checks (always made, with a geometry built when none is given) and the
@@ -303,50 +303,34 @@ def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
 
 
 def _swept_terms(product: ProductComplex, image: np.ndarray) -> dict:
-    """The cone's terms, pushing the prisms of each base simplex through
+    """The cone's terms: the prisms of each base simplex pushed through
     ``image[level, i]``, the image of vertex ``i`` (its position) at a level,
-    in the slabs where a vertex of the simplex moves: elsewhere each prism
-    repeats a vertex image, within the simplex's image, which the first and
-    last prisms of a moving slab hold whole."""
+    in the slabs where a vertex of the simplex moves (elsewhere each prism
+    repeats a vertex image within the simplex's image, which the first and
+    last prisms of a moving slab hold whole).  A non-degenerate prism adds
+    its sign times the parity that sorts its images to their simplex; each
+    row's terms come in order of first appearance, zeros dropped."""
     base, ids = product.base, product.base._rows[0][:, 0]
-    moving = image[:-1] != image[1:]  # (slab, vertex)
-    terms = {}
+    at = dict(zip(ids.tolist(), range(len(ids))))
+    moved, image, terms = image[:-1] != image[1:], image.tolist(), {}  # moved: (slab, vertex)
     for k, rows in base._rows.items():
-        at = np.searchsorted(ids, rows)
-        # every (simplex, slab) in which a vertex of the simplex moves, in order
-        owner, r = np.nonzero(moving[:, at].any(axis=2).T)
-        # prism i takes the images of v_0..v_i at level r and of v_i..v_k at r + 1
-        pick = np.arange(k + 2) + k * (np.arange(k + 2) > np.arange(k + 1)[:, None])
-        images = np.hstack([image[r[:, None] + j, at[owner]] for j in (0, 1)])
-        images = images[:, pick].reshape(-1, k + 2)
-        # each prism's support: its distinct images, right-aligned after -1
-        # padding, looked up among the base simplices of its width; one wider
-        # than every base simplex is none of them
-        support = np.sort(images, axis=1)
-        support[:, 1:][support[:, 1:] == support[:, :-1]] = -1
-        support.sort(axis=1)
-        width, found = (support >= 0).sum(axis=1), np.full(len(support), -1)
-        for w in range(1, min(k + 2, base.dim + 1) + 1):
-            sel = np.flatnonzero(width == w)
-            found[sel] = base.positions(w - 1, support[sel, -w:])
-        bad = np.flatnonzero((found < 0) | (images < 0).any(axis=1))
-        if bad.size:
-            p, i = divmod(bad[0], k + 1)
-            s = tuple(rows[owner[p]].tolist())
-            prism = list(product.prisms(s))[r[p] * (k + 1) + i][1]
-            raise ValueError(f"not a simplicial map: prism {prism} over {s} maps to "
-                             f"{tuple(sorted(set(images[bad[0]].tolist())))}, "
-                             "which is not a base simplex")
-        # a non-degenerate prism i enters with its sorting parity times (-1)^i,
-        # summed per (simplex, term), zeros dropped, in order of first appearance
-        live = np.flatnonzero(width == k + 2)
-        swaps = np.triu(images[live, :, None] > images[live, None, :]).sum(axis=(1, 2))
-        n = max(base.num_simplices(k + 1), 1)  # none at the top degree, where no prism is live
-        key, first, inverse = np.unique(owner[live // (k + 1)] * n + found[live],
-                                        return_index=True, return_inverse=True)
-        sums = np.bincount(inverse, 1 - 2 * ((swaps + live % (k + 1)) % 2), len(key))
-        keep = np.flatnonzero(sums)[np.argsort(first[sums != 0])]
-        terms[k] = (*np.divmod(key[keep], n), sums[keep].astype(np.int64))
+        moving = moved[:, np.searchsorted(ids, rows)].any(axis=2).T.tolist()  # (row, slab)
+        found = []  # (row, column, coefficient)
+        for row, s in enumerate(base.simplices(k)):
+            out: dict[int, int] = {}
+            for n, (sign, prism) in enumerate(product.prisms(s)):
+                if not moving[row][n // (k + 1)]:
+                    continue
+                images = [image[level][at[v]] for v, level in map(product.vertex_level, prism)]
+                support = tuple(sorted(set(images)))
+                if support not in base:
+                    raise ValueError(f"not a simplicial map: prism {prism} over {s} maps to "
+                                     f"{support}, which is not a base simplex")
+                if len(support) == k + 2:
+                    t = base.index(support)
+                    out[t] = out.get(t, 0) + sign * canonical_simplex(images)[1]
+            found += [(row, t, x) for t, x in out.items() if x]
+        terms[k] = tuple(np.array(found, dtype=np.int64).reshape(-1, 3).T.copy())
     return terms
 
 

@@ -30,12 +30,12 @@ still alive.  Failed searches return ``None``.
 A strong collapse sequence induces a discrete contraction: a vertex
 function on the product vertices that is the identity at the top level and
 constant at the bottom, and that is simplicial when the sequence is valid.
-It looks a vertex's image up among the levels where it changes, in a table
-built on its first call, and it carries the sequence's steps, which are all
-the cone needs: ``cones.strong_collapse_cone`` builds it from the sequence
-alone, accepting exactly the sequences that
-``validate_strong_collapse_sequence`` accepts, and ``cones.contraction_cone``
-reads the function's steps without calling it.
+It finds a vertex's image at level ``m - j`` by walking the first j steps,
+keeping no table, and it carries the steps, which are all the cone needs:
+``cones.strong_collapse_cone`` builds it from the sequence alone, accepting
+exactly the sequences that ``validate_strong_collapse_sequence`` accepts,
+and ``cones.contraction_cone`` reads the function's steps without calling
+it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -382,7 +382,7 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     (one slab total when the sequence is empty).  The function carries the
     sequence's ``steps``, the (dominated, dominating) columns of a (2, m)
     int64 array, from which ``contraction_cone`` reads its cone without
-    calling it; its (vertex, level) lookup is built on its first call.
+    calling it; a call walks the first ``m - level`` steps.
     """
     base = seq.complex
     if product.base is not base:
@@ -392,30 +392,12 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     if top != max(m, 1):
         raise ValueError(f"sequence has {m} steps but product complex has {top} slabs")
 
-    @cache
-    def lookup():
-        """Sorted (vertex, level) keys and their images, built on the first call."""
-        preimages = {u: [u] for u in base._rows[0][:, 0].tolist()}  # image -> vertices mapped there
-        moves = [list(preimages), [top] * len(preimages), list(preimages)]  # the top level
-        for j, (v, w) in enumerate(seq.steps, start=1):
-            # composing with the retraction v -> w moves exactly the vertices
-            # whose current image is v, to w from level m - j down
-            moved = preimages.pop(v, [])
-            moves[0] += moved
-            moves[1] += [m - j] * len(moved)
-            moves[2] += [w] * len(moved)
-            preimages.setdefault(w, []).extend(moved)
-        # u's listed levels are the top one and each where its image differs
-        # from the one a level up; it maps to w there and below, down to the next
-        u, level, w = np.array(moves, dtype=np.int64)
-        keys = u * (top + 1) + level
-        order = np.argsort(keys)
-        return keys[order], w[order]
-
     def psi(product_vertex: int) -> int:
-        keys, images = lookup()
         v, level = product.vertex_level(product_vertex)
-        return int(images[np.searchsorted(keys, v * (top + 1) + level)])
+        for u, w in seq.steps[:m - level]:
+            if v == u:
+                v = w
+        return v
 
     psi.steps = np.array(seq.steps, dtype=np.int64).reshape(-1, 2).T
     return psi

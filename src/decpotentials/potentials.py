@@ -229,13 +229,18 @@ class DiscretePoincareOperator:
 class ComplexPropertyOperator(DiscretePoincareOperator):
     """P - d P P: same homotopy identity, and the composition squares to zero.
 
-    A combinatorial operator's ``P_k - D_{k-2} (P_{k-1} P_k)`` are formed
-    here, one mat-vec each; a Whitney operator's mesh is 2-D, where
-    ``P_1 P_2`` is the only composition and is zero, so it keeps ``P``.
-    With ``R_1 = D_0 P_1 + P_2 D_1 - I`` and ``R_2 = D_1 P_2 - I``,
-    ``D_0 (P_1 P_2) = R_1 P_2 - P_2 R_2``, so ``P_1 P_2`` is closed, a
-    constant on a connected mesh, which ``P_1 D_0 + pi = I`` makes
-    ``pi P_1 P_2 = 0``: ``pi P_1 = 0`` for every cone here.
+    ``P_k - D_{k-2} (P_{k-1} P_k)`` is formed here, one mat-vec each, on a
+    complex of dimension 3 or more.  A 2-D mesh keeps ``P``, as its
+    correction ``D_0 (P_1 P_2)`` vanishes: with ``R_1 = D_0 P_1 + P_2 D_1 - I``
+    and ``R_2 = D_1 P_2 - I``, ``D_0 (P_1 P_2) = R_1 P_2 - P_2 R_2``, zero
+    where the identity holds (exactly, in integers, for a combinatorial
+    operator).  So ``P_1 P_2`` is a constant on a connected mesh, which
+    ``P_1 D_0 + pi = I`` makes ``pi P_1 P_2``: zero where ``pi P_1 = 0``, as
+    for collapse, star and straight-line cones, but not where a contraction's
+    paths bend off a mesh vertex or its terminal vertex moves, and no
+    correction ``D_0 (...)`` removes a constant.  In higher dimensions
+    ``R_2 = -P_3 D_2`` is not zero, nor in general is the correction (a
+    contraction of a 3-simplex shows it).
     """
 
     def __init__(self, base: DiscretePoincareOperator):
@@ -246,7 +251,7 @@ class ComplexPropertyOperator(DiscretePoincareOperator):
         cx = self.complex
         for k in range(1, cx.dim + 1):
             p = base.matrix(k)
-            if k >= 2 and self.kind == "combinatorial":
+            if k >= 2 and cx.dim >= 3:
                 p = (p - cx.coboundary_matrix(k - 2) @ (base.matrix(k - 1) @ p)).tocsr()
             self._matrices[k] = p
 

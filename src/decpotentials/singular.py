@@ -502,20 +502,18 @@ def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows
     """Sparse matrix of many functional rows, assembled in batched passes.
 
     Term i adds ``coeffs[i]`` times the functional of the linear singular
-    simplex ``points[i]`` (dimension ``dim``, 1 or 2) to row ``rows[i]``.
-    Within a row, weights add up in term order, so a row equals the dict
-    that the per-term functionals would accumulate.  Degenerate simplices
-    integrate to zero.  ``describe(row)`` names a row in errors.  Returns a
-    CSR matrix of shape (n_rows, number of mesh ``dim``-simplices) without
-    explicit zeros.
+    simplex ``points[i]`` (dimension ``dim``, 1 or 2) to row ``rows[i]``;
+    ``rows`` must ascend, as a cone's terms do.  Within a row, weights add up
+    in term order, so a row equals the dict that the per-term functionals
+    would accumulate.  Degenerate simplices integrate to zero.
+    ``describe(row)`` names a row in errors.  Returns a CSR matrix of shape
+    (n_rows, number of mesh ``dim``-simplices) without explicit zeros.
     """
     if dim not in (1, 2):
         raise ValueError(f"cannot integrate Whitney forms over dimension {dim}")
     rows = np.asarray(rows, dtype=np.int64)
     pts = np.asarray(points, dtype=float).reshape(len(rows), dim + 1, 2)
-    # terms grouped by row, in term order within a row
-    keep = np.argsort(rows, kind="stable")
-    keep = keep[~_degenerate(pts.take(keep, axis=0))]
+    keep = np.flatnonzero(~_degenerate(pts))
     rows, coeffs, pts = rows[keep], np.asarray(coeffs, dtype=float)[keep], pts.take(keep, axis=0)
     n_cols = geom.complex.num_simplices(dim)
     name = None if describe is None else (lambda j: describe(int(rows[j])))

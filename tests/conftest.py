@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -189,3 +190,17 @@ def certified_residual(op) -> float:
             sums = np.bincount(row, on, minlength=n) + (n - np.diff(r.indptr)) * np.abs(c)
         worst = max(worst, float(sums.max(initial=0.0)))
     return worst
+
+
+def random_collapsible(rng, rounds=8):
+    """Grow a complex by repeatedly coning a new vertex over an existing face."""
+    pool = {(0,)}
+    for new in range(1, rounds + 1):
+        s = sorted(pool)[rng.integers(0, len(pool))]
+        if len(s) >= 4:  # cap the new simplex at dimension 3
+            keep = sorted(rng.choice(len(s), size=3, replace=False))
+            s = tuple(s[int(i)] for i in keep)
+        glued = tuple(sorted((*s, new)))
+        for r in range(1, len(glued) + 1):
+            pool.update(combinations(glued, r))
+    return SimplicialComplex(sorted(pool, key=lambda t: (len(t), t)))

@@ -4,7 +4,6 @@ import functools
 import hashlib
 import json
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -56,21 +55,7 @@ from decpotentials.singular import (
 )
 from decpotentials.whitney import MeshGeometry
 
-from conftest import jitter_interior
-
-
-def _random_collapsible(rng, rounds=8):
-    """Grow a complex by repeatedly coning a new vertex over an existing face."""
-    pool = {(0,)}
-    for new in range(1, rounds + 1):
-        s = sorted(pool)[rng.integers(0, len(pool))]
-        if len(s) >= 4:  # cap the new simplex at dimension 3
-            keep = sorted(rng.choice(len(s), size=3, replace=False))
-            s = tuple(s[int(i)] for i in keep)
-        glued = tuple(sorted((*s, new)))
-        for r in range(1, len(glued) + 1):
-            pool.update(combinations(glued, r))
-    return SimplicialComplex(sorted(pool, key=lambda t: (len(t), t)))
+from conftest import jitter_interior, random_collapsible
 
 
 def _check_cone_identity(op, cx):
@@ -103,7 +88,7 @@ def test_collapse_cone_single_triangle_table():
 def test_collapse_cone_identity_on_random_complexes():
     rng = np.random.default_rng(1)
     for _ in range(6):
-        cx = _random_collapsible(rng)
+        cx = random_collapsible(rng)
         seq = find_collapse_sequence(cx)
         assert seq is not None, "coned growth must stay collapsible"
         op = collapse_cone(seq)
@@ -220,7 +205,7 @@ def test_strong_collapse_cone_reads_its_moves(mesh):
     # it gives the same term arrays, and P_k matches the chain table's
     complexes = {"square:8": lambda: [generate_square_mesh(8)],
                  "ushape:10": lambda: [generate_ushape_mesh(10)],
-                 "random": lambda: [_random_collapsible(np.random.default_rng(seed), rounds=10)
+                 "random": lambda: [random_collapsible(np.random.default_rng(seed), rounds=10)
                                     for seed in range(6)]}[mesh]()
     for cx in complexes:
         seq = find_strong_collapse_sequence(cx)
@@ -345,17 +330,29 @@ def _strong_collapse_cone(cx):
 @pytest.mark.parametrize("top", [60000, 10**6, 3_000_000])
 def test_strong_collapse_cone_of_sparse_vertex_ids(top):
     # (0, 1, top) is (0, 1, 2) relabelled in order, so its terms, which are
-    # positions, are the same; the support keys fit in int64 however large
-    # the ids, since they ravel vertex positions, not ids, and a support
-    # wider than every base simplex is rejected before it is keyed
-    op, dense = _strong_collapse_cone(SimplicialComplex([(0, 1, top)])), \
-        _strong_collapse_cone(SimplicialComplex([(0, 1, 2)]))
-    assert (op.vertex, dense.vertex) == (top, 2)
-    assert op.terms.keys() == dense.terms.keys()
-    for k, arrays in op.terms.items():
-        for got, want in zip(arrays, dense.terms[k]):
-            assert got.dtype == np.int64 and np.array_equal(got, want), k
-    _check_cone_identity(op, op.complex)
+    # positions, are the same, read off the steps or swept: the recurrence's
+    # keys ravel vertex positions, not ids, and the sweep tables images by
+    # vertex position, so its traced peak (about 10 kB) does not grow with
+    # the ids, as a table by product id, 3 x (top + 1) int64, would
+    dense = _strong_collapse_cone(SimplicialComplex([(0, 1, 2)]))
+    cx = SimplicialComplex([(0, 1, top)])
+    seq = find_strong_collapse_sequence(cx)
+    prod = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
+    psi = contraction_from_strong_collapse(seq, prod)
+    tracemalloc.start()
+    try:
+        swept = contraction_cone(_swept(psi), prod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for op in (contraction_cone(psi, prod), swept):
+        assert (op.vertex, dense.vertex) == (top, 2)
+        assert op.terms.keys() == dense.terms.keys()
+        for k, arrays in op.terms.items():
+            for got, want in zip(arrays, dense.terms[k]):
+                assert got.dtype == np.int64 and np.array_equal(got, want), k
+        _check_cone_identity(op, op.complex)
+    assert peak <= 1 << 16
 
 
 # sha256 of every (simplex, list(table[simplex].terms.items())) in sorted
@@ -401,7 +398,7 @@ def _assert_same_terms(op, want):
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 14))
 def test_strong_collapse_recurrence_equals_the_sweep(seed, rounds):
-    cx = _random_collapsible(np.random.default_rng(seed), rounds=rounds)
+    cx = random_collapsible(np.random.default_rng(seed), rounds=rounds)
     seq = find_strong_collapse_sequence(cx)
     assert seq is not None, "coned growth is strong collapsible"
     prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
@@ -521,7 +518,7 @@ def _step_list(rng, cx, kind):
        hollow=st.booleans())
 def test_strong_collapse_cone_accepts_exactly_the_valid_sequences(seed, rounds, kind, hollow):
     rng = np.random.default_rng(seed)
-    cx = _random_collapsible(rng, rounds=rounds)
+    cx = random_collapsible(rng, rounds=rounds)
     if hollow:  # a cycle on three new vertices: no strong collapse at all
         n = cx.vertex_count
         cx = SimplicialComplex([*cx.simplices(cx.dim), (n, n + 1), (n + 1, n + 2), (n, n + 2)])

@@ -3,8 +3,12 @@
 Every entry of a row of matrix(1) or matrix(2) is within ORACLE_C times the
 unit roundoff u times max(1, the exact row's absolute sum) of the exact row
 of the row's chain: the same bound README states.  The exact rows share no
-code with ``decpotentials.singular``.
+code with ``decpotentials.singular``.  They also check, exactly, the
+derivation in ``ComplexPropertyOperator``'s docstring: ``pi P_1`` and
+``P_1 P_2``.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +41,9 @@ def build(kind, cx):
         return DiscretePoincareOperator(star_cone((0.5, 0.5), cx))
     if kind == "lipschitz":
         return DiscretePoincareOperator(lipschitz_cone(SlabAffineContraction.ushape((0.2, 0.2)), cx))
+    if kind == "straight":  # Lipschitz along straight paths to the same point
+        return DiscretePoincareOperator(
+            lipschitz_cone(SlabAffineContraction.straight_line((0.2, 0.2)), cx))
     return BogovskiiOperator((0.52, 0.51), cx)
 
 
@@ -60,6 +67,70 @@ def test_every_row_is_within_the_bound_of_its_exact_row(mesh, kind):
                            m.data[m.indptr[i]:m.indptr[i + 1]].tolist()))
             exact = exact_row(em, [(c, t.points) for c, t in op.cone.table[s].terms])
             assert_within_the_bound(row, exact, (k, s))
+
+
+def exact_matrix(op, em, k):
+    """The exact rows of ``op.matrix(k)``, one dict per (k-1)-simplex."""
+    return [exact_row(em, [(c, t.points) for c, t in op.cone.table[s].terms])
+            for s in op.complex.simplices(k - 1)]
+
+
+def times(row, rows):
+    """A row (a dict) times a matrix given by its rows, zeros dropped."""
+    out = {}
+    for i, w in row.items():
+        for j, x in rows[i].items():
+            out[j] = out.get(j, 0) + w * x
+    return {j: x for j, x in out.items() if x}
+
+
+def exact_rows(mesh, kind):
+    """The operator and the exact rows of pi, P_1 and P_2; pi takes the exact
+    barycentric weights of the point in the first triangle that holds it."""
+    cx = MESHES[mesh]()
+    op, em = build(kind, cx), ExactMesh(cx)
+    point = tuple(Fraction(float(x)) for x in op.cone.point)
+    for t, tri in enumerate(em.triangles):
+        weights = em.barycentric(t, point)
+        if min(weights) >= 0:
+            break
+    pi = {cx.index((v,)): w for v, w in zip(tri, weights)}
+    return op, pi, exact_matrix(op, em, 1), exact_matrix(op, em, 2)
+
+
+@pytest.mark.parametrize("kind", ["star", "straight"])
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+def test_exact_double_potential_is_zero(mesh, kind):
+    # ComplexPropertyOperator's derivation, in exact rows: pi P_1 = 0, so the
+    # closed P_1 P_2 is 0 too, and P - dPP = P squares to zero
+    _, pi, p1, p2 = exact_rows(mesh, kind)
+    assert times(pi, p1) == {} and all(times(row, p2) == {} for row in p1)
+
+
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+def test_exact_double_potential_of_bent_paths_is_constant(mesh):
+    # the ushape contraction's paths bend, so pi P_1 is not zero at the point
+    # (0.2, 0.2), which is no mesh vertex here; P_1 P_2 is still closed: the
+    # constant pi P_1 P_2 on every row, which no correction D_0 (...) removes
+    _, pi, p1, p2 = exact_rows(mesh, "lipschitz")
+    want = times(times(pi, p1), p2)
+    assert all(times(row, p2) == want for row in p1)
+
+
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+def test_exact_bogovskii_double_potential_on_zero_mean_inputs(mesh):
+    # on zero-mean inputs P_1 P_2 is zero up to the rounding of the shadow
+    # pieces' corners: each exact row less its multiple of the orientation
+    # (whose dot with a cochain is its mass) is within ORACLE_C u times the
+    # row sum of |P_1| times the largest row sum of |P_2|
+    op, _, p1, p2 = exact_rows(mesh, "bogovskii")
+    o = [Fraction(float(x)) for x in op._orientation]
+    top = max(sum(map(abs, row.values())) for row in p2)
+    for i, row in enumerate(p1):
+        pp = times(row, p2)
+        c = sum(x * o[t] for t, x in pp.items()) / sum(x * x for x in o)
+        err = max(abs(pp.get(t, 0) - c * o[t]) for t in range(len(o)))
+        assert err <= ORACLE_C * U * max(1, sum(map(abs, row.values())) * top), i
 
 
 def sliver_mesh(d):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,19 +210,22 @@ def test_contraction_from_single_triangle_sequence():
     assert [psi(prod.vertex_id(v, 0)) for v in (0, 1, 2)] == [2, 2, 2]
 
 
-def test_contraction_builds_its_lookup_on_its_first_call(monkeypatch):
+def test_contraction_keeps_only_its_steps():
     # the cone reads a contraction's steps and never calls it, so building
-    # one sorts nothing; its first call sorts its (vertex, level) keys once
-    cx = generate_square_mesh(4)
+    # one does no work and keeps only its steps; a call walks them, building
+    # no table, and level 0 maps every vertex to the terminal
+    cx = generate_square_mesh(16)
     seq = find_strong_collapse_sequence(cx)
     prod = build_product_complex(cx, uniform_breakpoints(len(seq.steps)))
-    sorts = []
-    argsort = np.argsort
-    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
-    psi = contraction_from_strong_collapse(seq, prod)
-    assert not sorts
-    images = [psi(prod.vertex_id(v, 0)) for v in range(cx.vertex_count)]
-    assert images == [seq.terminal] * cx.vertex_count and len(sorts) == 1
+    tracemalloc.start()
+    try:
+        psi = contraction_from_strong_collapse(seq, prod)
+        built = tracemalloc.get_traced_memory()[0]
+        assert all(psi(prod.vertex_id(v, 0)) == seq.terminal for v in range(cx.vertex_count))
+        called = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built <= psi.steps.nbytes + 1024 and called <= built + 256
 
 
 def test_contraction_needs_matching_slab_count():

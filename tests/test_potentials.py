@@ -46,7 +46,7 @@ from decpotentials.cli import main
 from decpotentials.whitney import _dot
 
 from conftest import (annulus_complex, certified_residual, holed_square_complex, jitter_interior,
-                      random_cochain, unchecked_bogovskii, unchecked_star)
+                      random_cochain, random_collapsible, unchecked_bogovskii, unchecked_star)
 
 
 @pytest.fixture(scope="module")
@@ -495,6 +495,62 @@ def test_combinatorial_double_potentials_are_exactly_zero(square8, ushape10):
         cp = ComplexPropertyOperator(op)
         for k in (1, 2):  # P - dPP keeps P's bits
             assert (cp.matrix(k) != op.matrix(k)).nnz == 0
+
+
+def _assert_exact_complex_property(cp):
+    """In int64: P - dPP squares to zero in every degree and keeps the
+    homotopy identity, D P + P D = I, with pi added in degree 0."""
+    cx, n = cp.complex, cp.complex.num_simplices
+    P = {k: cp.matrix(k).astype(np.int64) for k in range(1, cx.dim + 1)}
+    D = {k: cx.coboundary_matrix(k).astype(np.int64) for k in range(cx.dim)}
+    for k in range(2, cx.dim + 1):
+        assert (P[k - 1] @ P[k]).count_nonzero() == 0, k
+    terminal = np.full(n(0), cx.index((cp.cone.vertex,)))
+    for k in range(cx.dim + 1):
+        r = -sp.identity(n(k), dtype=np.int64, format="csr")
+        if k == 0:
+            r = r + sp.csr_matrix((np.ones(n(0), dtype=np.int64), (np.arange(n(0)), terminal)),
+                                  shape=(n(0), n(0)))
+        else:
+            r = r + D[k - 1] @ P[k]
+        if k < cx.dim:
+            r = r + P[k + 1] @ D[k]
+        assert r.count_nonzero() == 0, k
+
+
+@pytest.mark.parametrize("seed", [0, 3, 10])
+def test_complex_property_of_collapses_in_three_dimensions(seed):
+    # a collapse's P_1 P_2 is 0 in int64 in any dimension; above two, P - dPP
+    # is formed from degree 2 on, and it squares to zero and keeps the
+    # homotopy identity exactly
+    cx = random_collapsible(np.random.default_rng(seed), rounds=12)
+    assert cx.num_simplices(3) > 0
+    for cone in (collapse_cone(find_collapse_sequence(cx)),
+                 strong_collapse_cone(find_strong_collapse_sequence(cx))):
+        op = DiscretePoincareOperator(cone)
+        p1, p2 = (op.matrix(k).astype(np.int64) for k in (1, 2))
+        assert (p1 @ p2).count_nonzero() == 0
+        _assert_exact_complex_property(ComplexPropertyOperator(op))
+
+
+def test_complex_property_corrects_degree_two_above_two_dimensions():
+    # a contraction of the 3-simplex that keeps vertex 1 in place: its P_1 P_2
+    # and P_2 P_3 are not zero (R_2 = -P_3 D_2 is not), so P - dPP must differ
+    # from P in degree 2 to square to zero
+    cx = SimplicialComplex([(0, 1, 2, 3)])
+    levels = [[1, 1, 1, 1], [3, 1, 0, 0], [3, 1, 0, 2], [0, 1, 2, 3]]
+    prod = build_product_complex(cx, uniform_breakpoints(3))
+
+    def psi(pv):
+        v, level = prod.vertex_level(pv)
+        return levels[level][v]
+
+    op = DiscretePoincareOperator(contraction_cone(psi, prod))
+    p = {k: op.matrix(k).astype(np.int64) for k in (1, 2, 3)}
+    assert (p[1] @ p[2]).count_nonzero() and (p[2] @ p[3]).count_nonzero()
+    cp = ComplexPropertyOperator(op)
+    assert (cp.matrix(2) != op.matrix(2)).nnz
+    _assert_exact_complex_property(cp)
 
 
 # P_1 P_2 is zero in exact arithmetic (ComplexPropertyOperator); in floats each
