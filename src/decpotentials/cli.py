@@ -237,9 +237,12 @@ def _emit(payload: dict, path=None) -> None:
 
 
 def _tolerance(args) -> float:
-    if args.tolerance is not None:
-        return args.tolerance
-    return DEFAULT_TOLERANCE[args.op]
+    if args.tolerance is None:
+        return DEFAULT_TOLERANCE[args.op]
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise PreconditionError(
+            f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    return args.tolerance
 
 
 # -- subcommands ---------------------------------------------------------
@@ -271,10 +274,10 @@ def cmd_verify(args) -> int:
         raise PreconditionError(f"--trials must be at least 1, got {args.trials}")
     if args.seed < 0:
         raise PreconditionError(f"--seed must be a non-negative integer, got {args.seed}")
+    tol = _tolerance(args)
     cx = load_mesh(args.mesh)
     geom = _geometry_or_none(cx)
     op = build_operator(args, cx, geom)
-    tol = _tolerance(args)
     report = verify_homotopy(op, trials=args.trials, seed=args.seed)
     worst = max_residual(report)
     payload = {
@@ -302,6 +305,7 @@ def _write_samples(geom: MeshGeometry, pot, path) -> None:
 
 
 def cmd_potential(args) -> int:
+    tol = _tolerance(args)
     cx = load_mesh(args.mesh)
     geom = _geometry_or_none(cx)
     op = build_operator(args, cx, geom)
@@ -318,7 +322,6 @@ def cmd_potential(args) -> int:
         save_cochain_csv(potential, args.out)
     if args.samples:
         _write_samples(geom, potential, args.samples)
-    tol = _tolerance(args)
     payload = {
         "command": "potential",
         "mesh": args.mesh,

@@ -495,11 +495,11 @@ def _checked_images(phi: SlabAffineContraction, complex: SimplicialComplex, geom
     images = _affine(phi.maps, at[:, None])
     moved = np.max(np.abs(images[:, -1] - at), axis=1) > 1e-10
     unbased = np.max(np.abs(images[:, 0] - phi.point), axis=1) > 1e-10
-    # (vertex, breakpoint) images, and (vertex, slab) path midpoints, each
-    # located in one probe of the grid
-    escaped = geometry.locate_all(images, tol=1e-9).reshape(images.shape[:2]) < 0
+    # (vertex, breakpoint) images and (vertex, slab) path midpoints, located
+    # in one probe of the grid
     midpoints = 0.5 * (images[:, :-1] + images[:, 1:])
-    cut = geometry.locate_all(midpoints, tol=1e-9).reshape(midpoints.shape[:2]) < 0
+    out = geometry.locate_all(np.concatenate([images, midpoints], axis=1), tol=1e-9) < 0
+    escaped, cut = np.split(out.reshape(len(at), -1), [images.shape[1]], axis=1)
     issues = []
     for n, v in enumerate(vertices.tolist()):
         if moved[n]:

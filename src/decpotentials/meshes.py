@@ -92,8 +92,15 @@ def save_mesh_json(complex: SimplicialComplex, path) -> None:
 def load_mesh_json(path) -> SimplicialComplex:
     with open(path) as fh:
         data = json.load(fh)
+    if type(data) is not dict or type(data.get("triangles")) is not list:
+        raise ValueError("mesh file must be an object with a list of triangles")
     coords = np.array(data["vertices"], dtype=float)
-    triangles = [tuple(t) for t in data["triangles"]]
+    triangles = data["triangles"]
+    for row in triangles:
+        # JSON ids load as int; a bool is an int to Python, not an id
+        if (type(row) is not list or len(row) != 3
+                or not all(type(v) is int and v >= 0 for v in row)):
+            raise ValueError(f"mesh file triangle {row} is not three vertex ids")
     if not triangles:
         raise ValueError("mesh file has no triangles")
     return SimplicialComplex(triangles, coords)

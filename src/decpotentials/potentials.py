@@ -21,19 +21,21 @@ for combinatorial operators and the interpolated value at the base point for
 Whitney ones, stored once per operator as vertex rows and weights: the
 vertex with weight 1, or the base point's triangle corners and barycentrics.
 
-Two operators are built from the same representation.  The trace-preserving
-``BogovskiiOperator`` is the Whitney kind over ``shadow_cone``: its row, the
-star-cone row minus the infinite-cone row, is minus the integral over the
-bounded shadow beyond the simplex.  Its admissible inputs have vanishing
-boundary trace (vanishing mean in top degree); on them the identity holds
-with pi = 0, and the outputs again have vanishing trace.  Its base point
-must not meet any codimension-1 simplex, and must lie at least 1e-12 mesh
-diagonals inside every boundary edge's line, so that the domain is
-star-shaped about it (``check_star_shaped``): elsewhere the identity still
-holds but the outputs do not keep zero trace.  A star operator needs only
-the closed kernel, checked before any row.  ``ComplexPropertyOperator``
-holds the matrices of ``P - d P P``, which satisfy the same identity and
-square to zero: on a 2-D mesh they are P's.
+Two operators are built from the same representation, each setting only
+the state it needs.  The trace-preserving ``BogovskiiOperator`` is the
+Whitney kind over ``shadow_cone``: its row, the star-cone row minus the
+infinite-cone row, is minus the integral over the bounded shadow beyond the
+simplex.  Its admissible inputs have vanishing boundary trace (vanishing
+mean in top degree); on them the identity holds with pi = 0, and the
+outputs again have vanishing trace.  Before its one star cone is built,
+inside ``shadow_cone``, its base point must lie in the mesh, 1e-12 mesh
+diagonals off every edge (``check_base_point``), then that far inside every
+boundary edge's line, so that the domain is star-shaped about it
+(``check_star_shaped``): elsewhere the identity still holds but the outputs
+do not keep zero trace.  A star operator needs only the closed kernel,
+checked before any row.  ``ComplexPropertyOperator`` copies its base's
+state and holds the matrices of ``P - d P P``, which satisfy the same
+identity and square to zero: on a 2-D mesh they are P's.
 
 One cochain (1-D values of a real dtype no wider than float64) costs
 ``apply`` one read of its matrix's ``shape``, one zeroed float64 output and
@@ -68,10 +70,10 @@ import scipy.sparse as sp
 # tests/test_potentials.py fails if a scipy upgrade renames or changes it
 from scipy.sparse._sparsetools import csr_matvec
 
-from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone, star_cone
+from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary  # noqa: F401 (perfbench reads it)
 from .simplicial import _cochain_of
-from .singular import functional_matrix, point_segment_distance
+from .singular import functional_matrix
 from .whitney import MeshGeometry, _dot
 
 
@@ -89,12 +91,29 @@ class NotStarShapedError(PreconditionError):
     its boundary simplices reach back into it and the trace is not kept."""
 
 
-def check_base_point(geometry: MeshGeometry, point) -> None:
-    """Reject base points on any mesh edge, or within 1e-12 mesh diagonals of one."""
+def _located(geometry: MeshGeometry, point):
+    """The base point as a float array, and the index of a triangle holding it."""
     p = np.asarray(point, dtype=float)
+    t = geometry.locate(p)
+    if t is None:
+        raise PreconditionError(f"base point {tuple(p.tolist())} lies outside the mesh")
+    return p, t
+
+
+def check_base_point(geometry: MeshGeometry, point) -> None:
+    """Reject base points outside the mesh or within 1e-12 mesh diagonals of an edge.
+
+    Only the edges of the triangle t holding the point are measured: on a
+    planar triangulation, a shortest segment from a point of t to any other
+    edge crosses t's boundary (``locate``'s slack puts a point at most 2e-12
+    of t's diameter outside t).  Overlapping or folded meshes lie outside it.
+    """
+    p, t = _located(geometry, point)
     tol = 1e-12 * geometry.diagonal
-    ends = geometry.edge_coords
-    on = np.nonzero(point_segment_distance(p, ends[:, 0], ends[:, 1]) <= tol)[0]
+    edges = geometry.triangle_edges[t]  # ascending
+    a, b = geometry.edge_coords[edges].transpose(1, 0, 2)
+    foot = a + np.clip(_dot(p - a, b - a) / _dot(b - a, b - a), 0.0, 1.0)[:, None] * (b - a)
+    on = edges[np.sqrt(_dot(p - foot, p - foot)) <= tol]
     if on.size:
         raise BasePointOnFacetError(
             f"base point ({p[0]:g}, {p[1]:g}) lies on edge "
@@ -140,24 +159,23 @@ class DiscretePoincareOperator:
     def __init__(self, cone, geometry: MeshGeometry | None = None, label: str | None = None):
         # exact types: an InfiniteConeOperator's terms are no linear simplices
         if type(cone) is SimplicialConeOperator:
-            self.kind = "combinatorial"
-            self._pi = np.searchsorted(cone.complex._rows[0][:, 0], [cone.vertex]), np.ones(1)
+            kind = "combinatorial"
+            pi = np.searchsorted(cone.complex._rows[0][:, 0], [cone.vertex]), np.ones(1)
         elif type(cone) is SingularConeOperator:
-            self.kind = "whitney"
-            geometry = geometry or MeshGeometry(cone.complex)
-            t = geometry.locate(cone.point)
-            if t is None:
-                raise PreconditionError(
-                    f"base point {tuple(cone.point.tolist())} lies outside the mesh")
-            self._pi = geometry.corner_rows[t], geometry.barycentric(t, cone.point)
+            kind, geometry = "whitney", geometry or MeshGeometry(cone.complex)
+            p, t = _located(geometry, cone.point)
             if cone.star:  # every join must lie in the domain
-                check_star_shaped(geometry, cone.point, closed=True)
+                check_star_shaped(geometry, p, closed=True)
+            pi = geometry.corner_rows[t], geometry.barycentric(t, p)
         else:
             raise TypeError(f"unsupported cone operator {type(cone).__name__}")
-        self.cone = cone
-        self.geometry = geometry
+        self._hold(cone, geometry, kind, pi, label)
+
+    def _hold(self, cone, geometry, kind: str, pi, label) -> None:
+        """Set the operator's state; matrices are assembled on first use."""
+        self.cone, self.geometry, self.kind, self._pi = cone, geometry, kind, pi
         self.complex: SimplicialComplex = cone.complex
-        self.label = label or self.kind
+        self.label = label or kind
         self._matrices: dict[int, sp.csr_matrix] = {}
 
     def matrix(self, k: int) -> sp.csr_matrix:
@@ -244,9 +262,8 @@ class ComplexPropertyOperator(DiscretePoincareOperator):
     """
 
     def __init__(self, base: DiscretePoincareOperator):
-        super().__init__(base.cone, base.geometry, base.label + "+complex-property")
-        self.kind = base.kind
-        self._pi = base._pi
+        self._hold(base.cone, base.geometry, base.kind, base._pi,
+                   base.label + "+complex-property")
         self.base = base
         cx = self.complex
         for k in range(1, cx.dim + 1):
@@ -274,14 +291,12 @@ class BogovskiiOperator(DiscretePoincareOperator):
                  geometry: MeshGeometry | None = None,
                  truncation_factor: float | None = None):
         geometry = geometry or MeshGeometry(complex)
+        # the gate locates the point; a rejected domain builds no shadows
         check_base_point(geometry, point)
-        # the star cone locates the point; a rejected domain builds no shadows
-        super().__init__(star_cone(point, complex), geometry, "bogovskii")
         check_star_shaped(geometry, point)
-        self.cone = shadow_cone(point, complex, geometry)
-        self.kind = "bogovskii"
         # on admissible inputs the identity has no constant term
-        self._pi = np.zeros(0, dtype=np.int64), np.zeros(0)
+        self._hold(shadow_cone(point, complex, geometry), geometry, "bogovskii",
+                   (np.zeros(0, dtype=np.int64), np.zeros(0)), "bogovskii")
         # the masses dot a float64 copy, which an int64 one is cast to on every call
         self._orientation = geometry.orientation.astype(float)
 

@@ -56,7 +56,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .simplicial import Cochain
-from .whitney import MeshGeometry, _dot
+from .whitney import MeshGeometry
 
 # uncovered image area (length) allowed in strict integration, as a share of
 # the mesh area (diagonal)
@@ -323,9 +323,10 @@ def _edge_axes(poly: np.ndarray):
     return axes
 
 
-def _apart(axes, own: np.ndarray, other: np.ndarray):
+def _apart(axes, own: np.ndarray, other: np.ndarray, inside: bool = False):
     """Per pair: does an edge normal of polygon ``own`` separate ``other`` from
-    it, and do ``other``'s corners lie strictly inside ``own``?
+    it, and, if ``inside`` is asked (else None), do ``other``'s corners lie
+    strictly inside ``own``?
 
     ``other`` holds the other polygon's corners as (corner, xy, pair)
     columns.  Along the normal, one projection ends where or before the
@@ -334,7 +335,8 @@ def _apart(axes, own: np.ndarray, other: np.ndarray):
     its extent along each normal is that edge's line, and a corner is inside
     when it projects above the low end of every one.
     """
-    apart, enclosed = np.zeros(len(own), dtype=bool), np.ones(len(own), dtype=bool)
+    apart = np.zeros(len(own), dtype=bool)
+    enclosed = np.ones(len(own), dtype=bool) if inside else None
     for e, lo, hi in axes:
         ex, ey = e.take(own, axis=1)
         lo = lo.take(own)
@@ -342,7 +344,8 @@ def _apart(axes, own: np.ndarray, other: np.ndarray):
         bottom = reduce(np.minimum, proj)
         apart |= reduce(np.maximum, proj) <= lo
         apart |= bottom >= hi.take(own)
-        enclosed &= bottom > lo
+        if inside:
+            enclosed &= bottom > lo
     return apart, enclosed
 
 
@@ -476,7 +479,7 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     for first, stop, sub, tri in _pairs(geom, pts, rows):
         # separating axes, the image's first: they reject most pairs of a thin image
         apart, enclosed = _apart(_edge_axes(ccw[first:stop]), sub - first,
-                                 corners.take(tri, axis=2))
+                                 corners.take(tri, axis=2), inside=True)
         meet = np.flatnonzero(~apart)
         sub, tri, enclosed = sub.take(meet), tri.take(meet), enclosed.take(meet)
         meet = np.flatnonzero(~_apart(triangle_axes, tri, images.take(sub, axis=2))[0])
@@ -576,22 +579,6 @@ def integrate_whitney(geom: MeshGeometry, alpha: Cochain, chain: SingularChain) 
 
 
 # -- infinite cones ------------------------------------------------------
-
-
-def point_segment_distance(p, a, b) -> np.ndarray:
-    """Distances from points ``p`` to segments ``a b``, row by row.
-
-    Arguments are (N, 2) arrays or single points, broadcast against each
-    other; a zero-length segment is its point.
-    """
-    p, a, b = np.broadcast_arrays(*(np.atleast_2d(np.asarray(x, dtype=float))
-                                    for x in (p, a, b)))
-    d = b - a
-    denom = _dot(d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(_dot(p - a, d) / denom, 0.0, 1.0)
-    v = p - (a + np.where(denom == 0.0, 0.0, t)[:, None] * d)
-    return np.sqrt(_dot(v, v))
 
 
 def shadow_pieces(geom: MeshGeometry, points):

@@ -107,6 +107,40 @@ def test_verify_tolerance_threshold(capsys):
     assert report["max_residual"] > 0.0
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["verify", "potential"])
+def test_tolerance_must_be_finite_and_non_negative(command, tolerance, capsys, tmp_path):
+    # on a collapse whose residual is 0, nan and -1 failed the comparison with exit 3
+    out = tmp_path / "pot.csv"
+    argv = [command, "--mesh", "builtin:square:2", "--op", "collapse",
+            f"--tolerance={tolerance}"]
+    argv += ["--field", "g1", "--out", str(out)] if command == "potential" else ["--trials", "2"]
+    code, stdout, err = run_cli(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert err_json(err) == {
+        "type": "PreconditionError",
+        "message": f"--tolerance must be a finite number >= 0, got {float(tolerance)}"}
+    assert not out.exists()
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, ["verify", "--mesh", "builtin:square:2", "--op", "collapse",
+                                    "--trials", "2", "--tolerance", "0"])
+    report = out_json(out)
+    assert report["tolerance"] == 0.0
+    assert code == (0 if report["max_residual"] == 0.0 else 3)
+
+
+def test_mesh_file_row_that_is_no_triangle_exits_2(capsys, tmp_path):
+    path = tmp_path / "mesh.json"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], '
+                    '"triangles": [[0, 1, 2, 3]]}\n')
+    code, out, err = run_cli(capsys, ["mesh-info", "--mesh", str(path)])
+    assert code == 2 and out == ""
+    assert err_json(err) == {"type": "ValueError",
+                             "message": "mesh file triangle [0, 1, 2, 3] is not three vertex ids"}
+
+
 def test_verify_report_is_deterministic(capsys, tmp_path):
     argv = ["verify", "--mesh", "builtin:square:2", "--op", "star",
             "--point", "0.52,0.51", "--trials", "4"]

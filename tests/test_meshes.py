@@ -101,6 +101,36 @@ def test_mesh_json_requires_triangles(tmp_path):
         load_mesh_json(path)
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ("[[0, 1, 2, 3]]", "[0, 1, 2, 3]"),  # loaded as a 3-simplex
+    ("[[0, 1, 2], [2, 3]]", "[2, 3]"),  # loaded as a dangling edge
+    ("[[0, 1, 3], [1, 2, 3], [1, 2]]", "[1, 2]"),
+    ("[[0, 1, -1]]", "[0, 1, -1]"),
+    ("[[0, 1, 2.0]]", "[0, 1, 2.0]"),
+    ("[[0, 1, true]]", "[0, 1, True]"),
+    ('[[0, 1, "2"]]', "[0, 1, '2']"),
+    ("[0, 1, 2]", "0"),
+])
+def test_mesh_json_rejects_rows_that_are_not_three_vertex_ids(tmp_path, rows, bad):
+    path = tmp_path / "mesh.json"
+    path.write_text(f'{{"triangles": {rows}, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}}\n')
+    with pytest.raises(ValueError) as info:
+        load_mesh_json(path)
+    assert str(info.value) == f"mesh file triangle {bad} is not three vertex ids"
+
+
+@pytest.mark.parametrize("text", [
+    '[[0, 1, 2]]', '{"vertices": [[0, 0], [1, 0], [0, 1]]}',
+    '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": null}',
+    '{"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": 5}'])
+def test_mesh_json_must_hold_a_list_of_triangles(tmp_path, text):
+    # a missing key raised KeyError; the others a TypeError, a traceback from the CLI
+    path = tmp_path / "mesh.json"
+    path.write_text(text + "\n")
+    with pytest.raises(ValueError, match="mesh file must be an object with a list of triangles"):
+        load_mesh_json(path)
+
+
 def test_mesh_json_requires_coordinates(tmp_path):
     bare = SimplicialComplex([(0, 1, 2)])
     with pytest.raises(ValueError):

@@ -41,7 +41,7 @@ from decpotentials import (
     verify_homotopy,
     whitney_value,
 )
-from decpotentials import potentials
+from decpotentials import cones as cone_module, potentials
 from decpotentials.cli import main
 from decpotentials.whitney import _dot
 
@@ -221,6 +221,88 @@ def test_base_point_on_interior_edge_rejected(square2, geom2):
 
 def test_base_point_off_edges_accepted(geom2):
     check_base_point(geom2, (0.52, 0.51))
+
+
+def _edge_distances(geometry, p):
+    """Distances from a point to every mesh edge: the scan the gate once made."""
+    a, b = geometry.edge_coords.transpose(1, 0, 2)
+    d = b - a
+    t = np.clip(_dot(p - a, d) / _dot(d, d), 0.0, 1.0)
+    v = p - (a + t[:, None] * d)
+    return np.sqrt(_dot(v, v))
+
+
+@pytest.mark.parametrize("mesh", ["square8-jittered", "delaunay200"])
+def test_base_point_gate_agrees_with_a_scan_of_every_edge(mesh):
+    # the gate measures only the edges of the triangle holding the point
+    cx = jitter_interior(generate_square_mesh(8)) if mesh == "square8-jittered" \
+        else _delaunay(200, 5)
+    geom = MeshGeometry(cx)
+    tol = 1e-12 * geom.diagonal
+    rng = np.random.default_rng(3)
+    ends = cx.coordinates[cx._rows[1]]
+    outcomes = {"accepted": 0, "rejected": 0, "outside": 0}
+    for j in range(10, 15):
+        for _ in range(60):
+            # a random point of a random edge, or one of its ends, moved
+            # 10^-j diagonals in a random direction
+            a, b = ends[rng.integers(len(ends))]
+            w = rng.uniform() if rng.uniform() < 0.5 else 0.0
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            p = a + w * (b - a) + 10.0 ** -j * geom.diagonal * np.array(
+                [np.cos(angle), np.sin(angle)])
+            distances = _edge_distances(geom, p)
+            if geom.locate(p) is None:
+                with pytest.raises(PreconditionError, match="lies outside the mesh"):
+                    check_base_point(geom, p)
+                outcomes["outside"] += 1
+                continue
+            try:
+                check_base_point(geom, p)
+            except BasePointOnFacetError as err:
+                named = re.search(r"lies on edge \((\d+), (\d+)\) within", str(err)).groups()
+                assert distances[cx.index(tuple(map(int, named)))] <= tol
+                outcomes["rejected"] += 1
+            else:
+                assert distances.min() > tol
+                outcomes["accepted"] += 1
+    assert min(outcomes["accepted"], outcomes["rejected"]) >= 10, outcomes
+
+
+def _counting(monkeypatch, counts, owner, name, *also):
+    """Wrap ``owner.name`` (and the same function wherever ``also`` imported
+    it) so that each call adds one to ``counts[name]``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+    for where in (owner, *also):
+        monkeypatch.setattr(where, name, counted, raising=False)
+
+
+def test_bogovskii_builds_one_star_cone_and_checks_the_domain_once(square8, geom8, monkeypatch):
+    counts = {"star_cone": 0, "check_star_shaped": 0, "locate": 0}
+    _counting(monkeypatch, counts, cone_module, "star_cone", potentials)
+    _counting(monkeypatch, counts, potentials, "check_star_shaped")
+    _counting(monkeypatch, counts, MeshGeometry, "locate")
+    op = BogovskiiOperator((0.52, 0.51), square8, geom8)
+    assert counts == {"star_cone": 1, "check_star_shaped": 1, "locate": 1}
+    assert op.kind == op.label == "bogovskii" and op.geometry is geom8
+    assert op._pi[0].size == op._pi[1].size == 0 and op._matrices == {}
+
+
+@pytest.mark.parametrize("kind", ["star", "bogovskii"])
+def test_complex_property_copies_its_base_state(kind, square8, geom8, monkeypatch):
+    base = (DiscretePoincareOperator(star_cone((0.52, 0.51), square8), geom8) if kind == "star"
+            else BogovskiiOperator((0.52, 0.51), square8, geom8))
+    counts = {"check_star_shaped": 0, "locate": 0}
+    _counting(monkeypatch, counts, potentials, "check_star_shaped")
+    _counting(monkeypatch, counts, MeshGeometry, "locate")
+    tilde = ComplexPropertyOperator(base)
+    assert counts == {"check_star_shaped": 0, "locate": 0}
+    assert (tilde.cone, tilde.geometry, tilde._pi) == (base.cone, base.geometry, base._pi)
+    assert tilde.kind == base.kind and tilde.label == base.label + "+complex-property"
 
 
 def test_bogovskii_matrix_vanishes_on_boundary_rows(bogovskii2, square2):
