@@ -392,6 +392,11 @@ def _base_point(point) -> np.ndarray:
     return a
 
 
+def _numbers(value) -> bool:
+    """Is a JSON value an array of numbers, or of such arrays (a bool is no number)?"""
+    return type(value) is list and all(type(v) in (int, float) or _numbers(v) for v in value)
+
+
 class SlabAffineContraction:
     """Contraction of the plane onto a point, as affine maps at its breakpoints.
 
@@ -465,11 +470,21 @@ class SlabAffineContraction:
 
     @classmethod
     def from_json(cls, data: dict) -> "SlabAffineContraction":
-        return cls.from_matrices(
-            data["breakpoints"],
-            [slab["matrix"] for slab in data["slabs"]],
-            data["point"],
-        )
+        """The contraction a contraction file holds; a malformed value raises
+        a ValueError that names its field."""
+        if type(data) is not dict:
+            raise ValueError(f"contraction file must hold an object, not a {type(data).__name__}")
+        slabs = data.get("slabs")
+        if type(slabs) is not list or not all(type(slab) is dict for slab in slabs):
+            raise ValueError(f"contraction file field 'slabs' is {slabs!r}, not a list of objects")
+        matrices = [slab.get("matrix") for slab in slabs]
+        for field, value in [("'breakpoints'", data.get("breakpoints")),
+                             ("'point'", data.get("point")),
+                             *((f"'matrix' of slab {i}", m) for i, m in enumerate(matrices))]:
+            if not _numbers(value):
+                raise ValueError(f"contraction file field {field} is {value!r}, "
+                                 "not an array of numbers")
+        return cls.from_matrices(data["breakpoints"], matrices, data["point"])
 
     @classmethod
     def load(cls, path) -> "SlabAffineContraction":

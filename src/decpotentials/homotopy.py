@@ -422,18 +422,41 @@ def sequence_to_json(seq) -> dict:
     raise TypeError(f"not a collapse sequence: {seq!r}")
 
 
+def _file_id(value, field: str) -> int:
+    """A vertex id of a sequence file: a JSON integer >= 0 (a bool is no id)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"sequence file field {field} is {value!r}, not a vertex id")
+    return value
+
+
+def _file_simplex(value, field: str) -> Simplex:
+    if type(value) is not list:
+        raise ValueError(f"sequence file field {field} is {value!r}, not a list of vertex ids")
+    return canonical_simplex([_file_id(v, field) for v in value])[0]
+
+
 def sequence_from_json(complex: SimplicialComplex, data: dict):
+    """The sequence a sequence file holds; a malformed value raises a
+    ValueError that names its field."""
+    if type(data) is not dict:
+        raise ValueError(f"sequence file must hold an object, not a {type(data).__name__}")
     kind = data.get("kind")
+    if kind not in ("collapse", "strong-collapse"):
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    steps = data.get("steps")
+    if type(steps) is not list:
+        raise ValueError(f"sequence file field 'steps' is {steps!r}, not a list")
+    terminal = _file_id(data.get("terminal"), "'terminal'")
+    names, read = ((("sigma", "tau"), _file_simplex) if kind == "collapse"
+                   else (("dominated", "dominating"), _file_id))
+    pairs = []
+    for i, st in enumerate(steps):
+        if type(st) is not dict:
+            raise ValueError(f"sequence file step {i} is {st!r}, not an object")
+        pairs.append(tuple(read(st.get(name), f"'{name}' of step {i}") for name in names))
     if kind == "collapse":
-        steps = [
-            (canonical_simplex(st["sigma"])[0], canonical_simplex(st["tau"])[0])
-            for st in data["steps"]
-        ]
-        return CollapseSequence(complex, steps, int(data["terminal"]))
-    if kind == "strong-collapse":
-        steps = [(int(st["dominated"]), int(st["dominating"])) for st in data["steps"]]
-        return StrongCollapseSequence(complex, steps, int(data["terminal"]))
-    raise ValueError(f"unknown sequence kind {kind!r}")
+        return CollapseSequence(complex, pairs, terminal)
+    return StrongCollapseSequence(complex, pairs, terminal)
 
 
 def save_sequence(seq, path) -> None:

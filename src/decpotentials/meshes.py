@@ -118,9 +118,9 @@ def save_cochain_csv(cochain: Cochain, path) -> None:
 def load_cochain_csv(complex: SimplicialComplex, path) -> Cochain:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "dim":
-            raise ValueError("cochain file must start with a 'dim,<k>' header")
+        header = next(reader, [])
+        if len(header) != 2 or header[0] != "dim" or not header[1].isdecimal():
+            raise ValueError(f"cochain file must start with a 'dim,<k>' header, got row {header}")
         k = int(header[1])
         values = np.zeros(complex.num_simplices(k))
         seen = np.zeros(complex.num_simplices(k), dtype=bool)
@@ -132,6 +132,8 @@ def load_cochain_csv(complex: SimplicialComplex, path) -> Cochain:
                 raise ValueError(f"row {row} does not name a {k}-simplex")
             t, sign = canonical_simplex(verts)
             i = complex.index(t)
+            if seen[i]:
+                raise ValueError(f"row {row} names {k}-simplex {t}, which an earlier row named")
             values[i] = sign * float(row[-1])
             seen[i] = True
         if not np.all(seen):

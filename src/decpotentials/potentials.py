@@ -308,18 +308,12 @@ class BogovskiiOperator(DiscretePoincareOperator):
 
     def _check_zero_mean(self, values: np.ndarray) -> None:
         """Reject top-degree values (one cochain or one per column) of nonzero mass."""
-        mass = self._orientation @ values
-        # a mass of at most 1e-9 passes at any scale, so the scale is read only past it
-        if values.ndim > 1:  # the first column of nonzero mass, if any, as one cochain
-            heavy = np.flatnonzero(np.abs(mass) > 1e-9)
-            scale = np.abs(values[:, heavy]).max(axis=0, initial=0.0)
-            bad = np.flatnonzero(np.abs(mass[heavy]) > 1e-9 * np.maximum(scale, 1.0))
-            mass, scale = (mass[heavy[bad[0]]], scale[bad[0]]) if bad.size else (0.0, 0.0)
-        else:
-            scale = np.abs(values).max(initial=0.0) if abs(mass) > 1e-9 else 0.0
-        if abs(mass) > 1e-9 * max(scale, 1.0):
-            raise PreconditionError(
-                f"top-degree input must have zero mean, got total integral {mass:.3e}")
+        block = values.reshape(len(values), -1)
+        for j, mass in enumerate((self._orientation @ block).tolist()):
+            # a mass of at most 1e-9 passes at any scale, so the scale is read only past it
+            if abs(mass) > 1e-9 and abs(mass) > 1e-9 * max(np.abs(block[:, j]).max(), 1.0):
+                raise PreconditionError(
+                    f"top-degree input must have zero mean, got total integral {mass:.3e}")
 
     def apply_values(self, k: int, values: np.ndarray) -> np.ndarray:
         if k == self.complex.dim:
@@ -332,13 +326,10 @@ class BogovskiiOperator(DiscretePoincareOperator):
         cx, g = self.complex, self.geometry
         if k == cx.dim:
             values = np.asarray(values, dtype=float)
-            if values.ndim == 1:
-                # a strided view is copied, as its dot rounds differently
-                values = np.ascontiguousarray(values)
-                return values - (values @ self._orientation / g.total_area) * g.signed_area
-            # each mass from a contiguous row, as signed_mass takes it
+            # each mass (one, or one per column) from a contiguous row, as
+            # signed_mass takes it: a strided row's dot rounds differently
             mass = _dot(np.ascontiguousarray(values.T), self._orientation)
-            return values - g.signed_area[:, None] * (mass / g.total_area)
+            return values - np.multiply.outer(g.signed_area, mass / g.total_area)
         values = np.array(values, dtype=float)
         values[cx.boundary_indices(k)] = 0.0
         return values

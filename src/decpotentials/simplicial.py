@@ -87,6 +87,28 @@ def _face_closure(groups: Iterable[np.ndarray], items=()) -> dict[int, np.ndarra
     return dict(sorted(closure.items()))
 
 
+def _cross(pts: np.ndarray) -> np.ndarray:
+    """``(b - a) x (c - a)`` of point triples ``(a, b, c)``, shape (S, 3, 2):
+    twice their signed areas, positive when counterclockwise."""
+    # the corners' x and y rows of one view: whole-row arithmetic, several times
+    # faster on a mesh than the columns of (S, 2) edge vectors
+    a, b, c = pts.transpose(1, 2, 0)
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _degenerate(pts: np.ndarray) -> np.ndarray:
+    """Per point set of a batch, shape (S, k + 1, 2): is it exactly flat in
+    floating point (``singular.is_degenerate``)?  Mesh checks and
+    integration read this one rule."""
+    k = pts.shape[1] - 1
+    if k <= 0 or k >= 3:
+        return np.full(len(pts), k >= 3)
+    if k == 1:
+        a, b = pts.transpose(1, 2, 0)
+        return (a[0] == b[0]) & (a[1] == b[1])
+    return _cross(pts) == 0.0
+
+
 class SimplicialComplex:
     """A finite simplicial complex, closed under taking faces.
 
@@ -138,16 +160,16 @@ class SimplicialComplex:
             self.coordinates = None
 
     def _check_nondegenerate(self, coords):
-        edges = self._rows.get(1, np.empty((0, 2), dtype=np.int64))
-        same = (coords.take(edges[:, 0], axis=0) == coords.take(edges[:, 1], axis=0)).all(axis=1)
-        if same.any():
-            raise ValueError(f"zero-length edge {tuple(edges[same.argmax()].tolist())}")
-        triangles = self._rows.get(2, np.empty((0, 3), dtype=np.int64))
-        a, b, c = coords.take(triangles.T, axis=0)
-        e1, e2 = b - a, c - a
-        flat = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] == 0.0
-        if flat.any():
-            raise ValueError(f"degenerate triangle {tuple(triangles[flat.argmax()].tolist())}")
+        ids = self._rows[0][:, 0]
+        bad = ~np.isfinite(coords.take(ids, axis=0)).all(axis=1)
+        if bad.any():
+            v = int(ids[bad.argmax()])
+            raise ValueError(f"vertex {v} has a non-finite coordinate {tuple(coords[v].tolist())}")
+        for k, what in ((1, "zero-length edge"), (2, "degenerate triangle")):
+            rows = self._rows.get(k, np.empty((0, k + 1), dtype=np.int64))
+            flat = _degenerate(coords.take(rows, axis=0))
+            if flat.any():
+                raise ValueError(f"{what} {tuple(rows[flat.argmax()].tolist())}")
 
     @cached_property
     def simplices_by_dim(self) -> dict[int, list[Simplex]]:

@@ -44,7 +44,8 @@ the mesh, plus its shadow cut off exactly by the mesh bounding box;
 compares the uncovered area (length) with COVERAGE_TOL times the mesh area
 (diagonal), not with the image's own, so a thin image near an edge is not
 rejected for the round-off of its clipped pieces.  Simplices exactly flat in
-floating point are degenerate and integrate to zero.
+floating point (``is_degenerate``, the one rule by which a complex also
+rejects a flat mesh simplex) are degenerate and integrate to zero.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .simplicial import Cochain
+from .simplicial import Cochain, _cross, _degenerate
 from .whitney import MeshGeometry
 
 # uncovered image area (length) allowed in strict integration, as a share of
@@ -202,23 +203,13 @@ def cone_boundary(chain: ConeChain) -> ConeChain:
     return ConeChain(chain.dim - 1, out)
 
 
-def _degenerate(pts: np.ndarray) -> np.ndarray:
-    """``is_degenerate`` over a batch of point sets, shape (S, k + 1, 2)."""
-    k = pts.shape[1] - 1
-    if k <= 0 or k >= 3:
-        return np.full(len(pts), k >= 3)
-    if k == 1:
-        return (pts[:, 0] == pts[:, 1]).all(axis=1)
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    return e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] == 0.0
-
-
 def is_degenerate(points) -> bool:
     """Rank test: are the points exactly flat in floating point?
 
     Two points are when they coincide, three when their cross product is
     exactly zero, at every scale; four or more always are, in the plane.
+    This is the batch rule ``simplicial._degenerate`` on one set: the rule
+    that also rejects a flat edge or triangle when a complex is built.
     """
     pts = np.asarray(points, dtype=float)
     return bool(_degenerate(pts.reshape(1, len(pts), 2))[0])
@@ -465,9 +456,7 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     Unless ``allow_exterior``, the image must be covered by the mesh: the
     area it leaves uncovered may not exceed COVERAGE_TOL times the mesh area.
     """
-    e1 = pts[:, 1] - pts[:, 0]
-    e2 = pts[:, 2] - pts[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    area = 0.5 * _cross(pts)
     sign = np.where(area > 0, 1.0, -1.0)
     ccw = np.where(area[:, None, None] > 0, pts, pts[:, ::-1])  # for the image's axes
     # clip in each mesh triangle's frame, so rounding scales with the triangle
@@ -606,8 +595,7 @@ def shadow_pieces(geom: MeshGeometry, points):
         ok = np.flatnonzero(leave > np.maximum(enter, 1.0))
         owner, pieces = keep[ok], np.clip(ends.take(ok, axis=0), lo, hi)
     else:
-        e = pts[:, 1:] - p[:, None]
-        ccw = (e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0] > 0)[:, None]
+        ccw = (_cross(pts) > 0)[:, None]
         u, w = np.where(ccw[..., None], pts[:, 1:], pts[:, :0:-1]).transpose(1, 0, 2)
         sides = np.stack([np.stack(pair, axis=1) for pair in ((p, u), (w, p), (w, u))], axis=1)
         box = np.array([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])

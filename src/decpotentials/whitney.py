@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .simplicial import Cochain, SimplicialComplex
+from .simplicial import Cochain, SimplicialComplex, _cross
 
 # 3-point Gauss-Legendre on [0, 1]
 _D = 0.5 * np.sqrt(0.6)
@@ -84,9 +84,7 @@ class MeshGeometry:
         self.corner_rows = np.searchsorted(complex._rows[0][:, 0], tris)
         P = coords.take(tris, axis=0)  # (T, 3, 2)
         self.corners = P
-        e1 = P[:, 1] - P[:, 0]
-        e2 = P[:, 2] - P[:, 0]
-        self.signed_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        self.signed_area = 0.5 * _cross(P)
         self.orientation = np.sign(self.signed_area).astype(int)
         # corners in counterclockwise order, the clipper orientation
         self.ccw_corners = np.where(self.orientation[:, None, None] > 0, P, P[:, ::-1])
@@ -197,17 +195,16 @@ class MeshGeometry:
         A point belongs to a triangle when each barycentric coordinate is at
         least ``-tol``; ties on shared edges/vertices resolve to the lowest
         triangle index, which is harmless for tangentially continuous
-        integrands.  A point with a NaN or infinite coordinate lies in none.
+        integrands.  A point with a NaN or infinite coordinate lies in none:
+        it has no grid cell to probe, so it is left out of the probe.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        finite = np.isfinite(pts).all(axis=1)
-        if not finite.all():  # such a point has no grid cell to probe
-            found = np.full(len(pts), -1)
-            found[finite] = self.locate_all(pts[finite], tol)
-            return found
+        finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+        probe = pts.take(finite, axis=0)
         # a barycentric slack of tol moves a point at most 2 tol diameters
         pad = 4.0 * tol * float(self._reach.sum())
-        box, tri = self.candidates(pts - pad, pts + pad)
+        box, tri = self.candidates(probe - pad, probe + pad)
+        box = finite.take(box)
         lam = self.barycentric(tri, pts.take(box, axis=0))
         inside = (lam >= -tol).all(axis=1)
         none = len(self.corners)
@@ -230,7 +227,7 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot products of the rows (last axis) of two arrays, broadcast over the
     leading axes, each rounded as ``u[i] @ v[i]``."""
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return np.vecdot(u, v)
 
 
 def _in_order(terms: np.ndarray) -> np.ndarray:
@@ -287,7 +284,6 @@ def de_rham(complex: SimplicialComplex, field: Callable, k: int) -> Cochain:
         nodes = P[:, :1] + GAUSS3_NODES[:, None] * d[:, None]
         f = np.array([field(p) for p in nodes.reshape(-1, 2)], dtype=float).reshape(-1, 3, 2)
         return Cochain(complex, 1, _in_order(GAUSS3_WEIGHTS * _dot(f, d[:, None])))
-    e1, e2 = P[:, 1] - P[:, 0], P[:, 2] - P[:, 0]
-    area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    area = 0.5 * _cross(P)
     g = np.array([float(field(p)) for p in (TRI6_BARY @ P).reshape(-1, 2)]).reshape(-1, 6)
     return Cochain(complex, 2, area * _in_order(TRI6_WEIGHTS * g))

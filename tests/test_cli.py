@@ -15,6 +15,7 @@ from decpotentials import (
     SimplicialComplex,
     de_rham,
     load_cochain_csv,
+    load_mesh_json,
     save_cochain_csv,
     save_mesh_json,
 )
@@ -779,3 +780,130 @@ def test_strong_collapse_of_a_mesh_with_a_large_vertex_id(capsys, tmp_path):
                                       "--op", "strong-collapse", "--trials", "3"])
     assert code == 0 and err == ""
     assert out_json(out)["pass"] is True
+
+
+def assert_exits_2_naming(capsys, argv, error):
+    """The CLI exits 2 with the one-line JSON error, no traceback and no output."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err_json(err) == error
+
+
+@pytest.mark.parametrize("command", [
+    ["mesh-info"],
+    ["verify", "--op", "collapse", "--trials", "2"],
+    ["verify", "--op", "star", "--point", "0.6,0.3", "--trials", "2"],
+], ids=["mesh-info", "collapse", "star"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_mesh_file_vertex_with_a_non_finite_coordinate_exits_2(command, value, capsys, tmp_path):
+    # json reads NaN and Infinity; such a mesh used to load, and the bucket
+    # grid's bincount then failed on the cast coordinate (exit 1 under -W error)
+    path = tmp_path / "mesh.json"
+    path.write_text('{"vertices": [[0, 0], [1, 0], [1, 1], [%s, 1.0]], '
+                    '"triangles": [[0, 1, 2], [0, 2, 3]]}\n' % value)
+    message = f"vertex 3 has a non-finite coordinate ({float(value)}, 1.0)"
+    with pytest.raises(ValueError) as info:
+        load_mesh_json(path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, [command[0], "--mesh", str(path), *command[1:]],
+                          {"type": "ValueError", "message": message})
+
+
+def test_cochain_file_with_a_bare_dim_header_exits_2(capsys, tmp_path, square2):
+    # the header's missing degree raised IndexError, a traceback from the CLI
+    path, out = tmp_path / "field.csv", tmp_path / "pot.csv"
+    path.write_text("dim\n0,1,1.0\n")
+    message = "cochain file must start with a 'dim,<k>' header, got row ['dim']"
+    with pytest.raises(ValueError) as info:
+        load_cochain_csv(square2, path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["potential", "--mesh", "builtin:square:2", "--op", "collapse",
+                                   "--field", f"file:{path}", "--out", str(out)],
+                          {"type": "ValueError", "message": message})
+    assert not out.exists()
+
+
+def test_cochain_file_naming_a_simplex_twice_exits_2(capsys, tmp_path, square2):
+    # the later row's value used to replace the earlier one's silently
+    path, out = tmp_path / "field.csv", tmp_path / "pot.csv"
+    save_cochain_csv(de_rham(square2, lambda p: np.array([p[1], -p[0]]), 1), path)
+    assert path.read_text().splitlines()[1].startswith("0,1,")
+    path.write_text(path.read_text() + "1,0,5.0\n")
+    message = "row ['1', '0', '5.0'] names 1-simplex (0, 1), which an earlier row named"
+    with pytest.raises(ValueError) as info:
+        load_cochain_csv(square2, path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["potential", "--mesh", "builtin:square:2", "--op", "collapse",
+                                   "--field", f"file:{path}", "--out", str(out)],
+                          {"type": "ValueError", "message": message})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("op, data, message", [
+    ("strong-collapse", [], "sequence file must hold an object, not a list"),
+    ("collapse", [], "sequence file must hold an object, not a list"),
+    ("strong-collapse", {"kind": "strong-collapse", "terminal": 0, "steps": "x"},
+     "sequence file field 'steps' is 'x', not a list"),
+    ("collapse", {"kind": "collapse", "terminal": 0, "steps": ["x"]},
+     "sequence file step 0 is 'x', not an object"),
+], ids=["list-strong", "list-collapse", "steps-string", "step-string"])
+def test_sequence_file_that_is_no_object_or_step_list_exits_2(op, data, message, capsys,
+                                                             tmp_path, square2):
+    # [] raised AttributeError and a string of steps TypeError: tracebacks from the CLI
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        homotopy.load_sequence(square2, path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["verify", "--mesh", "builtin:square:2", "--op", op,
+                                   "--sequence", str(path)],
+                          {"type": "ValueError", "message": message})
+
+
+@pytest.mark.parametrize("op, edit, message", [
+    ("strong-collapse", lambda d: d["steps"][0].update(dominated=0.2),
+     "sequence file field 'dominated' of step 0 is 0.2, not a vertex id"),
+    ("strong-collapse", lambda d: d["steps"][1].update(dominating=True),
+     "sequence file field 'dominating' of step 1 is True, not a vertex id"),
+    ("strong-collapse", lambda d: d.update(terminal=3.9),
+     "sequence file field 'terminal' is 3.9, not a vertex id"),
+    ("collapse", lambda d: d["steps"][0]["tau"].__setitem__(0, 1.0),
+     "sequence file field 'tau' of step 0 is 1.0, not a vertex id"),
+], ids=["float", "bool", "terminal", "collapse-face"])
+def test_sequence_file_ids_must_be_json_integers(op, edit, message, capsys, tmp_path, square2):
+    # ids went through int(): 0.2 read as 0, true as 1 and 3.9 as 3
+    path = tmp_path / "seq.json"
+    assert run_cli(capsys, [f"find-{op}", "--mesh", "builtin:square:2", "--out", str(path)])[0] == 0
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        homotopy.load_sequence(square2, path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["verify", "--mesh", "builtin:square:2", "--op", op,
+                                   "--sequence", str(path)],
+                          {"type": "ValueError", "message": message})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "contraction file must hold an object, not a list"),
+    ({"breakpoints": [0.0, 1.0], "slabs": "x", "point": [0.5, 0.5]},
+     "contraction file field 'slabs' is 'x', not a list of objects"),
+    ({"breakpoints": 2, "slabs": [], "point": [0.5, 0.5]},
+     "contraction file field 'breakpoints' is 2, not an array of numbers"),
+    ({"breakpoints": [0.0, 1.0], "slabs": [{"matrix": [[1, 0, 0, 0], [0, True, 0, 0]]}],
+      "point": [0.5, 0.5]},
+     "contraction file field 'matrix' of slab 0 is [[1, 0, 0, 0], [0, True, 0, 0]], "
+     "not an array of numbers"),
+], ids=["list", "slabs-string", "breakpoints-number", "matrix-bool"])
+def test_contraction_file_that_is_no_object_of_number_arrays_exits_2(data, message, capsys,
+                                                                     tmp_path):
+    # [] and a number of breakpoints raised TypeError, a traceback from the CLI
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        cones.SlabAffineContraction.load(path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["verify", "--mesh", "builtin:square:4", "--op", "lipschitz",
+                                   "--contraction", f"file:{path}"],
+                          {"type": "ValueError", "message": message})

@@ -118,6 +118,25 @@ def test_locate_puts_points_with_a_nan_or_infinite_coordinate_nowhere(geom2, squ
             whitney_value(geom2, alpha, np.array([np.nan, 0.5]))
 
 
+def test_locate_on_a_mesh_scaled_by_1e17_puts_non_finite_points_nowhere():
+    # the mesh's lower-left corner sits at (1e17, 1e17), where a sentinel point
+    # one unit below it rounds back onto the corner, inside triangle 0
+    square = generate_square_mesh(4)
+    big = SimplicialComplex.from_rows([square._rows[2]], (square.coordinates + 1.0) * 1e17)
+    geom = MeshGeometry(big)
+    assert geom.bbox_min.tolist() == [1e17, 1e17] and (geom.bbox_min - 1.0 == 1e17).all()
+    centroids = geom.corners.mean(axis=1)
+    odd = np.array([[np.nan, 1.5e17], [np.nan, np.nan], [np.inf, 1.5e17], [1.5e17, -np.inf],
+                    [-np.inf, np.nan]])
+    points = np.concatenate([odd, centroids, odd])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = geom.locate_all(points)
+    n = len(odd)
+    assert got[:n].tolist() == got[-n:].tolist() == [-1] * n
+    assert got[n:-n].tolist() == list(range(len(centroids)))
+
+
 def test_whitney_value_names_the_first_outside_point_as_floats(geom2, square2):
     alpha = Cochain(square2, 0, np.zeros(square2.num_simplices(0)))
     for point in (np.array([np.nan, 0.5]), (np.nan, 0.5), [np.nan, 0.5],
