@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -94,6 +95,8 @@ def load_mesh_json(path) -> SimplicialComplex:
         data = json.load(fh)
     if type(data) is not dict or type(data.get("triangles")) is not list:
         raise ValueError("mesh file must be an object with a list of triangles")
+    if type(data.get("vertices")) is not list:
+        raise ValueError("mesh file must be an object with a list of vertices")
     coords = np.array(data["vertices"], dtype=float)
     triangles = data["triangles"]
     for row in triangles:
@@ -134,7 +137,10 @@ def load_cochain_csv(complex: SimplicialComplex, path) -> Cochain:
             i = complex.index(t)
             if seen[i]:
                 raise ValueError(f"row {row} names {k}-simplex {t}, which an earlier row named")
-            values[i] = sign * float(row[-1])
+            value = float(row[-1])
+            if not math.isfinite(value):
+                raise ValueError(f"row {row} gives {k}-simplex {t} the non-finite value {value}")
+            values[i] = sign * value
             seen[i] = True
         if not np.all(seen):
             missing = int(np.sum(~seen))

@@ -60,6 +60,7 @@ and the report, is bitwise what a trial-by-trial loop gives.
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
@@ -310,8 +311,10 @@ class BogovskiiOperator(DiscretePoincareOperator):
         """Reject top-degree values (one cochain or one per column) of nonzero mass."""
         block = values.reshape(len(values), -1)
         for j, mass in enumerate((self._orientation @ block).tolist()):
-            # a mass of at most 1e-9 passes at any scale, so the scale is read only past it
-            if abs(mass) > 1e-9 and abs(mass) > 1e-9 * max(np.abs(block[:, j]).max(), 1.0):
+            # a mass of at most 1e-9 passes at any scale, so the scale is read
+            # only past it; a NaN or infinite mass (from a non-finite value) fails
+            if not math.isfinite(mass) or (
+                    abs(mass) > 1e-9 and abs(mass) > 1e-9 * max(np.abs(block[:, j]).max(), 1.0)):
                 raise PreconditionError(
                     f"top-degree input must have zero mean, got total integral {mass:.3e}")
 

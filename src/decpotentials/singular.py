@@ -34,11 +34,13 @@ polygons as flat point lists (each point's x, y and polygon index, in
 polygon order), so a half-plane is a few whole-array passes and one
 compaction in which every point emits its crossing and then itself.  A chunk
 holds about CHUNK_PAIRS grid candidates, which bounds the memory of every
-pass.  Rows and columns of multi-dimensional arrays are gathered with
-``ndarray.take`` (a mask through ``flatnonzero`` first): the same values
-that advanced indexing gathers, on a path several times faster.  Pieces
-outside the mesh are an error unless explicitly allowed, in which case they
-integrate to zero (an infinite cone is its star simplex, which may overhang
+pass; its size trades a fixed cost per chunk (some 550 Python and numpy
+calls of the triangle kernel, whatever the chunk holds) against memory and
+cache (see ``_pairs``).  Rows and columns of multi-dimensional arrays are
+gathered with ``ndarray.take`` (a mask through ``flatnonzero`` first): the
+same values that advanced indexing gathers, on a path several times
+faster.  Pieces outside the mesh are an error unless explicitly allowed, in
+which case they integrate to zero (an infinite cone is its star simplex, which may overhang
 the mesh, plus its shadow cut off exactly by the mesh bounding box;
 ``segment_functional`` extends the interpolant by zero).  The coverage test
 compares the uncovered area (length) with COVERAGE_TOL times the mesh area
@@ -63,7 +65,7 @@ from .whitney import MeshGeometry
 # the mesh area (diagonal)
 COVERAGE_TOL = 1e-10
 # grid candidate pairs per numpy pass of the batched kernels
-CHUNK_PAIRS = 1 << 12
+CHUNK_PAIRS = 1 << 13
 
 
 class OutsideDomainError(ValueError):
@@ -345,6 +347,11 @@ def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
     candidate pairs of the geometry's bucket grid.  A chunk holds whole rows
     (``rows`` is sorted) and about CHUNK_PAIRS candidates (a row with more is
     a chunk of its own), which bounds the memory of every later pass.
+
+    Since a chunk holds whole rows, its size changes no bit of a matrix, only
+    time and memory.  The tracemalloc peak of star square:16 ``matrix(2)`` is
+    1.4, 2.1, 3.5 and 5.8 MB at 4,096, 8,192, 16,384 and 32,768 pairs, and
+    on a 2-core VM the time that each doubling saves shrinks past 8,192.
     """
     lo = pts.min(axis=1)
     hi = pts.max(axis=1)
@@ -356,7 +363,8 @@ def _pairs(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray):
         stop = max(first + 1, int(np.searchsorted(ends, done + CHUNK_PAIRS, side="right")))
         stop = int(row_end[stop - 1])
         sub, tri = geom.candidates(lo[first:stop], hi[first:stop])
-        yield first, stop, sub + first, tri
+        sub += first  # in place: the generator holds no second copy
+        yield first, stop, sub, tri
         first = stop
 
 
@@ -426,9 +434,12 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         pi, pj = proj.take(i, axis=0), proj.take(j, axis=0)
         cut = np.fmin(np.fmax(cut, np.minimum(pi, pj)), np.maximum(pi, pj))
         on = sign == 0.0
-        t = np.where(np.concatenate([sign.take(i, axis=0) * sign.take(j, axis=0) < 0.0, on]),
-                     np.concatenate([cut, proj]), np.nan)
-        t0, t1 = np.maximum(np.fmin.reduce(t), 0.0), np.minimum(np.fmax.reduce(t), 1.0)
+        # the least and the greatest of the crossings and the corners on the
+        # line, each kind taken apart (min and max do not round)
+        cut = np.where(sign.take(i, axis=0) * sign.take(j, axis=0) < 0.0, cut, np.nan)
+        proj = np.where(on, proj, np.nan)
+        t0 = np.maximum(np.fmin(np.fmin.reduce(cut), np.fmin.reduce(proj)), 0.0)
+        t1 = np.minimum(np.fmax(np.fmax.reduce(cut), np.fmax.reduce(proj)), 1.0)
         along = on.take(i, axis=0) & on.take(j, axis=0)
         edge = geom.triangle_edges.ravel().take(3 * tri + along.argmax(axis=0))
         keep = np.flatnonzero((t1 > t0) & (~along.any(axis=0) | (lowest[edge] == tri)))
@@ -461,14 +472,15 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     ccw = np.where(area[:, None, None] > 0, pts, pts[:, ::-1])  # for the image's axes
     # clip in each mesh triangle's frame, so rounding scales with the triangle
     origin = geom.ccw_corners[:, :1].copy()
-    sides = _sides(geom.ccw_corners - origin)
-    triangle_axes = _edge_axes(geom.ccw_corners)
+    # the half-planes are kept with the triangle index last, the layout that
+    # _clip walks, so that a chunk's gather is its only copy of them
+    sides = np.ascontiguousarray(_sides(geom.ccw_corners - origin).transpose(1, 2, 3, 0))
+    image_axes, triangle_axes = _edge_axes(ccw), _edge_axes(geom.ccw_corners)
     # corners as (corner, xy, subject or triangle) columns, for the axis tests
     images, corners = (np.ascontiguousarray(p.transpose(1, 2, 0)) for p in (pts, geom.ccw_corners))
     for first, stop, sub, tri in _pairs(geom, pts, rows):
         # separating axes, the image's first: they reject most pairs of a thin image
-        apart, enclosed = _apart(_edge_axes(ccw[first:stop]), sub - first,
-                                 corners.take(tri, axis=2), inside=True)
+        apart, enclosed = _apart(image_axes, sub, corners.take(tri, axis=2), inside=True)
         meet = np.flatnonzero(~apart)
         sub, tri, enclosed = sub.take(meet), tri.take(meet), enclosed.take(meet)
         meet = np.flatnonzero(~_apart(triangle_axes, tri, images.take(sub, axis=2))[0])
@@ -477,9 +489,11 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         overlap = np.abs(geom.signed_area.take(tri))
         clip = np.flatnonzero(~enclosed)
         s, t = sub.take(clip), tri.take(clip)
-        xy, piece = _clip(pts.take(s, axis=0) - origin.take(t, axis=0), np.full(len(clip), 3),
-                          sides.take(t, axis=0))
-        overlap[clip] = np.abs(_areas(xy, piece, len(clip)))
+        # the clipped polygons are no local, so no chunk holds them into the next
+        overlap[clip] = np.abs(_areas(*_clip(pts.take(s, axis=0) - origin.take(t, axis=0),
+                                             np.full(len(clip), 3),
+                                             sides.take(t, axis=3).transpose(3, 0, 1, 2)),
+                                      len(clip)))
         hit = np.flatnonzero(overlap)
         sub, tri, overlap = sub.take(hit), tri.take(hit), overlap.take(hit)
         if not allow_exterior:

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -412,3 +413,64 @@ def test_chunk_size_changes_no_bit(name, monkeypatch):
         assert "leaves the mesh" in results[0][2]
     # a row whose candidates overfill a chunk is a chunk of its own
     assert max(map(row_candidates, ops)) > 64
+
+
+def test_square16_matrices_keep_their_bits_across_default_chunks(monkeypatch):
+    # at the default size every matrix of square:8 and ushape:10 fits in one
+    # chunk; the k = 2 matrices of star and Bogovskii on square:16 (about 61k
+    # and 50k candidates) take several, whose rows must add up as one chunk's
+    cx = generate_square_mesh(16)
+    pairs, chunks = singular._pairs, []
+
+    def counted(*args):
+        chunks.append(0)
+        for chunk in pairs(*args):
+            chunks[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(singular, "_pairs", counted)
+    results, fewest = [], []
+    for size in (singular.CHUNK_PAIRS, 64, 1):
+        monkeypatch.setattr(singular, "CHUNK_PAIRS", size)
+        geom = MeshGeometry(cx)
+        ops = [DiscretePoincareOperator(star_cone((0.5, 0.5), cx), geom),
+               BogovskiiOperator((0.52, 0.51), cx, geom)]
+        most = []  # the most chunks of one matrix(2) call, per operator
+        for op in ops:
+            chunks.clear()
+            op.matrix(2)
+            most.append(max(chunks))
+        fewest.append(min(most))
+        results.append([matrix_digest(op) for op in ops])
+    assert results[1] == results[0] and results[2] == results[0]
+    assert 1 < fewest[0] < fewest[1] < fewest[2]
+
+
+# tracemalloc peaks (MB) of one matrix(k) of a fresh operator, measured at
+# CHUNK_PAIRS = 8192 with numpy 2.4: a chunk's arrays set them
+ASSEMBLY_PEAK_MB = {
+    ("star square:16", 1): 1.88, ("star square:16", 2): 2.07,
+    ("lipschitz ushape:20", 1): 3.49, ("lipschitz ushape:20", 2): 2.82,
+}
+
+
+def assembly_operator(name):
+    if name == "star square:16":
+        return DiscretePoincareOperator(star_cone((0.5, 0.5), generate_square_mesh(16)))
+    cx = generate_ushape_mesh(20)
+    geom = MeshGeometry(cx)
+    return DiscretePoincareOperator(
+        lipschitz_cone(SlabAffineContraction.ushape((0.2, 0.2)), cx, geometry=geom), geom)
+
+
+@pytest.mark.parametrize("name, k", sorted(ASSEMBLY_PEAK_MB))
+def test_assembly_peak_memory_stays_bounded(name, k):
+    # a larger chunk, or a chunk that holds more at one time, raises the peak
+    op = assembly_operator(name)
+    tracemalloc.start()
+    try:
+        op.matrix(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6 * ASSEMBLY_PEAK_MB[name, k], peak / 1e6

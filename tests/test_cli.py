@@ -839,6 +839,43 @@ def test_cochain_file_naming_a_simplex_twice_exits_2(capsys, tmp_path, square2):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cochain_file_with_a_non_finite_value_exits_2(value, capsys, tmp_path, square2):
+    # a NaN value used to reach the operator: the run wrote its --out file,
+    # exited 3 and printed "residual_max": NaN, which is not strict JSON
+    path, out = tmp_path / "field.csv", tmp_path / "pot.csv"
+    save_cochain_csv(de_rham(square2, lambda p: np.array([p[1], -p[0]]), 1), path)
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("0,1,")
+    lines[1] = f"0,1,{value}"
+    path.write_text("\n".join(lines) + "\n")
+    message = f"row ['0', '1', '{value}'] gives 1-simplex (0, 1) the non-finite value {value}"
+    with pytest.raises(ValueError) as info:
+        load_cochain_csv(square2, path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["potential", "--mesh", "builtin:square:2", "--op", "collapse",
+                                   "--field", f"file:{path}", "--out", str(out)],
+                          {"type": "ValueError", "message": message})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"triangles": [[0, 1, 2]]}',
+    '{"triangles": [[0, 1, 2]], "vertices": null}',
+    '{"triangles": [[0, 1, 2]], "vertices": {"0": [0, 0]}}',
+], ids=["missing", "null", "object"])
+def test_mesh_file_with_no_vertex_list_exits_2(text, capsys, tmp_path):
+    # a missing list raised KeyError: 'vertices'; an object, a TypeError
+    path = tmp_path / "mesh.json"
+    path.write_text(text + "\n")
+    message = "mesh file must be an object with a list of vertices"
+    with pytest.raises(ValueError) as info:
+        load_mesh_json(path)
+    assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["mesh-info", "--mesh", str(path)],
+                          {"type": "ValueError", "message": message})
+
+
 @pytest.mark.parametrize("op, data, message", [
     ("strong-collapse", [], "sequence file must hold an object, not a list"),
     ("collapse", [], "sequence file must hold an object, not a list"),

@@ -343,6 +343,25 @@ def test_bogovskii_nonzero_mean_rejected(bogovskii2, square2, geom2):
         bogovskii2.apply(Cochain(square2, 2, v))
 
 
+def test_bogovskii_non_finite_mass_rejected(bogovskii2, square2, geom2):
+    # abs(nan) > 1e-9 is false, so a NaN mass once passed the check; an
+    # infinite one passed against its own infinite scale
+    message = "^top-degree input must have zero mean, got total integral "
+    for bad in (np.nan, np.inf, -np.inf):
+        v = bogovskii2.project_admissible_block(2, np.linspace(-1.0, 1.0, 8))
+        v[3] = bad
+        mass = f"{bad * geom2.orientation[3]:.3e}$"
+        with pytest.raises(PreconditionError, match=message + mass):
+            bogovskii2.apply(Cochain(square2, 2, v))
+        with pytest.raises(PreconditionError, match=message + mass):
+            bogovskii2.apply_values(2, np.column_stack([np.zeros(8), v]))
+    # masses +inf and -inf add up to NaN (past numpy's warning of inf - inf)
+    v = np.zeros(8)
+    v[[2, 5]] = np.inf * geom2.orientation[2], -np.inf * geom2.orientation[5]
+    with np.errstate(invalid="ignore"), pytest.raises(PreconditionError, match=message + "nan$"):
+        bogovskii2.apply(Cochain(square2, 2, v))
+
+
 def test_bogovskii_zero_mean_threshold(bogovskii2, square2, geom2):
     # a mass passes up to 1e-9 times the largest |value|, and up to 1e-9 at
     # any scale: one cochain and a block's columns alike
