@@ -102,6 +102,8 @@ def load_mesh(spec: str) -> SimplicialComplex:
         if len(parts) != 3:
             raise ValueError(f"builtin mesh spec must be builtin:<name>:<N>, got {spec!r}")
         _, name, n = parts
+        if not n.isdecimal() or int(n) < 1:
+            raise ValueError(f"builtin mesh spec {spec!r}: N must be a positive integer")
         if name == "square":
             return generate_square_mesh(int(n))
         if name == "ushape":
@@ -132,6 +134,21 @@ def _load_field(args, cx: SimplicialComplex):
         return de_rham(cx, fn, k)
     path = name[len("file:"):] if name.startswith("file:") else name
     return load_cochain_csv(cx, path)
+
+
+def _check_zero_trace(alpha) -> None:
+    """Reject a Bogovskii input below the top degree whose value on a boundary
+    simplex exceeds 1e-9 times max(1, max |value|), the scale of the top
+    degree's zero-mean check."""
+    cx = alpha.complex
+    if alpha.dim >= cx.dim:
+        return
+    on = cx.boundary_indices(alpha.dim)
+    bad = on[np.abs(alpha.values[on]) > 1e-9 * max(np.abs(alpha.values).max(), 1.0)]
+    if bad.size:
+        raise PreconditionError(
+            f"bogovskii input must have zero boundary trace, got {alpha.values[bad[0]]:.3e} on "
+            f"boundary simplex {tuple(cx._rows[alpha.dim][bad[0]].tolist())}")
 
 
 def _load_contraction(args):
@@ -314,6 +331,8 @@ def cmd_potential(args) -> int:
         raise PreconditionError("potentials are defined for cochains of degree >= 1")
     if args.samples and geom is None:
         raise PreconditionError("--samples needs a mesh with coordinates")
+    if args.op == "bogovskii":
+        _check_zero_trace(alpha)
     potential = op.apply(alpha)
     # every matrix the residual reads is assembled before any file is written
     residual = homotopy_residual(op, alpha)

@@ -59,7 +59,7 @@ from .simplicial import (
     canonical_simplex,
 )
 from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain, shadow_pieces
-from .whitney import MeshGeometry
+from .whitney import MeshGeometry, _own
 
 
 class _ConeOperatorBase:
@@ -368,6 +368,7 @@ def infinite_cone(point, complex: SimplicialComplex) -> InfiniteConeOperator:
 def shadow_cone(point, complex: SimplicialComplex, geometry) -> SingularConeOperator:
     """Star cone minus infinite cone from a base point: every vertex and edge
     maps to its negated shadow pieces (``singular.shadow_pieces``)."""
+    _own(complex, geometry)
     star = star_cone(point, complex)
     pieces, terms = [], {}
     for k in range(complex.dim):
@@ -500,6 +501,7 @@ class SlabAffineContraction:
 def _checked_images(phi: SlabAffineContraction, complex: SimplicialComplex, geometry):
     """(V, B, 2) images of the vertices, in row order, at each breakpoint,
     and the endpoint and containment issues read off them."""
+    _own(complex, geometry)
     coords = complex.coordinates
     if coords is None:
         raise ValueError("complex has no vertex coordinates")

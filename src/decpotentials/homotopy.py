@@ -212,8 +212,7 @@ class _Subcomplex:
             rows = complex.coboundary_matrix(k - 1).indices.reshape(-1, k + 1)
             self.facets[k] = rows[:, ::-1].tolist()
         self.dead = {k: [False] * len(r) for k, r in complex._rows.items()}
-        self.count = {k: np.bincount(complex.coboundary_matrix(k).indices,
-                                     minlength=len(d)).tolist()
+        self.count = {k: np.diff(complex._cofacet_csc(k).indptr).tolist()
                       if k < complex.dim else [0] * len(d) for k, d in self.dead.items()}
 
     def remove(self, k: int, s: int) -> list[tuple[int, int]]:
@@ -267,7 +266,8 @@ def find_collapse_sequence(complex: SimplicialComplex,
     if complex.euler_characteristic() != 1:
         return None
     state = _Subcomplex(complex)
-    cofacets = [(m.indptr.tolist(), m.indices.tolist()) for m in complex._cofacet_csc.values()]
+    cofacets = [(m.indptr.tolist(), m.indices.tolist())
+                for m in map(complex._cofacet_csc, range(complex.dim))]
     # (-k, position) pops in the order of (-len, tuple), since rows are
     # lexicographic; listed in that order, the free faces are already a heap
     heap = [(-k, f) for k in reversed(state.count) for f, n in enumerate(state.count[k]) if n == 1]

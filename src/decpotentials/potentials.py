@@ -27,8 +27,10 @@ Whitney kind over ``shadow_cone``: its row, the star-cone row minus the
 infinite-cone row, is minus the integral over the bounded shadow beyond the
 simplex.  Its admissible inputs have vanishing boundary trace (vanishing
 mean in top degree); on them the identity holds with pi = 0, and the
-outputs again have vanishing trace.  Before its one star cone is built,
-inside ``shadow_cone``, its base point must lie in the mesh, 1e-12 mesh
+outputs again have vanishing trace.  Every Whitney operator first checks
+that its mesh is a planar triangulation (``check_triangulation``), and
+refuses a geometry built from another complex.  Before its one star cone
+is built, inside ``shadow_cone``, its base point must lie in the mesh, 1e-12 mesh
 diagonals off every edge (``check_base_point``), then that far inside every
 boundary edge's line, so that the domain is star-shaped about it
 (``check_star_shaped``): elsewhere the identity still holds but the outputs
@@ -75,7 +77,7 @@ from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary  # noqa: F401 (perfbench reads it)
 from .simplicial import _cochain_of
 from .singular import functional_matrix
-from .whitney import MeshGeometry, _dot
+from .whitney import MeshGeometry, _dot, _own
 
 
 class PreconditionError(ValueError):
@@ -107,7 +109,9 @@ def check_base_point(geometry: MeshGeometry, point) -> None:
     Only the edges of the triangle t holding the point are measured: on a
     planar triangulation, a shortest segment from a point of t to any other
     edge crosses t's boundary (``locate``'s slack puts a point at most 2e-12
-    of t's diameter outside t).  Overlapping or folded meshes lie outside it.
+    of t's diameter outside t).  ``check_triangulation`` rejects folded
+    meshes; a flap overlapping the mesh, joined to it at a vertex, passes
+    that check and lies outside this argument.
     """
     p, t = _located(geometry, point)
     tol = 1e-12 * geometry.diagonal
@@ -120,6 +124,35 @@ def check_base_point(geometry: MeshGeometry, point) -> None:
             f"base point ({p[0]:g}, {p[1]:g}) lies on edge "
             f"{tuple(geometry.complex._rows[1][on[0]].tolist())} within {tol:.1e}"
         )
+
+
+def check_triangulation(geometry: MeshGeometry) -> None:
+    """Reject a mesh that no planar triangulation has.
+
+    Every edge must lie in one or two triangles, every vertex in a triangle,
+    and the two triangles of an interior edge on opposite sides of it: the
+    side of an edge that a triangle lies on is the edge's sign in the
+    triangle's boundary times the triangle's orientation.  Whitney operators
+    need this; collapse acts on the abstract complex and does not.
+    """
+    cx, cofacets = geometry.complex, geometry.complex._cofacet_csc(1)
+    count = np.diff(cofacets.indptr)
+    bad = np.flatnonzero((count == 0) | (count > 2))
+    if bad.size:
+        raise PreconditionError(
+            f"edge {tuple(cx._rows[1][bad[0]].tolist())} lies in {count[bad[0]]} triangles; "
+            "in a planar triangulation every edge lies in one or two")
+    seen = np.zeros(cx.num_simplices(0), dtype=bool)
+    seen[geometry.corner_rows] = True
+    if not seen.all():
+        raise PreconditionError(f"vertex {cx._rows[0][seen.argmin(), 0]} lies in no triangle")
+    # per edge, its triangles' sides summed: +-2 where both lie on one side
+    side = cofacets.data * geometry.orientation[cofacets.indices]
+    folded = np.flatnonzero(np.abs(np.add.reduceat(side, cofacets.indptr[:-1])) == 2)
+    if folded.size:
+        raise PreconditionError(
+            f"the two triangles of edge {tuple(cx._rows[1][folded[0]].tolist())} lie on one "
+            "side of it: the mesh folds over itself there")
 
 
 def check_star_shaped(geometry: MeshGeometry, point, closed: bool = False) -> None:
@@ -138,7 +171,7 @@ def check_star_shaped(geometry: MeshGeometry, point, closed: bool = False) -> No
     edges = cx.boundary_indices(1)
     # +1 where the edge's one triangle lies to its left: the edge's sign in
     # that triangle's boundary times the triangle's orientation
-    cofacets = cx.coboundary_matrix(1).tocsc()
+    cofacets = cx._cofacet_csc(1)
     at = cofacets.indptr[edges]
     side = cofacets.data[at] * geometry.orientation[cofacets.indices[at]]
     a, b = geometry.edge_coords[edges].transpose(1, 0, 2)
@@ -159,17 +192,19 @@ class DiscretePoincareOperator:
 
     def __init__(self, cone, geometry: MeshGeometry | None = None, label: str | None = None):
         # exact types: an InfiniteConeOperator's terms are no linear simplices
+        if type(cone) not in (SimplicialConeOperator, SingularConeOperator):
+            raise TypeError(f"unsupported cone operator {type(cone).__name__}")
+        _own(cone.complex, geometry)
         if type(cone) is SimplicialConeOperator:
             kind = "combinatorial"
             pi = np.searchsorted(cone.complex._rows[0][:, 0], [cone.vertex]), np.ones(1)
-        elif type(cone) is SingularConeOperator:
+        else:
             kind, geometry = "whitney", geometry or MeshGeometry(cone.complex)
+            check_triangulation(geometry)
             p, t = _located(geometry, cone.point)
             if cone.star:  # every join must lie in the domain
                 check_star_shaped(geometry, p, closed=True)
             pi = geometry.corner_rows[t], geometry.barycentric(t, p)
-        else:
-            raise TypeError(f"unsupported cone operator {type(cone).__name__}")
         self._hold(cone, geometry, kind, pi, label)
 
     def _hold(self, cone, geometry, kind: str, pi, label) -> None:
@@ -291,8 +326,9 @@ class BogovskiiOperator(DiscretePoincareOperator):
     def __init__(self, point, complex: SimplicialComplex,
                  geometry: MeshGeometry | None = None,
                  truncation_factor: float | None = None):
-        geometry = geometry or MeshGeometry(complex)
+        geometry = _own(complex, geometry) or MeshGeometry(complex)
         # the gate locates the point; a rejected domain builds no shadows
+        check_triangulation(geometry)
         check_base_point(geometry, point)
         check_star_shaped(geometry, point)
         # on admissible inputs the identity has no constant term
@@ -310,7 +346,12 @@ class BogovskiiOperator(DiscretePoincareOperator):
     def _check_zero_mean(self, values: np.ndarray) -> None:
         """Reject top-degree values (one cochain or one per column) of nonzero mass."""
         block = values.reshape(len(values), -1)
-        for j, mass in enumerate((self._orientation @ block).tolist()):
+        try:
+            masses = self._orientation @ block
+        except RuntimeWarning:  # inf - inf, with warnings raised as errors
+            with np.errstate(invalid="ignore"):
+                masses = self._orientation @ block
+        for j, mass in enumerate(masses.tolist()):
             # a mass of at most 1e-9 passes at any scale, so the scale is read
             # only past it; a NaN or infinite mass (from a non-finite value) fails
             if not math.isfinite(mass) or (

@@ -143,6 +143,7 @@ class SimplicialComplex:
         self._rows = rows
         self.vertex_count = int(rows[0][-1, 0]) + 1
         self._coboundary: dict[int, sp.csr_matrix] = {}
+        self._cofacet_columns: dict[int, sp.csc_matrix] = {}
         self._boundary_indices: dict[int, np.ndarray] = {}
         if coordinates is not None:
             coords = np.array(coordinates, dtype=float)
@@ -220,17 +221,18 @@ class SimplicialComplex:
         at = np.minimum(np.searchsorted(*keys), len(known) - 1)
         return np.where((known.take(at, axis=0) == rows).all(axis=1), at, -1)
 
-    @cached_property
-    def _cofacet_csc(self) -> dict[int, sp.csc_matrix]:
-        """Each ``coboundary_matrix(k)`` as CSC: column i lists simplex i's cofacets, ascending."""
-        return {k: self.coboundary_matrix(k).tocsc() for k in range(self.dim)}
+    def _cofacet_csc(self, k: int) -> sp.csc_matrix:
+        """``coboundary_matrix(k)`` as CSC, converted on first read: column i lists i's cofacets."""
+        if k not in self._cofacet_columns:
+            self._cofacet_columns[k] = self.coboundary_matrix(k).tocsc()
+        return self._cofacet_columns[k]
 
     def cofacets(self, simplex: Simplex) -> list[Simplex]:
         """All codimension-1 cofaces of a simplex, ascending: its ``_cofacet_csc`` column."""
         k = len(simplex) - 1
         if not 0 <= k < self.dim or simplex not in self:
             return []
-        m, i = self._cofacet_csc[k], self.index(simplex)
+        m, i = self._cofacet_csc(k), self.index(simplex)
         return list(map(tuple, self._rows[k + 1][m.indices[m.indptr[i]:m.indptr[i + 1]]].tolist()))
 
     def euler_characteristic(self) -> int:
@@ -252,9 +254,7 @@ class SimplicialComplex:
             if k >= n:
                 rows = np.empty(0, dtype=np.intp)
             elif k == n - 1:
-                cofacets = np.bincount(self.coboundary_matrix(k).indices,
-                                       minlength=self.num_simplices(k))
-                rows = np.flatnonzero(cofacets == 1)
+                rows = np.flatnonzero(np.diff(self._cofacet_csc(k).indptr) == 1)
             else:
                 faces = self.coboundary_matrix(k)[self.boundary_indices(k + 1)].indices
                 rows = np.unique(faces).astype(np.intp)

@@ -404,9 +404,9 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     edge's lowest-index triangle.  Unless ``allow_exterior``, the length
     that no piece covers may not exceed COVERAGE_TOL times the mesh diagonal.
     """
-    n_edges, n_triangles = len(geom.edge_coords), len(geom.corners)
-    lowest = np.full(n_edges, n_triangles)  # each edge's lowest-index triangle
-    np.minimum.at(lowest, geom.triangle_edges, np.arange(n_triangles)[:, None])
+    n_edges, cof = len(geom.edge_coords), geom.complex._cofacet_csc(1)
+    # each edge's lowest-index triangle: its first cofacet, -1 for an edge with none
+    lowest = np.where(np.diff(cof.indptr) > 0, np.append(cof.indices, -1)[cof.indptr[:-1]], -1)
     # corners and local edges, one row each; local edge m = (01, 02, 12)[m]
     # runs from corner i[m] to corner j[m], its canonical direction
     i, j = [0, 0, 1], [1, 2, 2]

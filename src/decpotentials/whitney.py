@@ -224,6 +224,13 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
+def _own(complex: SimplicialComplex, geometry: MeshGeometry | None) -> MeshGeometry | None:
+    """A geometry given with a complex (or None), refused unless built from that complex."""
+    if geometry is not None and geometry.complex is not complex:
+        raise ValueError(f"the geometry belongs to another complex, {geometry.complex!r}")
+    return geometry
+
+
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot products of the rows (last axis) of two arrays, broadcast over the
     leading axes, each rounded as ``u[i] @ v[i]``."""

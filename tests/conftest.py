@@ -96,6 +96,38 @@ def holed_square_complex():
     return SimplicialComplex(triangles, c)
 
 
+def fold_mesh():
+    """square:4 with a third triangle (2, 7, 25) on its interior edge (2, 7)."""
+    cx = generate_square_mesh(4)
+    return SimplicialComplex([*cx._rows[2].tolist(), (2, 7, 25)],
+                             np.vstack([cx.coordinates, [0.55, 0.1]]))
+
+
+def flip_mesh():
+    """square:2 with its centre vertex 4 moved to (0.9, 0.3), past edge (1, 5):
+    triangle (1, 4, 5) flips, and overlaps its neighbours."""
+    cx = generate_square_mesh(2)
+    coords = np.array(cx.coordinates)
+    coords[4] = (0.9, 0.3)
+    return SimplicialComplex(cx._rows[2].tolist(), coords)
+
+
+def dangling_edge_complex():
+    """One triangle and an edge (2, 3) of no triangle."""
+    return SimplicialComplex([(0, 1, 2), (2, 3)], [(0, 0), (1, 0), (0, 1), (0, 2)])
+
+
+def csc_conversions(monkeypatch) -> list:
+    """The shape of each CSR matrix converted to CSC from now on."""
+    shapes, tocsc = [], sp.csr_matrix.tocsc
+
+    def counted(self, *args, **kwargs):
+        shapes.append(self.shape)
+        return tocsc(self, *args, **kwargs)
+    monkeypatch.setattr(sp.csr_matrix, "tocsc", counted)
+    return shapes
+
+
 def jitter_interior(cx, seed=0, amplitude=0.15):
     """The mesh with each interior vertex moved by a seeded uniform jitter.
 

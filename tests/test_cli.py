@@ -12,6 +12,7 @@ import pytest
 from scipy.spatial import Delaunay
 
 from decpotentials import (
+    Cochain,
     SimplicialComplex,
     de_rham,
     load_cochain_csv,
@@ -22,7 +23,8 @@ from decpotentials import (
 from decpotentials import cli, cones, homotopy, potentials
 from decpotentials.cli import main
 
-from conftest import annulus_complex, holed_square_complex
+from conftest import (annulus_complex, dangling_edge_complex, flip_mesh, fold_mesh,
+                      holed_square_complex)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -687,14 +689,17 @@ def test_verify_and_potential_build_no_simplex_tuples(op, capsys, monkeypatch, t
     args = ["--op", op, *SMALLEST_OPERATORS[op]]
     code, *_ = run_without_tuple_tables(capsys, monkeypatch, ["verify", *args, "--trials", "3"])
     assert code == 0
-    # g2 has zero mean, so every operator takes it; f is a 1-form, whose
-    # nonzero boundary trace Bogovskii's identity does not cover (exit 3)
+    # g2 has zero mean, so every operator takes it; f is a 1-form whose
+    # nonzero boundary trace Bogovskii rejects (exit 2), writing no file
     for field in ("g2", "f"):
         out, samples = tmp_path / f"{field}.csv", tmp_path / f"{field}-samples.csv"
         code, _, err, cx = run_without_tuple_tables(
             capsys, monkeypatch, ["potential", *args, "--field", field, "--out", str(out),
                                   "--samples", str(samples)])
-        assert code == (3 if (op, field) == ("bogovskii", "f") else 0) and err == ""
+        if (op, field) == ("bogovskii", "f"):
+            assert code == 2 and "zero boundary trace" in err and not out.exists()
+            continue
+        assert code == 0 and err == ""
         assert out.read_text().startswith(f"dim,{1 if field == 'g2' else 0}\n")
         rows = samples.read_text().splitlines()
         assert rows[0] == ("x,y,vx,vy" if field == "g2" else "x,y,value")
@@ -944,3 +949,74 @@ def test_contraction_file_that_is_no_object_of_number_arrays_exits_2(data, messa
     assert_exits_2_naming(capsys, ["verify", "--mesh", "builtin:square:4", "--op", "lipschitz",
                                    "--contraction", f"file:{path}"],
                           {"type": "ValueError", "message": message})
+
+
+@pytest.mark.parametrize("size", ["1.5", "0", "-2", "x"])
+def test_a_builtin_mesh_size_that_is_no_positive_integer_names_its_spec(size, capsys):
+    # "1.5" exited 2 with int()'s "invalid literal for int() with base 10: '1.5'"
+    spec = f"builtin:square:{size}"
+    message = f"builtin mesh spec {spec!r}: N must be a positive integer"
+    assert_exits_2_naming(capsys, ["mesh-info", "--mesh", spec],
+                          {"type": "ValueError", "message": message})
+
+
+def test_bogovskii_potential_of_a_field_with_a_boundary_trace_exits_2(capsys, tmp_path):
+    # f's nonzero boundary trace is outside Bogovskii's identity: the run
+    # wrote its files and exited 3 with a residual of 0.255
+    out = tmp_path / "pot.csv"
+    args = ["potential", "--mesh", "builtin:square:4", "--op", "bogovskii", "--point", "0.52,0.51"]
+    assert_exits_2_naming(capsys, [*args, "--field", "f", "--out", str(out)], {
+        "type": "PreconditionError",
+        "message": "bogovskii input must have zero boundary trace, got -1.250e-01 on "
+                   "boundary simplex (0, 1)"})
+    assert not out.exists()
+    # the trace may reach 1e-9 times max(1, max |value|), as the top degree's mean
+    cx = cli.load_mesh("builtin:square:4")
+    values = de_rham(cx, cli._field_f, 1).values
+    values[cx.boundary_indices(1)] = 0.0
+    assert np.abs(values).max() < 1.0
+    for trace, code in ((0.0, 0), (5e-10, 0), (3e-9, 2)):
+        values[cx.boundary_indices(1)[-1]] = trace
+        field = tmp_path / "field.csv"
+        save_cochain_csv(Cochain(cx, 1, values), field)
+        got, _, err = run_cli(capsys, [*args, "--field", f"file:{field}", "--out", str(out),
+                                       "--tolerance", "1e-6"])
+        assert got == code and (code == 0) == ("zero boundary trace" not in err), trace
+
+
+def _loading(monkeypatch, cx):
+    monkeypatch.setattr(cli, "load_mesh", lambda spec: cx)
+
+
+@pytest.mark.parametrize("mesh, point, message", [
+    (fold_mesh, "0.52,0.51", "edge (2, 7) lies in 3 triangles; "
+                             "in a planar triangulation every edge lies in one or two"),
+    (flip_mesh, "0.3,0.6", "the two triangles of edge (1, 4) lie on one side of it: "
+                           "the mesh folds over itself there"),
+    (dangling_edge_complex, "0.25,0.26", "edge (2, 3) lies in 0 triangles; "
+                                         "in a planar triangulation every edge lies in one or two"),
+], ids=["fold", "flip", "dangling-edge"])
+def test_verify_names_the_edge_of_a_mesh_no_planar_triangulation_has(mesh, point, message,
+                                                                     capsys, monkeypatch):
+    # the mesh loads from a file where it can: a file lists only triangles
+    _loading(monkeypatch, mesh())
+    ops = [["--op", "star"], ["--op", "bogovskii"]]
+    if mesh is not dangling_edge_complex:
+        ops.append(["--op", "lipschitz", "--contraction", "straight-line"])
+    for op in ops:
+        assert_exits_2_naming(capsys, ["verify", "--mesh", "m", *op, "--point", point,
+                                       "--trials", "2"],
+                              {"type": "PreconditionError", "message": message})
+    # collapse acts on the abstract complex
+    code, out, _ = run_cli(capsys, ["verify", "--mesh", "m", "--op", "collapse", "--trials", "2"])
+    assert code == 0 and out_json(out)["pass"] is True
+
+
+def test_verify_of_a_folded_mesh_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "fold.json"
+    save_mesh_json(fold_mesh(), path)
+    assert_exits_2_naming(capsys, ["verify", "--mesh", f"file:{path}", "--op", "star",
+                                   "--point", "0.52,0.51", "--trials", "2"], {
+        "type": "PreconditionError",
+        "message": "edge (2, 7) lies in 3 triangles; "
+                   "in a planar triangulation every edge lies in one or two"})

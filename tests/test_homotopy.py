@@ -26,7 +26,7 @@ from decpotentials.homotopy import (
 from decpotentials.cones import collapse_cone
 from decpotentials.simplicial import Chain, SimplicialComplex, boundary, induced_chain_map
 from decpotentials.meshes import generate_square_mesh, generate_ushape_mesh, vertex_at
-from conftest import annulus_complex, holed_square_complex
+from conftest import annulus_complex, csc_conversions, holed_square_complex
 
 
 def _random_complex(rng, n_vertices=9, n_maximal=6, max_dim=3):
@@ -164,6 +164,15 @@ def test_greedy_collapse_agrees_with_exhaustive_search_in_dimension_2():
             assert validate_collapse_sequence(seq)
         outcomes[collapsible] += 1
     assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+
+
+def test_collapse_search_replay_and_cone_convert_each_degree_once(monkeypatch):
+    cx = generate_square_mesh(8)
+    shapes = csc_conversions(monkeypatch)
+    seq = find_collapse_sequence(cx)
+    assert validate_collapse_sequence(seq)
+    collapse_cone(seq)
+    assert sorted(shapes) == sorted(cx.coboundary_matrix(k).shape for k in (0, 1))
 
 
 def test_validate_rejects_corrupt_sequence(square1):

@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -35,9 +36,11 @@ from decpotentials import (
     infinite_cone,
     lipschitz_cone,
     max_residual,
+    shadow_cone,
     star_cone,
     strong_collapse_cone,
     uniform_breakpoints,
+    validate_contraction,
     verify_homotopy,
     whitney_value,
 )
@@ -45,7 +48,8 @@ from decpotentials import cones as cone_module, potentials
 from decpotentials.cli import main
 from decpotentials.whitney import _dot
 
-from conftest import (annulus_complex, certified_residual, holed_square_complex, jitter_interior,
+from conftest import (annulus_complex, certified_residual, csc_conversions, dangling_edge_complex,
+                      flip_mesh, fold_mesh, holed_square_complex, jitter_interior,
                       random_cochain, random_collapsible, unchecked_bogovskii, unchecked_star)
 
 
@@ -282,12 +286,14 @@ def _counting(monkeypatch, counts, owner, name, *also):
 
 
 def test_bogovskii_builds_one_star_cone_and_checks_the_domain_once(square8, geom8, monkeypatch):
-    counts = {"star_cone": 0, "check_star_shaped": 0, "locate": 0}
+    counts = {"star_cone": 0, "check_star_shaped": 0, "check_triangulation": 0, "locate": 0}
     _counting(monkeypatch, counts, cone_module, "star_cone", potentials)
     _counting(monkeypatch, counts, potentials, "check_star_shaped")
+    _counting(monkeypatch, counts, potentials, "check_triangulation")
     _counting(monkeypatch, counts, MeshGeometry, "locate")
     op = BogovskiiOperator((0.52, 0.51), square8, geom8)
-    assert counts == {"star_cone": 1, "check_star_shaped": 1, "locate": 1}
+    assert counts == {"star_cone": 1, "check_star_shaped": 1, "check_triangulation": 1,
+                      "locate": 1}
     assert op.kind == op.label == "bogovskii" and op.geometry is geom8
     assert op._pi[0].size == op._pi[1].size == 0 and op._matrices == {}
 
@@ -360,6 +366,23 @@ def test_bogovskii_non_finite_mass_rejected(bogovskii2, square2, geom2):
     v[[2, 5]] = np.inf * geom2.orientation[2], -np.inf * geom2.orientation[5]
     with np.errstate(invalid="ignore"), pytest.raises(PreconditionError, match=message + "nan$"):
         bogovskii2.apply(Cochain(square2, 2, v))
+
+
+def test_bogovskii_opposite_infinite_masses_are_rejected_under_warnings_as_errors(
+        bogovskii2, square2, geom2):
+    # +inf and -inf masses add up to NaN, past numpy's "invalid value"
+    # warning, which came out as a RuntimeWarning where warnings raise
+    v = np.zeros(8)
+    v[[2, 5]] = np.inf * geom2.orientation[2], -np.inf * geom2.orientation[5]
+    alpha = Cochain(square2, 2, v)
+    message = "^top-degree input must have zero mean, got total integral nan$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: bogovskii2.apply(alpha),
+                     lambda: bogovskii2.apply_values(2, np.column_stack([np.zeros(8), v])),
+                     lambda: homotopy_residual(bogovskii2, alpha)):
+            with pytest.raises(PreconditionError, match=message):
+                call()
 
 
 def test_bogovskii_zero_mean_threshold(bogovskii2, square2, geom2):
@@ -489,6 +512,87 @@ def test_bogovskii_rejects_every_point_of_a_domain_star_shaped_about_none(mesh):
     for p in points:
         with pytest.raises((NotStarShapedError, BasePointOnFacetError)):
             BogovskiiOperator(p, cx, geom)
+
+
+def isolated_vertex_complex():
+    """One triangle and a vertex 3 of no edge."""
+    return SimplicialComplex([(0, 1, 2), (3,)], [(0, 0), (1, 0), (0, 1), (0, 2)])
+
+
+@pytest.mark.parametrize("mesh, point, message", [
+    # a star operator here said only that (0.52, 0.51) lies outside boundary
+    # edge (7, 25); Lipschitz certified at 1.40
+    (fold_mesh, (0.52, 0.51), "edge (2, 7) lies in 3 triangles"),
+    # star and Lipschitz certified at 2.0; Bogovskii rejected its own verify
+    # draws, as of nonzero mean
+    (flip_mesh, (0.3, 0.6), "the two triangles of edge (1, 4) lie on one side of it"),
+    (flip_mesh, (0.3, 0.61), "the two triangles of edge (1, 4) lie on one side of it"),
+    # Bogovskii built and certified at about 1
+    (dangling_edge_complex, (0.25, 0.26), "edge (2, 3) lies in 0 triangles"),
+    (isolated_vertex_complex, (0.25, 0.26), "vertex 3 lies in no triangle"),
+], ids=["fold", "flip", "flip-bogovskii-point", "dangling-edge", "isolated-vertex"])
+def test_whitney_operators_reject_a_mesh_no_planar_triangulation_has(mesh, point, message):
+    cx = mesh()
+    builds = {"star": lambda: DiscretePoincareOperator(star_cone(point, cx)),
+              "bogovskii": lambda: BogovskiiOperator(point, cx)}
+    if mesh in (fold_mesh, flip_mesh):  # elsewhere the straight-line paths leave the mesh
+        phi = SlabAffineContraction.straight_line(np.array(point))
+        builds["lipschitz"] = lambda: DiscretePoincareOperator(lipschitz_cone(phi, cx))
+    for name, build in builds.items():
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            build()
+    # collapse acts on the abstract complex, and still certifies exactly
+    if mesh is not isolated_vertex_complex:  # which has two components
+        assert certified_residual(DiscretePoincareOperator(collapse_cone(
+            find_collapse_sequence(cx)))) == 0.0
+
+
+def test_whitney_operators_accept_a_mirrored_mesh_of_clockwise_triangles():
+    # mirroring flips every triangle's orientation: each side flips with it
+    cx = generate_square_mesh(4)
+    mirrored = SimplicialComplex(cx._rows[2].tolist(), cx.coordinates * [-1.0, 1.0])
+    geom = MeshGeometry(mirrored)
+    assert (geom.orientation == -MeshGeometry(cx).orientation).all()
+    phi = SlabAffineContraction.straight_line(np.array([-0.52, 0.51]))
+    for op in (DiscretePoincareOperator(star_cone((-0.52, 0.51), mirrored), geom),
+               DiscretePoincareOperator(lipschitz_cone(phi, mirrored, geom), geom),
+               BogovskiiOperator((-0.52, 0.51), mirrored, geom)):
+        assert max_residual(verify_homotopy(op, trials=5)) <= 1e-10, op.label
+
+
+def test_a_geometry_of_another_complex_is_rejected_before_any_work(monkeypatch):
+    # the jittered mesh has the same simplex counts: a star operator with its
+    # geometry assembled silently and certified at 0.48
+    cx = generate_square_mesh(4)
+    other = MeshGeometry(jitter_interior(cx))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work was done")
+
+    for name in ("check_triangulation", "check_base_point", "check_star_shaped"):
+        monkeypatch.setattr(potentials, name, refuse)
+    monkeypatch.setattr(MeshGeometry, "locate_all", refuse)
+    monkeypatch.setattr(cone_module, "star_cone", refuse)
+    phi = SlabAffineContraction.straight_line(np.array([0.5, 0.5]))
+    seq = find_collapse_sequence(cx)
+    for build in (lambda: DiscretePoincareOperator(star_cone((0.5, 0.5), cx), other),
+                  lambda: DiscretePoincareOperator(collapse_cone(seq), other),
+                  lambda: BogovskiiOperator((0.5, 0.5), cx, other),
+                  lambda: lipschitz_cone(phi, cx, other),
+                  lambda: validate_contraction(phi, cx, other),
+                  lambda: shadow_cone((0.5, 0.5), cx, other)):
+        with pytest.raises(ValueError, match="^the geometry belongs to another complex"):
+            build()
+
+
+def test_star_and_bogovskii_convert_degree_one_once_between_them(monkeypatch):
+    # each star-shape check converted the edges' coboundary matrix afresh
+    cx = generate_square_mesh(8)
+    shapes = csc_conversions(monkeypatch)
+    for op in (DiscretePoincareOperator(star_cone((0.52, 0.51), cx)),
+               BogovskiiOperator((0.52, 0.51), cx)):
+        op.matrix(1), op.matrix(2)
+    assert shapes == [cx.coboundary_matrix(1).shape]
 
 
 def test_bogovskii_preserves_zero_trace(bogovskii2, square2):

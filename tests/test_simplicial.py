@@ -9,6 +9,8 @@ from scipy.spatial import Delaunay
 
 from decpotentials import generate_square_mesh, generate_ushape_mesh, simplicial
 from decpotentials.homotopy import ProductComplex, uniform_breakpoints
+from decpotentials.singular import segment_functional
+from decpotentials.whitney import MeshGeometry
 from decpotentials.simplicial import (
     _face_closure,
     Chain,
@@ -23,6 +25,8 @@ from decpotentials.simplicial import (
     pairing,
     validate_simplicial_map,
 )
+
+from conftest import csc_conversions, dangling_edge_complex
 
 
 def test_canonical_simplex_parity():
@@ -122,6 +126,27 @@ def test_positions_find_rows_and_name_none_for_the_rest(square2):
 def test_cofacets(square2):
     assert square2.cofacets((0, 1)) == [(0, 1, 4)]
     assert len(square2.cofacets((0, 4))) == 2
+
+
+def test_a_dangling_edge_keeps_its_cofacets_boundary_and_segment_rows():
+    # an edge of no triangle, last among the edges: its cofacet column is
+    # empty, past every other column's end
+    cx = dangling_edge_complex()
+    assert [cx.boundary_indices(k).tolist() for k in range(3)] == [[0, 1, 2], [0, 1, 2], []]
+    assert cx.cofacets((2, 3)) == [] and cx.cofacets((2,)) == [(0, 2), (1, 2), (2, 3)]
+    geom = MeshGeometry(cx)
+    assert segment_functional(geom, (0.25, 0.26), (0.0, 2.0)) == {
+        0: 0.0822147651006711, 1: 0.40778523489932883, 2: 0.16442953020134224}
+    assert segment_functional(geom, (0.0, 0.0), (0.0, 1.0)) == {1: 1.0}
+    assert segment_functional(geom, (0.0, 1.0), (0.0, 2.0)) == {}
+
+
+def test_cofacet_columns_are_converted_once_per_degree_on_first_read(monkeypatch):
+    cx = generate_square_mesh(2)
+    shapes = csc_conversions(monkeypatch)
+    assert cx.cofacets((0, 1)) == [(0, 1, 4)] and shapes == [cx.coboundary_matrix(1).shape]
+    cx.boundary_indices(1), cx.cofacets((0, 4))
+    assert cx._cofacet_csc(1) is cx._cofacet_csc(1) and len(shapes) == 1
 
 
 def test_chain_algebra(square2):
