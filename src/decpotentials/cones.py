@@ -23,22 +23,25 @@ cancellation still works).  Every cone is stored as index arrays per simplex
 dimension: (row, column, coefficient) of each term for simplicial cones, and
 (row, coefficient, corners) into one point table for singular ones; chain
 tables are built only when read.  The prism-based cones never build the
-product complex.  A strong collapse's cone is read off its steps by their
-recurrence, one numpy walk per degree whose checks validate the sequence,
-also in ``contraction_cone``; any other contraction it samples once into a
-table of every vertex's image at every level, and pushes each prism of the
-slabs where a vertex of the simplex moves through that table, one prism at
-a time, every other prism being degenerate.  ``lipschitz_cone`` reads
-``ProductComplex.prism_rows`` and maps every vertex at every breakpoint in
-one array expression, into one table that the endpoint and containment
-checks (always made, with a geometry built when none is given) and the
-cone's points are read from.
+product complex.  A collapse's cone and a strong collapse's are sums over
+the paths of their recurrences, which one walker lists for every row at
+once, one numpy round per level (``_walk_terms``).  A collapse sequence is
+checked first by ``validate_collapse_sequence``'s tests; a strong collapse
+by its recurrence's own checks, also in ``contraction_cone``, which samples
+any other contraction once into a table of every vertex's image at every
+level, and pushes each prism of the slabs where a vertex of the simplex
+moves through that table, one prism at a time, every other prism being
+degenerate.  ``lipschitz_cone`` first checks that the mesh is a planar
+triangulation (``potentials.check_triangulation``, once per geometry), then
+reads ``ProductComplex.prism_rows`` and maps every vertex at every
+breakpoint in one array expression, into one table that the endpoint and
+containment checks (always made, with a geometry built when none is given)
+and the cone's points are read from.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 from bisect import bisect_right
 from functools import cached_property
@@ -50,7 +53,7 @@ from .homotopy import (
     CollapseSequence,
     ProductComplex,
     StrongCollapseSequence,
-    _replay,
+    _collapse_steps,
     checked_breakpoints,
 )
 from .simplicial import (
@@ -155,37 +158,92 @@ class InfiniteConeOperator(SingularConeOperator):
 def collapse_cone(seq: CollapseSequence) -> SimplicialConeOperator:
     """Cone operator from a collapse sequence, built in expansion order.
 
-    Growing the complex back step by step, the new coface starts with cone
-    zero and the freed face records the coface corrected by the cone of the
-    remaining boundary; the terminal vertex also has cone zero.
+    Growing the complex back step by step, the new coface sigma starts with
+    cone zero, as does the terminal vertex, and the freed face tau records
+    ``Co(tau) = eps sigma - sum_i eps (-1)^i Co(f_i)`` over the other facets
+    f_i of sigma, where ``boundary(sigma) = eps tau + sum_i (-1)^i f_i``.
+    Unrolled, a row's cone sums one term per path of that recurrence, which
+    ``_walk_terms`` follows for every row at once.  The sequence is checked
+    by ``validate_collapse_sequence``'s tests; a ``ValueError`` names the
+    first bad step.
     """
-    replay = _replay(seq)
-    if replay is None:
-        raise ValueError("invalid collapse sequence")
-    steps, facets = replay
-    cx = seq.complex
-    cone: dict[int, list] = {k: [None] * len(r) for k, r in cx._rows.items()}
-    cone[0][int(cx.positions(0, [seq.terminal])[0])] = {}
-    for k, sigma, tau in reversed(steps):
-        cone[k + 1][sigma] = {}
-        # Co(tau) = eps * (sigma - Co(rest)), where boundary(sigma) = eps*tau + rest
-        faces, lower = facets[k + 1][sigma], cone[k]
-        eps = (-1) ** faces.index(tau)
-        out: dict[int, int] = {sigma: eps}
-        for i, f in enumerate(faces):
-            if f != tau:
-                c = eps * (-1) ** i
-                for t, x in lower[f].items():
-                    out[t] = out.get(t, 0) - c * x
-        lower[tau] = {t: x for t, x in out.items() if x}
-    terms = {}
-    for k in cx._rows:
-        chains, cone[k] = cone[k], None
-        sizes = np.fromiter(map(len, chains), dtype=np.int64, count=len(chains))
-        terms[k] = (np.repeat(np.arange(len(chains), dtype=np.int64), sizes),
-                    *(np.fromiter(itertools.chain.from_iterable(map(part, chains)), dtype=np.int64,
-                                  count=sizes.sum()) for part in (dict.keys, dict.values)))
+    steps = _collapse_steps(seq)
+    cx, terms = seq.complex, {}
+    for k, rows in cx._rows.items():
+        if k not in steps:  # no step frees a top simplex: its cone is zero
+            terms[k] = tuple(np.zeros((3, 0), dtype=np.int64))
+            continue
+        sigma, tau = steps[k]
+        # sigma's facets in facets_of order, with their signs in its boundary
+        incidence = cx.coboundary_matrix(k)
+        facets = incidence.indices.reshape(-1, k + 2)[sigma, ::-1]
+        signs = incidence.data.reshape(-1, k + 2)[sigma, ::-1].astype(np.int64)
+        others = facets != tau[:, None]
+        col, eps = np.full((2, len(rows)), -1, dtype=np.int64)
+        col[tau], eps[tau] = sigma, signs[~others]
+        # Co(f) = 0 unless some step frees f; a path's coefficient changes by
+        # -(-1)^i eps_f from Co(tau)'s term eps_tau sigma_tau to Co(f)'s eps_f sigma_f
+        f = facets[others].reshape(-1, k + 1)
+        children = np.full((len(rows), k + 1), -1, dtype=np.int64)
+        gain = np.zeros_like(children)
+        children[tau] = np.where(col[f] >= 0, f, -1)
+        gain[tau] = -signs[others].reshape(-1, k + 1) * eps[f]
+        terms[k] = _walk_terms(col, eps, children, gain)
     return SimplicialConeOperator(cx, seq.terminal, terms)
+
+
+def _walk_terms(col, coeff, children, gain, reverse: bool = False) -> tuple:
+    """The ``(rows, cols, coeffs)`` terms of every row's sum over its paths.
+
+    A path from row r steps from a node s to its children ``children[s]``
+    (none where -1).  Each node s on it adds a term in column ``col[s]``,
+    whose coefficient is ``coeff[r]`` times the ``gain[s', i]`` of every step
+    taken; a row with ``col[r] < 0`` has no terms.  All rows walk at once,
+    one round per level: first each row's path count, then each visit's term
+    into its slot, a row's terms in preorder with children in order
+    (reversed, with ``reverse``).  A row meets a node twice only where some
+    node has two children and some node two parents; then duplicate columns
+    are summed, zeros dropped, and the terms come in (row, column) order.
+    """
+    n, width = children.shape
+    has, child = children >= 0, children.ravel()
+
+    def follow(cur):
+        """Which walkers step on, and the edges ``node * width + i`` they take."""
+        if width == 1:  # a chain: a boolean mask is the cheaper index
+            keep = has[cur, 0]
+            return keep, cur[keep]
+        at, i = has[cur].nonzero()
+        return at, cur[at] * width + i
+
+    roots = np.flatnonzero(col >= 0)
+    length, src, cur = np.zeros(n, dtype=np.int64), roots, roots
+    while cur.size:
+        np.add.at(length, src, 1)
+        keep, edge = follow(cur)
+        src, cur = src[keep], child[edge]
+    # preorder: a child's terms start after its parent's own and its elder siblings'
+    sizes = np.where(has, length[children], 0)
+    step = (np.cumsum(sizes, axis=1) - sizes + 1).ravel()
+    first = np.cumsum(length) - length
+    if reverse:
+        first, step = first + length - 1, -step
+    gain = gain.ravel()
+    cols, coeffs = np.empty((2, int(length.sum())), dtype=np.int64)
+    slot, cur, run = first[roots], roots, coeff[roots]
+    while cur.size:
+        cols[slot], coeffs[slot] = col[cur], run
+        keep, edge = follow(cur)
+        slot, run, cur = slot[keep] + step[edge], run[keep] * gain[edge], child[edge]
+    rows = np.repeat(np.arange(n), length)
+    if has.sum(axis=1).max(initial=0) > 1 and np.bincount(children[has]).max(initial=0) > 1:
+        ncols = int(col.max()) + 1
+        key, at = np.unique(rows * ncols + cols, return_inverse=True)
+        total = np.zeros(len(key), dtype=np.int64)
+        np.add.at(total, at, coeffs)
+        key = key[total != 0]
+        return key // ncols, key % ncols, total[total != 0]
+    return rows, cols, coeffs
 
 
 def strong_collapse_cone(seq: StrongCollapseSequence) -> SimplicialConeOperator:
@@ -272,24 +330,11 @@ def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
         # the join's sign orients (w_j, tau); flip sorts the next row
         sign, flip = np.zeros((2, len(rows)), dtype=np.int64)
         sign[live], flip[live] = 1 - 2 * (below % 2), 1 - 2 * ((below - p - (below > p)) % 2)
-        # walk twice: first each row's path length, then each step's term
-        # into its slot, rows in order and each row's path reversed
-        length, src, cur = np.zeros(len(rows), dtype=np.int64), live, live
-        while cur.size:
-            length[src] += 1
-            cur = nxt[cur]
-            keep = col[cur] >= 0
-            src, cur = src[keep], cur[keep]
-        last = np.cumsum(length) - 1
-        out = np.empty((2, last[-1] + 1), dtype=np.int64)
-        src, cur, run, step = live, live, np.ones(len(live), dtype=np.int64), 0
-        while cur.size:
-            slot = last[src] - step
-            out[0, slot], out[1, slot] = col[cur], run * sign[cur]
-            run, cur, step = run * flip[cur], nxt[cur], step + 1
-            keep = col[cur] >= 0
-            src, cur, run = src[keep], cur[keep], run[keep]
-        terms[k] = (np.repeat(np.arange(len(rows)), length), out[0], out[1])
+        # each row's path, reversed: C(tau) = [w_j, tau] + s C(next row)
+        following = np.full((len(rows), 1), -1)
+        following[live, 0] = np.where(col[nxt[live]] >= 0, nxt[live], -1)
+        gain = (flip * sign)[:, None] * sign[following]
+        terms[k] = _walk_terms(col, sign, following, gain, reverse=True)
     if missing or b < m:
         j, _, tau = min(missing) if missing else (b, 0, ())
         v, w = steps[:, j].tolist()
@@ -551,8 +596,13 @@ def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
     images, i.e. the affine interpolation of the contraction per prism.
     Degenerate image simplices are kept (they matter for formal boundary
     cancellation, and integrate to zero).  The contraction is read only at
-    (vertex, breakpoint) pairs, and checked by ``validate_contraction``.
+    (vertex, breakpoint) pairs, and checked by ``validate_contraction`` once
+    the mesh passes ``potentials.check_triangulation``.
     """
+    from .potentials import check_triangulation  # potentials imports this module
+
+    geometry = _own(complex, geometry) or MeshGeometry(complex)
+    check_triangulation(geometry)
     images, issues = _checked_images(phi, complex, geometry)
     if issues:
         raise ValueError("invalid contraction: " + "; ".join(issues[:5]))

@@ -19,7 +19,10 @@ Collapse sequences (free-face removals) are found by one greedy pass that
 pops free faces from a heap, largest dimension first, on simplex positions:
 a dead flag and a count of live cofacets per simplex, with facets and
 cofacets read from the coboundary matrices.  Validation maps a sequence's
-tuples to positions and replays it on the same state.  Greedy is exact in
+tuples to positions, one array of rows per dimension and role, and tests
+what a replay would, with no replay: from the step that first removes each
+simplex, whole-array passes over the steps and their faces' cofacets find
+every step that fails (``_collapse_steps``).  Greedy is exact in
 dimension <= 2: it gets stuck only on complexes that are not collapsible;
 in dimension >= 3 it can get stuck on a collapsible one.  Strong collapse
 sequences (dominated-vertex removals) are searched greedily, lowest
@@ -41,6 +44,7 @@ it.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -290,38 +294,96 @@ def find_collapse_sequence(complex: SimplicialComplex,
                             rows[0][state.dead[0].index(False)][0])
 
 
-def _step_positions(seq: CollapseSequence) -> list[tuple[int, int, int]] | None:
-    """Steps as ``(k, sigma, tau)`` positions; None unless each names a k+1- and a k-simplex."""
-    cx, named = seq.complex, [simplex for step in seq.steps for simplex in step]  # sigma, tau, ...
-    dims = np.fromiter(map(len, named), dtype=np.int64, count=len(named)) - 1
-    at = np.full(len(named), -1)
-    for d in range(cx.dim + 1):
-        pick = np.flatnonzero(dims == d).tolist()
-        at[pick] = cx.positions(d, [named[i] for i in pick])
-    bad = ((dims[::2] != dims[1::2] + 1) | (at[::2] < 0) | (at[1::2] < 0)).any()
-    return None if bad else list(zip(dims[1::2].tolist(), at[::2].tolist(), at[1::2].tolist()))
+def _collapse_steps(seq: CollapseSequence) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per dimension k, the ``(sigma, tau)`` positions of the steps that free
+    a k-simplex, in step order; a ``ValueError`` that names the first bad step,
+    or the survivors, when the sequence is invalid.
+
+    Let r(s) be the first step that removes simplex s, and m for one never
+    removed.  While no earlier step has failed, the replay's live simplices
+    before step j are exactly {s : r(s) >= j}.  So step j passes the replay
+    when it names a (k+1)- and a k-simplex of the complex, removes neither a
+    second time, tau is a facet of sigma, and every other cofacet c of tau
+    has r(c) < j; and the sequence is valid when every step passes and the
+    survivors, r = m, are the terminal vertex alone.  Each test is one numpy
+    pass over the steps, or over the cofacets of their taus.
+    """
+    cx, m = seq.complex, len(seq.steps)
+    named = list(itertools.chain.from_iterable(seq.steps))  # sigma, tau, sigma, tau, ...
+    size = np.fromiter(map(len, named), dtype=np.int64, count=len(named)).reshape(-1, 2)
+    flat = np.array(list(itertools.chain.from_iterable(named)))
+    if flat.size and flat.dtype.kind not in "iu":  # an id no int64 holds names no simplex
+        flat = np.concatenate([s if s.dtype.kind in "iu" else np.full(len(s), -1)
+                               for s in map(np.asarray, named)])
+    flat = flat.astype(np.int64)
+    start = (np.cumsum(size) - size.ravel()).reshape(-1, 2)  # where each simplex's ids begin
+    dim = np.where((size[:, 0] == size[:, 1] + 1) & (size[:, 1] <= cx.dim), size[:, 1] - 1, -1)
+    bad = dim < 0
+    removal = {d: np.full(len(rows), m) for d, rows in cx._rows.items()}
+    mapped = {}
+    for k in range(cx.dim):
+        j = np.flatnonzero(dim == k)
+        sigma, tau = (cx.positions(d, flat[start[j, i, None] + np.arange(d + 1)])
+                      for i, d in ((0, k + 1), (1, k)))
+        ok = (sigma >= 0) & (tau >= 0)
+        bad[j[~ok]] = True
+        mapped[k] = j[ok], sigma[ok], tau[ok]
+        np.minimum.at(removal[k + 1], sigma[ok], j[ok])
+        np.minimum.at(removal[k], tau[ok], j[ok])
+    steps = {}
+    for k, (j, sigma, tau) in mapped.items():
+        bad[j[(removal[k + 1][sigma] < j) | (removal[k][tau] < j)]] = True
+        facets = cx.coboundary_matrix(k).indices.reshape(-1, k + 2)
+        bad[j[(facets[sigma] != tau[:, None]).all(axis=1)]] = True
+        # every cofacet c of each tau, against the step that frees tau
+        cols = cx._cofacet_csc(k)
+        n = np.diff(cols.indptr)[tau]
+        owner = np.repeat(np.arange(len(tau)), n)
+        c = cols.indices[np.repeat(cols.indptr[tau] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        bad[j[owner[(c != sigma[owner]) & (removal[k + 1][c] >= j[owner])]]] = True
+        steps[k] = sigma, tau
+    if bad.any():
+        b = int(bad.argmax())
+        sigma, tau = seq.steps[b]
+        raise ValueError(f"invalid collapse sequence: step {b} ({sigma}, {tau}) "
+                         + _bad_step(cx, sigma, tau, b, removal))
+    left = [(d, s) for d, r in removal.items() for s in np.flatnonzero(r == m).tolist()]
+    if left != [(0, int(cx.positions(0, [seq.terminal])[0]))]:
+        names = [tuple(cx._rows[d][s].tolist()) for d, s in left[:4]]
+        raise ValueError(f"invalid collapse sequence: the steps leave {names}"
+                         f"{'...' if len(left) > 4 else ''}, not vertex {seq.terminal} alone")
+    return steps
 
 
-def _replay(seq: CollapseSequence):
-    """Replay the sequence, checking that sigma is tau's only cofacet left: its
-    ``(k, sigma, tau)`` positions and the facet table, or None if invalid."""
-    steps, state = _step_positions(seq), _Subcomplex(seq.complex)
-    if steps is None:
-        return None
-    for k, sigma, tau in steps:
-        if (state.dead[k][tau] or state.dead[k + 1][sigma] or state.count[k][tau] != 1
-                or tau not in state.facets[k + 1][sigma]):
-            return None
-        state.remove(k + 1, sigma)
-        state.remove(k, tau)
-    ok = (sum(dead.count(False) for dead in state.dead.values()) == 1
-          and state.dead[0].index(False) == int(seq.complex.positions(0, [seq.terminal])[0]))
-    return (steps, state.facets) if ok else None
+def _bad_step(cx: SimplicialComplex, sigma, tau, b: int, removal: dict) -> str:
+    """Why step b, the first that fails ``_collapse_steps``'s tests, fails."""
+    k = len(tau) - 1
+    if len(sigma) != k + 2 or not 0 <= k < cx.dim:
+        return (f"names simplices of dimensions {len(sigma) - 1} and {k}, not k + 1 and k "
+                f"for some k < {cx.dim}")
+    s, t = int(cx.positions(k + 1, [sigma])[0]), int(cx.positions(k, [tau])[0])
+    if min(s, t) < 0:
+        return f"names {sigma if s < 0 else tau}, which is not a simplex of the complex"
+    for named, d, at in ((tau, k, t), (sigma, k + 1, s)):
+        if removal[d][at] < b:
+            return f"removes {named} again, after step {removal[d][at]}"
+    if t not in cx.coboundary_matrix(k).indices.reshape(-1, k + 2)[s]:
+        return f"{tau} is not a facet of {sigma}"
+    cols = cx._cofacet_csc(k)
+    c = cols.indices[cols.indptr[t]:cols.indptr[t + 1]]
+    live = c[(c != s) & (removal[k + 1][c] >= b)]
+    return f"{tau} is not free: it is still a face of {tuple(cx._rows[k + 1][live[0]].tolist())}"
 
 
 def validate_collapse_sequence(seq: CollapseSequence) -> bool:
-    """Replay the sequence, checking that sigma is tau's only cofacet left."""
-    return _replay(seq) is not None
+    """Whether replaying the sequence finds sigma to be tau's only cofacet
+    left at every step, and leaves the terminal vertex alone: the tests of
+    ``_collapse_steps``, which ``cones.collapse_cone`` shares."""
+    try:
+        _collapse_steps(seq)
+    except ValueError:
+        return False
+    return True
 
 
 # -- strong collapse -----------------------------------------------------

@@ -133,8 +133,11 @@ def check_triangulation(geometry: MeshGeometry) -> None:
     and the two triangles of an interior edge on opposite sides of it: the
     side of an edge that a triangle lies on is the edge's sign in the
     triangle's boundary times the triangle's orientation.  Whitney operators
-    need this; collapse acts on the abstract complex and does not.
+    need this; collapse acts on the abstract complex and does not.  A
+    geometry that passes is marked, and not checked again.
     """
+    if geometry._planar:
+        return
     cx, cofacets = geometry.complex, geometry.complex._cofacet_csc(1)
     count = np.diff(cofacets.indptr)
     bad = np.flatnonzero((count == 0) | (count > 2))
@@ -153,6 +156,7 @@ def check_triangulation(geometry: MeshGeometry) -> None:
         raise PreconditionError(
             f"the two triangles of edge {tuple(cx._rows[1][folded[0]].tolist())} lie on one "
             "side of it: the mesh folds over itself there")
+    geometry._planar = True
 
 
 def check_star_shaped(geometry: MeshGeometry, point, closed: bool = False) -> None:
@@ -341,7 +345,13 @@ class BogovskiiOperator(DiscretePoincareOperator):
         """Total integral of the Whitney interpolant of a top cochain."""
         if alpha.dim != self.complex.dim:
             raise ValueError("mass is defined for top-degree cochains")
-        return float(alpha.values @ self._orientation)
+        try:
+            mass = float(alpha.values @ self._orientation)
+        except RuntimeWarning:  # inf - inf, with warnings raised as errors
+            mass = math.nan
+        if not math.isfinite(mass):
+            raise _nonzero_mean(mass)
+        return mass
 
     def _check_zero_mean(self, values: np.ndarray) -> None:
         """Reject top-degree values (one cochain or one per column) of nonzero mass."""
@@ -356,8 +366,7 @@ class BogovskiiOperator(DiscretePoincareOperator):
             # only past it; a NaN or infinite mass (from a non-finite value) fails
             if not math.isfinite(mass) or (
                     abs(mass) > 1e-9 and abs(mass) > 1e-9 * max(np.abs(block[:, j]).max(), 1.0)):
-                raise PreconditionError(
-                    f"top-degree input must have zero mean, got total integral {mass:.3e}")
+                raise _nonzero_mean(mass)
 
     def apply_values(self, k: int, values: np.ndarray) -> np.ndarray:
         if k == self.complex.dim:
@@ -372,11 +381,25 @@ class BogovskiiOperator(DiscretePoincareOperator):
             values = np.asarray(values, dtype=float)
             # each mass (one, or one per column) from a contiguous row, as
             # signed_mass takes it: a strided row's dot rounds differently
-            mass = _dot(np.ascontiguousarray(values.T), self._orientation)
+            rows = np.ascontiguousarray(values.T)
+            try:
+                mass = _dot(rows, self._orientation)
+            except RuntimeWarning:  # inf - inf, with warnings raised as errors
+                with np.errstate(invalid="ignore"):
+                    mass = _dot(rows, self._orientation)
+            # one scalar check: a non-finite value makes its mass, and the masses' sum, non-finite
+            if not math.isfinite(mass if values.ndim == 1 else mass.sum()):
+                bad = mass[~np.isfinite(mass)]
+                if bad.size:  # else finite masses whose sum overflows
+                    raise _nonzero_mean(float(bad[0]))
             return values - np.multiply.outer(g.signed_area, mass / g.total_area)
         values = np.array(values, dtype=float)
         values[cx.boundary_indices(k)] = 0.0
         return values
+
+
+def _nonzero_mean(mass: float) -> PreconditionError:
+    return PreconditionError(f"top-degree input must have zero mean, got total integral {mass:.3e}")
 
 
 # Trials are evaluated in column blocks of at most this many entries of the

@@ -78,6 +78,7 @@ class MeshGeometry:
         if complex.num_simplices(2) == 0:
             raise ValueError("geometry needs a triangle mesh")
         self.complex = complex
+        self._planar = False  # set once potentials.check_triangulation passes
         coords = complex.coordinates
         tris = complex._rows[2]
         # each corner's row in the vertex ordering, where its 0-cochain value sits

@@ -748,6 +748,23 @@ def test_invalid_strong_collapse_sequence_file_names_its_step(capsys, tmp_path):
                    f"retracts {v} onto a removed vertex or itself"}
 
 
+def test_invalid_collapse_sequence_file_names_its_step(capsys, tmp_path):
+    path = tmp_path / "seq.json"
+    assert run_cli(capsys, ["find-collapse", "--mesh", "builtin:square:2",
+                            "--out", str(path)])[0] == 0
+    data = json.loads(path.read_text())
+    data["steps"][3] = data["steps"][1]  # the same pair, removed again
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, ["verify", "--mesh", "builtin:square:2",
+                                      "--op", "collapse", "--sequence", str(path)])
+    assert code == 2 and out == ""
+    sigma, tau = (tuple(data["steps"][1][name]) for name in ("sigma", "tau"))
+    assert err_json(err) == {
+        "type": "ValueError",
+        "message": f"invalid collapse sequence: step 3 ({sigma}, {tau}) "
+                   f"removes {tau} again, after step 1"}
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh-info", "--mesh", "builtin:ushape:10"],
     ["find-collapse", "--mesh", "builtin:square:4"],
@@ -1000,9 +1017,8 @@ def test_verify_names_the_edge_of_a_mesh_no_planar_triangulation_has(mesh, point
                                                                      capsys, monkeypatch):
     # the mesh loads from a file where it can: a file lists only triangles
     _loading(monkeypatch, mesh())
-    ops = [["--op", "star"], ["--op", "bogovskii"]]
-    if mesh is not dangling_edge_complex:
-        ops.append(["--op", "lipschitz", "--contraction", "straight-line"])
+    ops = [["--op", "star"], ["--op", "bogovskii"],
+           ["--op", "lipschitz", "--contraction", "straight-line"]]
     for op in ops:
         assert_exits_2_naming(capsys, ["verify", "--mesh", "m", *op, "--point", point,
                                        "--trials", "2"],

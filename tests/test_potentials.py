@@ -385,6 +385,35 @@ def test_bogovskii_opposite_infinite_masses_are_rejected_under_warnings_as_error
                 call()
 
 
+def test_bogovskii_mass_and_projection_reject_a_non_finite_input(bogovskii2, square2, geom2):
+    # signed_mass returned NaN, and the top-degree projection subtracted
+    # NaN; where warnings raise, both came out as numpy's RuntimeWarning
+    message = "^top-degree input must have zero mean, got total integral "
+    opposite = np.zeros(8)
+    opposite[[2, 5]] = np.inf * geom2.orientation[2], -np.inf * geom2.orientation[5]
+    cases = [(opposite, "nan")]
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.zeros(8)
+        v[3] = bad
+        cases.append((v, f"{bad * geom2.orientation[3]:.3e}"))
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            for v, mass in cases:
+                alpha = Cochain(square2, 2, v)
+                for call in (lambda: bogovskii2.signed_mass(alpha),
+                             lambda: bogovskii2.project_admissible(alpha),
+                             lambda: bogovskii2.project_admissible_block(
+                                 2, np.column_stack([np.zeros(8), v]))):
+                    with pytest.raises(PreconditionError, match=message + mass + "$"):
+                        call()
+    # finite values keep their mass and projection
+    v = np.linspace(-1.0, 1.0, 8)
+    assert bogovskii2.signed_mass(Cochain(square2, 2, v)) == float(v @ geom2.orientation)
+    assert abs(bogovskii2.signed_mass(bogovskii2.project_admissible(Cochain(square2, 2, v)))) \
+        < 1e-15
+
+
 def test_bogovskii_zero_mean_threshold(bogovskii2, square2, geom2):
     # a mass passes up to 1e-9 times the largest |value|, and up to 1e-9 at
     # any scale: one cochain and a block's columns alike
@@ -535,9 +564,9 @@ def test_whitney_operators_reject_a_mesh_no_planar_triangulation_has(mesh, point
     cx = mesh()
     builds = {"star": lambda: DiscretePoincareOperator(star_cone(point, cx)),
               "bogovskii": lambda: BogovskiiOperator(point, cx)}
-    if mesh in (fold_mesh, flip_mesh):  # elsewhere the straight-line paths leave the mesh
-        phi = SlabAffineContraction.straight_line(np.array(point))
-        builds["lipschitz"] = lambda: DiscretePoincareOperator(lipschitz_cone(phi, cx))
+    # Lipschitz names the mesh before its straight-line paths leave it
+    phi = SlabAffineContraction.straight_line(np.array(point))
+    builds["lipschitz"] = lambda: DiscretePoincareOperator(lipschitz_cone(phi, cx))
     for name, build in builds.items():
         with pytest.raises(PreconditionError, match=re.escape(message)):
             build()
@@ -545,6 +574,19 @@ def test_whitney_operators_reject_a_mesh_no_planar_triangulation_has(mesh, point
     if mesh is not isolated_vertex_complex:  # which has two components
         assert certified_residual(DiscretePoincareOperator(collapse_cone(
             find_collapse_sequence(cx)))) == 0.0
+
+
+def test_lipschitz_checks_the_triangulation_once_per_geometry(monkeypatch):
+    cx = generate_ushape_mesh(10)
+    geom = MeshGeometry(cx)
+    cone = lipschitz_cone(SlabAffineContraction.ushape(np.array([0.2, 0.2])), cx, geom)
+    assert geom._planar
+
+    def refuse(k):
+        raise AssertionError("the triangulation was checked again")
+    monkeypatch.setattr(cx, "_cofacet_csc", refuse)
+    op = DiscretePoincareOperator(cone, geom)
+    assert op.geometry is geom and op._matrices == {}
 
 
 def test_whitney_operators_accept_a_mirrored_mesh_of_clockwise_triangles():
