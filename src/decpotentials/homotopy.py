@@ -58,7 +58,11 @@ from .simplicial import (
     SimplicialComplex,
     SimplicialMap,
     canonical_simplex,
+    _offsets,
 )
+
+# _collapse_steps' reason code of a step that passes every test
+_PASS = 6
 
 
 def checked_breakpoints(breakpoints: Sequence[float]) -> tuple[float, ...]:
@@ -318,35 +322,44 @@ def _collapse_steps(seq: CollapseSequence) -> dict[int, tuple[np.ndarray, np.nda
     flat = flat.astype(np.int64)
     start = (np.cumsum(size) - size.ravel()).reshape(-1, 2)  # where each simplex's ids begin
     dim = np.where((size[:, 0] == size[:, 1] + 1) & (size[:, 1] <= cx.dim), size[:, 1] - 1, -1)
-    bad = dim < 0
+    # why each step fails: the first test it fails, by _why's code; _PASS where none fails
+    reason = np.where(dim < 0, 0, _PASS).astype(np.int8)
+    at = np.full((m, 2), -1)  # sigma's and tau's positions
+    live = np.full(m, -1)  # the first cofacet of tau still live at tau's step
     removal = {d: np.full(len(rows), m) for d, rows in cx._rows.items()}
     mapped = {}
     for k in range(cx.dim):
         j = np.flatnonzero(dim == k)
         sigma, tau = (cx.positions(d, flat[start[j, i, None] + np.arange(d + 1)])
                       for i, d in ((0, k + 1), (1, k)))
+        at[j, 0], at[j, 1] = sigma, tau
         ok = (sigma >= 0) & (tau >= 0)
-        bad[j[~ok]] = True
+        reason[j[~ok]] = 1
         mapped[k] = j[ok], sigma[ok], tau[ok]
         np.minimum.at(removal[k + 1], sigma[ok], j[ok])
         np.minimum.at(removal[k], tau[ok], j[ok])
     steps = {}
     for k, (j, sigma, tau) in mapped.items():
-        bad[j[(removal[k + 1][sigma] < j) | (removal[k][tau] < j)]] = True
         facets = cx.coboundary_matrix(k).indices.reshape(-1, k + 2)
-        bad[j[(facets[sigma] != tau[:, None]).all(axis=1)]] = True
+        for code, fails in ((2, removal[k][tau] < j), (3, removal[k + 1][sigma] < j),
+                            (4, (facets[sigma] != tau[:, None]).all(axis=1))):
+            reason[j[fails]] = np.minimum(reason[j[fails]], code)
         # every cofacet c of each tau, against the step that frees tau
         cols = cx._cofacet_csc(k)
         n = np.diff(cols.indptr)[tau]
         owner = np.repeat(np.arange(len(tau)), n)
-        c = cols.indices[np.repeat(cols.indptr[tau] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-        bad[j[owner[(c != sigma[owner]) & (removal[k + 1][c] >= j[owner])]]] = True
+        c = cols.indices[np.repeat(cols.indptr[tau], n) + _offsets(n)]
+        held = (c != sigma[owner]) & (removal[k + 1][c] >= j[owner])
+        if held.any():
+            fails, first = np.unique(j[owner[held]], return_index=True)
+            reason[fails] = np.minimum(reason[fails], 5)
+            live[fails] = c[held][first]
         steps[k] = sigma, tau
-    if bad.any():
-        b = int(bad.argmax())
+    if (reason < _PASS).any():
+        b = int((reason < _PASS).argmax())
         sigma, tau = seq.steps[b]
         raise ValueError(f"invalid collapse sequence: step {b} ({sigma}, {tau}) "
-                         + _bad_step(cx, sigma, tau, b, removal))
+                         + _why(cx, sigma, tau, int(reason[b]), at[b], int(live[b]), removal))
     left = [(d, s) for d, r in removal.items() for s in np.flatnonzero(r == m).tolist()]
     if left != [(0, int(cx.positions(0, [seq.terminal])[0]))]:
         names = [tuple(cx._rows[d][s].tolist()) for d, s in left[:4]]
@@ -355,24 +368,23 @@ def _collapse_steps(seq: CollapseSequence) -> dict[int, tuple[np.ndarray, np.nda
     return steps
 
 
-def _bad_step(cx: SimplicialComplex, sigma, tau, b: int, removal: dict) -> str:
-    """Why step b, the first that fails ``_collapse_steps``'s tests, fails."""
-    k = len(tau) - 1
-    if len(sigma) != k + 2 or not 0 <= k < cx.dim:
+def _why(cx: SimplicialComplex, sigma, tau, reason: int, at: np.ndarray, live: int,
+         removal: dict) -> str:
+    """Why a step fails, by the code of the first test it fails in
+    ``_collapse_steps``: 0 dimensions, 1 an absent simplex, 2 and 3 tau and
+    sigma removed again, 4 not a facet, 5 a cofacet ``live`` of tau left."""
+    k, (s, t) = len(tau) - 1, at.tolist()
+    if reason == 0:
         return (f"names simplices of dimensions {len(sigma) - 1} and {k}, not k + 1 and k "
                 f"for some k < {cx.dim}")
-    s, t = int(cx.positions(k + 1, [sigma])[0]), int(cx.positions(k, [tau])[0])
-    if min(s, t) < 0:
+    if reason == 1:
         return f"names {sigma if s < 0 else tau}, which is not a simplex of the complex"
-    for named, d, at in ((tau, k, t), (sigma, k + 1, s)):
-        if removal[d][at] < b:
-            return f"removes {named} again, after step {removal[d][at]}"
-    if t not in cx.coboundary_matrix(k).indices.reshape(-1, k + 2)[s]:
+    if reason in (2, 3):
+        named, d, pos = (tau, k, t) if reason == 2 else (sigma, k + 1, s)
+        return f"removes {named} again, after step {removal[d][pos]}"
+    if reason == 4:
         return f"{tau} is not a facet of {sigma}"
-    cols = cx._cofacet_csc(k)
-    c = cols.indices[cols.indptr[t]:cols.indptr[t + 1]]
-    live = c[(c != s) & (removal[k + 1][c] >= b)]
-    return f"{tau} is not free: it is still a face of {tuple(cx._rows[k + 1][live[0]].tolist())}"
+    return f"{tau} is not free: it is still a face of {tuple(cx._rows[k + 1][live].tolist())}"
 
 
 def validate_collapse_sequence(seq: CollapseSequence) -> bool:

@@ -384,14 +384,14 @@ class BogovskiiOperator(DiscretePoincareOperator):
             rows = np.ascontiguousarray(values.T)
             try:
                 mass = _dot(rows, self._orientation)
-            except RuntimeWarning:  # inf - inf, with warnings raised as errors
-                with np.errstate(invalid="ignore"):
+            except RuntimeWarning:  # inf - inf or an overflow, with warnings raised as errors
+                with np.errstate(invalid="ignore", over="ignore"):
                     mass = _dot(rows, self._orientation)
-            # one scalar check: a non-finite value makes its mass, and the masses' sum, non-finite
-            if not math.isfinite(mass if values.ndim == 1 else mass.sum()):
-                bad = mass[~np.isfinite(mass)]
-                if bad.size:  # else finite masses whose sum overflows
-                    raise _nonzero_mean(float(bad[0]))
+            # a non-finite value makes its mass non-finite: one scalar check
+            # for one cochain, one per column for a block
+            if not (math.isfinite(mass) if values.ndim == 1 else np.isfinite(mass).all()):
+                bad = np.atleast_1d(mass)
+                raise _nonzero_mean(float(bad[~np.isfinite(bad)][0]))
             return values - np.multiply.outer(g.signed_area, mass / g.total_area)
         values = np.array(values, dtype=float)
         values[cx.boundary_indices(k)] = 0.0

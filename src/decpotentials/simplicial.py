@@ -87,6 +87,12 @@ def _face_closure(groups: Iterable[np.ndarray], items=()) -> dict[int, np.ndarra
     return dict(sorted(closure.items()))
 
 
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n_i - 1 for each run length n_i, concatenated."""
+    total = int(lengths.sum())
+    return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
 def _cross(pts: np.ndarray) -> np.ndarray:
     """``(b - a) x (c - a)`` of point triples ``(a, b, c)``, shape (S, 3, 2):
     twice their signed areas, positive when counterclockwise."""

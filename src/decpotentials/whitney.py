@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .simplicial import Cochain, SimplicialComplex, _cross
+from .simplicial import Cochain, SimplicialComplex, _cross, _offsets
 
 # 3-point Gauss-Legendre on [0, 1]
 _D = 0.5 * np.sqrt(0.6)
@@ -217,12 +217,6 @@ class MeshGeometry:
         """Index of a triangle containing the point, or None (see ``locate_all``)."""
         t = int(self.locate_all(point)[0])
         return None if t < 0 else t
-
-
-def _offsets(lengths: np.ndarray) -> np.ndarray:
-    """0, 1, ..., n_i - 1 for each run length n_i, concatenated."""
-    total = int(lengths.sum())
-    return np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
 def _own(complex: SimplicialComplex, geometry: MeshGeometry | None) -> MeshGeometry | None:

@@ -15,11 +15,13 @@ from decpotentials.homotopy import CollapseSequence
 def replay(seq: CollapseSequence):
     """Replay the sequence on dead flags and live-cofacet counts.
 
-    Returns ``(bad, steps, facets)``: ``bad`` is the first step that fails
-    (its index), ``"survivors"`` when every step passes but more than the
-    terminal vertex is left, or None for a valid sequence; ``steps`` lists
-    ``(k, sigma, tau)`` positions and ``facets[k][s]`` the facet positions of
-    k-simplex s in ``facets_of`` order.
+    Returns ``(bad, steps, facets)``: ``bad`` is ``(j, why)`` for the first
+    step j that fails, why its first failing test ("dimensions", "absent",
+    "tau again", "sigma again", "not a facet" or "not free"),
+    ``"survivors"`` when every step passes but
+    more than the terminal vertex is left, or None for a valid sequence;
+    ``steps`` lists ``(k, sigma, tau)`` positions and ``facets[k][s]`` the
+    facet positions of k-simplex s in ``facets_of`` order.
     """
     cx = seq.complex
     facets = {0: [()] * cx.num_simplices(0)}
@@ -33,11 +35,18 @@ def replay(seq: CollapseSequence):
     for j, (sigma, tau) in enumerate(seq.steps):
         k = len(tau) - 1
         if len(sigma) != k + 2 or not 0 <= k < cx.dim:
-            return j, steps, facets
+            return (j, "dimensions"), steps, facets
         s, t = int(cx.positions(k + 1, [sigma])[0]), int(cx.positions(k, [tau])[0])
-        if (min(s, t) < 0 or dead[k][t] or dead[k + 1][s] or count[k][t] != 1
-                or t not in facets[k + 1][s]):
-            return j, steps, facets
+        if min(s, t) < 0:
+            return (j, "absent"), steps, facets
+        if dead[k][t]:
+            return (j, "tau again"), steps, facets
+        if dead[k + 1][s]:
+            return (j, "sigma again"), steps, facets
+        if t not in facets[k + 1][s]:
+            return (j, "not a facet"), steps, facets
+        if count[k][t] != 1:
+            return (j, "not free"), steps, facets
         for d, r in ((k + 1, s), (k, t)):
             dead[d][r] = True
             for f in facets[d][r]:

@@ -88,6 +88,7 @@ def _corrupted(seq, rng):
         ("absent terminal", steps, top + 1),
         ("removed twice", steps[:j] + [steps[i]] + steps[j:], seq.terminal),
         ("tau twice", steps[:j] + [(steps[j][0], tau)] + steps[j + 1:], seq.terminal),
+        ("sigma twice", steps[:j] + [(sigma, steps[j][1])] + steps[j + 1:], seq.terminal),
         ("absent simplex", steps[:i] + [(sigma, (*tau[:-1], top + 1))] + steps[i + 1:],
          seq.terminal),
         ("huge vertex", steps[:i] + [(sigma, (*tau[:-1], 10 ** 30))] + steps[i + 1:],
@@ -106,7 +107,7 @@ def _corrupted(seq, rng):
 
 def test_validation_and_its_errors_equal_the_replay():
     rng = np.random.default_rng(7)
-    verdicts = {True: 0, False: 0}
+    verdicts, reasons = {True: 0, False: 0}, set()
     for name, cx in COMPLEXES:
         seq = find_collapse_sequence(cx)
         if seq is None or not seq.steps:
@@ -120,13 +121,30 @@ def test_validation_and_its_errors_equal_the_replay():
             if want is None:
                 collapse_cone(bad)
                 continue
-            prefix = ("the steps leave" if want == "survivors" else
-                      f"step {want} ({steps[want][0]}, {steps[want][1]}) ")
+            at, why = (None, "survivors") if want == "survivors" else want
             with pytest.raises(ValueError) as err:
                 collapse_cone(bad)
-            assert str(err.value).startswith(f"invalid collapse sequence: {prefix}"), \
-                (name, what, str(err.value))
+            assert str(err.value).startswith(
+                f"invalid collapse sequence: {_because(steps, at, why)}"), (name, what, str(err.value))
+            reasons.add(why)
     assert verdicts[True] > 0 and verdicts[False] > 0, verdicts
+    assert len(reasons) == 7, reasons
+
+
+def _because(steps, at, why):
+    """The start of the message for the replay's first failing step ``at``
+    and the test ``why`` it fails."""
+    if at is None:
+        return "the steps leave"
+    sigma, tau = steps[at]
+    return f"step {at} ({sigma}, {tau}) " + {
+        "dimensions": "names simplices of dimensions",
+        "absent": "names ",
+        "tau again": f"removes {tau} again",
+        "sigma again": f"removes {sigma} again",
+        "not a facet": f"{tau} is not a facet of {sigma}",
+        "not free": f"{tau} is not free: it is still a face of (",
+    }[why]
 
 
 BAD_STEPS = {

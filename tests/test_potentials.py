@@ -407,6 +407,20 @@ def test_bogovskii_mass_and_projection_reject_a_non_finite_input(bogovskii2, squ
                                  2, np.column_stack([np.zeros(8), v]))):
                     with pytest.raises(PreconditionError, match=message + mass + "$"):
                         call()
+    # a block's masses are checked column by column: two columns of opposite
+    # infinite mass, or of finite masses whose sum overflows, add no warning
+    plus, minus = np.zeros(8), np.zeros(8)
+    plus[2], minus[2] = np.inf * geom2.orientation[2], -np.inf * geom2.orientation[2]
+    huge = np.zeros((8, 2))
+    huge[2] = 0.9 * np.finfo(float).max * geom2.orientation[2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=message + "inf$"):
+            bogovskii2.project_admissible_block(2, np.column_stack([plus, minus]))
+        with pytest.raises(PreconditionError, match=message + "-inf$"):
+            bogovskii2.project_admissible_block(2, np.column_stack([minus, plus]))
+        masses = bogovskii2.project_admissible_block(2, huge).T @ geom2.orientation
+        assert np.isfinite(masses).all()
     # finite values keep their mass and projection
     v = np.linspace(-1.0, 1.0, 8)
     assert bogovskii2.signed_mass(Cochain(square2, 2, v)) == float(v @ geom2.orientation)
