@@ -210,6 +210,11 @@ def _walk_terms(col, coeff, children, gain, reverse: bool = False) -> tuple:
 
     def follow(cur):
         """Which walkers step on, and the edges ``node * width + i`` they take."""
+        if width == 1:
+            # a chain (vertex cones, every strong collapse): a boolean mask is
+            # the cheaper index; through nonzero, strong collapse takes 1.5x as long
+            keep = has[cur, 0]
+            return keep, cur[keep]
         at, i = has[cur].nonzero()
         return at, cur[at] * width + i
 
