@@ -54,6 +54,7 @@ from .homotopy import (
     ProductComplex,
     StrongCollapseSequence,
     _collapse_steps,
+    _strong_steps,
     checked_breakpoints,
 )
 from .simplicial import (
@@ -256,8 +257,8 @@ def strong_collapse_cone(seq: StrongCollapseSequence) -> SimplicialConeOperator:
     live simplex holding v_j: it dominates v_j) and a terminal never removed
     are ``validate_strong_collapse_sequence``; a ``ValueError`` names the first
     bad step."""
-    steps = np.array(seq.steps, dtype=np.int64).reshape(-1, 2).T
-    terms = _strong_collapse_terms(seq.complex, steps)
+    steps = _strong_steps(seq.steps)
+    terms = _strong_collapse_terms(seq.complex, steps, seq.steps)
     left = np.setdiff1d(seq.complex._rows[0][:, 0], steps[0]).tolist()
     if left != [seq.terminal]:
         raise ValueError(f"not a strong collapse to vertex {seq.terminal}: the steps leave "
@@ -299,10 +300,10 @@ def contraction_cone(psi: Callable[[int], int],
     return SimplicialConeOperator(base, int(image[0, 0]), _swept_terms(product, image))
 
 
-def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
+def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray, named=None) -> dict:
     """The cone's terms from a strong collapse's (v_j, w_j) ``steps`` columns, all
     rows walking their recurrence at once; a ``ValueError`` names the first step
-    that is no elementary strong collapse."""
+    that is no elementary strong collapse, as ``named`` (else ``steps``) lists it."""
     ids, m = base._rows[0][:, 0], steps.shape[1]
     step = np.arange(m)
     at = base.positions(0, steps.reshape(-1, 1)).reshape(2, m)
@@ -345,7 +346,9 @@ def _strong_collapse_terms(base: SimplicialComplex, steps: np.ndarray) -> dict:
                "names a vertex not in the complex" if (at[:, j] < 0).any() else
                f"removes {v} again, after step {removal[at[0, j]]}" if removal[at[0, j]] < j
                else f"retracts {v} onto a removed vertex or itself")
-        raise ValueError(f"not a strong collapse: step {j} ({v}, {w}) {why}")
+        named = steps.T if named is None else named
+        raise ValueError(f"not a strong collapse: step {j} ({', '.join(map(str, named[j]))}) "
+                         f"{why}")
     return terms
 
 

@@ -16,19 +16,20 @@ one-slab product's rows (each base row's copies and its split faces and
 prisms) are sorted once and shifted slab by slab.
 
 Collapse sequences (free-face removals) are found by one greedy pass that
-pops free faces from a heap, largest dimension first, on simplex positions:
-a dead flag and a count of live cofacets per simplex, with facets and
-cofacets read from the coboundary matrices.  Validation maps a sequence's
-tuples to positions, one array of rows per dimension and role, and tests
-what a replay would, with no replay: from the step that first removes each
-simplex, whole-array passes over the steps and their faces' cofacets find
-every step that fails (``_collapse_steps``).  Greedy is exact in
-dimension <= 2: it gets stuck only on complexes that are not collapsible;
-in dimension >= 3 it can get stuck on a collapsible one.  Strong collapse
-sequences (dominated-vertex removals) are searched greedily, lowest
-dominated vertex first, which suffices (Barmak-Minian, DCG 2012), and found
-and validated with one local test on the full subcomplex of the vertices
-still alive.  Failed searches return ``None``.
+pops free faces from a heap, largest dimension first, on flat per-simplex
+lists read once from the coboundary matrices: facets, the count of live
+cofacets and their positions' sum, which is a free face's one cofacet.
+Validation maps a sequence's tuples to positions, one array of rows per
+dimension and role, and tests what a replay would, with no replay: from the
+step that first removes each simplex, whole-array passes over the steps and
+their faces' cofacets find every step that fails (``_collapse_steps``).
+Greedy is exact in dimension <= 2: it gets stuck only on complexes that are
+not collapsible; in dimension >= 3 it can get stuck on a collapsible one.
+Strong collapse sequences (dominated-vertex removals) are searched greedily,
+lowest dominated vertex first, which suffices (Barmak-Minian, DCG 2012), and
+found and validated on flat lists over all simplices (``_strong_state``).
+Failed searches return ``None``.  In a terminal or a step, a vertex id that
+is not an integer names no vertex (``_vertex_ids``).
 
 A strong collapse sequence induces a discrete contraction: a vertex
 function on the product vertices that is the identity at the top level and
@@ -206,52 +207,23 @@ class StrongCollapseSequence:
     terminal: int
 
 
-class _Subcomplex:
-    """A complex under removal, on simplex positions: per dimension, each
-    simplex's facets (none for a vertex), a dead flag, and its number of live
-    cofacets.  A strong collapse removes stars, so its states are the full
-    subcomplexes on the live vertices, and a vertex's maximal simplices there
-    are its live star simplices with no live cofacet."""
+def _vertex_ids(values: list) -> np.ndarray:
+    """Vertex ids as int64, -1 for a value that is not an integer (a bool alone
+    is none): it names no vertex, like an id no int64 holds."""
+    ids = np.array(values)
+    if ids.size and ids.dtype.kind not in "iu":
+        ids = np.array([v if np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iu" else -1
+                        for v in values])
+    return ids.astype(np.int64)
 
-    def __init__(self, complex: SimplicialComplex):
-        # reversed, a row of coboundary_matrix(k - 1) lists the facets in facets_of order
-        self.complex, self.facets = complex, {0: [()] * complex.num_simplices(0)}
-        for k in range(1, complex.dim + 1):
-            rows = complex.coboundary_matrix(k - 1).indices.reshape(-1, k + 1)
-            self.facets[k] = rows[:, ::-1].tolist()
-        self.dead = {k: [False] * len(r) for k, r in complex._rows.items()}
-        self.count = {k: np.diff(complex._cofacet_csc(k).indptr).tolist()
-                      if k < complex.dim else [0] * len(d) for k, d in self.dead.items()}
 
-    def remove(self, k: int, s: int) -> list[tuple[int, int]]:
-        """Remove k-simplex s; return the facets it leaves free, as ``(1 - k, position)``."""
-        self.dead[k][s] = True
-        count, facets = self.count.get(k - 1), self.facets[k][s]
-        for f in facets:
-            count[f] -= 1
-        return [(1 - k, f) for f in facets if count[f] == 1]
-
-    @cached_property
-    def star(self) -> list[list[tuple]]:
-        """Per vertex, its star's (dead flags, counts, position, vertex positions)."""
-        cx, star = self.complex, [[] for _ in range(self.complex.num_simplices(0))]
-        for k, rows in cx._rows.items():
-            for s, row in enumerate(np.searchsorted(cx._rows[0][:, 0], rows).tolist()):
-                for v in row:
-                    star[v].append((self.dead[k], self.count[k], s, row))
-        return star
-
-    def dominators(self, v: int) -> set[int]:
-        """Vertices other than v in every maximal simplex containing v."""
-        maximal = [row for dead, count, s, row in self.star[v] if not (dead[s] or count[s])]
-        return set(maximal[0]).intersection(*maximal[1:]) - {v}
-
-    def remove_star(self, v: int) -> set[int]:
-        """Remove v's star; return its vertices, the only ones whose dominators change."""
-        for dead, _, s, row in self.star[v]:
-            if not dead[s]:
-                self.remove(len(row) - 1, s)
-        return {u for *_, row in self.star[v] for u in row}
+def _terminal_position(complex: SimplicialComplex, terminal) -> int | None:
+    """The position of a search's terminal vertex, None for none; a
+    ``ValueError`` unless ``_vertex_ids`` maps it to a vertex of the complex."""
+    at = None if terminal is None else int(complex.positions(0, _vertex_ids([terminal]))[0])
+    if at is not None and at < 0:
+        raise ValueError(f"terminal vertex {terminal} not in complex")
+    return at
 
 
 def find_collapse_sequence(complex: SimplicialComplex,
@@ -269,33 +241,51 @@ def find_collapse_sequence(complex: SimplicialComplex,
     the homotopy type, so a complex whose Euler characteristic is not 1
     returns None at once.
     """
-    if terminal is not None and terminal not in complex._rows[0]:
-        raise ValueError(f"terminal vertex {terminal} not in complex")
+    at = _terminal_position(complex, terminal)
     if complex.euler_characteristic() != 1:
         return None
-    state = _Subcomplex(complex)
-    cofacets = [(m.indptr.tolist(), m.indices.tolist())
-                for m in map(complex._cofacet_csc, range(complex.dim))]
+    # per dimension k, each k-simplex's facets, its live cofacets' count and
+    # the sum of their positions: a free face's sum is its one live cofacet
+    rows, dim, facets, count, total = complex._rows, complex.dim, [None], [], []
+    for k in range(dim):
+        cols = complex._cofacet_csc(k)
+        count.append(np.diff(cols.indptr).tolist())
+        total.append(np.diff(np.concatenate([[0], np.cumsum(cols.indices)])[cols.indptr]).tolist())
+        facets.append(complex.coboundary_matrix(k).indices.reshape(-1, k + 2).tolist())
     # (-k, position) pops in the order of (-len, tuple), since rows are
     # lexicographic; listed in that order, the free faces are already a heap
-    heap = [(-k, f) for k in reversed(state.count) for f, n in enumerate(state.count[k]) if n == 1]
-    stop = (0, complex.positions(0, [terminal])[0]) if terminal is not None else None
-    steps: list[tuple[int, int, int]] = []
+    heap = [(-k, f) for k in reversed(range(dim)) for f, n in enumerate(count[k]) if n == 1]
+    stop, push, pop = None if at is None else (0, at), heapq.heappush, heapq.heappop
+    sigmas, taus = [[] for _ in range(dim)], [[] for _ in range(dim)]  # the steps, per k
     while heap:
-        entry = heapq.heappop(heap)
+        entry = pop(heap)
         k, tau = -entry[0], entry[1]
-        if state.count[k][tau] != 1 or entry == stop:  # removed or no longer free
+        n, s = count[k], total[k]
+        if n[tau] != 1 or entry == stop:  # removed or no longer free
             continue
-        ptr, ind = cofacets[k]
-        sigma = next(s for s in ind[ptr[tau]:ptr[tau + 1]] if not state.dead[k + 1][s])
-        steps.append((k, sigma, tau))
-        for freed in state.remove(k + 1, sigma) + state.remove(k, tau):
-            heapq.heappush(heap, freed)
-    if sum(dead.count(False) for dead in state.dead.values()) > 1:
+        sigma = s[tau]
+        sigmas[k].append(sigma)
+        taus[k].append(tau)
+        for f in facets[k + 1][sigma]:  # each loses sigma; tau's count drops to 0
+            n[f] -= 1
+            s[f] -= sigma
+            if n[f] == 1:
+                push(heap, (-k, f))
+        if k:
+            n, s = count[k - 1], total[k - 1]
+            for f in facets[k][tau]:
+                n[f] -= 1
+                s[f] -= tau
+                if n[f] == 1:
+                    push(heap, (1 - k, f))
+    if sum(map(len, rows.values())) - 2 * sum(map(len, taus)) > 1:
         return None
-    rows = {k: list(map(tuple, r.tolist())) for k, r in complex._rows.items()}
-    return CollapseSequence(complex, [(rows[k + 1][s], rows[k][t]) for k, s, t in steps],
-                            rows[0][state.dead[0].index(False)][0])
+    # a step at k frees only k- and (k - 1)-faces, so the steps come by descending k
+    pairs = []
+    for k in reversed(range(dim)):
+        pairs += zip(map(tuple, rows[k + 1].take(sigmas[k], axis=0).tolist()),
+                     map(tuple, rows[k].take(taus[k], axis=0).tolist()))
+    return CollapseSequence(complex, pairs, np.delete(rows[0], taus[0] if dim else []).item())
 
 
 def _collapse_steps(seq: CollapseSequence) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -315,11 +305,7 @@ def _collapse_steps(seq: CollapseSequence) -> dict[int, tuple[np.ndarray, np.nda
     cx, m = seq.complex, len(seq.steps)
     named = list(itertools.chain.from_iterable(seq.steps))  # sigma, tau, sigma, tau, ...
     size = np.fromiter(map(len, named), dtype=np.int64, count=len(named)).reshape(-1, 2)
-    flat = np.array(list(itertools.chain.from_iterable(named)))
-    if flat.size and flat.dtype.kind not in "iu":  # an id no int64 holds names no simplex
-        flat = np.concatenate([s if s.dtype.kind in "iu" else np.full(len(s), -1)
-                               for s in map(np.asarray, named)])
-    flat = flat.astype(np.int64)
+    flat = _vertex_ids(list(itertools.chain.from_iterable(named)))
     start = (np.cumsum(size) - size.ravel()).reshape(-1, 2)  # where each simplex's ids begin
     dim = np.where((size[:, 0] == size[:, 1] + 1) & (size[:, 1] <= cx.dim), size[:, 1] - 1, -1)
     # why each step fails: the first test it fails, by _why's code; _PASS where none fails
@@ -401,6 +387,54 @@ def validate_collapse_sequence(seq: CollapseSequence) -> bool:
 # -- strong collapse -----------------------------------------------------
 
 
+def _grouped(n: int, owner: np.ndarray, items: np.ndarray) -> list[list[int]]:
+    """The items of each of the n owners, as one list per owner."""
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n))]).tolist()
+    flat = items[np.argsort(owner, kind="stable")].tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _strong_state(complex: SimplicialComplex):
+    """``(count, dominators, remove_star, neighbours)`` of strong collapses on
+    flat lists over one index of all simplices, vertices first: per simplex its
+    facets, vertex positions and live cofacets' count, -1 once removed; per
+    vertex its star and neighbours.  The states are the full subcomplexes on
+    the live vertices, where a live vertex's maximal simplices are those of its
+    star counting 0; ``dominators(v)`` is the set of the other vertices in all
+    of them, and ``remove_star(v)`` removes v's star."""
+    ids, dim = complex._rows[0][:, 0], complex.dim
+    rows = [np.searchsorted(ids, complex._rows[k]) for k in range(dim + 1)]
+    start = np.cumsum([0] + [len(r) for r in rows])
+    count = np.concatenate([np.diff(complex._cofacet_csc(k).indptr) for k in range(dim)]
+                           + [np.zeros(len(rows[dim]), dtype=np.int64)]).tolist()
+    facets, verts = [()] * len(ids), []
+    for k in range(dim + 1):
+        facets += (complex.coboundary_matrix(k - 1).indices.reshape(-1, k + 1)
+                   + start[k - 1]).tolist() if k else []
+        verts += rows[k].tolist()
+    size = np.repeat(np.arange(1, dim + 2), np.diff(start))  # each simplex's vertex count
+    star = _grouped(len(ids), np.concatenate([r.ravel() for r in rows]),
+                    np.repeat(np.arange(start[-1]), size))
+    # a vertex's neighbours, the other vertices of its star, are its edges' other ends
+    ends = rows[1] if dim else np.empty((0, 2), dtype=np.int64)
+    neighbours = _grouped(len(ids), ends.T.ravel(), ends[:, ::-1].T.ravel())
+
+    def dominators(v: int) -> set[int]:
+        maximal = [verts[g] for g in star[v] if not count[g]]
+        found = set(maximal[0]).intersection(*maximal[1:])
+        found.discard(v)
+        return found
+
+    def remove_star(v: int) -> None:
+        for g in star[v]:
+            if count[g] >= 0:
+                count[g] = -1
+                for f in facets[g]:
+                    count[f] -= 1
+
+    return count, dominators, remove_star, neighbours
+
+
 def greedy_strong_collapse(complex: SimplicialComplex, terminal: int | None = None):
     """Greedily remove dominated vertices (lowest id first, never ``terminal``)
     until one remains or none is dominated; return the steps and the core left.
@@ -408,18 +442,23 @@ def greedy_strong_collapse(complex: SimplicialComplex, terminal: int | None = No
     A vertex is dominated when some other vertex belongs to every maximal
     simplex containing it; removal deletes its entire star, and it is
     recorded with its lowest dominator.  Candidates wait in a heap: every
-    vertex, then the star of each one removed; one not dominated is dropped."""
-    ids = complex._rows[0][:, 0].tolist()
-    state, heap = _Subcomplex(complex), list(range(len(ids)))
-    steps: list[tuple[int, int]] = []
-    while len(ids) - len(steps) > 1 and heap:
-        v = heapq.heappop(heap)
-        if state.dead[0][v] or ids[v] == terminal or not (found := state.dominators(v)):
+    vertex, then the neighbours of each one removed, the only vertices whose
+    dominators change; one not dominated is dropped."""
+    stop, ids = _terminal_position(complex, terminal), complex._rows[0][:, 0].tolist()
+    count, dominators, remove_star, neighbours = _strong_state(complex)
+    heap, push, pop, steps = list(range(len(ids))), heapq.heappush, heapq.heappop, []
+    left = len(ids)
+    while left > 1 and heap:
+        v = pop(heap)
+        if count[v] < 0 or v == stop or not (found := dominators(v)):
             continue
         steps.append((ids[v], ids[min(found)]))
-        for u in state.remove_star(v):
-            heapq.heappush(heap, u)
-    return steps, {ids[v] for v, dead in enumerate(state.dead[0]) if not dead}
+        remove_star(v)
+        left -= 1
+        for u in neighbours[v]:
+            if count[u] >= 0:
+                push(heap, u)
+    return steps, {u for u, n in zip(ids, count) if n >= 0}
 
 
 def find_strong_collapse_sequence(complex: SimplicialComplex,
@@ -428,21 +467,32 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
     """``greedy_strong_collapse`` down to one vertex, or None where it gets
     stuck, and at once when the Euler characteristic is not 1 (a strong
     collapse keeps the homotopy type)."""
-    if terminal is not None and terminal not in complex._rows[0]:
-        raise ValueError(f"terminal vertex {terminal} not in complex")
+    _terminal_position(complex, terminal)
     if complex.euler_characteristic() != 1:
         return None
     steps, core = greedy_strong_collapse(complex, terminal)
     return StrongCollapseSequence(complex, steps, min(core)) if len(core) == 1 else None
 
 
+def _strong_steps(steps) -> np.ndarray:
+    """A strong collapse's (dominated, dominating) vertex ids, the columns of a
+    (2, m) int64 array: -1, which names no vertex, for an id that is not an
+    integer and for both ids of a step that is not a pair."""
+    pairs = [step if len(step) == 2 else (-1, -1) for step in steps]
+    return _vertex_ids(list(itertools.chain.from_iterable(pairs))).reshape(-1, 2).T
+
+
 def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
-    cx, state = seq.complex, _Subcomplex(seq.complex)
-    for v, w in cx.positions(0, np.reshape(seq.steps, (-1, 1))).reshape(-1, 2).tolist():
-        if min(v, w) < 0 or state.dead[0][v] or state.dead[0][w] or w not in state.dominators(v):
+    """Whether each step's dominating vertex dominates its dominated one, both
+    still live, and the steps leave the terminal vertex alone."""
+    cx = seq.complex
+    count, dominators, remove_star, _ = _strong_state(cx)
+    at = cx.positions(0, _strong_steps(seq.steps).reshape(-1, 1)).reshape(2, -1)
+    for v, w in zip(*at.tolist()):
+        if min(v, w) < 0 or count[v] < 0 or count[w] < 0 or w not in dominators(v):
             return False
-        state.remove_star(v)
-    alive = [u for u, dead in zip(cx._rows[0][:, 0].tolist(), state.dead[0]) if not dead]
+        remove_star(v)
+    alive = [u for u, n in zip(cx._rows[0][:, 0].tolist(), count) if n >= 0]
     return alive == [seq.terminal]
 
 
@@ -466,14 +516,16 @@ def contraction_from_strong_collapse(seq: StrongCollapseSequence,
     if top != max(m, 1):
         raise ValueError(f"sequence has {m} steps but product complex has {top} slabs")
 
+    steps = _strong_steps(seq.steps)
+
     def psi(product_vertex: int) -> int:
         v, level = product.vertex_level(product_vertex)
-        for u, w in seq.steps[:m - level]:
+        for u, w in zip(*steps[:, :m - level].tolist()):
             if v == u:
                 v = w
         return v
 
-    psi.steps = np.array(seq.steps, dtype=np.int64).reshape(-1, 2).T
+    psi.steps = steps
     return psi
 
 

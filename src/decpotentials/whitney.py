@@ -22,11 +22,12 @@ It is one pass per degree over the complex's rows, with one field call per
 quadrature node; each simplex's node terms add up in the rule's order from
 zero.  ``whitney_value`` also takes arrays of points and their triangles.
 
-``MeshGeometry`` also holds a uniform bucket grid over the mesh, built once
-in numpy.  It lists the candidate triangles of a batch of boxes in one pass
-(the integration kernels in ``singular`` take their (image, triangle) pairs
-from it), and ``locate``/``locate_all`` are one probe of it: a tiny box
-around each point, then an exact barycentric test of its candidates.
+``MeshGeometry`` also holds a uniform bucket grid over the mesh, built in
+numpy on first read, as are its frames, extents and edge tables.  It lists
+the candidate triangles of a batch of boxes in one pass (the integration
+kernels in ``singular`` take their (image, triangle) pairs from it), and
+``locate``/``locate_all`` are one probe of it: a tiny box around each point,
+then an exact barycentric test of its candidates.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ TRI6_WEIGHTS = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
 
 
 class MeshGeometry:
-    """Per-triangle barycentric frames, a bucket grid, and mesh extents.
+    """Per-triangle barycentric frames, a bucket grid, and mesh extents, each
+    group of fields computed on the first read of one of them (``_GROUPS``):
+    a combinatorial operator reads none.
 
     The bucket grid is uniform over the mesh's bounding box, with cells about
     one mean edge long.  Each triangle is filed under the one cell that holds
@@ -72,6 +75,13 @@ class MeshGeometry:
     is one such probe of a tiny box around each point.
     """
 
+    _GROUPS = {name: group for group, names in (
+        ("_frames", "corner_rows corners signed_area orientation ccw_corners gradients"),
+        ("_extents", "bbox_min bbox_max diagonal total_area"),
+        ("_edges", "triangle_edges edge_coords"),
+        ("_grid", "_reach _tri_box _shape _cell _cell_triangles _cell_start _count_table"),
+    ) for name in names.split()}
+
     def __init__(self, complex: SimplicialComplex):
         if complex.coordinates is None:
             raise ValueError("complex has no vertex coordinates")
@@ -79,11 +89,20 @@ class MeshGeometry:
             raise ValueError("geometry needs a triangle mesh")
         self.complex = complex
         self._planar = False  # set once potentials.check_triangulation passes
-        coords = complex.coordinates
+
+    def __getattr__(self, name):
+        """A field not computed yet: its group's builder sets the whole group."""
+        if name not in MeshGeometry._GROUPS:
+            raise AttributeError(f"'MeshGeometry' object has no attribute {name!r}")
+        getattr(self, MeshGeometry._GROUPS[name])()
+        return self.__dict__[name]
+
+    def _frames(self) -> None:
+        complex = self.complex
         tris = complex._rows[2]
         # each corner's row in the vertex ordering, where its 0-cochain value sits
         self.corner_rows = np.searchsorted(complex._rows[0][:, 0], tris)
-        P = coords.take(tris, axis=0)  # (T, 3, 2)
+        P = complex.coordinates.take(tris, axis=0)  # (T, 3, 2)
         self.corners = P
         self.signed_area = 0.5 * _cross(P)
         self.orientation = np.sign(self.signed_area).astype(int)
@@ -100,19 +119,24 @@ class MeshGeometry:
         g2 = perp(P[:, 1] - P[:, 0]) * inv2A[:, None]
         self.gradients = np.stack([g0, g1, g2], axis=1)  # (T, 3, 2)
 
-        used = np.unique(tris)
-        pts = coords.take(used, axis=0)
+    def _extents(self) -> None:
+        used = np.unique(self.complex._rows[2])
+        pts = self.complex.coordinates.take(used, axis=0)
         self.bbox_min = pts.min(axis=0)
         self.bbox_max = pts.max(axis=0)
         self.diagonal = float(np.linalg.norm(self.bbox_max - self.bbox_min))
         self.total_area = float(np.abs(self.signed_area).sum())
 
+    def _edges(self) -> None:
         # local edge -> global edge index, per triangle, order (01, 02, 12):
         # a triangle's coboundary row lists its facets in that order
+        complex = self.complex
         self.triangle_edges = complex.coboundary_matrix(1).indices.reshape(-1, 3)
-        self.edge_coords = coords.take(complex._rows[1], axis=0)  # (E, 2, 2) canonical ends
+        self.edge_coords = complex.coordinates.take(complex._rows[1], axis=0)  # (E, 2, 2)
 
+    def _grid(self) -> None:
         # bucket grid, with at most about 4 cells per triangle
+        P = self.corners
         tri_min, tri_max = P.min(axis=1), P.max(axis=1)
         self._reach = (tri_max - tri_min).max(axis=0)
         # triangle bounding boxes as contiguous columns: x0, y0, x1, y1
@@ -120,7 +144,7 @@ class MeshGeometry:
         extent = self.bbox_max - self.bbox_min
         mean_edge = float(np.linalg.norm(self.edge_coords[:, 1] - self.edge_coords[:, 0],
                                          axis=1).mean())
-        cell = max(mean_edge, float(np.sqrt(extent[0] * extent[1] / (4 * len(tris)))))
+        cell = max(mean_edge, float(np.sqrt(extent[0] * extent[1] / (4 * len(P)))))
         self._shape = np.maximum(1, np.ceil(extent / cell)).astype(int)  # (nx, ny)
         self._cell = extent / self._shape
         nx, ny = self._shape

@@ -730,6 +730,53 @@ def test_verify_and_potential_build_no_product_complex(op, capsys, monkeypatch):
     assert all("complex" not in vars(p) for p in built)
 
 
+GEOMETRY_GROUPS = ("_frames", "_extents", "_edges", "_grid")
+
+
+def geometry_builds(monkeypatch) -> list:
+    """The name of each MeshGeometry field group computed from now on."""
+    from decpotentials.whitney import MeshGeometry
+
+    built = []
+    for name in GEOMETRY_GROUPS:
+        def counted(self, name=name, build=getattr(MeshGeometry, name)):
+            built.append(name)
+            return build(self)
+        monkeypatch.setattr(MeshGeometry, name, counted)
+    return built
+
+
+@pytest.mark.parametrize("op", ["collapse", "strong-collapse"])
+def test_combinatorial_verify_computes_no_geometry(op, capsys, monkeypatch):
+    built = geometry_builds(monkeypatch)
+    code, out, err = run_cli(capsys, ["verify", "--op", op, "--mesh", "builtin:square:4",
+                                      "--trials", "3"])
+    assert code == 0 and err == "" and out_json(out)["pass"]
+    assert built == []
+
+
+@pytest.mark.parametrize("op", ["star", "lipschitz", "bogovskii"])
+def test_whitney_verify_computes_each_geometry_group_once(op, capsys, monkeypatch):
+    built = geometry_builds(monkeypatch)
+    code, _, err = run_cli(capsys, ["verify", "--op", op, *SMALLEST_OPERATORS[op],
+                                    "--trials", "3"])
+    assert code == 0 and err == ""
+    assert sorted(built) == sorted(GEOMETRY_GROUPS)
+
+
+def test_collapse_potential_samples_compute_only_the_frames(capsys, monkeypatch, tmp_path):
+    built = geometry_builds(monkeypatch)
+    samples = tmp_path / "samples.csv"
+    code, _, err = run_cli(capsys, ["potential", "--op", "collapse", "--mesh", "builtin:square:2",
+                                    "--field", "g1", "--samples", str(samples)])
+    assert code == 0 and err == ""
+    lines = samples.read_text().splitlines()
+    assert lines[0] == "x,y,vx,vy" and len(lines) == 1 + 8
+    # the first triangle (0, 1, 4) of square:2 has its barycentre at (1/3, 1/6)
+    assert lines[1].split(",")[:2] == [repr(1 / 3), repr(1 / 6)]
+    assert built == ["_frames", "_edges"]
+
+
 def test_invalid_strong_collapse_sequence_file_names_its_step(capsys, tmp_path):
     path = tmp_path / "seq.json"
     assert run_cli(capsys, ["find-strong-collapse", "--mesh", "builtin:square:2",

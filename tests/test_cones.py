@@ -321,6 +321,20 @@ def test_truncated_strong_collapse_is_no_contraction():
     assert str(err.value) == "contraction is not constant at level 0"
 
 
+@pytest.mark.parametrize("steps", [[(1.7, 0), (2, 0)], [(1, 0.0), (2, 0)], [(1, 2, 0)],
+                                   [(1,), (2, 0)]])
+def test_contraction_of_malformed_steps_is_refused(steps):
+    # psi.steps cast 1.7 to 1 and 0.0 to 0, so the cone was read off steps
+    # that validation refuses
+    cx = SimplicialComplex([(0, 1, 2)])
+    seq = StrongCollapseSequence(cx, steps, 0)
+    prod = build_product_complex(cx, uniform_breakpoints(len(steps)))
+    psi = contraction_from_strong_collapse(seq, prod)
+    assert (psi.steps < 0).any() and not validate_strong_collapse_sequence(seq)
+    with pytest.raises(ValueError):
+        contraction_cone(psi, prod)
+
+
 def _strong_collapse_cone(cx):
     seq = find_strong_collapse_sequence(cx)
     prod = build_product_complex(cx, uniform_breakpoints(max(len(seq.steps), 1)))
@@ -556,6 +570,17 @@ def test_strong_collapse_cone_accepts_exactly_the_valid_sequences(seed, rounds, 
     ([(0, 1), (1, 3), (2, 3)], 3,
      "not a strong collapse: step 1 (1, 3) 3 does not dominate 1, so the retraction is not "
      "simplicial: the join of 3 and (1,) is no simplex"),
+    # an id that is not an integer, and a step that is not a pair, name no vertex
+    ([(3, 2), (1.7, 0), (1, 2)], 2,
+     "not a strong collapse: step 1 (1.7, 0) names a vertex not in the complex"),
+    ([(3, 2.0), (0, 1), (1, 2)], 2,
+     "not a strong collapse: step 0 (3, 2.0) names a vertex not in the complex"),
+    ([(3, 2), ("0", 1), (1, 2)], 2,
+     "not a strong collapse: step 1 (0, 1) names a vertex not in the complex"),
+    ([(3, 2, 0), (0, 1), (1, 2)], 2,
+     "not a strong collapse: step 0 (3, 2, 0) names a vertex not in the complex"),
+    ([(3,), (0, 1), (1, 2)], 2,
+     "not a strong collapse: step 0 (3) names a vertex not in the complex"),
 ])
 def test_strong_collapse_cone_names_the_first_bad_step(steps, terminal, message):
     # a triangle with an edge hanging off its vertex 2

@@ -195,6 +195,23 @@ def test_strong_collapse_single_triangle():
     assert pinned.terminal == 0
 
 
+@pytest.mark.parametrize("search", [find_collapse_sequence, find_strong_collapse_sequence])
+@pytest.mark.parametrize("terminal", [1.0, np.float64(1.0), 0.0, True, np.True_, "1", 3, -1,
+                                      2**63, 2**70])
+def test_searches_reject_a_terminal_that_is_no_vertex_id(search, terminal):
+    # a float or a bool equal to a vertex id named it to the strong search
+    # and was ignored by the collapse search
+    with pytest.raises(ValueError, match=f"^terminal vertex {terminal} not in complex$"):
+        search(SimplicialComplex([(0, 1, 2)]), terminal=terminal)
+
+
+@pytest.mark.parametrize("search", [find_collapse_sequence, find_strong_collapse_sequence])
+@pytest.mark.parametrize("terminal", [1, np.int64(1), np.uint8(1)])
+def test_searches_take_any_integer_terminal(search, terminal):
+    seq = search(SimplicialComplex([(0, 1, 2)]), terminal=terminal)
+    assert seq.terminal == 1 and type(seq.terminal) is int
+
+
 def test_strong_collapse_fan():
     cx = SimplicialComplex([(0, 1, 2), (0, 2, 3), (0, 3, 4)])
     seq = find_strong_collapse_sequence(cx, terminal=0)
