@@ -13,6 +13,7 @@ from scipy.spatial import Delaunay
 
 from decpotentials import (
     Cochain,
+    MeshGeometry,
     SimplicialComplex,
     de_rham,
     load_cochain_csv,
@@ -735,8 +736,6 @@ GEOMETRY_GROUPS = ("_frames", "_extents", "_edges", "_grid")
 
 def geometry_builds(monkeypatch) -> list:
     """The name of each MeshGeometry field group computed from now on."""
-    from decpotentials.whitney import MeshGeometry
-
     built = []
     for name in GEOMETRY_GROUPS:
         def counted(self, name=name, build=getattr(MeshGeometry, name)):
@@ -764,7 +763,7 @@ def test_whitney_verify_computes_each_geometry_group_once(op, capsys, monkeypatc
     assert sorted(built) == sorted(GEOMETRY_GROUPS)
 
 
-def test_collapse_potential_samples_compute_only_the_frames(capsys, monkeypatch, tmp_path):
+def test_collapse_potential_samples_compute_only_frames_and_edges(capsys, monkeypatch, tmp_path):
     built = geometry_builds(monkeypatch)
     samples = tmp_path / "samples.csv"
     code, _, err = run_cli(capsys, ["potential", "--op", "collapse", "--mesh", "builtin:square:2",
