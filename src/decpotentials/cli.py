@@ -34,8 +34,7 @@ from .homotopy import (
     CollapseSequence,
     StrongCollapseSequence,
     find_collapse_sequence,
-    find_strong_collapse_sequence,
-    greedy_strong_collapse,
+    _strong_search,
     load_sequence,
     save_sequence,
 )
@@ -163,15 +162,15 @@ def _load_contraction(args):
     return SlabAffineContraction.load(path)
 
 
-# --op name -> (sequence class, search) of the combinatorial operators
-SEQUENCE_KINDS = {
-    "collapse": (CollapseSequence, find_collapse_sequence),
-    "strong-collapse": (StrongCollapseSequence, find_strong_collapse_sequence),
-}
+# --op name -> sequence class of the combinatorial operators
+SEQUENCE_KINDS = {"collapse": CollapseSequence, "strong-collapse": StrongCollapseSequence}
 
 
 def _find_sequence(kind: str, cx: SimplicialComplex, terminal):
-    seq = SEQUENCE_KINDS[kind][1](cx, terminal=terminal)
+    if kind == "collapse":
+        seq, core = find_collapse_sequence(cx, terminal=terminal), None
+    else:  # one search gives the sequence, or the core a failure names
+        seq, core = _strong_search(cx, terminal)
     if seq is None:
         chi = cx.euler_characteristic()
         if chi != 1:
@@ -180,7 +179,7 @@ def _find_sequence(kind: str, cx: SimplicialComplex, terminal):
             why = ("the greedy collapse got stuck, and greedy is complete in "
                    "dimension 2, so the mesh is not collapsible")
         else:
-            why = (f"the strong-collapse core has {len(greedy_strong_collapse(cx, terminal)[1])} "
+            why = (f"the strong-collapse core has {len(core)} "
                    f"of {cx.num_simplices(0)} vertices, and the core is unique (Barmak-Minian), "
                    "so the mesh is not strong collapsible")
         raise PreconditionError(
@@ -193,7 +192,7 @@ def _sequence(args, cx: SimplicialComplex):
     if not getattr(args, "sequence", None):
         return _find_sequence(args.op, cx, args.terminal_vertex)
     seq = load_sequence(cx, args.sequence)
-    if not isinstance(seq, SEQUENCE_KINDS[args.op][0]):
+    if not isinstance(seq, SEQUENCE_KINDS[args.op]):
         raise PreconditionError(
             f"sequence file {args.sequence} holds a "
             f"{'strong-collapse' if isinstance(seq, StrongCollapseSequence) else 'collapse'} "

@@ -207,11 +207,16 @@ class StrongCollapseSequence:
     terminal: int
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _vertex_ids(values: list) -> np.ndarray:
-    """Vertex ids as int64, -1 for a value that is not an integer (a bool alone
-    is none): it names no vertex, like an id no int64 holds."""
+    """Vertex ids as int64, -1 for a value that is not an integer (a bool is
+    none, alone or beside integers): it names no vertex, like an id no int64
+    holds."""
     ids = np.array(values)
-    if ids.size and ids.dtype.kind not in "iu":
+    # numpy turns a bool beside integers into 0 or 1, so the types are read
+    if ids.size and (ids.dtype.kind not in "iu" or not _BOOLS.isdisjoint(map(type, values))):
         ids = np.array([v if np.ndim(v) == 0 and np.asarray(v).dtype.kind in "iu" else -1
                         for v in values])
     return ids.astype(np.int64)
@@ -467,11 +472,17 @@ def find_strong_collapse_sequence(complex: SimplicialComplex,
     """``greedy_strong_collapse`` down to one vertex, or None where it gets
     stuck, and at once when the Euler characteristic is not 1 (a strong
     collapse keeps the homotopy type)."""
+    return _strong_search(complex, terminal)[0]
+
+
+def _strong_search(complex: SimplicialComplex, terminal):
+    """``find_strong_collapse_sequence``'s answer and the core the greedy
+    collapse left, None where the Euler characteristic stops the search."""
     _terminal_position(complex, terminal)
     if complex.euler_characteristic() != 1:
-        return None
+        return None, None
     steps, core = greedy_strong_collapse(complex, terminal)
-    return StrongCollapseSequence(complex, steps, min(core)) if len(core) == 1 else None
+    return (StrongCollapseSequence(complex, steps, min(core)) if len(core) == 1 else None), core
 
 
 def _strong_steps(steps) -> np.ndarray:

@@ -41,7 +41,9 @@ identity and square to zero: on a 2-D mesh they are P's.
 
 One cochain (1-D values of a real dtype no wider than float64) costs
 ``apply`` one read of its matrix's ``shape``, one zeroed float64 output and
-one call of scipy's CSR kernel.  The kernel gets the matrix's ``indptr``,
+one call of scipy's CSR kernel; a float64 C-contiguous block (2-D, one
+cochain per column) the same, through scipy's CSR block kernel, and any
+other input goes through ``@``.  The kernel gets the matrix's ``indptr``,
 ``indices`` and ``data`` as they are at the call; no copy of them or of the
 shape is kept, so the result stays bitwise ``matrix(k) @ values`` after the
 matrix is edited in place.  ``apply`` and ``project_admissible`` wrap their
@@ -52,12 +54,19 @@ dot a float64 copy of the orientation, which gives the int64 dot's bits.
 cochains and reports per-degree maxima.  Degree k draws its trials from one
 generator, ``default_rng((seed, k))``: trial t is bitwise row t of
 ``uniform(-1, 1, (trials, n))``.  The trials are evaluated a block at a time:
-the generator's next rows are stacked as the columns of one block and
-projected to admissible inputs at once, and the residual
-``D P X + P D X - X`` (plus pi at degree 0) is one sparse mat-mat per term.
-Column sums run in the order of a single mat-vec, so each trial's residual,
-and the report, is bitwise what a trial-by-trial loop gives.
-``homotopy_residual`` is the one-column case of the same kernel.
+the generator's next rows are stacked as the columns of one C-ordered block
+and projected to admissible inputs at once, and the raw draws are dropped.
+The residual ``D P X + P D X - X`` (plus pi at degree 0) is one sparse
+mat-mat per term, each through the block kernel into one zeroed output, and
+the later terms are added to the first product in place, in that order: a
+block allocates one array per product and none per sum, so the allocator
+has no fresh temporaries to trim and fault back in on the next call.
+Column sums run in the order of a single mat-vec, so each trial's residual
+is bitwise what a trial-by-trial loop gives; its largest entry is taken in
+place, and the trials' maxima are reduced by ``fmax``, which skips a NaN as
+the loop's ``max`` does, and summed in trial order by ``add.accumulate``,
+so the report is bitwise the loop's too.  ``homotopy_residual`` is the
+one-column case of the same kernel.
 """
 
 from __future__ import annotations
@@ -67,11 +76,13 @@ import operator
 
 import numpy as np
 import scipy.sparse as sp
-# scipy's private CSR mat-vec kernel: ``matrix @ vector`` ends in it, after a
-# dispatch that costs more than the product itself on these matrices, so one
-# cochain calls it directly, as ``_cs_matrix._matmul_vector`` does; a test in
-# tests/test_potentials.py fails if a scipy upgrade renames or changes it
-from scipy.sparse._sparsetools import csr_matvec
+# scipy's private CSR kernels: ``matrix @ vector`` ends in ``csr_matvec`` and
+# ``matrix @ block`` in ``csr_matvecs``, after a dispatch that costs more than
+# the product itself on these matrices, so one cochain and one float64 block
+# call them directly, as ``_cs_matrix._matmul_vector`` and
+# ``_matmul_multivector`` do; a test in tests/test_potentials.py fails if a
+# scipy upgrade renames or changes either
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .cones import SimplicialConeOperator, SingularConeOperator, shadow_cone
 from .simplicial import Cochain, SimplicialComplex, coboundary  # noqa: F401 (perfbench reads it)
@@ -249,7 +260,7 @@ class DiscretePoincareOperator:
         rows, cols = m.shape
         # one real vector, whose product with the float64 matrix is float64
         if values.shape != (cols,) or values.dtype.kind not in "biuf" or values.itemsize > 8:
-            return m @ values
+            return _product(m, values)
         out = np.zeros(rows)
         csr_matvec(rows, cols, m.indptr, m.indices, m.data, values, out)
         return out
@@ -392,8 +403,9 @@ class BogovskiiOperator(DiscretePoincareOperator):
             if not (math.isfinite(mass) if values.ndim == 1 else np.isfinite(mass).all()):
                 bad = np.atleast_1d(mass)
                 raise _nonzero_mean(float(bad[~np.isfinite(bad)][0]))
-            return values - np.multiply.outer(g.signed_area, mass / g.total_area)
-        values = np.array(values, dtype=float)
+            return np.subtract(values, np.multiply.outer(g.signed_area, mass / g.total_area),
+                               order="C")
+        values = np.array(values, dtype=float, order="C")
         values[cx.boundary_indices(k)] = 0.0
         return values
 
@@ -407,16 +419,34 @@ def _nonzero_mean(mass: float) -> PreconditionError:
 BLOCK_ENTRIES = 1 << 18
 
 
+def _product(m: sp.csr_matrix, values) -> np.ndarray:
+    """``m @ values``: a float64 C-contiguous block goes straight to scipy's
+    CSR kernel, into one zeroed output, with the bits of ``m @ values``."""
+    rows, cols = m.shape
+    if (type(values) is not np.ndarray or values.ndim != 2 or values.shape[0] != cols
+            or values.dtype != np.float64 or not values.flags.c_contiguous):
+        return m @ values
+    out = np.zeros((rows, values.shape[1]))
+    csr_matvecs(rows, cols, values.shape[1], m.indptr, m.indices, m.data,
+                values.reshape(-1), out.reshape(-1))
+    return out
+
+
 def _residuals(op, k: int, values: np.ndarray) -> np.ndarray:
-    """Residuals of the homotopy identity on k-cochain values, one per column."""
+    """Residuals of the homotopy identity on k-cochain values, one per column;
+    each term is added to the first product in place, in the order
+    ``(D P X + P D X) - X``, plus pi at degree 0."""
     cx = op.complex
     if k == 0:
-        r = op.apply_values(1, cx.coboundary_matrix(0) @ values) - values
-        return r + op.constant_component_block(values)
-    dp = cx.coboundary_matrix(k - 1) @ op.apply_values(k, values)
-    if k == cx.dim:
-        return dp - values
-    return dp + op.apply_values(k + 1, cx.coboundary_matrix(k) @ values) - values
+        r = op.apply_values(1, _product(cx.coboundary_matrix(0), values))
+        r -= values
+        r += op.constant_component_block(values)
+        return r
+    r = _product(cx.coboundary_matrix(k - 1), op.apply_values(k, values))
+    if k < cx.dim:
+        r += op.apply_values(k + 1, _product(cx.coboundary_matrix(k), values))
+    r -= values
+    return r
 
 
 def _degree(cx: SimplicialComplex, k) -> int:
@@ -461,16 +491,19 @@ def verify_homotopy(op, ks=None, trials: int = 100, seed: int = 0) -> dict:
                 op.matrix(j)
         size = cx.num_simplices(k)
         rng = np.random.default_rng((index, k))
-        worst = 0.0
-        total = 0.0
+        maxima = np.empty(trials)  # each trial's largest residual entry
         for start in range(0, trials, width):
-            draws = rng.uniform(-1.0, 1.0, (min(width, trials - start), size))
-            admissible = op.project_admissible_block(k, draws.T)
-            r = _residuals(op, k, np.ascontiguousarray(admissible))
-            for m in np.abs(r).max(axis=0, initial=0.0).tolist():
-                worst = max(worst, m)
-                total += m
-        per_k[str(k)] = {"max": worst, "mean": total / trials}
+            stop = min(start + width, trials)
+            # the raw draws are dropped once projected to a C-ordered block
+            block = np.ascontiguousarray(op.project_admissible_block(
+                k, rng.uniform(-1.0, 1.0, (stop - start, size)).T))
+            r = _residuals(op, k, block)
+            np.abs(r, out=r).max(axis=0, initial=0.0, out=maxima[start:stop])
+            del block, r  # so that no array of this block lives beside the next one's
+        # the trial loop's max skips a NaN, as fmax does, and its sum adds in
+        # trial order, as accumulate does: the report keeps the loop's bits
+        per_k[str(k)] = {"max": float(np.fmax.reduce(maxima, initial=0.0)),
+                         "mean": float(np.add.accumulate(maxima)[-1]) / trials}
     return {
         "operator": getattr(op, "label", type(op).__name__),
         "trials": trials,

@@ -600,6 +600,36 @@ def test_failed_search_with_euler_characteristic_one_names_no_euler_cause(
     assert "sequence found for this mesh" in message and "Euler" not in message
 
 
+@pytest.mark.parametrize("argv", [["find-strong-collapse"],
+                                  ["verify", "--op", "strong-collapse", "--trials", "1"]])
+def test_a_failed_strong_collapse_run_searches_once(capsys, tmp_path, monkeypatch, argv):
+    # the holed square plus a disjoint triangle has Euler characteristic 1
+    # but is not strong collapsible: the core of the one search is named
+    holed = holed_square_complex()
+    n = holed.vertex_count
+    coords = np.vstack([holed.coordinates[:n], [(2.0, 0.0), (3.0, 0.0), (2.0, 1.0)]])
+    cx = SimplicialComplex(holed.simplices(2) + [(n, n + 1, n + 2)], coords)
+    assert cx.euler_characteristic() == 1
+    path = tmp_path / "holed-plus-triangle.json"
+    save_mesh_json(cx, path)
+    # each search sets up its state once, whoever calls it
+    searches = []
+    state = homotopy._strong_state
+
+    def counted(complex):
+        searches.append(complex)
+        return state(complex)
+
+    monkeypatch.setattr(homotopy, "_strong_state", counted)
+    code, out, err = run_cli(capsys, argv + ["--mesh", str(path)])
+    monkeypatch.undo()
+    assert code == 2 and out == ""
+    core = len(homotopy.greedy_strong_collapse(cx)[1])
+    assert 1 < core < cx.num_simplices(0)
+    assert f"the strong-collapse core has {core} of" in err_json(err)["message"]
+    assert len(searches) == 1
+
+
 def test_failed_strong_collapse_names_its_core_size(capsys, tmp_path):
     # collapsible (Euler characteristic 1), but no vertex of this Delaunay
     # mesh is dominated, so the greedy strong collapse removes none

@@ -159,6 +159,9 @@ BAD_STEPS = {
                "names (0, 99), which is not a simplex of the complex"),
     "dimensions": (0, lambda steps: ((0, 1, 4), (0,)),
                    "names simplices of dimensions 2 and 0, not k + 1 and k for some k < 2"),
+    # numpy would read True beside integers as vertex 1
+    "bool": (0, lambda steps: ((0, True, 4), (0, True)),
+             "names (0, True, 4), which is not a simplex of the complex"),
 }
 
 

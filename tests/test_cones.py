@@ -581,6 +581,11 @@ def test_strong_collapse_cone_accepts_exactly_the_valid_sequences(seed, rounds, 
      "not a strong collapse: step 0 (3, 2, 0) names a vertex not in the complex"),
     ([(3,), (0, 1), (1, 2)], 2,
      "not a strong collapse: step 0 (3) names a vertex not in the complex"),
+    # a bool beside integers, which numpy would read as vertex 1
+    ([(3, 2), (True, 2), (0, 2)], 2,
+     "not a strong collapse: step 1 (True, 2) names a vertex not in the complex"),
+    ([(3, 2), (np.True_, 2), (0, 2)], 2,
+     "not a strong collapse: step 1 (True, 2) names a vertex not in the complex"),
 ])
 def test_strong_collapse_cone_names_the_first_bad_step(steps, terminal, message):
     # a triangle with an edge hanging off its vertex 2

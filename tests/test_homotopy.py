@@ -23,7 +23,7 @@ from decpotentials.homotopy import (
     validate_collapse_sequence,
     validate_strong_collapse_sequence,
 )
-from decpotentials.cones import collapse_cone
+from decpotentials.cones import collapse_cone, strong_collapse_cone
 from decpotentials.simplicial import Chain, SimplicialComplex, boundary, induced_chain_map
 from decpotentials.meshes import generate_square_mesh, generate_ushape_mesh, vertex_at
 from conftest import annulus_complex, csc_conversions, holed_square_complex
@@ -203,6 +203,20 @@ def test_searches_reject_a_terminal_that_is_no_vertex_id(search, terminal):
     # and was ignored by the collapse search
     with pytest.raises(ValueError, match=f"^terminal vertex {terminal} not in complex$"):
         search(SimplicialComplex([(0, 1, 2)]), terminal=terminal)
+
+
+def test_a_bool_beside_integers_names_no_vertex_of_a_strong_collapse():
+    # numpy reads [True, False, 2, False] as [1, 0, 2, 0], a valid collapse
+    cx = SimplicialComplex([(0, 1, 2)])
+    mixed = StrongCollapseSequence(cx, [(True, False), (2, False)], 0)
+    assert validate_strong_collapse_sequence(mixed) is False
+    messages = []
+    for steps in (mixed.steps, [(True, False)]):
+        with pytest.raises(ValueError) as err:
+            strong_collapse_cone(StrongCollapseSequence(cx, steps, 0))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == \
+        "not a strong collapse: step 0 (True, False) names a vertex not in the complex"
 
 
 @pytest.mark.parametrize("search", [find_collapse_sequence, find_strong_collapse_sequence])
@@ -431,6 +445,8 @@ BAD_FIRST_STEPS = {
     "tau of top dimension": ((0, 1, 4), (0, 1, 4)),
     "tau of top dimension, sigma above it": ((0, 1, 3, 4), (0, 1, 4)),
     "empty tau": ((0,), ()),
+    "bool beside integers": ((0, True, 4), (0, True)),
+    "numpy bool beside integers": ((0, 1, 4), (0, np.True_)),
 }
 
 

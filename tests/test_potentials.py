@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1128,6 +1129,28 @@ def test_verify_reports_do_not_depend_on_the_block_width(every_op, monkeypatch, 
             op.label
 
 
+def test_verify_holds_few_blocks_at_once():
+    # star (0.5, 0.5) on square:16 verifies 40 trials per degree in one block
+    # of 40 columns; the residual adds each term to the first product in
+    # place and the draws are dropped once projected, which peaks at 3.65
+    # arrays of the largest degree's block size (degree 1: the block, the
+    # first product, P_2's input and its product, 933,918 bytes).  A sum
+    # that is not in place, or draws kept beside the block, reach 4.0 and
+    # 4.6, past the bound of 3.8.
+    cx = generate_square_mesh(16)
+    op = DiscretePoincareOperator(star_cone((0.5, 0.5), cx))
+    verify_homotopy(op, trials=40)  # assembles and caches every matrix
+    block = 40 * max(map(cx.num_simplices, range(cx.dim + 1))) * 8
+    assert potentials.BLOCK_ENTRIES // (block // 8 // 40) >= 40
+    tracemalloc.start()
+    try:
+        verify_homotopy(op, trials=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.8 * block, peak / block
+
+
 def test_homotopy_residual_is_bitwise_the_loop_residual(every_op):
     rng = np.random.default_rng(11)
     for op in every_op:
@@ -1220,6 +1243,67 @@ def test_one_cochain_of_a_wrong_shape_or_a_wider_dtype_is_scipys_product(collaps
         want = collapse_op2.matrix(1) @ v
         got = collapse_op2.apply_values(1, v)
         assert got.dtype == want.dtype != np.float64 and got.tobytes() == want.tobytes()
+
+
+def counted_block_kernel(monkeypatch):
+    """The widths of the blocks that reach scipy's CSR block kernel."""
+    widths = []
+    kernel = potentials.csr_matvecs
+
+    def counted(*args):
+        widths.append(args[2])
+        kernel(*args)
+
+    monkeypatch.setattr(potentials, "csr_matvecs", counted)
+    return widths
+
+
+def test_a_float64_block_is_the_kernel_product_bit_for_bit(every_op, monkeypatch):
+    # a float64 C-contiguous block goes straight to scipy's CSR block kernel,
+    # and must give the bits of scipy's own product, whose one-column case
+    # ends in the one-cochain kernel; a scipy that renames or changes
+    # csr_matvecs fails here
+    widths = counted_block_kernel(monkeypatch)
+    rng = np.random.default_rng(17)
+    for op in every_op:
+        cx = op.complex
+        for k in range(1, cx.dim + 1):
+            for width in (0, 1, 5):
+                block = op.project_admissible_block(
+                    k, rng.uniform(-1.0, 1.0, (cx.num_simplices(k), width)))
+                assert block.flags.c_contiguous, (op.label, k)
+                widths.clear()
+                got = op.apply_values(k, block)
+                assert widths == [width], (op.label, k)
+                want = op.matrix(k) @ block
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (op.label, k, width)
+
+
+def test_other_blocks_are_scipys_product(every_op, monkeypatch):
+    # F-ordered, strided, integer and complex blocks go through @, unchanged
+    widths = counted_block_kernel(monkeypatch)
+    rng = np.random.default_rng(18)
+    for op in every_op:
+        cx = op.complex
+        for k in range(1, cx.dim + 1):
+            n = cx.num_simplices(k)
+            floats = op.project_admissible_block(k, rng.uniform(-1.0, 1.0, (n, 6)))
+            ints = rng.integers(-9, 10, (n, 3))
+            top_bogovskii = isinstance(op, BogovskiiOperator) and k == cx.dim
+            if top_bogovskii:
+                # zero mass: each column's last value cancels the signed sum of the others
+                o = op.geometry.orientation
+                ints[-1] -= o[-1] * (o @ ints)
+            blocks = [np.asfortranarray(floats), floats[:, ::2], ints]
+            if not top_bogovskii:  # a complex mass is no zero-mean input
+                blocks.append(floats + 0.5j * floats[:, ::-1])
+            for block in blocks:
+                want = op.matrix(k) @ block
+                got = op.apply_values(k, block)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+                    (op.label, k, block.dtype, block.strides)
+    assert widths == []
 
 
 def test_apply_and_projection_give_cochains_of_the_right_degree_and_shape(every_op):
