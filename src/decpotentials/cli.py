@@ -232,8 +232,6 @@ def build_operator(args, cx: SimplicialComplex, geometry: MeshGeometry | None):
         raise PreconditionError(f"unknown operator {op!r}")
 
     if getattr(args, "complex_property", False):
-        if isinstance(base, BogovskiiOperator):
-            raise PreconditionError("--complex-property applies to Poincare operators only")
         return ComplexPropertyOperator(base)
     return base
 

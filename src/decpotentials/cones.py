@@ -255,8 +255,8 @@ def strong_collapse_cone(seq: StrongCollapseSequence) -> SimplicialConeOperator:
     first removed vertex of tau and s the sign that sorts the next row, or 0
     when w_j is in tau or tau is the terminal.  Its checks (w_j joins every
     live simplex holding v_j: it dominates v_j) and a terminal never removed
-    are ``validate_strong_collapse_sequence``; a ``ValueError`` names the first
-    bad step."""
+    are what ``validate_strong_collapse_sequence`` asks; a ``ValueError``
+    names the first bad step."""
     steps = _strong_steps(seq.steps)
     terms = _strong_collapse_terms(seq.complex, steps, seq.steps)
     left = np.setdiff1d(seq.complex._rows[0][:, 0], steps[0]).tolist()

@@ -26,8 +26,9 @@ their faces' cofacets find every step that fails (``_collapse_steps``).
 Greedy is exact in dimension <= 2: it gets stuck only on complexes that are
 not collapsible; in dimension >= 3 it can get stuck on a collapsible one.
 Strong collapse sequences (dominated-vertex removals) are searched greedily,
-lowest dominated vertex first, which suffices (Barmak-Minian, DCG 2012), and
-found and validated on flat lists over all simplices (``_strong_state``).
+lowest dominated vertex first, which suffices (Barmak-Minian, DCG 2012), on
+flat lists over all simplices (``_strong_state``); a sequence is valid when
+``cones.strong_collapse_cone`` accepts it.
 Failed searches return ``None``.  In a terminal or a step, a vertex id that
 is not an integer names no vertex (``_vertex_ids``).
 
@@ -36,10 +37,8 @@ function on the product vertices that is the identity at the top level and
 constant at the bottom, and that is simplicial when the sequence is valid.
 It finds a vertex's image at level ``m - j`` by walking the first j steps,
 keeping no table, and it carries the steps, which are all the cone needs:
-``cones.strong_collapse_cone`` builds it from the sequence alone, accepting
-exactly the sequences that ``validate_strong_collapse_sequence`` accepts,
-and ``cones.contraction_cone`` reads the function's steps without calling
-it.
+``cones.strong_collapse_cone`` builds it from the sequence alone, and
+``cones.contraction_cone`` reads the function's steps without calling it.
 """
 
 from __future__ import annotations
@@ -495,16 +494,15 @@ def _strong_steps(steps) -> np.ndarray:
 
 def validate_strong_collapse_sequence(seq: StrongCollapseSequence) -> bool:
     """Whether each step's dominating vertex dominates its dominated one, both
-    still live, and the steps leave the terminal vertex alone."""
-    cx = seq.complex
-    count, dominators, remove_star, _ = _strong_state(cx)
-    at = cx.positions(0, _strong_steps(seq.steps).reshape(-1, 1)).reshape(2, -1)
-    for v, w in zip(*at.tolist()):
-        if min(v, w) < 0 or count[v] < 0 or count[w] < 0 or w not in dominators(v):
-            return False
-        remove_star(v)
-    alive = [u for u, n in zip(cx._rows[0][:, 0].tolist(), count) if n >= 0]
-    return alive == [seq.terminal]
+    still live, and the steps leave the terminal vertex alone: the checks of
+    ``cones.strong_collapse_cone``, which this asks."""
+    from .cones import strong_collapse_cone  # cones imports this module
+
+    try:
+        strong_collapse_cone(seq)
+    except ValueError:
+        return False
+    return True
 
 
 def contraction_from_strong_collapse(seq: StrongCollapseSequence,

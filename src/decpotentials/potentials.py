@@ -37,7 +37,9 @@ boundary edge's line, so that the domain is star-shaped about it
 do not keep zero trace.  A star operator needs only the closed kernel,
 checked before any row.  ``ComplexPropertyOperator`` copies its base's
 state and holds the matrices of ``P - d P P``, which satisfy the same
-identity and square to zero: on a 2-D mesh they are P's.
+identity and square to zero: on a 2-D mesh they are P's.  It refuses a
+Bogovskii base, whose admissible inputs it would neither project to nor
+check.
 
 One cochain (1-D values of a real dtype no wider than float64) costs
 ``apply`` one read of its matrix's ``shape``, one zeroed float64 output and
@@ -47,8 +49,14 @@ other input goes through ``@``.  The kernel gets the matrix's ``indptr``,
 ``indices`` and ``data`` as they are at the call; no copy of them or of the
 shape is kept, so the result stays bitwise ``matrix(k) @ values`` after the
 matrix is edited in place.  ``apply`` and ``project_admissible`` wrap their
-results without re-checking the shape they just produced.  Bogovskii masses
-dot a float64 copy of the orientation, which gives the int64 dot's bits.
+results without re-checking the shape they just produced.  A Bogovskii
+top-degree projection and zero-mean check take their masses from one
+routine (``_masses``): the ``vecdot`` of each contiguous row with a float64
+copy of the orientation, with one ``RuntimeWarning`` fallback and, for one
+cochain, one scalar finiteness test; the projection writes into its one
+output array.  ``signed_mass`` keeps its own ``@`` dot, whose bits are the
+int64 orientation's.  The complex's ``dim``, read twice per top-degree
+cochain, is an attribute stored when the complex is built.
 
 ``verify_homotopy`` estimates the identity's residual on seeded random
 cochains and reports per-degree maxima.  Degree k draws its trials from one
@@ -309,22 +317,24 @@ class ComplexPropertyOperator(DiscretePoincareOperator):
     paths bend off a mesh vertex or its terminal vertex moves, and no
     correction ``D_0 (...)`` removes a constant.  In higher dimensions
     ``R_2 = -P_3 D_2`` is not zero, nor in general is the correction (a
-    contraction of a 3-simplex shows it).
+    contraction of a 3-simplex shows it).  A Bogovskii base is refused: every
+    input of the result is admissible, as for the Poincare operators.
     """
 
     def __init__(self, base: DiscretePoincareOperator):
+        if isinstance(base, BogovskiiOperator):
+            # its admissible inputs are a subspace that P - dPP would have to
+            # project to and check, as the base does
+            raise PreconditionError("complex-property (P - dPP) applies to Poincare operators "
+                                    "only, not to the Bogovskii operator")
         self._hold(base.cone, base.geometry, base.kind, base._pi,
                    base.label + "+complex-property")
-        self.base = base
         cx = self.complex
         for k in range(1, cx.dim + 1):
             p = base.matrix(k)
             if k >= 2 and cx.dim >= 3:
                 p = (p - cx.coboundary_matrix(k - 2) @ (base.matrix(k - 1) @ p)).tocsr()
             self._matrices[k] = p
-
-    def project_admissible_block(self, k: int, values: np.ndarray) -> np.ndarray:
-        return self.base.project_admissible_block(k, values)
 
 
 class BogovskiiOperator(DiscretePoincareOperator):
@@ -364,19 +374,32 @@ class BogovskiiOperator(DiscretePoincareOperator):
             raise _nonzero_mean(mass)
         return mass
 
+    def _masses(self, values: np.ndarray):
+        """The masses of top-degree values: a float64 scalar for one cochain,
+        an array for one per column.  Each dots a contiguous row, so that a
+        column's mass is that of the same cochain alone (a strided row's dot
+        rounds differently); a non-finite mass (from a non-finite value) is
+        rejected."""
+        rows = np.ascontiguousarray(values.T)
+        try:
+            mass = _dot(rows, self._orientation)
+        except RuntimeWarning:  # inf - inf or an overflow, with warnings raised as errors
+            with np.errstate(invalid="ignore", over="ignore"):
+                mass = _dot(rows, self._orientation)
+        # one scalar check for one cochain, one per column for a block
+        if not (math.isfinite(mass) if values.ndim == 1 else np.isfinite(mass).all()):
+            bad = np.atleast_1d(mass)
+            raise _nonzero_mean(float(bad[~np.isfinite(bad)][0]))
+        return mass
+
     def _check_zero_mean(self, values: np.ndarray) -> None:
         """Reject top-degree values (one cochain or one per column) of nonzero mass."""
-        block = values.reshape(len(values), -1)
-        try:
-            masses = self._orientation @ block
-        except RuntimeWarning:  # inf - inf, with warnings raised as errors
-            with np.errstate(invalid="ignore"):
-                masses = self._orientation @ block
-        for j, mass in enumerate(masses.tolist()):
+        masses = self._masses(values)
+        for j, mass in enumerate([masses] if values.ndim == 1 else masses.tolist()):
             # a mass of at most 1e-9 passes at any scale, so the scale is read
-            # only past it; a NaN or infinite mass (from a non-finite value) fails
-            if not math.isfinite(mass) or (
-                    abs(mass) > 1e-9 and abs(mass) > 1e-9 * max(np.abs(block[:, j]).max(), 1.0)):
+            # only past it
+            if abs(mass) > 1e-9 and abs(mass) > 1e-9 * max(
+                    np.abs(values if values.ndim == 1 else values[:, j]).max(), 1.0):
                 raise _nonzero_mean(mass)
 
     def apply_values(self, k: int, values: np.ndarray) -> np.ndarray:
@@ -390,21 +413,8 @@ class BogovskiiOperator(DiscretePoincareOperator):
         cx, g = self.complex, self.geometry
         if k == cx.dim:
             values = np.asarray(values, dtype=float)
-            # each mass (one, or one per column) from a contiguous row, as
-            # signed_mass takes it: a strided row's dot rounds differently
-            rows = np.ascontiguousarray(values.T)
-            try:
-                mass = _dot(rows, self._orientation)
-            except RuntimeWarning:  # inf - inf or an overflow, with warnings raised as errors
-                with np.errstate(invalid="ignore", over="ignore"):
-                    mass = _dot(rows, self._orientation)
-            # a non-finite value makes its mass non-finite: one scalar check
-            # for one cochain, one per column for a block
-            if not (math.isfinite(mass) if values.ndim == 1 else np.isfinite(mass).all()):
-                bad = np.atleast_1d(mass)
-                raise _nonzero_mean(float(bad[~np.isfinite(bad)][0]))
-            return np.subtract(values, np.multiply.outer(g.signed_area, mass / g.total_area),
-                               order="C")
+            out = np.multiply.outer(g.signed_area, self._masses(values) / g.total_area)
+            return np.subtract(values, out, out=out)
         values = np.array(values, dtype=float, order="C")
         values[cx.boundary_indices(k)] = 0.0
         return values

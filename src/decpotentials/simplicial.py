@@ -147,6 +147,7 @@ class SimplicialComplex:
 
     def _setup(self, rows: dict[int, np.ndarray], coordinates) -> None:
         self._rows = rows
+        self.dim: int = max(rows)  # read on every apply and verify call, so stored once
         self.vertex_count = int(rows[0][-1, 0]) + 1
         self._coboundary: dict[int, sp.csr_matrix] = {}
         self._cofacet_columns: dict[int, sp.csc_matrix] = {}
@@ -192,10 +193,6 @@ class SimplicialComplex:
         return {k: {s: i for i, s in enumerate(v)} for k, v in self.simplices_by_dim.items()}
 
     # -- basic queries ---------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return max(self._rows)
 
     def simplices(self, k: int) -> list[Simplex]:
         return self.simplices_by_dim.get(k, [])

@@ -21,7 +21,12 @@ corner's side of the line depends on the segment and the vertex alone, and
 each crossing on the segment and the canonical edge alone, so neighbouring
 triangles agree bitwise on where a piece ends (the orientation tests of a
 straight walk, Devillers, Pion and Teillaud 2002); each piece is integrated
-in its triangle by the midpoint rule, exact for the affine integrand.
+in its triangle by the midpoint rule, exact for the affine integrand.  A
+piece along a mesh edge is integrated once, in the edge's lowest-index
+triangle, and weighs only on that edge: a lowest-order Whitney 1-form's
+tangential trace on an edge belongs to that edge alone (Whitney, Geometric
+Integration Theory, 1957), so the other two edge forms' rounding-level
+values there become exact zeros and leave the matrix.
 2-dimensional images must also pass a separating-axis test, in which an
 image triangle that only touches a mesh triangle counts as apart (their
 overlap has no area, so such pairs leave no rounding-level sliver entries),
@@ -400,8 +405,10 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
 
     A segment's piece in a triangle its line meets runs from the least to the
     greatest parameter of the line's edge crossings and of the corners on
-    it, cut to [0, 1]; a piece along an edge is integrated only in the
-    edge's lowest-index triangle.  Unless ``allow_exterior``, the length
+    it, cut to [0, 1]; a piece along an edge (both of its corners on the
+    line by the same sign test) is integrated only in the edge's
+    lowest-index triangle, and weighs only on that edge: the other two edge
+    forms' weights are exact zeros.  Unless ``allow_exterior``, the length
     that no piece covers may not exceed COVERAGE_TOL times the mesh diagonal.
     """
     n_edges, cof = len(geom.edge_coords), geom.complex._cofacet_csc(1)
@@ -443,7 +450,7 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         along = on.take(i, axis=0) & on.take(j, axis=0)
         edge = geom.triangle_edges.ravel().take(3 * tri + along.argmax(axis=0))
         keep = np.flatnonzero((t1 > t0) & (~along.any(axis=0) | (lowest[edge] == tri)))
-        sub, tri, t0, t1 = sub[keep], tri[keep], t0[keep], t1[keep]
+        sub, tri, t0, t1, along = sub[keep], tri[keep], t0[keep], t1[keep], along.take(keep, axis=1)
         if not allow_exterior:
             whole = np.hypot(rx[first:stop], ry[first:stop])
             covered = np.bincount(sub - first, t1 - t0, minlength=stop - first)
@@ -452,6 +459,9 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         mid = a.take(sub, axis=0) + (0.5 * (t0 + t1))[:, None] * d
         step = (t1 - t0)[:, None] * d
         vals = (geom.edge_forms(tri, mid) @ step[:, :, None])[..., 0]
+        # along an edge, the other two edge forms have no tangential part:
+        # their rounding-level values become exact zeros
+        vals[along.any(axis=0)[:, None] & ~along.T] = 0.0
         yield _accumulate(np.repeat(sub, 3), geom.triangle_edges.take(tri, axis=0).ravel(),
                           vals.ravel(), n_edges)
 

@@ -97,8 +97,10 @@ def triangle_row(mesh: ExactMesh, points, row: dict, coeff=1) -> None:
             row[t] = row.get(t, 0) + coeff * w
 
 
-def segment_row(mesh: ExactMesh, points, row: dict, coeff=1) -> None:
-    """Add ``coeff`` times the exact row of a segment, keyed by edge index."""
+def segment_row(mesh: ExactMesh, points, row: dict, coeff=1, along=None) -> None:
+    """Add ``coeff`` times the exact row of a segment, keyed by edge index;
+    into the set ``along``, if given, add the other two edges of the lowest
+    triangle of each edge that a piece runs along."""
     a, b = (_q(p) for p in points)
     if a == b:
         return
@@ -122,6 +124,11 @@ def segment_row(mesh: ExactMesh, points, row: dict, coeff=1) -> None:
         beta = [mesh.barycentric(t, (a[0] + s * r[0], a[1] + s * r[1])) for s in (lo, hi)]
         tri = mesh.triangles[t]
         on = [k for k in range(3) if beta[0][k] == 0 and beta[1][k] == 0]
+        if on and along is not None:
+            i, j = (k for k in range(3) if k != on[0])
+            if mesh.lowest[(tri[i], tri[j])] == t:
+                along.update(mesh.edge_index[(tri[a], tri[b])] for a, b in LOCAL_EDGES
+                             if on[0] in (a, b))
         for i, j in LOCAL_EDGES:
             if on and (on[0] in (i, j) or mesh.lowest[(tri[i], tri[j])] != t):
                 continue
@@ -131,10 +138,14 @@ def segment_row(mesh: ExactMesh, points, row: dict, coeff=1) -> None:
                 row[e] = row.get(e, 0) + coeff * w
 
 
-def exact_row(mesh: ExactMesh, terms) -> dict:
-    """Exact row of a chain of (coefficient, points) terms of one dimension."""
+def exact_row(mesh: ExactMesh, terms, along=None) -> dict:
+    """Exact row of a chain of (coefficient, points) terms of one dimension;
+    ``along`` is passed to ``segment_row``."""
     row: dict = {}
     for coeff, points in terms:
         c = Fraction(float(coeff))
-        (segment_row if len(points) == 2 else triangle_row)(mesh, points, row, c)
+        if len(points) == 2:
+            segment_row(mesh, points, row, c, along)
+        else:
+            triangle_row(mesh, points, row, c)
     return row

@@ -419,7 +419,8 @@ def test_potential_scalar_samples(capsys, tmp_path):
 # before the sample rows were written in one loop and the grids and
 # contraction images were built in numpy; the 1-form potentials (field f)
 # re-recorded since segment pieces are integrated by the midpoint rule; the
-# lipschitz ones again since segments are cut at crossings both neighbours share
+# lipschitz ones again since segments are cut at crossings both neighbours
+# share, and lipschitz-f since a piece along an edge weighs only on it
 POTENTIAL_FILE_DIGESTS = {
     "star-g1": ("3311d121bbecd5dabe5160f084a2ffce830dafc7dcd5e2c5dde1b4b169e0e309",
                "1da1427788c74613b647fc8141c4d43c38331c8bd8c0722add0b05997134bd83"),
@@ -427,8 +428,8 @@ POTENTIAL_FILE_DIGESTS = {
               "eaeabff5b95e46b6816672aff0b225756ce0a26fcc2422a43b2d5c54c7f79e1f"),
     "lipschitz-g1": ("76056a935996936085f45a3c1da5b950e47d7bd63ab1b11405d0a1d354a260df",
                     "31b4ae400072e3dceea0a3ef3d19c9b9bb0304f9c5983c3ee3dbe3f3ecc897df"),
-    "lipschitz-f": ("2a67eaae373fb07a0f2f52c8fd09cac0c26c5f0002516498d15786750228254f",
-                   "d3891a7bd364a7165398e8d3059afd27fc3bcea120f4f4131e8bb0a42809d68e"),
+    "lipschitz-f": ("736d0c5539f9cc690dda5e374bcd9286efe519ca920da3353888f30041a1f4cf",
+                   "0622db76da8166b96ec7d5d241c2136ac6db92639293575c1ada7b6a0dd245bd"),
 }
 POTENTIAL_ARGS = {
     "star": ["--mesh", "builtin:square:8", "--op", "star", "--point", "0.52,0.51"],

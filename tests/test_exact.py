@@ -69,6 +69,23 @@ def test_every_row_is_within_the_bound_of_its_exact_row(mesh, kind):
             assert_within_the_bound(row, exact, (k, s))
 
 
+@pytest.mark.parametrize("mesh", sorted(MESHES))
+def test_pieces_along_an_edge_weigh_only_on_it(mesh):
+    # U-shape paths run along mesh edges, where the other two edge forms of
+    # the edge's triangle have no tangential part: the entries that this
+    # zeroes are exactly zero, and every row has its exact row's columns
+    cx = MESHES[mesh]()
+    op, em = build("lipschitz", cx), ExactMesh(cx)
+    m, zeroed = op.matrix(1), 0
+    for i, s in enumerate(cx.simplices(0)):
+        along = set()
+        exact = exact_row(em, [(c, t.points) for c, t in op.cone.table[s].terms], along)
+        row = set(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist())
+        assert row == {j for j, w in exact.items() if w}, s
+        zeroed += len(along - row)
+    assert zeroed
+
+
 def exact_matrix(op, em, k):
     """The exact rows of ``op.matrix(k)``, one dict per (k-1)-simplex."""
     return [exact_row(em, [(c, t.points) for c, t in op.cone.table[s].terms])

@@ -473,3 +473,15 @@ def test_boundary_indices_equal_the_set_closure(square8):
         for k, want in _boundary_closure(cx).items():
             assert cx.boundary_simplices(k) == want, (cx, k)
             assert cx.boundary_indices(k).tolist() == [cx.index(s) for s in want], (cx, k)
+
+
+def test_dim_is_the_largest_row_dimension_on_every_construction_path():
+    # stored once when the complex is set up, not recomputed on each read
+    rows = {0: np.array([[0], [1], [2]]), 1: np.array([[0, 1], [0, 2], [1, 2]]),
+            2: np.array([[0, 1, 2]])}
+    product = ProductComplex(SimplicialComplex([(0, 1, 2)]), uniform_breakpoints(2))
+    made = [SimplicialComplex([(0, 1, 2), (3,)]), SimplicialComplex([(0, 1), (1, 2)]),
+            SimplicialComplex([(4,)]), SimplicialComplex.from_rows([np.array([[0, 1, 2, 3]])]),
+            SimplicialComplex._from_closed(rows), product.complex]
+    for cx, want in zip(made, [2, 1, 0, 3, 2, 3]):
+        assert vars(cx)["dim"] == max(cx._rows) == want
