@@ -34,9 +34,13 @@ moves through that table, one prism at a time, every other prism being
 degenerate.  ``lipschitz_cone`` first checks that the mesh is a planar
 triangulation (``potentials.check_triangulation``, once per geometry), then
 reads ``ProductComplex.prism_rows`` and maps every vertex at every
-breakpoint in one array expression, into one table that the endpoint and
-containment checks (always made, with a geometry built when none is given)
-and the cone's points are read from.
+breakpoint in one array expression.  The endpoint and containment checks
+(always made, with a geometry built when none is given) locate each
+distinct point of the vertex paths once, and the cone's point table holds
+each distinct image once, so that equal segments have equal corners.  The
+cone pairs each prism slab of an edge whose quadrilateral is strictly
+convex into that one cell (``cells``), which the assembly integrates in
+place of the slab's two triangles; ``table`` still lists the triangles.
 """
 
 from __future__ import annotations
@@ -62,7 +66,14 @@ from .simplicial import (
     SimplicialComplex,
     canonical_simplex,
 )
-from .singular import ConeChain, InfiniteCone, LinearSimplex, SingularChain, shadow_pieces
+from .singular import (
+    ConeChain,
+    InfiniteCone,
+    LinearSimplex,
+    SingularChain,
+    _first_appearances,
+    shadow_pieces,
+)
 from .whitney import MeshGeometry, _own
 
 
@@ -120,17 +131,21 @@ class SingularConeOperator(_ConeOperatorBase):
     ``terms[k] = (rows, coeffs, corners)`` lists the cone terms: row
     ``rows[i]`` (ascending) of the k-simplices gets ``coeffs[i]`` times the
     singular simplex on ``points[corners[i]]``.  ``table`` holds the same
-    terms as one chain per simplex, built on first read.
+    terms as one chain per simplex, built on first read.  ``cells[k]`` lists
+    what the assembly integrates, in the same form: the terms themselves,
+    unless a cone pairs some of them into one convex cell (``lipschitz_cone``).
     """
 
     _element, _chain_type = LinearSimplex, SingularChain
     star = False  # every term joins the point to a simplex (``star_cone``)
 
-    def __init__(self, complex: SimplicialComplex, point, points: np.ndarray, terms: dict):
+    def __init__(self, complex: SimplicialComplex, point, points: np.ndarray, terms: dict,
+                 cells: dict | None = None):
         self.complex = complex
         self.point = np.asarray(point, dtype=float)
         self.points = points
         self.terms = terms
+        self.cells = terms if cells is None else cells
 
     @cached_property
     def table(self) -> dict:
@@ -443,6 +458,16 @@ def _base_point(point) -> np.ndarray:
     return a
 
 
+def _finite(field: str, values) -> np.ndarray:
+    """A contraction's numbers as a float array; a NaN or infinite one raises
+    a ValueError that names its field."""
+    a = np.array(values, dtype=float)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ValueError(f"contraction field {field} holds {bad[0]}, not a finite number")
+    return a
+
+
 def _numbers(value) -> bool:
     """Is a JSON value an array of numbers, or of such arrays (a bool is no number)?"""
     return type(value) is list and all(type(v) in (int, float) or _numbers(v) for v in value)
@@ -455,12 +480,14 @@ class SlabAffineContraction:
     acting on homogeneous ``(x, y, 1)`` input; in between, the map is
     interpolated linearly in time.  The cone construction reads only the
     images of mesh vertices at the breakpoints.  A contraction read from
-    per-slab matrices keeps them, as ``matrices``, for ``save``.
+    per-slab matrices keeps them, as ``matrices``, for ``save``.  A NaN or
+    infinite breakpoint, map entry or matrix entry raises a ValueError that
+    names its field.
     """
 
     def __init__(self, breakpoints: Sequence[float], maps, point, matrices=None):
-        self.breakpoints = checked_breakpoints(breakpoints)
-        self.maps = np.array(maps, dtype=float)
+        self.breakpoints = checked_breakpoints(_finite("'breakpoints'", breakpoints))
+        self.maps = _finite("'maps'", maps)
         if self.maps.shape != (len(self.breakpoints), 2, 3):
             raise ValueError("need one 2x3 map (homogeneous x, y, 1) per breakpoint")
         self.point = _base_point(point)
@@ -497,10 +524,12 @@ class SlabAffineContraction:
     def from_matrices(cls, breakpoints, matrices, point) -> "SlabAffineContraction":
         """From one 2x4 matrix per slab acting on ``(x, y, t, 1)``; each slab
         gives its maps at its end times, which must agree where slabs meet."""
-        times = checked_breakpoints(breakpoints)
+        times = checked_breakpoints(_finite("'breakpoints'", breakpoints))
         mats = np.array(matrices, dtype=float)
         if mats.shape != (len(times) - 1, 2, 4):
             raise ValueError("need one 2x4 matrix (homogeneous x, y, t, 1) per slab")
+        for i, m in enumerate(mats):
+            _finite(f"'matrix' of slab {i}", m)
         t = np.array(times)[:, None, None]
         # each slab's map in the planes {time = t} of its lower and upper end
         lower, upper = (np.concatenate([mats[..., :2], mats[..., 2:3] * ts + mats[..., 3:]], axis=2)
@@ -549,8 +578,13 @@ class SlabAffineContraction:
 
 
 def _checked_images(phi: SlabAffineContraction, complex: SimplicialComplex, geometry):
-    """(V, B, 2) images of the vertices, in row order, at each breakpoint,
-    and the endpoint and containment issues read off them."""
+    """The distinct images of the vertices at the breakpoints, as a (P, 2)
+    point table, the (V, B) index into it of each vertex (in row order) at
+    each breakpoint, and the endpoint and containment issues read off them.
+
+    Each distinct point of the vertex paths (breakpoint images and path
+    midpoints) is located once.  The endpoints must match to 1e-10 mesh
+    diagonals; a NaN matches nothing."""
     _own(complex, geometry)
     coords = complex.coordinates
     if coords is None:
@@ -560,36 +594,45 @@ def _checked_images(phi: SlabAffineContraction, complex: SimplicialComplex, geom
     vertices = complex._rows[0][:, 0]
     at = coords.take(vertices, axis=0)
     images = _affine(phi.maps, at[:, None])
-    moved = np.max(np.abs(images[:, -1] - at), axis=1) > 1e-10
-    unbased = np.max(np.abs(images[:, 0] - phi.point), axis=1) > 1e-10
-    # (vertex, breakpoint) images and (vertex, slab) path midpoints, located
-    # in one probe of the grid
+    tol = 1e-10 * geometry.diagonal
+    moved = ~(np.max(np.abs(images[:, -1] - at), axis=1) <= tol)
+    unbased = ~(np.max(np.abs(images[:, 0] - phi.point), axis=1) <= tol)
+    # (vertex, breakpoint) images, then (vertex, slab) path midpoints: the
+    # images' distinct points come first, and are the cone's point table
+    n, b = images.shape[:2]
     midpoints = 0.5 * (images[:, :-1] + images[:, 1:])
-    out = geometry.locate_all(np.concatenate([images, midpoints], axis=1), tol=1e-9) < 0
-    escaped, cut = np.split(out.reshape(len(at), -1), [images.shape[1]], axis=1)
+    probe = np.concatenate([images.reshape(-1, 2), midpoints.reshape(-1, 2)])
+    first, ids = _first_appearances(probe.view(np.int64))  # told apart by their bits
+    points = probe.take(first, axis=0)
+    out = geometry.locate_all(points, tol=1e-9).take(ids) < 0
+    escaped, cut = out[:n * b].reshape(n, b), out[n * b:].reshape(n, b - 1)
     issues = []
-    for n, v in enumerate(vertices.tolist()):
-        if moved[n]:
+    for i in np.flatnonzero(moved | unbased | escaped.any(axis=1) | cut.any(axis=1)).tolist():
+        v = int(vertices[i])
+        if moved[i]:
             issues.append(f"phi(vertex {v}, 1) != identity")
-        if unbased[n]:
+        if unbased[i]:
             issues.append(f"phi(vertex {v}, 0) != base point")
         issues += [f"phi(vertex {v}, {t}) leaves the mesh"
-                   for t, out in zip(phi.breakpoints, escaped[n]) if out]
+                   for t, out in zip(phi.breakpoints, escaped[i]) if out]
         issues += [f"interpolated path of vertex {v} leaves the mesh"
-                   for out in cut[n] if out]
-    return images, issues
+                   for out in cut[i] if out]
+    image_ids = ids[:n * b].reshape(n, b)
+    return points[:image_ids.max(initial=-1) + 1], image_ids, issues
 
 
 def validate_contraction(phi: SlabAffineContraction, complex: SimplicialComplex,
                          geometry=None) -> list[str]:
     """Endpoint and containment checks at mesh vertices.
 
-    Containment is probed at the breakpoints and at the midpoint of each
-    vertex path segment: the cone construction interpolates affinely between
-    breakpoint images, so on a nonconvex domain a segment can leave the mesh
-    even though its endpoints stay inside.  Without a geometry, one is built.
+    Each path must start at the base point and end at its vertex, to 1e-10
+    mesh diagonals (a NaN image fails).  Containment is probed at the
+    breakpoints and at the midpoint of each vertex path segment: the cone
+    construction interpolates affinely between breakpoint images, so on a
+    nonconvex domain a segment can leave the mesh even though its endpoints
+    stay inside.  Without a geometry, one is built.
     """
-    return _checked_images(phi, complex, geometry)[1]
+    return _checked_images(phi, complex, geometry)[2]
 
 
 def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
@@ -602,23 +645,53 @@ def lipschitz_cone(phi: SlabAffineContraction, complex: SimplicialComplex,
     Degenerate image simplices are kept (they matter for formal boundary
     cancellation, and integrate to zero).  The contraction is read only at
     (vertex, breakpoint) pairs, and checked by ``validate_contraction`` once
-    the mesh passes ``potentials.check_triangulation``.
+    the mesh passes ``potentials.check_triangulation``.  For the assembly,
+    ``cells[1]`` holds each strictly convex prism slab of an edge as one
+    quadrilateral (``_slab_cells``).
     """
     from .potentials import check_triangulation  # potentials imports this module
 
     geometry = _own(complex, geometry) or MeshGeometry(complex)
     check_triangulation(geometry)
-    images, issues = _checked_images(phi, complex, geometry)
+    points, image_ids, issues = _checked_images(phi, complex, geometry)
     if issues:
         raise ValueError("invalid contraction: " + "; ".join(issues[:5]))
 
     product = ProductComplex(complex, phi.breakpoints)
-    # vertex images by product vertex id
-    points = np.zeros((len(product.times), product.stride, 2))
-    points[:, complex._rows[0][:, 0]] = images.swapaxes(0, 1)
+    # each product vertex id's point in the table of distinct images
+    ids = np.zeros((len(product.times), product.stride), dtype=np.int64)
+    ids[:, complex._rows[0][:, 0]] = image_ids.T
     # each base simplex's prisms, slab by slab, with the signs of prism_rows
     terms = {k: (np.repeat(np.arange(len(rows)), product.n_slabs * (k + 1)),
                  np.tile((-1) ** np.arange(k + 1), len(rows) * product.n_slabs),
-                 product.prism_rows(rows).swapaxes(0, 1).reshape(-1, k + 2))
+                 ids.ravel().take(product.prism_rows(rows).swapaxes(0, 1).reshape(-1, k + 2)))
              for k, rows in complex._rows.items()}
-    return SingularConeOperator(complex, phi.point, points.reshape(-1, 2), terms)
+    cells = dict(terms)
+    if 1 in terms:
+        cells[1] = _slab_cells(points, *terms[1])
+    return SingularConeOperator(complex, phi.point, points, terms, cells)
+
+
+def _slab_cells(points: np.ndarray, rows, coeffs, corners) -> tuple:
+    """The cells of an edge's cone terms: each slab's two prisms
+    ``T0 = (u_r, u_r+1, v_r+1)`` and ``T1 = (u_r, v_r, v_r+1)`` (consecutive
+    terms, signs + and -) become one cell, the quadrilateral
+    ``Q = (u_r, v_r, v_r+1, u_r+1)`` with T0's coefficient negated
+    (``T0 - T1 = -Q``), where Q is strictly convex: every turn along it has
+    the same strict sign.  Elsewhere the triangles stay, each with a fourth
+    corner of -1; with no such slab, the terms are the cells."""
+    t0, t1 = corners[0::2], corners[1::2]
+    quad = np.concatenate([t1, t0[:, 1:2]], axis=1)
+    edge = np.diff(points.take(quad, axis=0), axis=1, append=points.take(quad[:, :1], axis=0))
+    nxt = np.roll(edge, -1, axis=1)
+    turn = edge[..., 0] * nxt[..., 1] - edge[..., 1] * nxt[..., 0]
+    convex = (turn > 0.0).all(axis=1) | (turn < 0.0).all(axis=1)
+    if not convex.any():
+        return rows, coeffs, corners
+    cells = np.concatenate([corners, np.full((len(corners), 1), -1)], axis=1)
+    cells[0::2][convex] = quad[convex]
+    coeffs = coeffs.copy()
+    coeffs[0::2][convex] *= -1
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1::2] = ~convex
+    return rows[keep], coeffs[keep], cells[keep]

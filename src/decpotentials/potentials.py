@@ -9,8 +9,10 @@ singular cone of s (Whitney kind).  Matrices are assembled per degree on
 first use and cached, from the cone's stored term arrays, so no chain table
 is built: a combinatorial matrix is its (row, column, coefficient) terms
 converted once to CSR; a Whitney matrix comes from one batched pass
-(``singular.functional_matrix``) over terms whose corner indices pick their
-points from the cone's point table.  Every operator satisfies
+(``singular.functional_matrix``) over the cone's cells (``cone.cells``: its
+terms, with a Lipschitz cone's convex prism slabs paired into one
+quadrilateral each), whose corner indices pick their points from the
+cone's point table.  Every operator satisfies
 
     d P alpha + P d alpha = alpha            (0 < k < n)
     P d alpha = alpha - (pi alpha)           (k = 0)
@@ -250,9 +252,9 @@ class DiscretePoincareOperator:
             m = sp.csr_matrix((coeffs.astype(float), (rows, cols)), shape=shape)
         else:
             # every row's singular cone, integrated in one batched pass
-            rows, coeffs, corners = self.cone.terms[k - 1]
+            rows, coeffs, corners = self.cone.cells[k - 1]
             m = functional_matrix(
-                self.geometry, k, rows, coeffs, self.cone.points.take(corners, axis=0), shape[0],
+                self.geometry, k, rows, coeffs, self.cone.points, corners, shape[0],
                 allow_exterior=self.kind == "bogovskii",
                 describe=lambda i: f"row of simplex {tuple(cx._rows[k - 1][i].tolist())}")
         self._matrices[k] = m

@@ -26,21 +26,29 @@ piece along a mesh edge is integrated once, in the edge's lowest-index
 triangle, and weighs only on that edge: a lowest-order Whitney 1-form's
 tangential trace on an edge belongs to that edge alone (Whitney, Geometric
 Integration Theory, 1957), so the other two edge forms' rounding-level
-values there become exact zeros and leave the matrix.
-2-dimensional images must also pass a separating-axis test, in which an
-image triangle that only touches a mesh triangle counts as apart (their
-overlap has no area, so such pairs leave no rounding-level sliver entries),
-and are clipped against each mesh triangle by a batched Sutherland-Hodgman
-and weighted by the signed overlap area.  The image's own axes also find
-the mesh triangles strictly inside it, which need no clip: they weigh
-exactly +-1, free of the clip's rounding, which grows with the image's
-extent over the triangle's size and so with the mesh.  The clip keeps its
+values there become exact zeros and leave the matrix.  Each distinct
+segment of a batch (by its corner indices) is integrated once, and its
+entries go to every term that names it, added in term order.
+2-dimensional images are convex cells: triangles, or strictly convex
+quadrilaterals, which the Lipschitz cone makes of a prism slab's two
+triangles; in a batch that holds both, a triangle repeats its last corner,
+and that edge of no length separates nothing.  A cell must pass a
+separating-axis test, in which an image that only touches a mesh triangle
+counts as apart (their overlap has no area, so such pairs leave no
+rounding-level sliver entries); a quadrilateral that shares a side with a
+mesh triangle lying across it is told apart exactly, by its corners' bits
+(``_across_a_side``).  The cells are clipped against each mesh triangle by
+a batched Sutherland-Hodgman and weighted by the signed overlap area.  The
+image's own axes also find the mesh triangles strictly inside it, which
+need no clip: they weigh exactly +-1, free of the clip's rounding, which
+grows with the image's extent over the triangle's size and so with the
+mesh.  The clip keeps its
 polygons as flat point lists (each point's x, y and polygon index, in
 polygon order), so a half-plane is a few whole-array passes and one
 compaction in which every point emits its crossing and then itself.  A chunk
 holds about CHUNK_PAIRS grid candidates, which bounds the memory of every
 pass; its size trades a fixed cost per chunk (some 550 Python and numpy
-calls of the triangle kernel, whatever the chunk holds) against memory and
+calls of the cell kernel, whatever the chunk holds) against memory and
 cache (see ``_pairs``).  Rows and columns of multi-dimensional arrays are
 gathered with ``ndarray.take`` (a mask through ``flatnonzero`` first): the
 same values that advanced indexing gathers, on a path several times
@@ -63,7 +71,7 @@ from functools import reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .simplicial import Cochain, _cross, _degenerate
+from .simplicial import Cochain, _cross, _degenerate, _offsets
 from .whitney import MeshGeometry
 
 # uncovered image area (length) allowed in strict integration, as a share of
@@ -311,13 +319,20 @@ def polygon_area(poly) -> float:
 
 def _edge_axes(poly: np.ndarray):
     """(edge, lo, hi) per edge of convex polygons: the edge vectors as
-    (xy, polygon) columns, and each polygon's extent along the edge normal."""
+    (xy, polygon) columns, and each polygon's extent along the edge normal.
+    Among quadrilaterals, the edge of no length at a triangle's repeated
+    corner has the extent -inf..inf, so that it neither separates nor
+    excludes."""
     m = poly.shape[1]
     axes = []
     for i in range(m):
         e = poly[:, (i + 1) % m] - poly[:, i]
         proj = poly[..., 1] * e[:, None, 0] - poly[..., 0] * e[:, None, 1]
-        axes.append((np.ascontiguousarray(e.T), proj.min(axis=1), proj.max(axis=1)))
+        lo, hi = proj.min(axis=1), proj.max(axis=1)
+        if m == 4:
+            flat = np.flatnonzero((e[:, 0] == 0.0) & (e[:, 1] == 0.0))
+            lo[flat], hi[flat] = -np.inf, np.inf
+        axes.append((np.ascontiguousarray(e.T), lo, hi))
     return axes
 
 
@@ -380,20 +395,22 @@ def _accumulate(major, minor, vals, n_minor: int):
 
 
 def _check_covered(geom: MeshGeometry, pts: np.ndarray, first: int, uncovered, whole,
-                   describe) -> None:
+                   describe, n=None) -> None:
     """Reject the first of the subjects ``first, first + 1, ...`` whose length
-    (segments) or area (triangles) off the mesh exceeds COVERAGE_TOL times the
-    mesh diagonal or area; ``whole`` is each subject's own length or area."""
-    what, measure, scale, size = ("segment", "length", "diagonal", geom.diagonal) \
-        if pts.shape[1] == 2 else ("image triangle", "area", "area", geom.total_area)
-    tol = COVERAGE_TOL * size
+    (segments) or area (cells) off the mesh exceeds COVERAGE_TOL times the
+    mesh diagonal or area; ``whole`` is each subject's own length or area,
+    and ``n`` each cell's corner count."""
+    tol = COVERAGE_TOL * (geom.diagonal if pts.shape[1] == 2 else geom.total_area)
     bad = np.nonzero(uncovered > tol)[0]
     if bad.size:
         i = int(bad[0])
+        corners = pts.shape[1] if n is None else int(n[first + i])
+        what, measure, scale = ("segment", "length", "diagonal") if corners == 2 else (
+            "image triangle" if corners == 3 else "image quadrilateral", "area", "area")
         if describe is not None:
             what = f"{describe(first + i)}: {what}"
         raise OutsideDomainError(
-            f"{what} {tuple(map(_point_tuple, pts[first + i]))} leaves the mesh: "
+            f"{what} {tuple(map(_point_tuple, pts[first + i, :corners]))} leaves the mesh: "
             f"{measure} {uncovered[i]:.3e} of its {whole[i]:.3e} is not "
             f"covered (tolerance {tol:.1e}, {COVERAGE_TOL:g} of the mesh {scale})"
         )
@@ -466,9 +483,11 @@ def _segment_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
                           vals.ravel(), n_edges)
 
 
-def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
-                      allow_exterior: bool, describe):
-    """(subject, triangle, weight) per chunk, for image triangles.
+def _cell_entries(geom: MeshGeometry, pts: np.ndarray, n: np.ndarray, rows: np.ndarray,
+                  allow_exterior: bool, describe):
+    """(subject, triangle, weight) per chunk, for image cells: convex
+    polygons, cell i the first ``n[i]`` (3 or 4) corners of ``pts[i]``, a
+    triangle among quadrilaterals repeating its last corner.
 
     Each image is clipped against every mesh triangle that no separating axis
     sets apart from it, and weighted by the overlap area over the triangle's
@@ -477,7 +496,10 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
     Unless ``allow_exterior``, the image must be covered by the mesh: the
     area it leaves uncovered may not exceed COVERAGE_TOL times the mesh area.
     """
-    area = 0.5 * _cross(pts)
+    area = 0.5 * _cross(pts[:, :3])
+    if pts.shape[1] == 4:  # a quadrilateral's: half the cross product of its diagonals
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts.transpose(1, 2, 0)
+        area = np.where(n == 4, 0.5 * ((cx - ax) * (dy - by) - (cy - ay) * (dx - bx)), area)
     sign = np.where(area > 0, 1.0, -1.0)
     ccw = np.where(area[:, None, None] > 0, pts, pts[:, ::-1])  # for the image's axes
     # clip in each mesh triangle's frame, so rounding scales with the triangle
@@ -498,10 +520,17 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         # a triangle inside the image overlaps it whole, and weighs exactly +-1
         overlap = np.abs(geom.signed_area.take(tri))
         clip = np.flatnonzero(~enclosed)
+        if pts.shape[1] == 4:
+            # a quadrilateral across a side from a mesh triangle only touches it
+            q = clip[n.take(sub.take(clip)) == 4]
+            touch = q[_across_a_side(images.take(sub.take(q), axis=2), sign.take(sub.take(q)),
+                                     corners.take(tri.take(q), axis=2))]
+            overlap[touch] = 0.0
+            clip = np.setdiff1d(clip, touch, assume_unique=True)
         s, t = sub.take(clip), tri.take(clip)
         # the clipped polygons are no local, so no chunk holds them into the next
         overlap[clip] = np.abs(_areas(*_clip(pts.take(s, axis=0) - origin.take(t, axis=0),
-                                             np.full(len(clip), 3),
+                                             n.take(s),
                                              sides.take(t, axis=3).transpose(3, 0, 1, 2)),
                                       len(clip)))
         hit = np.flatnonzero(overlap)
@@ -509,17 +538,61 @@ def _triangle_entries(geom: MeshGeometry, pts: np.ndarray, rows: np.ndarray,
         if not allow_exterior:
             whole = np.abs(area[first:stop])
             covered = np.bincount(sub - first, overlap, minlength=stop - first)
-            _check_covered(geom, pts, first, whole - covered, whole, describe)
+            _check_covered(geom, pts, first, whole - covered, whole, describe, n)
         yield sub, tri, sign.take(sub) * overlap / geom.signed_area.take(tri)
 
 
-def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows: int, *,
-                      allow_exterior: bool = False, describe=None):
+def _across_a_side(quads: np.ndarray, sign: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Per pair: does the convex quadrilateral (orientation ``sign``) share a
+    side with the triangle, whose third corner lies strictly outside it?
+    Their interiors are then disjoint.  Corners come as (corner, xy, pair)
+    columns and are compared bit by bit, and a side's ends give exactly zero
+    in its own orientation test, so this holds where separating axes and the
+    clip round: both ends of a shared side project alike only up to
+    rounding, and a crossing computed onto a corner on the clip line need
+    not land on it."""
+    same = [[(qx == tx) & (qy == ty) for tx, ty in triangles] for qx, qy in quads]
+    at = [reduce(np.logical_or, row) for row in same]
+    across = np.zeros(len(sign), dtype=bool)
+    for i in range(4):
+        j = (i + 1) % 4
+        pair = np.flatnonzero(at[i] & at[j])
+        # the triangle's corner that is neither end of the side
+        w = triangles[np.argmin([(same[i][c] | same[j][c])[pair] for c in range(3)], axis=0),
+                      :, pair].T
+        a, b = quads[i][:, pair], quads[j][:, pair]
+        turn = (b[0] - a[0]) * (w[1] - a[1]) - (b[1] - a[1]) * (w[0] - a[0])
+        across[pair[turn * sign.take(pair) < 0.0]] = True
+    return across
+
+
+def _first_appearances(keys: np.ndarray):
+    """The rows where each distinct row of an (N, c) int64 array first
+    appears, in order, and each row's index among the distinct rows."""
+    order = np.lexsort(keys.T[::-1])  # stable: a row's first appearance leads its run
+    ordered = keys.take(order, axis=0)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if new.all():
+        return np.arange(len(keys)), np.arange(len(keys))
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    index = np.empty(len(keys), dtype=np.int64)
+    index[order] = rank[np.cumsum(new) - 1]
+    return np.sort(first), index
+
+
+def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, corners, n_rows: int,
+                      *, allow_exterior: bool = False, describe=None):
     """Sparse matrix of many functional rows, assembled in batched passes.
 
-    Term i adds ``coeffs[i]`` times the functional of the linear singular
-    simplex ``points[i]`` (dimension ``dim``, 1 or 2) to row ``rows[i]``;
-    ``rows`` must ascend, as a cone's terms do.  Within a row, weights add up
+    Term i adds ``coeffs[i]`` times the functional of the cell on the points
+    ``points[corners[i]]`` to row ``rows[i]``: the linear singular simplex
+    of dimension ``dim`` (1 or 2), or, for four corners, the strictly convex
+    quadrilateral they bound in order (a triangle among quadrilaterals has
+    -1 as its fourth corner).  ``rows`` must ascend, as a cone's terms do.
+    Each distinct segment is integrated once, and within a row weights add up
     in term order, so a row equals the dict that the per-term functionals
     would accumulate.  Degenerate simplices integrate to zero.
     ``describe(row)`` names a row in errors.  Returns a CSR matrix of shape
@@ -528,16 +601,35 @@ def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows
     if dim not in (1, 2):
         raise ValueError(f"cannot integrate Whitney forms over dimension {dim}")
     rows = np.asarray(rows, dtype=np.int64)
-    pts = np.asarray(points, dtype=float).reshape(len(rows), dim + 1, 2)
-    keep = np.flatnonzero(~_degenerate(pts))
-    rows, coeffs, pts = rows[keep], np.asarray(coeffs, dtype=float)[keep], pts.take(keep, axis=0)
+    corners = np.asarray(corners, dtype=np.int64).reshape(len(rows), -1 if len(rows) else dim + 1)
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    m = corners.shape[1]
+    n = m - (corners[:, -1] < 0)  # each cell's corner count
+    if m == 4:  # a triangle's fourth corner repeats its third
+        corners = np.where(corners < 0, corners[:, 2:3], corners)
+    pts = points.take(corners, axis=0)
+    keep = np.flatnonzero((n == 4) | ~_degenerate(pts[:, :dim + 1]))
+    rows, coeffs, corners = rows[keep], np.asarray(coeffs, dtype=float)[keep], corners[keep]
+    pts, n = pts.take(keep, axis=0), n.take(keep)
     n_cols = geom.complex.num_simplices(dim)
-    name = None if describe is None else (lambda j: describe(int(rows[j])))
-    entries = _segment_entries if dim == 1 else _triangle_entries
-    chunks = entries(geom, pts, rows, allow_exterior, name)
-    # a chunk holds whole rows, so each chunk's sums are final and the
-    # chunks come in row order
-    parts = [_accumulate(rows[sub], col, coeffs[sub] * w, n_cols) for sub, col, w in chunks]
+    # each distinct segment once, as the subject of its first term (subjects
+    # in term order, so a chunk holds whole rows of them)
+    first, subject = _first_appearances(corners) if dim == 1 else (np.arange(len(rows)),) * 2
+    name = None if describe is None else (lambda j: describe(int(rows[first[j]])))
+    chunks = _segment_entries(geom, pts.take(first, axis=0), rows.take(first), allow_exterior,
+                              name) if dim == 1 else \
+        _cell_entries(geom, pts, n, rows, allow_exterior, name)
+    if len(first) == len(rows):
+        # a chunk holds whole rows, so each chunk's sums are final and the
+        # chunks come in row order
+        parts = [_accumulate(rows[sub], col, coeffs[sub] * w, n_cols) for sub, col, w in chunks]
+    else:
+        # each term takes its subject's entries, in term order
+        sub, col, w = (np.concatenate(x) for x in zip(*chunks))
+        count = np.bincount(sub, minlength=len(first)).take(subject)
+        at = np.repeat(np.searchsorted(sub, subject), count) + _offsets(count)
+        term = np.repeat(np.arange(len(rows)), count)
+        parts = [_accumulate(rows[term], col.take(at), coeffs[term] * w.take(at), n_cols)]
     row, col, val = (np.concatenate(x) for x in zip(*parts)) if parts else \
         (np.zeros(0, dtype=np.int64),) * 3
     nz = val != 0.0
@@ -548,7 +640,8 @@ def functional_matrix(geom: MeshGeometry, dim: int, rows, coeffs, points, n_rows
 
 def _row(geom: MeshGeometry, dim: int, coeffs, points, allow_exterior: bool) -> dict[int, float]:
     """One functional row as a dict: a batch of one term set."""
-    m = functional_matrix(geom, dim, np.zeros(len(coeffs)), coeffs, points, 1,
+    corners = np.arange(len(coeffs) * (dim + 1)).reshape(-1, dim + 1)
+    m = functional_matrix(geom, dim, np.zeros(len(coeffs)), coeffs, points, corners, 1,
                           allow_exterior=allow_exterior)
     return {int(i): float(w) for i, w in zip(m.indices, m.data)}
 

@@ -5,9 +5,9 @@ interpolant over a linear singular simplex with float corners is a rational
 number.  This module computes it in ``fractions.Fraction``, one mesh triangle
 at a time, and shares no code with ``decpotentials.singular``:
 
-* an image triangle weighs ``sign |S n T| / A_T`` in mesh triangle T, with the
-  overlap from a Sutherland-Hodgman clip of S against T and the signed area
-  A_T;
+* an image triangle, or any convex image polygon, weighs ``sign |S n T| / A_T``
+  in mesh triangle T, with the overlap from a Sutherland-Hodgman clip of S
+  against T and the signed area A_T;
 * a segment's piece in T runs over the parameters where it lies in T (a
   parametric clip against T's three edge lines), between barycentric ends
   beta and beta', and adds ``beta_i beta'_j - beta_j beta'_i`` to local edge
@@ -81,10 +81,11 @@ def _area(poly):
     return sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(poly[-1:] + poly[:-1], poly)) / 2
 
 
-def triangle_row(mesh: ExactMesh, points, row: dict, coeff=1) -> None:
-    """Add ``coeff`` times the exact row of an image triangle."""
+def polygon_row(mesh: ExactMesh, points, row: dict, coeff=1) -> None:
+    """Add ``coeff`` times the exact row of a convex image polygon (a triangle
+    or a strictly convex quadrilateral)."""
     pts = [_q(p) for p in points]
-    sign = _cross(*pts)
+    sign = _area(pts)
     if sign == 0:
         return
     for t in mesh.near(pts):
@@ -147,5 +148,5 @@ def exact_row(mesh: ExactMesh, terms, along=None) -> dict:
         if len(points) == 2:
             segment_row(mesh, points, row, c, along)
         else:
-            triangle_row(mesh, points, row, c)
+            polygon_row(mesh, points, row, c)
     return row

@@ -34,7 +34,7 @@ from decpotentials import (
     star_cone,
 )
 from decpotentials import singular
-from decpotentials.singular import chain_functional
+from decpotentials.singular import chain_functional, segment_functional
 
 from conftest import jitter_interior, matrix_digest, unchecked_bogovskii, unchecked_star
 
@@ -343,11 +343,13 @@ def test_matrix_bytes_do_not_depend_on_the_hash_seed():
 # star operator at (0.5, 0.5) and the Lipschitz operator of the builtin
 # U-shape contraction at (0.2, 0.2), recorded before the assembly gathered
 # by ``take``: rewriting how the kernels gather values changes no bit; the
-# Lipschitz one re-recorded since a piece along an edge weighs only on it
+# Lipschitz one re-recorded since a piece along an edge weighs only on it,
+# and again since a strictly convex prism slab is integrated as one cell
+# (its matrix(2) entries move by at most 1.8e-15, with the same nnz)
 POINCARE_MATRIX_DIGESTS = {
     "star square:8": "b4dea363e6160a79b237327c328ef0c968d8707699430f5e5a7f5d7929de2865",
     "star jittered square:8": "ea0a22a6b98f59cd66d228791e6218309044928a8e81e48ef25694d1ebb7cac7",
-    "lipschitz ushape:10": "08a9e356823210b0addc79c9121212202fae66560f9f89a2333ed0ca6ddc944b",
+    "lipschitz ushape:10": "7e4bf7e43943b8b69fbabd886f432c6fa372fc77cbd4cb0f8b41ee5695601da6",
 }
 
 
@@ -416,6 +418,25 @@ def test_chunk_size_changes_no_bit(name, monkeypatch):
     assert max(map(row_candidates, ops)) > 64
 
 
+def test_rows_of_distinct_segments_keep_their_bits_across_chunks(monkeypatch):
+    # a contraction that halves the square about its point before the
+    # identity: no two path segments are equal, and each vertex row has two,
+    # which a chunk must hold together, whatever its size
+    cx, point = generate_square_mesh(8), (0.52, 0.51)
+    half = [[0.5, 0.0, 0.5 * point[0]], [0.0, 0.5, 0.5 * point[1]]]
+    phi = SlabAffineContraction((0.0, 0.5, 1.0), [[[0.0, 0.0, point[0]], [0.0, 0.0, point[1]]],
+                                                  half, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+                                point)
+    results = []
+    for pairs in (singular.CHUNK_PAIRS, 64, 1):
+        monkeypatch.setattr(singular, "CHUNK_PAIRS", pairs)
+        op = DiscretePoincareOperator(lipschitz_cone(phi, cx))
+        results.append(matrix_digest(op))
+        rows, _, corners = op.cone.terms[0]
+        assert len(np.unique(corners, axis=0)) == len(rows) == 2 * cx.num_simplices(0)
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def test_square16_matrices_keep_their_bits_across_default_chunks(monkeypatch):
     # at the default size every matrix of square:8 and ushape:10 fits in one
     # chunk; the k = 2 matrices of star and Bogovskii on square:16 (about 61k
@@ -445,6 +466,71 @@ def test_square16_matrices_keep_their_bits_across_default_chunks(monkeypatch):
         results.append([matrix_digest(op) for op in ops])
     assert results[1] == results[0] and results[2] == results[0]
     assert 1 < fewest[0] < fewest[1] < fewest[2]
+
+
+# -- Lipschitz: each distinct image once, each convex prism slab one cell ----
+
+
+def test_lipschitz_integrates_each_distinct_image_once(monkeypatch):
+    # ushape:20's vertex paths hold 1,715 points, 566 of them distinct, and
+    # its matrix(1) 644 segments, 342 distinct; 536 of its prism slabs are
+    # strictly convex quadrilaterals, each integrated as one cell
+    cx = generate_ushape_mesh(20)
+    geom, seen = MeshGeometry(cx), {"points": 0, "segments": 0, "quads": 0}
+    locate, segments, cells = MeshGeometry.locate_all, singular._segment_entries, \
+        singular._cell_entries
+
+    def located(self, points, tol=1e-12):
+        seen["points"] += len(np.reshape(points, (-1, 2)))
+        return locate(self, points, tol)
+
+    def segment_spy(geom, pts, *args):
+        seen["segments"] += len(pts)
+        return segments(geom, pts, *args)
+
+    def cell_spy(geom, pts, n, *args):
+        seen["quads"] += int((n == 4).sum())
+        return cells(geom, pts, n, *args)
+
+    monkeypatch.setattr(MeshGeometry, "locate_all", located)
+    monkeypatch.setattr(singular, "_segment_entries", segment_spy)
+    monkeypatch.setattr(singular, "_cell_entries", cell_spy)
+    cone = lipschitz_cone(SlabAffineContraction.ushape((0.2, 0.2)), cx, geometry=geom)
+    assert seen["points"] == 566
+    op = DiscretePoincareOperator(cone, geom)
+    op.matrix(1), op.matrix(2)
+    assert (seen["segments"], seen["quads"]) == (342, 536)
+    # each quadrilateral stands for two terms; the table still lists every
+    # prism triangle
+    assert len(cone.terms[1][0]) == len(cone.cells[1][0]) + 536 == 3672
+    assert all(len(t.points) == 3 for chain in cone.table.values() if chain.dim == 2
+               for _, t in chain.terms)
+
+
+def per_term_matrix1(op):
+    """matrix(1) term by term: each term's own segment row, added to its row
+    in term order, zeros dropped."""
+    rows, coeffs, corners = op.cone.terms[0]
+    pts, out = op.cone.points, [{} for _ in range(op.complex.num_simplices(0))]
+    for r, c, (a, b) in zip(rows.tolist(), coeffs.tolist(), corners.tolist()):
+        for e, w in segment_functional(op.geometry, pts[a], pts[b]).items():
+            out[r][e] = out[r].get(e, 0.0) + float(c) * w
+    out = [sorted((e, w) for e, w in row.items() if w != 0.0) for row in out]
+    indptr = np.cumsum([0] + [len(row) for row in out])
+    return ([w for row in out for _, w in row], [e for row in out for e, _ in row], indptr)
+
+
+@pytest.mark.parametrize("name", ["ushape ushape:10", "ushape ushape:20", "straight square:8"])
+def test_lipschitz_matrix1_is_the_per_term_sum_bit_for_bit(name):
+    kind, mesh = name.split()
+    cx = generate_ushape_mesh(int(mesh[7:])) if mesh.startswith("ushape") else \
+        generate_square_mesh(8)
+    phi = (SlabAffineContraction.ushape if kind == "ushape" else
+           SlabAffineContraction.straight_line)((0.2, 0.2))
+    op = DiscretePoincareOperator(lipschitz_cone(phi, cx))
+    m, (data, indices, indptr) = op.matrix(1), per_term_matrix1(op)
+    assert m.data.tobytes() == np.array(data).tobytes()
+    assert m.indices.tolist() == indices and m.indptr.tolist() == indptr.tolist()
 
 
 # tracemalloc peaks (MB) of one matrix(k) of a fresh operator, measured at

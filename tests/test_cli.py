@@ -420,14 +420,15 @@ def test_potential_scalar_samples(capsys, tmp_path):
 # contraction images were built in numpy; the 1-form potentials (field f)
 # re-recorded since segment pieces are integrated by the midpoint rule; the
 # lipschitz ones again since segments are cut at crossings both neighbours
-# share, and lipschitz-f since a piece along an edge weighs only on it
+# share, lipschitz-f since a piece along an edge weighs only on it, and
+# lipschitz-g1 since a strictly convex prism slab is integrated as one cell
 POTENTIAL_FILE_DIGESTS = {
     "star-g1": ("3311d121bbecd5dabe5160f084a2ffce830dafc7dcd5e2c5dde1b4b169e0e309",
                "1da1427788c74613b647fc8141c4d43c38331c8bd8c0722add0b05997134bd83"),
     "star-f": ("21416278130ba01ce20923fec90050936ed039dba3d3885b83855d044c83fc44",
               "eaeabff5b95e46b6816672aff0b225756ce0a26fcc2422a43b2d5c54c7f79e1f"),
-    "lipschitz-g1": ("76056a935996936085f45a3c1da5b950e47d7bd63ab1b11405d0a1d354a260df",
-                    "31b4ae400072e3dceea0a3ef3d19c9b9bb0304f9c5983c3ee3dbe3f3ecc897df"),
+    "lipschitz-g1": ("1775d46294f0ae105abb7a0124256200c08b1b5aa340f363139f4c5bf2ec28e3",
+                    "1157c1e083c232b897974012dd9f68d9d13996e7f2f9b60911a6e2115673ca42"),
     "lipschitz-f": ("736d0c5539f9cc690dda5e374bcd9286efe519ca920da3353888f30041a1f4cf",
                    "0622db76da8166b96ec7d5d241c2136ac6db92639293575c1ada7b6a0dd245bd"),
 }
@@ -1040,6 +1041,25 @@ def test_contraction_file_that_is_no_object_of_number_arrays_exits_2(data, messa
     with pytest.raises(ValueError) as info:
         cones.SlabAffineContraction.load(path)
     assert str(info.value) == message
+    assert_exits_2_naming(capsys, ["verify", "--mesh", "builtin:square:4", "--op", "lipschitz",
+                                   "--contraction", f"file:{path}"],
+                          {"type": "ValueError", "message": message})
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"breakpoints": [0.0, 1.0], "point": [0.5, 0.5],
+      "slabs": [{"matrix": [[float("nan"), 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}]},
+     "contraction field 'matrix' of slab 0 holds nan, not a finite number"),
+    ({"breakpoints": [0.0, float("inf"), 1.0], "point": [0.5, 0.5],
+      "slabs": [{"matrix": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}] * 2},
+     "contraction field 'breakpoints' holds inf, not a finite number"),
+], ids=["matrix-nan", "breakpoint-inf"])
+def test_contraction_file_with_a_non_finite_number_exits_2(data, message, capsys, tmp_path):
+    # json reads NaN and Infinity as numbers; a NaN slab matrix exited 2 as
+    # "phi(vertex 0, 0.0) leaves the mesh; ..."
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
     assert_exits_2_naming(capsys, ["verify", "--mesh", "builtin:square:4", "--op", "lipschitz",
                                    "--contraction", f"file:{path}"],
                           {"type": "ValueError", "message": message})

@@ -775,7 +775,8 @@ def test_lipschitz_cone_checks_containment_without_a_geometry(ushape10):
 
 
 def test_checked_images_are_phi_at_every_breakpoint():
-    # the one array expression gives bitwise what phi gives point by point
+    # the one array expression gives bitwise what phi gives point by point,
+    # read through the table of distinct images, which holds each point once
     cx = generate_ushape_mesh(10)
     mats = [[[0.3, 0.1, 0.7, 0.2], [0.1, 0.3, 0.3, 0.2]],
             [[0.3, 0.1, 0.4, 0.3], [0.1, 0.3, 0.6, 0.1]]]  # agree at t = 1/3
@@ -784,11 +785,116 @@ def test_checked_images_are_phi_at_every_breakpoint():
                     SlabAffineContraction.from_matrices((0.0, 1 / 3, 1.0), mats, (0.2, 0.2))]
     vertices = cx._rows[0][:, 0]
     for phi in contractions:
-        images, _ = _checked_images(phi, cx, None)
-        assert images.shape == (len(vertices), len(phi.breakpoints), 2)
+        points, ids, _ = _checked_images(phi, cx, None)
+        assert ids.shape == (len(vertices), len(phi.breakpoints))
+        assert len(np.unique(points, axis=0)) == len(points) == ids.max() + 1
+        images = points[ids]
         for n, v in enumerate(vertices.tolist()):
             for j, t in enumerate(phi.breakpoints):
                 assert images[n, j].tobytes() == phi(cx.coordinates[v], t).tobytes()
+
+
+def scaled_square4(factor):
+    cx = generate_square_mesh(4)
+    return SimplicialComplex(cx.simplices(2), cx.coordinates * factor)
+
+
+def test_contraction_endpoints_are_checked_at_the_mesh_scale():
+    # on square:4 shrunk to 1e-12, the reflection x -> s - x misses the
+    # identity at t = 1 by up to 1e-12: an absolute 1e-10 passed it, and its
+    # operator's verify_homotopy read about 2
+    s = 1e-12
+    cx = scaled_square4(s)
+    point = (0.3 * s, 0.2 * s)
+    constant = [[0.0, 0.0, point[0]], [0.0, 0.0, point[1]]]
+    reflection = SlabAffineContraction((0.0, 1.0), [constant, [[-1.0, 0.0, s], [0.0, 1.0, 0.0]]],
+                                       point)
+    off_axis = [v for (v,) in cx.simplices(0) if cx.coordinates[v, 0] != 0.5 * s]
+    assert len(off_axis) == 20
+    assert validate_contraction(reflection, cx) == [
+        f"phi(vertex {v}, 1) != identity" for v in off_axis]
+    with pytest.raises(ValueError, match=r"invalid contraction: phi\(vertex 0, 1\) != identity"):
+        lipschitz_cone(reflection, cx)
+    # a start 1e-13 off the base point is as far off, at this scale
+    shifted = SlabAffineContraction(
+        (0.0, 1.0), [[[0.0, 0.0, point[0] + 0.1 * s], [0.0, 0.0, point[1]]],
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], point)
+    assert validate_contraction(shifted, cx) == [
+        f"phi(vertex {v}, 0) != base point" for (v,) in cx.simplices(0)]
+    # and a mesh a million times larger keeps its straight lines and U paths
+    big = scaled_square4(1e6)
+    for phi in (SlabAffineContraction.straight_line((0.3e6, 0.2e6)),
+                SlabAffineContraction.ushape((0.3e6, 0.2e6))):
+        assert validate_contraction(phi, big) == []
+        lipschitz_cone(phi, big)
+
+
+def test_a_nan_image_fails_the_endpoint_checks():
+    # the endpoint tests read "not within the tolerance", so that a NaN
+    # image (here set past the constructor's check) is no match
+    cx = generate_square_mesh(4)
+    phi = SlabAffineContraction.straight_line((0.3, 0.2))
+    phi.maps[1, 0, 0] = np.nan
+    phi.maps[0, 1, 2] = np.nan
+    issues = validate_contraction(phi, cx)
+    assert issues[:4] == ["phi(vertex 0, 1) != identity", "phi(vertex 0, 0) != base point",
+                          "phi(vertex 0, 0.0) leaves the mesh",
+                          "phi(vertex 0, 1.0) leaves the mesh"]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SlabAffineContraction((0.0, float("nan"), 1.0), np.zeros((3, 2, 3)), (0.5, 0.5)),
+     "contraction field 'breakpoints' holds nan, not a finite number"),
+    (lambda: SlabAffineContraction((0.0, 1.0), [np.zeros((2, 3)), np.full((2, 3), np.inf)],
+                                   (0.5, 0.5)),
+     "contraction field 'maps' holds inf, not a finite number"),
+    (lambda: SlabAffineContraction.from_matrices(
+        (0.0, 0.5, 1.0), [np.zeros((2, 4)), [[1.0, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0]]],
+        (0.5, 0.5)),
+     "contraction field 'matrix' of slab 1 holds -inf, not a finite number"),
+    (lambda: SlabAffineContraction.from_matrices((0.0, np.nan, 1.0), np.zeros((2, 2, 4)),
+                                                 (0.5, 0.5)),
+     "contraction field 'breakpoints' holds nan, not a finite number"),
+], ids=["breakpoint", "map", "matrix", "matrix-breakpoint"])
+def test_contraction_rejects_non_finite_data_naming_the_field(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def reference_issues(phi, cx, geom):
+    """validate_contraction's issues, vertex by vertex and point by point."""
+    tol, issues = 1e-10 * geom.diagonal, []
+
+    def outside(p):
+        return geom.locate_all(p, tol=1e-9)[0] < 0
+
+    for (v,) in cx.simplices(0):
+        x = cx.coordinates[v]
+        images = [phi(x, t) for t in phi.breakpoints]
+        if not np.abs(images[-1] - x).max() <= tol:
+            issues.append(f"phi(vertex {v}, 1) != identity")
+        if not np.abs(images[0] - phi.point).max() <= tol:
+            issues.append(f"phi(vertex {v}, 0) != base point")
+        issues += [f"phi(vertex {v}, {t}) leaves the mesh"
+                   for t, p in zip(phi.breakpoints, images) if outside(p)]
+        issues += [f"interpolated path of vertex {v} leaves the mesh"
+                   for p, q in zip(images, images[1:]) if outside(0.5 * (p + q))]
+    return issues
+
+
+def test_contraction_issues_keep_their_order_when_images_repeat(ushape10, ugeom):
+    # every path starts at the base point and the U slide maps each grid
+    # column to one point, so most images repeat; each is located once, and
+    # the issues come vertex by vertex as a point-by-point check lists them
+    u = SlabAffineContraction.ushape((0.2, 0.2))
+    stretched = SlabAffineContraction(u.breakpoints, u.maps * [[[1.3], [1.0]]], (0.21, 0.2))
+    for phi in (SlabAffineContraction.straight_line((0.2, 0.2)), stretched):
+        issues = validate_contraction(phi, ushape10, ugeom)
+        assert len(issues) > 20
+        assert issues == reference_issues(phi, ushape10, ugeom)
+    for kind in ("!= identity", "!= base point", ") leaves the mesh", "path of vertex"):
+        assert any(kind in i for i in issues), kind
 
 
 def test_lipschitz_cone_on_closed_star_yields_mesh_chains(square2, geom2):

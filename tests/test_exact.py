@@ -24,7 +24,8 @@ from decpotentials import (
     lipschitz_cone,
     star_cone,
 )
-from decpotentials.singular import triangle_functional
+from decpotentials.meshes import _grid_mesh
+from decpotentials.singular import is_degenerate, triangle_functional
 
 from conftest import jitter_interior
 from exact import ExactMesh, exact_row
@@ -67,6 +68,56 @@ def test_every_row_is_within_the_bound_of_its_exact_row(mesh, kind):
                            m.data[m.indptr[i]:m.indptr[i + 1]].tolist()))
             exact = exact_row(em, [(c, t.points) for c, t in op.cone.table[s].terms])
             assert_within_the_bound(row, exact, (k, s))
+
+
+def u_mesh():
+    """A U on the 6 x 6 grid: a bottom strip of height 1/3 and two arms of
+    width 1/3, the builtin U-shape at a coarser spacing, so that the ushape
+    contraction's horizontal line y = 0.2 runs off the grid lines."""
+    j, i = np.indices((6, 6))
+    return _grid_mesh(6, (j < 2) | (i < 2) | (i >= 4))
+
+
+def turning(point=(0.52, 0.51)):
+    """A contraction that halves the plane about a point while turning it by
+    60 degrees, then turns and grows it back: its second slab's
+    quadrilaterals are strictly convex for some edges and twisted for
+    others, with corners off every grid line."""
+    c, s = 0.5 * np.cos(np.pi / 3), 0.5 * np.sin(np.pi / 3)
+    x, y = point
+    turn = [[c, -s, x - c * x + s * y], [s, c, y - s * x - c * y]]
+    return SlabAffineContraction((0.0, 0.5, 1.0), [[[0.0, 0.0, x], [0.0, 0.0, y]], turn,
+                                                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], point)
+
+
+@pytest.mark.parametrize("name", ["ushape U 6x6", "turning square:4"])
+def test_lipschitz_cells_are_within_the_bound_of_their_exact_rows(name):
+    # the slabs are integrated as quadrilaterals where they are strictly
+    # convex and as their prism triangles elsewhere; each row is judged
+    # against the exact row of its triangles, and exactly, the cells sum to
+    # the same row
+    if name.startswith("ushape"):
+        cx = u_mesh()
+        op = build("lipschitz", cx)
+    else:
+        cx = generate_square_mesh(4)
+        op = DiscretePoincareOperator(lipschitz_cone(turning(), cx))
+    em = ExactMesh(cx)
+    rows, coeffs, cells = op.cone.cells[1]
+    points = op.cone.points
+    quads = cells[:, 3] >= 0
+    assert quads.any() and not all(is_degenerate(points[cell[:3]]) for cell in cells[~quads])
+    for k in (1, 2):
+        m = op.matrix(k)
+        for i, s in enumerate(cx.simplices(k - 1)):
+            row = dict(zip(m.indices[m.indptr[i]:m.indptr[i + 1]].tolist(),
+                           m.data[m.indptr[i]:m.indptr[i + 1]].tolist()))
+            exact = exact_row(em, [(c, t.points) for c, t in op.cone.table[s].terms])
+            assert_within_the_bound(row, exact, (k, s))
+            if k == 2:
+                mine = [(c, points[[j for j in cell if j >= 0]])
+                        for c, cell in zip(coeffs[rows == i], cells[rows == i])]
+                assert exact_row(em, mine) == exact, s
 
 
 @pytest.mark.parametrize("mesh", sorted(MESHES))

@@ -254,17 +254,41 @@ def test_segment_inside_a_mesh_edge_gives_its_share_of_the_edge(mesh):
     share = np.sort(rng.uniform(size=(100, 2)), axis=1)
     u, w = geom.edge_coords[edge].transpose(1, 0, 2)
     pts = u[:, None] + share[..., None] * (w - u)[:, None]
-    m = singular.functional_matrix(geom, 1, np.arange(100), np.ones(100), pts, 100)
+    m = singular.functional_matrix(geom, 1, np.arange(100), np.ones(100), pts,
+                                   np.arange(200).reshape(100, 2), 100)
     want = sp.csr_matrix((share[:, 1] - share[:, 0], (np.arange(100), edge)), shape=m.shape)
     assert abs(m - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_functional_matrix_of_no_terms_is_empty(geom2, dim):
-    m = singular.functional_matrix(geom2, dim, [], [], [], 3)
+    m = singular.functional_matrix(geom2, dim, [], [], [], [], 3)
     assert m.shape == (3, geom2.complex.num_simplices(dim))
     assert m.nnz == 0
     assert m.indptr.tolist() == [0, 0, 0, 0]
+
+
+def test_a_convex_quadrilateral_weighs_as_its_two_triangles(geom2):
+    # a quadrilateral cell is the sum of the triangles on either side of a
+    # diagonal, to rounding; a triangle among quadrilaterals has -1 as its
+    # fourth corner, and keeps the bits it has alone
+    points = np.array([[0.1, 0.2], [0.8, 0.15], [0.9, 0.7], [0.3, 0.95], [0.6, 0.4]])
+    corners = [[0, 1, 2, 3], [3, 2, 1, 0], [0, 4, 3, -1]]
+    m = singular.functional_matrix(geom2, 2, [0, 1, 2], [1.0, 1.0, 1.0], points, corners, 3)
+    halves = singular.functional_matrix(geom2, 2, [0, 0, 1, 1], [1.0] * 4, points,
+                                        [[0, 1, 2], [0, 2, 3], [3, 2, 1], [3, 1, 0]], 2)
+    assert abs(m[:2] - halves).max() <= 1e-15
+    assert m[0].nnz == 8 and abs(m[0] + m[1]).max() <= 1e-15  # reversed, it flips
+    alone = singular.functional_matrix(geom2, 2, [0], [1.0], points, [[0, 4, 3]], 1)
+    assert m[2].toarray().tobytes() == alone.toarray().tobytes()
+
+
+def test_a_quadrilateral_off_the_mesh_is_named(geom2):
+    points = np.array([[0.5, 0.5], [1.5, 0.5], [1.5, 0.9], [0.5, 0.9]])
+    with pytest.raises(OutsideDomainError,
+                       match=r"^image quadrilateral \(\(0.5, 0.5\), \(1.5, 0.5\), \(1.5, 0.9\), "
+                             r"\(0.5, 0.9\)\) leaves the mesh: area 2.000e-01 of its 4.000e-01"):
+        singular.functional_matrix(geom2, 2, [0], [1.0], points, [[0, 1, 2, 3]], 1)
 
 
 def test_triangle_functional_identity_row(geom2):
